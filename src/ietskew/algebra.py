@@ -370,14 +370,6 @@ class LaurentPolynomial:
         return " + ".join(bits)
 
 
-def laurent_mul(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
-    return p * q
-
-
-def laurent_eval(p: LaurentPolynomial, lam: Sequence[float]) -> float:
-    return p.evaluate(lam)
-
-
 class LaurentMatrix:
     """Square matrix of LaurentPolynomial entries sharing one exponent dimension."""
 

@@ -105,6 +105,8 @@ class BratteliDiagram:
         if any(not es for es in self.edges_by_source.values()):
             raise ValueError("a vertex has out-degree zero")
         self._heights: dict[int, tuple[int, ...]] = {0: (1,) * self.d}
+        # one FloorCocycle per skewing cocycle, kept by FloorCocycle.of
+        self.floor_cocycles: dict = {}
 
     # -- basic structure ----------------------------------------------------
 
@@ -270,6 +272,3 @@ class BratteliDiagram:
             for e in sorted(self._edges.values())
         ]
 
-
-def build_diagram(tower: TowerSystem) -> BratteliDiagram:
-    return BratteliDiagram(tower)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import in_row_lattice, invariant_factors, vec_add, vec_sub, zero_vector
 from .bratteli import BratteliDiagram, Edge, FinitePath, MaximalPathError, MinimalPathError
 from .iet import RauzyLoop, compose_loop
@@ -30,7 +32,11 @@ class CertificateInconclusive(RuntimeError):
 
 
 class FloorCocycle:
-    """Precomputed f-values of every edge of a diagram, plus path sums."""
+    """Precomputed f-values of every edge of a diagram, plus path sums.
+
+    Arrays in edge order: ``f`` holds f(e), shape (E, m), and ``cell`` the
+    flat index source * d + target (0-based) of each edge's matrix cell.
+    """
 
     def __init__(self, diagram: BratteliDiagram, phi: SkewCocycle):
         if phi.d != diagram.d:
@@ -46,6 +52,16 @@ class FloorCocycle:
                 values[(j, l)] = acc
                 acc = vec_sub(acc, phi.of_label(word[l]))
         self.values = values
+        edges = list(diagram.edges())
+        self.f = np.array([values[(e.tower, e.floor)] for e in edges]).reshape(len(edges), phi.m)
+        self.cell = np.array([(e.source - 1) * diagram.d + e.tower - 1 for e in edges])
+
+    @classmethod
+    def of(cls, diagram: BratteliDiagram, phi: SkewCocycle) -> "FloorCocycle":
+        """The diagram's floor cocycle for phi, built on first use and kept."""
+        if phi not in diagram.floor_cocycles:
+            diagram.floor_cocycles[phi] = cls(diagram, phi)
+        return diagram.floor_cocycles[phi]
 
     def of_edge(self, e: Edge) -> tuple[int, ...]:
         return self.values[(e.tower, e.floor)]
@@ -63,10 +79,6 @@ class FloorCocycle:
         return acc
 
 
-def floor_cocycle_f(diagram: BratteliDiagram, e: Edge, phi: SkewCocycle) -> tuple[int, ...]:
-    return FloorCocycle(diagram, phi).of_edge(e)
-
-
 def tail_cocycle(diagram: BratteliDiagram, p: FinitePath, phi: SkewCocycle) -> tuple[int, ...]:
     """Telescoped f-discrepancy between p and its adic successor.
 
@@ -75,7 +87,7 @@ def tail_cocycle(diagram: BratteliDiagram, p: FinitePath, phi: SkewCocycle) -> t
     Undefined (MaximalPathError) when every edge is maximal.
     """
     succ = diagram.adic_successor(p)  # raises MaximalPathError on the boundary
-    fl = FloorCocycle(diagram, phi)
+    fl = FloorCocycle.of(diagram, phi)
     n = next(i for i, e in enumerate(p.edges) if not diagram.is_max_edge(e))
     acc = zero_vector(phi.m)
     for i in range(n + 1):
@@ -112,7 +124,7 @@ def skewed_shift_step(
     diagram: BratteliDiagram, state: SkewedPathState, phi: SkewCocycle
 ) -> SkewedPathState:
     """(p, a) -> (shifted p, a + f(p)): one level of tower-base projection."""
-    fl = FloorCocycle(diagram, phi)
+    fl = FloorCocycle.of(diagram, phi)
     return SkewedPathState(
         diagram.left_shift(state.path),
         vec_add(state.fiber, fl.of_path(state.path)),
@@ -143,7 +155,7 @@ def tail_orbit_witness(
     inside one level-``depth`` skew tower, so |n| is bounded by that
     tower's height.
     """
-    fl = FloorCocycle(diagram, phi)
+    fl = FloorCocycle.of(diagram, phi)
     if shift_image(fl, s1, depth) != shift_image(fl, s2, depth):
         return None
     bound = diagram.heights(depth)[s1.path.truncate(depth).target - 1]
@@ -336,7 +348,7 @@ def delta_closure_probe(
     certificate generators.
     """
     rng = random.Random(seed)
-    fl = FloorCocycle(diagram, phi)
+    fl = FloorCocycle.of(diagram, phi)
     by_length: dict[int, list[tuple[Edge, ...]]] = {}
     checked = 0
     attempts = 0

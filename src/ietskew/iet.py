@@ -174,10 +174,6 @@ class TowerSystem:
         if column_sums(self.matrix) != self.q:
             raise ValueError("column sums disagree with return times")
 
-    @property
-    def base_letters(self) -> tuple[int, ...]:
-        return tuple(w[0] for w in self.words)
-
 
 def compose_loop(loop: RauzyLoop, repeat: int = 1) -> TowerSystem:
     """Tower system for the (amplified) loop traversed ``repeat`` times.

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .bratteli import BratteliDiagram, build_diagram
+from .bratteli import BratteliDiagram
 from .iet import IetCombinatorics, LengthData, RauzyLoop, TowerSystem, compose_loop, pf_lengths
 from .skew import SkewCocycle, eigencocycles, skew_from_basis
 
@@ -146,7 +146,7 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
     except ValueError as exc:
         raise InstanceError(f"instance {spec.name!r}: {exc}") from None
     tower = compose_loop(loop, 1)
-    diagram = build_diagram(tower)
+    diagram = BratteliDiagram(tower)
     lengths = pf_lengths(tower.matrix)
     rank, basis = eigencocycles(tower.matrix)
     if spec.phi is not None:

@@ -11,7 +11,9 @@ unit L1 mass) the measure of the cylinder "path p_k, fiber a" is
 
     lambda^(a + S_k f(p_k)) * v[target(p_k)] / r^k,
 
-normalised so the whole fiber-0 slice has mass one.  Everything here
+normalised so the whole fiber-0 slice has mass one.  The numerical core
+takes a stack of psi: one M(lambda) stack, one Perron call, and masses from
+their logarithm <psi, a + S_k f(p)> + log v_t - k log r.  Everything here
 verifies numerically: the base recurrence, invariance under the skewed
 exchange, quasi-invariance of the base marginal, and the continuity of the
 measures in psi, reported as an observed grid modulus (never as a proof).
@@ -26,18 +28,12 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import (
-    LaurentMatrix,
-    LaurentPolynomial,
-    laurent_matrix_pow,
-    vec_add,
-    zero_vector,
-)
+from .algebra import LaurentMatrix, LaurentPolynomial, vec_add, zero_vector
 from .bratteli import BratteliDiagram, FinitePath
 from .cocycles import FloorCocycle
 from .skew import SkewCocycle
 
-PF_TOL = 1e-13
+PF_TOL = 1e-14
 PF_MAX_ITER = 100_000
 
 
@@ -51,46 +47,74 @@ class MaharamParameter:
     def lam(self) -> tuple[float, ...]:
         return tuple(math.exp(x) for x in self.psi)
 
-    @property
-    def m(self) -> int:
-        return len(self.psi)
-
 
 @dataclass(frozen=True)
 class PerronData:
+    """Perron pair and power-iteration steps; arrays (one row per matrix) for a stack."""
+
     eigenvalue: float
     vector: tuple[float, ...]
+    iterations: int
 
 
 def perron(matrix, tol: float = PF_TOL, max_iter: int = PF_MAX_ITER) -> PerronData:
     """Leading eigenpair of a strictly positive matrix by power iteration.
 
-    Deterministic uniform start, L1 normalisation; the returned pair has
-    residual |M v - r v|_1 <= tol (far below the 1e-12 contract).
+    ``matrix`` is one (d, d) matrix or an (N, d, d) stack, iterated together
+    from a uniform start with L1 normalisation.  Each matrix stops on its own
+    once |M v - r v|_1 <= tol * r, a bound that scales with M.
     """
-    mat = np.asarray(matrix, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("perron needs a square matrix")
-    if not (mat > 0).all():
-        raise ValueError("perron needs a strictly positive matrix")
-    d = mat.shape[0]
-    v = np.full(d, 1.0 / d)
-    for _ in range(max_iter):
-        mv = mat @ v
-        r = mv.sum()
-        v_new = mv / r
-        if np.abs(mat @ v_new - r * v_new).sum() <= tol:
-            return PerronData(float(r), tuple(float(x) for x in v_new))
-        v = v_new
-    residual = float(np.abs(mat @ v - (mat @ v).sum() * v).sum())
-    raise ArithmeticError(
-        f"power iteration did not converge in {max_iter} steps (residual {residual:.3e})"
-    )
+    mats = np.asarray(matrix, dtype=float)
+    single = mats.ndim == 2
+    mats = mats[None] if single else mats
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError("perron needs a square matrix or a stack of them")
+    if not (np.isfinite(mats).all() and (mats > 0).all()):
+        raise ValueError("perron needs a finite, strictly positive matrix")
+    n, d, _ = mats.shape
+    r, v, iterations = np.empty(n), np.empty((n, d)), np.zeros(n, dtype=int)
+    live = np.arange(n)  # matrices still iterating; mats is cut down with it
+    mv = mats.sum(axis=2) / d  # M v for the uniform start
+    for step in range(1, max_iter + 1):
+        r_live = mv.sum(axis=1)
+        v_live = mv / r_live[:, None]
+        mv = np.einsum("nij,nj->ni", mats, v_live)
+        residual = np.abs(mv - r_live[:, None] * v_live).sum(axis=1)
+        done = residual <= tol * r_live
+        r[live[done]], v[live[done]], iterations[live[done]] = r_live[done], v_live[done], step
+        if done.all():
+            break
+        live, mats, mv = live[~done], mats[~done], mv[~done]
+    else:
+        raise ArithmeticError(
+            f"power iteration did not converge in {max_iter} steps "
+            f"(relative residual {float((residual / r_live).max()):.3e})"
+        )
+    if single:
+        return PerronData(float(r[0]), tuple(v[0].tolist()), int(iterations[0]))
+    return PerronData(r, v, iterations)
+
+
+def level_matrices(floor: FloorCocycle, psis: np.ndarray) -> np.ndarray:
+    """M(lambda) at lambda = exp(psi) for each row of psis, shape (N, d, d):
+    every edge e adds exp(<psi, f(e)>) to its (source, target) cell."""
+    if psis.shape[1:] != (floor.m,):
+        raise ValueError(f"psi must have dimension {floor.m}")
+    d = floor.diagram.d
+    return (np.exp(psis @ floor.f.T) @ np.eye(d * d)[floor.cell]).reshape(len(psis), d, d)
+
+
+def log_masses(psis, pf: PerronData, exponents, targets, lengths) -> np.ndarray:
+    """Log-mass <psi, e> + log v_t - k log r, one row per psi of the stack
+    that ``pf`` solved and one column per cylinder, given by its exponent
+    e = a + S_k f(p), its 0-based target t and its length k."""
+    logs = psis @ np.asarray(exponents, dtype=float).T + np.log(pf.vector)[:, targets]
+    return logs - np.outer(np.log(pf.eigenvalue), lengths)
 
 
 def level_counting_matrix(diagram: BratteliDiagram, phi: SkewCocycle) -> LaurentMatrix:
     """Matrix of monomial sums t^{f(e)} over edges grouped by source/target."""
-    fl = FloorCocycle(diagram, phi)
+    fl = FloorCocycle.of(diagram, phi)
     d, m = diagram.d, phi.m
     rows = [[LaurentPolynomial.zero(m) for _ in range(d)] for _ in range(d)]
     for e in diagram.edges():
@@ -100,72 +124,56 @@ def level_counting_matrix(diagram: BratteliDiagram, phi: SkewCocycle) -> Laurent
     return LaurentMatrix(rows)
 
 
-def b_counts(mat: LaurentMatrix, k: int, i: int, j: int, a) -> int:
-    """Number of level-k paths from i to j with f-sum a (1-based labels)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return laurent_matrix_pow(mat, k)[i - 1, j - 1].coefficient(tuple(a))
-
-
 class MaharamMeasure:
-    """Cylinder-measure evaluator for one parameter psi."""
+    """Cylinder-measure evaluator for one psi, a stack of one for the core.
+
+    Masses are exponentiated once from their logarithm, so no r^k is formed;
+    a mass below the smallest positive float (about 4.9e-324) is 0.0.
+    """
 
     def __init__(self, diagram: BratteliDiagram, phi: SkewCocycle, psi):
-        psi = tuple(float(x) for x in psi)
-        if len(psi) != phi.m:
-            raise ValueError(f"psi must have dimension {phi.m}")
         self.diagram = diagram
         self.phi = phi
-        self.parameter = MaharamParameter(psi)
-        self.floor = FloorCocycle(diagram, phi)
-        self.level_matrix = level_counting_matrix(diagram, phi)
-        self.matrix_at_lam = np.asarray(self.level_matrix.evaluate(self.parameter.lam))
+        self.parameter = MaharamParameter(tuple(float(x) for x in psi))
+        self.floor = FloorCocycle.of(diagram, phi)
+        self.matrix_at_lam = level_matrices(self.floor, np.array([self.parameter.psi]))[0]
         self.perron = perron(self.matrix_at_lam)
+        self._log_v = tuple(math.log(x) for x in self.perron.vector)
+        self._log_r = math.log(self.perron.eigenvalue)
 
-    def lam_power(self, exponent) -> float:
-        value = 1.0
-        for base, e in zip(self.parameter.lam, exponent):
-            value *= base ** e
-        return value
+    def _mass(self, exponent, target: int, k: int) -> float:  # lambda^exponent v_target / r^k
+        log_mass = self._log_v[target - 1] - k * self._log_r
+        for x, e in zip(self.parameter.psi, exponent):
+            log_mass += x * e
+        return math.exp(log_mass)
 
     def cylinder_measure(self, p: FinitePath, a=None) -> float:
         """Mass of the floor coded by p at fiber offset a."""
         a = zero_vector(self.phi.m) if a is None else tuple(a)
-        exponent = vec_add(a, self.floor.path_sum(p))
-        return (
-            self.lam_power(exponent)
-            * self.perron.vector[p.target - 1]
-            / self.perron.eigenvalue ** len(p)
-        )
+        return self._mass(vec_add(a, self.floor.path_sum(p)), p.target, len(p))
 
     def base_mass(self, i: int, a=None) -> float:
         """Level-0 cylinder: interval i at fiber a."""
-        a = zero_vector(self.phi.m) if a is None else tuple(a)
-        return self.lam_power(a) * self.perron.vector[i - 1]
+        return self.level_base_mass(0, i, a)
 
     def level_base_mass(self, k: int, j: int, a=None) -> float:
         """Level-k tower base at fiber a: lambda^a v_j / r^k."""
-        a = zero_vector(self.phi.m) if a is None else tuple(a)
-        return self.lam_power(a) * self.perron.vector[j - 1] / self.perron.eigenvalue ** k
-
-    def base_marginal(self, p: FinitePath) -> float:
-        return self.cylinder_measure(p, zero_vector(self.phi.m))
+        return self._mass(zero_vector(self.phi.m) if a is None else a, j, k)
 
 
-def invariance_recurrence_check(measure: MaharamMeasure, k: int) -> float:
+def invariance_recurrence_check(measure: MaharamMeasure, k: int, power: LaurentMatrix) -> float:
     """Residual of mu(K_i x {0}) = sum_j sum_a b^k_{ij,a} mu(level-k base j, a).
 
-    The right side extracts coefficients from the k-th power of the
-    level-counting matrix and weighs level-k base masses, so it exercises
-    the counting route rather than the eigenvector identity.
+    The right side weighs level-k base masses by the coefficients of
+    ``power``, the exact (psi-free) k-th power of the level-counting matrix,
+    so it exercises the counting route rather than the eigenvector identity.
     """
-    mk = laurent_matrix_pow(measure.level_matrix, k)
     d = measure.diagram.d
     worst = 0.0
     for i in range(1, d + 1):
         rhs = 0.0
         for j in range(1, d + 1):
-            for a, count in mk[i - 1, j - 1].terms.items():
+            for a, count in power[i - 1, j - 1].terms.items():
                 rhs += count * measure.level_base_mass(k, j, a)
         worst = max(worst, abs(measure.base_mass(i) - rhs))
     return worst
@@ -209,8 +217,8 @@ def invariance_step_check(
         lhs = measure.cylinder_measure(succ, vec_add(a, move))
         rhs = measure.cylinder_measure(p, a)
         worst_inv = max(worst_inv, abs(lhs - rhs))
-        nu_before = measure.base_marginal(p)
-        nu_after = measure.base_marginal(succ)
+        nu_before = measure.cylinder_measure(p)
+        nu_after = measure.cylinder_measure(succ)
         expected = math.exp(-sum(ps * x for ps, x in zip(measure.parameter.psi, move)))
         worst_quasi = max(worst_quasi, abs(nu_after / nu_before - expected) / expected)
     return StepCheckResult(worst_inv, worst_quasi, samples)
@@ -251,43 +259,33 @@ def continuity_profile(
     grids; each grid is a tuple of per-coordinate axis tuples.  The modulus
     of a grid is the largest |measure difference| across grid neighbours
     (points differing by one step in one coordinate), maximised over the
-    cylinder family.
+    cylinder family.  Each grid is one stack: one M(lambda) per point, one
+    Perron call and one array of masses.
     """
+    fl = FloorCocycle.of(diagram, phi)
+    exponents = np.array([vec_add(a, fl.path_sum(p)) for p, a in cylinders]).reshape(-1, phi.m)
+    targets = [p.target - 1 for p, _ in cylinders]
+    lengths = [len(p) for p, _ in cylinders]
     profiles = []
     for axes in grids:
         points = list(product(*axes))
-        values: dict[tuple, list[float]] = {}
-        for point in points:
-            measure = MaharamMeasure(diagram, phi, point)
-            values[point] = [
-                measure.cylinder_measure(p, a) for (p, a) in cylinders
-            ]
-        rows = []
-        modulus = 0.0
-        for point in points:
-            neighbours = []
-            for axis_idx, axis in enumerate(axes):
-                pos = axis.index(point[axis_idx])
-                if pos + 1 < len(axis):
-                    neighbours.append(
-                        point[:axis_idx] + (axis[pos + 1],) + point[axis_idx + 1 :]
-                    )
-            for c_idx in range(len(cylinders)):
-                delta = max(
-                    (abs(values[nb][c_idx] - values[point][c_idx]) for nb in neighbours),
-                    default=0.0,
-                )
-                modulus = max(modulus, delta)
-                rows.append(
-                    {
-                        "cylinder_id": c_idx,
-                        "psi": point,
-                        "measure": values[point][c_idx],
-                        "adjacent_delta": delta,
-                    }
-                )
+        psis = np.array(points, dtype=float)
+        pf = perron(level_matrices(fl, psis))
+        masses = np.exp(log_masses(psis, pf, exponents, targets, lengths))
+        grid = masses.reshape(tuple(len(axis) for axis in axes) + (len(cylinders),))
+        delta = np.zeros_like(grid)
+        for axis in range(phi.m):
+            below_top = (slice(None),) * axis + (slice(0, -1),)
+            delta[below_top] = np.maximum(delta[below_top], np.abs(np.diff(grid, axis=axis)))
+        deltas = delta.reshape(masses.shape).tolist()
+        rows = tuple(
+            {"cylinder_id": c_idx, "psi": point, "measure": value, "adjacent_delta": change}
+            for point, values, changes in zip(points, masses.tolist(), deltas)
+            for c_idx, (value, change) in enumerate(zip(values, changes))
+        )
+        modulus = float(delta.max()) if delta.size else 0.0
         step = axes[0][1] - axes[0][0] if len(axes[0]) > 1 else 0.0
-        profiles.append(GridProfile(step, axes, tuple(rows), modulus))
+        profiles.append(GridProfile(step, axes, rows, modulus))
     return profiles
 
 
@@ -312,9 +310,6 @@ class MeasureTable:
     level: int
     entries: dict
 
-    def total_mass_fiber_zero_level_zero(self, measure: MaharamMeasure) -> float:
-        return sum(measure.base_mass(i) for i in range(1, measure.diagram.d + 1))
-
 
 def build_measure_table(
     diagram: BratteliDiagram,
@@ -327,15 +322,18 @@ def build_measure_table(
 
     The default fiber box spans the attainable f-sums at this level, which
     is the finite set of fibers a level-k tower can reach from fiber zero.
+    A mass is lambda^a times a per-path factor lambda^{S_k f(p)} v_t / r^k,
+    which is computed once per path (as its logarithm, like every mass).
     """
-    measure = MaharamMeasure(diagram, phi, psi)
+    fl = FloorCocycle.of(diagram, phi)
+    psis = np.array([psi], dtype=float)
+    pf = perron(level_matrices(fl, psis))
     paths = list(diagram.enumerate_paths(level))
-    sums = [measure.floor.path_sum(p) for p in paths]
+    sums = [fl.path_sum(p) for p in paths]
     if fiber_bound is None:
         fiber_bound = max((max(abs(x) for x in s) for s in sums), default=0)
     fibers = list(product(range(-fiber_bound, fiber_bound + 1), repeat=phi.m))
-    entries = {}
-    for p in paths:
-        for a in fibers:
-            entries[(p, a)] = measure.cylinder_measure(p, a)
-    return MeasureTable(measure.parameter.psi, level, entries)
+    per_path = log_masses(psis, pf, sums, [p.target - 1 for p in paths], [level] * len(paths))[0]
+    masses = np.exp(per_path[:, None] + np.array(fibers) @ psis[0]).tolist()
+    entries = {(p, a): x for p, row in zip(paths, masses) for a, x in zip(fibers, row)}
+    return MeasureTable(tuple(psis[0].tolist()), level, entries)

@@ -16,7 +16,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .algebra import laurent_matrix_pow, mat_pow, vec_add, vec_sub, zero_vector
+from .algebra import laurent_matrix_pow, mat_mul, mat_pow, vec_add, vec_sub, zero_vector
 from .bratteli import BratteliDiagram
 from .cocycles import (
     CertificateInconclusive,
@@ -173,7 +173,7 @@ def check_bratteli_dictionary(built: BuiltInstance, kmax: int = 3, **_) -> Check
 @_timed("tail_cocycle_identity")
 def check_tail_cocycle(built: BuiltInstance, n_paths: int = 1000, seed: int = 0, **_) -> CheckResult:
     diagram, phi = built.diagram, built.phi
-    fl = FloorCocycle(diagram, phi)
+    fl = FloorCocycle.of(diagram, phi)
     rng = random.Random(seed)
     for _ in range(n_paths):
         p = diagram.random_path(rng.choice([2, 3, 4]), rng)
@@ -214,7 +214,7 @@ def check_tail_cocycle(built: BuiltInstance, n_paths: int = 1000, seed: int = 0,
 @_timed("tail_orbit_equivalence")
 def check_tail_orbit(built: BuiltInstance, witness_samples: int = 150, seed: int = 0, **_) -> CheckResult:
     diagram, phi = built.diagram, built.phi
-    fl = FloorCocycle(diagram, phi)
+    fl = FloorCocycle.of(diagram, phi)
     depth = 2
     rng = random.Random(seed)
     for j in range(1, diagram.d + 1):
@@ -282,16 +282,17 @@ def check_level_counting(built: BuiltInstance, kmax: int = 4, **_) -> CheckResul
         for j in range(diagram.d):
             if round(at_one[i][j]) != diagram.matrix[i][j]:
                 return CheckResult("", "fail", detail="matrix at t=1 differs from incidence")
-    fl = FloorCocycle(diagram, phi)
+    fl = FloorCocycle.of(diagram, phi)
+    mk, ak = mat, diagram.matrix
     for k in range(1, kmax + 1):
-        mk = laurent_matrix_pow(mat, k)
+        if k > 1:
+            mk, ak = mk * mat, mat_mul(ak, diagram.matrix)
         buckets: dict[tuple[int, int], dict] = {}
         for p in diagram.enumerate_paths(k):
             key = (p.source, p.target)
             buckets.setdefault(key, {})
             s = fl.path_sum(p)
             buckets[key][s] = buckets[key].get(s, 0) + 1
-        ak = mat_pow(diagram.matrix, k)
         for i in range(1, diagram.d + 1):
             for j in range(1, diagram.d + 1):
                 entry = mk[i - 1, j - 1]
@@ -321,6 +322,8 @@ def check_maharam(
     diagram, phi = built.diagram, built.phi
     rng = random.Random(seed)
     worst = 0.0
+    recurrence_level = min(3, kmax)
+    power = laurent_matrix_pow(level_counting_matrix(diagram, phi), recurrence_level)
     for t in range(n_psi):
         psi = tuple(rng.uniform(-1.0, 1.0) for _ in range(phi.m))
         measure = MaharamMeasure(diagram, phi, psi)
@@ -330,7 +333,7 @@ def check_maharam(
         worst = max(worst, step.invariance_residual, step.quasi_invariance_residual)
         for k in range(1, kmax + 1):
             worst = max(worst, recurrence_vector_residual(measure, k))
-        worst = max(worst, invariance_recurrence_check(measure, min(3, kmax)))
+        worst = max(worst, invariance_recurrence_check(measure, recurrence_level, power))
         if worst > 1e-10:
             return CheckResult(
                 "", "fail", residual=worst, detail=f"residual above 1e-10 at psi #{t}"

@@ -1,44 +1,18 @@
 import pytest
 
-from ietskew.bratteli import build_diagram
-from ietskew.iet import IetCombinatorics, RauzyLoop, compose_loop, pf_lengths
-from ietskew.skew import SkewCocycle
-
-# small fixture instances; the packaged JSON files mirror these
-CASES = {
-    "golden_triple": ((1, 2, 3), (3, 2, 1), "btbtbt", ((1,), (-1,), (0,))),
-    "genus2_rank1": ((1, 2, 3, 4), (4, 3, 2, 1), "bttbtbtbbtt", ((1,), (-1,), (0,), (0,))),
-    "genus2_rank2": (
-        (1, 2, 3, 4),
-        (4, 3, 2, 1),
-        "bttbtbtbbtbt",
-        ((1, 0), (1, 2), (-1, -1), (0, 0)),
-    ),
-}
+from ietskew.instances import build_instance, load_instance, packaged_names
 
 
-class Built:
-    def __init__(self, name):
-        top, bottom, steps, phi = CASES[name]
-        self.name = name
-        self.comb = IetCombinatorics(top, bottom)
-        self.loop = RauzyLoop(self.comb, tuple(steps))
-        self.tower = compose_loop(self.loop, 1)
-        self.diagram = build_diagram(self.tower)
-        self.phi = SkewCocycle(phi)
-        self.lengths = pf_lengths(self.tower.matrix)
-
-
-@pytest.fixture(scope="session", params=sorted(CASES))
+@pytest.fixture(scope="session", params=packaged_names())
 def built(request):
-    return Built(request.param)
+    return build_instance(load_instance(request.param))
 
 
 @pytest.fixture(scope="session")
 def golden():
-    return Built("golden_triple")
+    return build_instance(load_instance("golden_triple"))
 
 
 @pytest.fixture(scope="session")
 def rank2():
-    return Built("genus2_rank2")
+    return build_instance(load_instance("genus2_rank2"))

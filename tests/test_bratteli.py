@@ -7,7 +7,6 @@ from ietskew.bratteli import (
     FinitePath,
     MaximalPathError,
     MinimalPathError,
-    build_diagram,
 )
 from ietskew.iet import TowerSystem
 
@@ -15,7 +14,7 @@ from ietskew.iet import TowerSystem
 @pytest.fixture(scope="module")
 def odometer():
     # one vertex, two ordered edges per level: binary odometer
-    return build_diagram(TowerSystem(1, ((2,),), ((1, 1),), (2,)))
+    return BratteliDiagram(TowerSystem(1, ((2,),), ((1, 1),), (2,)))
 
 
 def bits_to_path(diagram, bits):
@@ -48,7 +47,7 @@ def test_odometer_addition(odometer):
 
 def test_identity_diagram_is_self_loops():
     tower = TowerSystem(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1,), (2,), (3,)), (1, 1, 1))
-    diagram = build_diagram(tower)
+    diagram = BratteliDiagram(tower)
     assert diagram.num_edges == 3
     for e in diagram.edges():
         assert e.source == e.tower and e.floor == 0

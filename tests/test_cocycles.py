@@ -10,7 +10,6 @@ from ietskew.cocycles import (
     SkewedPathState,
     amplify_for_common_prefix,
     delta_closure_probe,
-    floor_cocycle_f,
     recheck_certificate,
     sample_cycle,
     shift_image,
@@ -49,7 +48,19 @@ def test_floor_cocycle_values(built):
                 phi.of_label(word[1]),
             )
             assert fl.of_edge(diagram.edge(j, 2)) == expected
-        assert floor_cocycle_f(diagram, diagram.edge(j, 0), phi) == zero_vector(phi.m)
+
+
+def test_floor_cocycle_kept_per_phi_with_matching_arrays(built):
+    diagram, phi = built.diagram, built.phi
+    fl = FloorCocycle.of(diagram, phi)
+    assert FloorCocycle.of(diagram, SkewCocycle(phi.values)) is fl
+    negated = SkewCocycle([[-x for x in v] for v in phi.values])
+    assert FloorCocycle.of(diagram, negated) is not fl
+    edges = list(diagram.edges())
+    assert fl.f.shape == (len(edges), phi.m)
+    for e, f, cell in zip(edges, fl.f.tolist(), fl.cell):
+        assert tuple(f) == fl.of_edge(e)
+        assert divmod(cell, diagram.d) == (e.source - 1, e.tower - 1)
 
 
 # -- tail cocycle and its recurrences ----------------------------------------

@@ -132,7 +132,7 @@ def test_golden_rotation_fibonacci_return_times():
 
 
 def test_simulation_level_zero(built):
-    q, words = simulate_return_times(built.comb, built.lengths, 0)
+    q, words = simulate_return_times(built.loop.start, built.lengths, 0)
     assert q == (1,) * built.tower.d
     assert words == tuple((j,) for j in range(1, built.tower.d + 1))
 
@@ -140,7 +140,7 @@ def test_simulation_level_zero(built):
 def test_simulation_matches_substitution(built):
     for level in (1, 2, 3):
         tw = compose_loop(built.loop, level)
-        q, words = simulate_return_times(built.comb, built.lengths, level)
+        q, words = simulate_return_times(built.loop.start, built.lengths, level)
         assert q == tw.q
         assert words == tw.words
 
@@ -159,10 +159,10 @@ def test_simulation_alarm_on_perturbed_lengths(golden):
         golden.lengths.alpha_scaled,
     )
     with pytest.raises(PrecisionAlarm):
-        simulate_return_times(golden.comb, bad, 2)
+        simulate_return_times(golden.loop.start, bad, 2)
 
 
 def test_float_orbit_frequencies(golden):
-    freqs = float_orbit_frequencies(golden.comb, golden.lengths, 200_000)
+    freqs = float_orbit_frequencies(golden.loop.start, golden.lengths, 200_000)
     for f, l in zip(freqs, golden.lengths.lengths):
         assert f == pytest.approx(l, abs=5e-3)
