@@ -54,11 +54,16 @@ for k in (1, 2, 3):
 print()
 
 table = build_measure_table(built.diagram, phi, psi, level=2, fiber_bound=1)
+edge_strs = [str(e) for e in built.diagram.edges()]
+cells = sorted(
+    ("".join(edge_strs[i] for i in row), fiber, mass)
+    for row, masses in zip(table.path_ids.tolist(), table.masses.tolist())
+    for fiber, mass in zip(table.fibers, masses)
+)
 rng = random.Random(3)
-sample = rng.sample(sorted(table.entries, key=lambda key: (str(key[0]), key[1])), 6)
 print("measure table sample (level 2, fibers in [-1,1]^2):")
-for path, fiber in sample:
-    print(f"  path {path} fiber {fiber}: {table.entries[(path, fiber)]:.3e}")
+for path, fiber, mass in rng.sample(cells, 6):
+    print(f"  path {path} fiber {fiber}: {mass:.3e}")
 print()
 
 zero = MaharamMeasure(built.diagram, phi, zero_vector(phi.m))

@@ -19,9 +19,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .algebra import column_sums, mat_pow
 from .iet import TowerSystem
+
+
+PATH_BLOCK = 32_768  # most paths in one path_blocks array
 
 
 class MaximalPathError(Exception):
@@ -254,6 +260,37 @@ class BratteliDiagram:
             return
         for e in self.edges_by_source[prefix[-1].tower]:
             yield from self._extend(prefix + (e,), level)
+
+    @cached_property
+    def edge_arrays(self):
+        """0-based source and target of each edge id (its position in
+        ``edges()``), and a (d, max out-degree) table of the edge ids out of
+        each vertex in id order, padded with -1."""
+        ids = {e: i for i, e in enumerate(self.edges())}
+        out = np.full((self.d, max(map(len, self.edges_by_source.values()))), -1)
+        for v, es in self.edges_by_source.items():
+            out[v - 1, :len(es)] = [ids[e] for e in es]
+        source, target = np.array([(e.source - 1, e.tower - 1) for e in self.edges()]).T
+        return source, target, out
+
+    def path_blocks(self, level: int):
+        """All level-k paths as int arrays of edge ids, shape (rows, k), in
+        ``enumerate_paths`` order, at most PATH_BLOCK rows per array."""
+        if level < 1:
+            raise ValueError("level must be at least 1")
+        yield from self._grow(np.arange(self.num_edges)[:, None], level)
+
+    def _grow(self, prefixes, level):
+        if prefixes.shape[1] == level:
+            yield from (prefixes[s:s + PATH_BLOCK] for s in range(0, len(prefixes), PATH_BLOCK))
+            return
+        _, target, out = self.edge_arrays
+        step = max(1, PATH_BLOCK // out.shape[1])  # prefixes whose extensions fit a block
+        for start in range(0, len(prefixes), step):
+            chunk = prefixes[start:start + step]
+            following = out[target[chunk[:, -1]]]
+            rows, cols = np.nonzero(following >= 0)
+            yield from self._grow(np.column_stack((chunk[rows], following[rows, cols])), level)
 
     def random_path(self, level: int, rng: random.Random) -> FinitePath:
         """Uniform-floor random path, built target-first."""

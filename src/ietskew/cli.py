@@ -2,8 +2,8 @@
 
 Every command takes --instance (a file path or a packaged instance name).
 Exit codes: 0 ok, 1 validation error, 2 check failure, 3 inconclusive
-certificate.  Output rows are sorted canonically before emission so runs
-are reproducible given (instance file, seed).
+(certificate or check).  Output rows are written in a canonical order so
+runs are reproducible given (instance file, seed).
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import csv
 import io
 import json
 import sys
+
+import numpy as np
 
 from .algebra import zero_vector
 from .cocycles import CertificateInconclusive, amplify_for_common_prefix
@@ -112,6 +114,13 @@ def _parse_grid_args(args, m: int):
             raise InstanceError(f"bad --grid spec {raw!r}")
         axes.append(tuple(lo + (hi - lo) * i / steps for i in range(steps + 1)))
     return (tuple(axes),)
+
+
+def _csv_cells(values) -> list[str]:
+    """Each value as one CSV cell, quoted as csv.writer quotes it."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([v] for v in values)
+    return buffer.getvalue().split("\r\n")[:-1]
 
 
 def _fiber_str(a) -> str:
@@ -216,14 +225,22 @@ def cmd_maharam(built: BuiltInstance, args) -> int:
     writer.writerow(
         [f"psi_{i + 1}" for i in range(m)] + ["level", "path", "fiber", "measure"]
     )
+    edge_strs = [str(e) for e in built.diagram.edges()]
     for psi in psis:
         table = build_measure_table(built.diagram, built.phi, psi, level=level)
-        rows = sorted(
-            ((str(p), _fiber_str(a), v) for (p, a), v in table.entries.items()),
-            key=lambda r: (r[0], r[1]),
+        # rows sorted by (path string, fiber string): the product of both sorts
+        path_strs = ["".join(edge_strs[i] for i in row) for row in table.path_ids.tolist()]
+        fiber_strs = [_fiber_str(a) for a in table.fibers]
+        path_order, fiber_order = np.argsort(path_strs), np.argsort(fiber_strs)
+        prefix = ",".join(_csv_cells(list(psi) + [level]))
+        path_cells = _csv_cells(path_strs[i] for i in path_order)
+        fiber_cells = _csv_cells(fiber_strs[j] for j in fiber_order)
+        masses = table.masses[np.ix_(path_order, fiber_order)].tolist()
+        buffer.writelines(
+            f"{prefix},{path_cell},{fiber_cell},{value:.15g}\r\n"
+            for path_cell, row in zip(path_cells, masses)
+            for fiber_cell, value in zip(fiber_cells, row)
         )
-        for path_str, fiber_str, value in rows:
-            writer.writerow(list(psi) + [level, path_str, fiber_str, f"{value:.15g}"])
     _emit(buffer.getvalue(), args.out)
     return EXIT_OK
 
@@ -243,15 +260,14 @@ def cmd_continuity(built: BuiltInstance, args) -> int:
         + ["measure", "adjacent_delta"]
     )
     for profile in profiles:
-        rows = sorted(
-            profile.rows, key=lambda r: (r["cylinder_id"], r["psi"])
+        # rows are point-major in increasing psi order: write them cylinder-major
+        n_cyl = len(cylinders)
+        psi_strs = [",".join(map(str, row["psi"])) for row in profile.rows[::n_cyl]]
+        buffer.writelines(
+            f"{profile.step},{c},{psi_str},{row['measure']:.15g},{row['adjacent_delta']:.15g}\r\n"
+            for c in range(n_cyl)
+            for psi_str, row in zip(psi_strs, profile.rows[c::n_cyl])
         )
-        for row in rows:
-            writer.writerow(
-                [profile.step, row["cylinder_id"]]
-                + list(row["psi"])
-                + [f"{row['measure']:.15g}", f"{row['adjacent_delta']:.15g}"]
-            )
     if args.format == "json":
         payload = [
             {"step": p.step, "modulus": p.modulus, "points": len(p.rows)}

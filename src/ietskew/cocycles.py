@@ -54,7 +54,7 @@ class FloorCocycle:
         self.values = values
         edges = list(diagram.edges())
         self.f = np.array([values[(e.tower, e.floor)] for e in edges]).reshape(len(edges), phi.m)
-        self.cell = np.array([(e.source - 1) * diagram.d + e.tower - 1 for e in edges])
+        self.cell = diagram.edge_arrays[0] * diagram.d + diagram.edge_arrays[1]
 
     @classmethod
     def of(cls, diagram: BratteliDiagram, phi: SkewCocycle) -> "FloorCocycle":
@@ -72,11 +72,13 @@ class FloorCocycle:
 
     def path_sum(self, p: FinitePath, k: int | None = None) -> tuple[int, ...]:
         """Birkhoff sum of f along the first k shifts of the path."""
-        k = len(p) if k is None else k
-        acc = zero_vector(self.m)
-        for e in p.edges[:k]:
-            acc = vec_add(acc, self.of_edge(e))
-        return acc
+        return self.edge_sum(p.edges if k is None else p.edges[:k])
+
+    def edge_sum(self, edges) -> tuple[int, ...]:
+        """Sum of f over a sequence of edges, column by column."""
+        if not edges:
+            return zero_vector(self.m)
+        return tuple(map(sum, zip(*(self.values[(e.tower, e.floor)] for e in edges))))
 
 
 def tail_cocycle(diagram: BratteliDiagram, p: FinitePath, phi: SkewCocycle) -> tuple[int, ...]:
@@ -359,13 +361,7 @@ def delta_closure_probe(
             continue
         bucket = by_length.setdefault(len(cycle), [])
         for other in bucket:
-            s1 = zero_vector(phi.m)
-            for e in cycle:
-                s1 = vec_add(s1, fl.of_edge(e))
-            s2 = zero_vector(phi.m)
-            for e in other:
-                s2 = vec_add(s2, fl.of_edge(e))
-            if not in_row_lattice(generators, vec_sub(s1, s2)):
+            if not in_row_lattice(generators, vec_sub(fl.edge_sum(cycle), fl.edge_sum(other))):
                 return False
             checked += 1
             if checked >= samples:

@@ -304,11 +304,14 @@ def default_cylinder_family(diagram: BratteliDiagram, m: int, level: int = 4):
 
 @dataclass(frozen=True)
 class MeasureTable:
-    """Cylinder measures (path, fiber) -> mass at one parameter psi."""
+    """Cylinder measures at one psi: ``masses[i, j]`` is the mass of path
+    ``path_ids[i]`` (edge ids, ``enumerate_paths`` order) at ``fibers[j]``."""
 
     psi: tuple[float, ...]
     level: int
-    entries: dict
+    path_ids: np.ndarray
+    fibers: tuple[tuple[int, ...], ...]
+    masses: np.ndarray
 
 
 def build_measure_table(
@@ -328,12 +331,12 @@ def build_measure_table(
     fl = FloorCocycle.of(diagram, phi)
     psis = np.array([psi], dtype=float)
     pf = perron(level_matrices(fl, psis))
-    paths = list(diagram.enumerate_paths(level))
-    sums = [fl.path_sum(p) for p in paths]
+    path_ids = np.concatenate(list(diagram.path_blocks(level)))
+    sums = fl.f[path_ids].sum(axis=1)
     if fiber_bound is None:
-        fiber_bound = max((max(abs(x) for x in s) for s in sums), default=0)
-    fibers = list(product(range(-fiber_bound, fiber_bound + 1), repeat=phi.m))
-    per_path = log_masses(psis, pf, sums, [p.target - 1 for p in paths], [level] * len(paths))[0]
-    masses = np.exp(per_path[:, None] + np.array(fibers) @ psis[0]).tolist()
-    entries = {(p, a): x for p, row in zip(paths, masses) for a, x in zip(fibers, row)}
-    return MeasureTable(tuple(psis[0].tolist()), level, entries)
+        fiber_bound = int(np.abs(sums).max(initial=0))
+    fibers = tuple(product(range(-fiber_bound, fiber_bound + 1), repeat=phi.m))
+    targets = diagram.edge_arrays[1][path_ids[:, -1]]
+    per_path = log_masses(psis, pf, sums, targets, [level] * len(path_ids))[0]
+    masses = np.exp(per_path[:, None] + np.array(fibers) @ psis[0])
+    return MeasureTable(tuple(psis[0].tolist()), level, path_ids, fibers, masses)

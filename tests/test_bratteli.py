@@ -1,13 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
+from ietskew import bratteli
 from ietskew.bratteli import (
     BratteliDiagram,
     FinitePath,
     MaximalPathError,
     MinimalPathError,
 )
+from ietskew.cocycles import FloorCocycle
 from ietskew.iet import TowerSystem
 
 
@@ -194,3 +197,26 @@ def test_dump_edges_schema(built):
         assert set(row) == {"j", "l", "s", "t"}
         assert row["t"] == row["j"]
         assert built.diagram.words[row["j"] - 1][row["l"]] == row["s"]
+
+
+def test_path_blocks_split_into_enumeration_order(built, monkeypatch):
+    # blocks of at most 7 rows force splits inside every level and inside
+    # the extensions of a single prefix (out-degrees reach 29)
+    monkeypatch.setattr(bratteli, "PATH_BLOCK", 7)
+    diagram = built.diagram
+    fl = FloorCocycle.of(diagram, built.phi)
+    edge_id = {e: i for i, e in enumerate(diagram.edges())}
+    for level in (1, 2, 3):
+        blocks = list(diagram.path_blocks(level))
+        assert all(1 <= len(b) <= 7 and b.shape[1] == level for b in blocks)
+        ids = np.concatenate(blocks)
+        paths = list(diagram.enumerate_paths(level))
+        assert len(ids) == len(paths) == sum(diagram.heights(level))
+        assert ids.tolist() == [[edge_id[e] for e in p.edges] for p in paths]
+        sums = fl.f[ids].sum(axis=1).tolist()
+        assert [tuple(s) for s in sums] == [fl.path_sum(p) for p in paths]
+
+
+def test_path_blocks_reject_level_zero(odometer):
+    with pytest.raises(ValueError):
+        next(odometer.path_blocks(0))

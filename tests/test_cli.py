@@ -1,11 +1,17 @@
 import csv
+import io
 import json
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
+from ietskew import verification
 from ietskew.cli import main
+from ietskew.cocycles import FloorCocycle
+from ietskew.instances import build_instance, load_instance
+from ietskew.maharam import MaharamMeasure, continuity_profile, default_cylinder_family
 
 
 def run_cli(*argv):
@@ -121,6 +127,41 @@ def test_maharam_table_schema_and_determinism(tmp_path):
     assert all(v > 0 for v in values)
 
 
+@pytest.mark.parametrize(
+    "name, level, psis",
+    [("golden_triple", 3, ["0.3", "-0.7"]), ("genus2_rank2", 2, ["0.4,-0.3", "-0.9,0.6"])],
+)
+def test_maharam_rows_match_path_enumeration_and_cylinder_measures(tmp_path, name, level, psis):
+    built = build_instance(load_instance(name))
+    diagram, m = built.diagram, built.phi.m
+    fl = FloorCocycle.of(diagram, built.phi)
+    paths = {str(p): p for p in diagram.enumerate_paths(level)}
+    bound = max(abs(x) for p in paths.values() for x in fl.path_sum(p))
+    fibers = {
+        "(" + ",".join(map(str, a)) + ")": a
+        for a in product(range(-bound, bound + 1), repeat=m)
+    }
+    assert len(fibers) in (9, 11**2)
+    reference = sorted(product(paths, fibers))
+    out = tmp_path / "t.csv"
+    argv = ["maharam", "--instance", name, "--level", str(level), "--out", str(out)]
+    assert run_cli(*argv, *(f"--psi={psi}" for psi in psis)) == 0
+    with open(out) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == len(psis) * len(reference)
+    for n, psi in enumerate(psis):
+        measure = MaharamMeasure(diagram, built.phi, tuple(float(x) for x in psi.split(",")))
+        block = rows[n * len(reference):(n + 1) * len(reference)]
+        assert [(r[m + 1], r[m + 2]) for r in block] == reference
+        # every fifth row: the fiber box has 9 or 11^2 fibers, both prime to
+        # 5, so this still reaches every path and every fiber
+        worst = max(
+            abs(float(r[m + 3]) / measure.cylinder_measure(paths[r[m + 1]], fibers[r[m + 2]]) - 1)
+            for r in block[::5]
+        )
+        assert worst <= 1e-12
+
+
 def test_maharam_uses_instance_psi_presets(tmp_path):
     out = tmp_path / "t.csv"
     assert (
@@ -153,6 +194,27 @@ def test_continuity_csv_schema(tmp_path, capsys):
     assert rows[0] == ["grid_step", "cylinder_id", "psi_1", "measure", "adjacent_delta"]
     steps = {r[0] for r in rows[1:]}
     assert steps == {"0.5"}
+
+
+def test_continuity_rows_are_cylinder_major_and_sorted(tmp_path):
+    # reference: every profile row through csv.writer, sorted by (cylinder, psi)
+    built = build_instance(load_instance("genus2_rank2"))
+    axes = tuple(tuple(lo + (hi - lo) * i / 3 for i in range(4)) for lo, hi in [(-1.1, 1.15), (-0.6, 1.35)])
+    cylinders = default_cylinder_family(built.diagram, 2, level=3)
+    (profile,) = continuity_profile(built.diagram, built.phi, cylinders, [axes])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["grid_step", "cylinder_id", "psi_1", "psi_2", "measure", "adjacent_delta"])
+    for row in sorted(profile.rows, key=lambda r: (r["cylinder_id"], r["psi"])):
+        writer.writerow(
+            [profile.step, row["cylinder_id"], *row["psi"]]
+            + [f"{row['measure']:.15g}", f"{row['adjacent_delta']:.15g}"]
+        )
+    out = tmp_path / "cont.csv"
+    grid = ["--grid=-1.1:1.15:3", "--grid=-0.6:1.35:3"]
+    argv = ["continuity", "--instance", "genus2_rank2", "--level", "3", "--out", str(out)]
+    assert run_cli(*argv, *grid) == 0
+    assert out.read_bytes() == buffer.getvalue().encode()
 
 
 def test_continuity_default_refinements(tmp_path):
@@ -203,6 +265,17 @@ def test_verify_fails_first_layer_on_phi_fault(tmp_path, capsys):
         if c["name"] not in ("tower_oracle_equivalence", "cocycle_identities")
     ]
     assert set(downstream) == {"skipped"}
+
+
+def test_verify_reports_a_runtime_error_as_inconclusive(monkeypatch, capsys):
+    def give_up(*args, **kwargs):
+        raise RuntimeError("could not draw enough equal-length cycle pairs")
+
+    monkeypatch.setattr(verification, "delta_closure_probe", give_up)
+    assert run_cli("verify", "--instance", "golden_triple") == 3
+    out = capsys.readouterr().out
+    assert "INCONCLUSIVE aperiodicity_certificate" in out
+    assert out.count("PASS") == 10
 
 
 def test_verify_requires_phi(tmp_path, capsys):

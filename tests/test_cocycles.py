@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from ietskew.algebra import vec_add, vec_sub, zero_vector
@@ -202,6 +203,23 @@ def test_skewed_iteration_accumulates_birkhoff_sums(built):
     for k in range(1, 4):
         state = skewed_shift_step(diagram, state, phi)
         assert state.fiber == fl.path_sum(p, k)
+
+
+def test_path_sum_of_no_shifts_is_zero(built):
+    fl = FloorCocycle.of(built.diagram, built.phi)
+    rng = random.Random(39)
+    for level in (1, 3):
+        p = built.diagram.random_path(level, rng)
+        assert fl.path_sum(p, 0) == zero_vector(built.phi.m)
+
+
+def test_path_sum_matches_path_block_sums(built):
+    diagram = built.diagram
+    fl = FloorCocycle.of(diagram, built.phi)
+    ids = np.concatenate(list(diagram.path_blocks(3)))
+    for k in range(4):
+        sums = fl.f[ids[:, :k]].sum(axis=1).tolist()
+        assert [tuple(s) for s in sums] == [fl.path_sum(p, k) for p in diagram.enumerate_paths(3)]
 
 
 # -- tail equivalence vs orbit equivalence -----------------------------------

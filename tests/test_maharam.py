@@ -266,9 +266,11 @@ def test_measure_table(golden):
     assert table.level == 2
     # every level-2 path appears with the full fiber box
     n_paths = sum(1 for _ in golden.diagram.enumerate_paths(2))
-    fibers = {a for (_, a) in table.entries}
-    assert len(table.entries) == n_paths * len(fibers)
-    assert all(v >= 0 for v in table.entries.values())
+    fibers = set(table.fibers)
+    assert len(fibers) == len(table.fibers)
+    assert table.path_ids.shape == (n_paths, 2)
+    assert table.masses.shape == (n_paths, len(fibers))
+    assert (table.masses >= 0).all()
     bound = max(abs(a[0]) for a in fibers)
     fl = FloorCocycle(golden.diagram, golden.phi)
     max_sum = max(
@@ -279,5 +281,5 @@ def test_measure_table(golden):
 
 def test_measure_table_respects_explicit_bound(golden):
     table = build_measure_table(golden.diagram, golden.phi, (0.0,), level=1, fiber_bound=1)
-    fibers = {a for (_, a) in table.entries}
+    fibers = set(table.fibers)
     assert fibers == {(-1,), (0,), (1,)}
