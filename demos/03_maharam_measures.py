@@ -9,6 +9,8 @@ and prints a slice of the measure table.
 
 import random
 
+import numpy as np
+
 from ietskew.algebra import laurent_matrix_pow, zero_vector
 from ietskew.instances import build_instance, load_instance
 from ietskew.maharam import (
@@ -17,6 +19,8 @@ from ietskew.maharam import (
     invariance_recurrence_check,
     invariance_step_check,
     level_counting_matrix,
+    level_matrices,
+    perron,
     recurrence_vector_residual,
 )
 
@@ -40,16 +44,19 @@ for i in (1, 2):
     print(f"  i={i}: {base:.8f} -> {shifted:.8f} (ratio {shifted / base:.8f})")
 print()
 
-print("invariance checks (worst residuals):")
-step = invariance_step_check(measure, samples=500, level=4, seed=7)
-print(f"  skewed-step invariance : {step.invariance_residual:.2e}")
-print(f"  quasi-invariance ratio : {step.quasi_invariance_residual:.2e}")
+print("invariance checks (worst residuals), on a psi stack of one:")
+psis = np.array([psi])
+matrices = level_matrices(measure.floor, psis)
+pf = perron(matrices)
+step = invariance_step_check(measure.floor, psis, pf, seeds=[7], samples=500, level=4)
+print(f"  skewed-step invariance : {step.invariance_residual[0]:.2e}")
+print(f"  quasi-invariance ratio : {step.quasi_invariance_residual[0]:.2e}")
 level_matrix = level_counting_matrix(built.diagram, phi)
 for k in (1, 2, 3):
-    counting = invariance_recurrence_check(measure, k, laurent_matrix_pow(level_matrix, k))
+    counting = invariance_recurrence_check(psis, pf, k, laurent_matrix_pow(level_matrix, k))[0]
     print(
         f"  level-{k} recurrence    : counting {counting:.2e}"
-        f" / eigenvector {recurrence_vector_residual(measure, k):.2e}"
+        f" / eigenvector {recurrence_vector_residual(matrices, pf, k)[0]:.2e}"
     )
 print()
 

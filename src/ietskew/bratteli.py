@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -106,6 +107,8 @@ class BratteliDiagram:
                 by_source[letter].append(e)
         self.edges_by_source = {i: tuple(es) for i, es in by_source.items()}
         self.num_edges = sum(self.q)
+        self.first_ids = tuple(accumulate(self.q[:-1], initial=0))  # edge id of (j, 0) at j - 1
+        self._sources = [e.source - 1 for e in self._edges.values()]
         if self.num_edges <= 1:
             raise ValueError("diagram needs more than one edge per level")
         if any(not es for es in self.edges_by_source.values()):
@@ -292,15 +295,33 @@ class BratteliDiagram:
             rows, cols = np.nonzero(following >= 0)
             yield from self._grow(np.column_stack((chunk[rows], following[rows, cols])), level)
 
+    def adic_successors(self, ids: np.ndarray) -> np.ndarray:
+        """``adic_successor`` of each row of a (rows, k) edge-id array."""
+        source, target, _ = self.edge_arrays
+        first = np.array(self.first_ids)
+        below_top = ids != (first + self.q - 1)[target[ids]]
+        if not below_top.any(axis=1).all():
+            raise MaximalPathError("a row of maximal edges has no successor")
+        n = below_top.argmax(axis=1)  # first non-maximal edge moves one floor up
+        succ = ids + (np.arange(ids.shape[1]) == n[:, None])
+        for r in range(ids.shape[1] - 2, -1, -1):  # backfill below it with floor-0 edges
+            succ[:, r] = np.where(r < n, first[source[succ[:, r + 1]]], succ[:, r])
+        return succ
+
     def random_path(self, level: int, rng: random.Random) -> FinitePath:
         """Uniform-floor random path, built target-first."""
+        edges = tuple(self._edges.values())
+        return FinitePath(tuple(edges[i] for i in self.random_path_ids(level, rng)))
+
+    def random_path_ids(self, level: int, rng: random.Random) -> list[int]:
+        """Edge ids (positions in ``edges()``) of ``random_path``, by the same rng calls."""
         j = rng.randrange(1, self.d + 1)
-        edges = [self.edge(j, rng.randrange(self.q[j - 1]))]
+        ids = [self.first_ids[j - 1] + rng.randrange(self.q[j - 1])]
         for _ in range(level - 1):
-            src = edges[-1].source
-            edges.append(self.edge(src, rng.randrange(self.q[src - 1])))
-        edges.reverse()
-        return FinitePath(tuple(edges))
+            s = self._sources[ids[-1]]
+            ids.append(self.first_ids[s] + rng.randrange(self.q[s]))
+        ids.reverse()
+        return ids
 
     def dump_edges(self):
         """Edge list as JSON-ready dicts {j, l, s, t}."""

@@ -2,8 +2,9 @@
 
 Every command takes --instance (a file path or a packaged instance name).
 Exit codes: 0 ok, 1 validation error, 2 check failure, 3 inconclusive
-(certificate or check).  Output rows are written in a canonical order so
-runs are reproducible given (instance file, seed).
+(a bound hit before a result), each with one line on stderr; a closed
+stdout (``| head``) ends the run quietly.  Output rows are written in a
+canonical order so runs are reproducible given (instance file, seed).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -162,8 +164,7 @@ def cmd_inspect(built: BuiltInstance, args) -> int:
         f"  1-eigenspace rank of A^T = {built.eigenrank}",
     ]
     print("\n".join(lines))
-    if args.out or args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
+    _maybe_json(payload, args)
     return EXIT_OK
 
 
@@ -317,13 +318,18 @@ def main(argv=None) -> int:
     try:
         spec = load_instance(args.instance)
         built = build_instance(spec)
-        return COMMANDS[args.command](built, args)
-    except InstanceError as exc:
+        code = COMMANDS[args.command](built, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # later writes, the one at exit too, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    except ValueError as exc:  # InstanceError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except RuntimeError as exc:
+        print(f"inconclusive: {str(exc) or repr(exc)}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

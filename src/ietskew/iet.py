@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 
 from .algebra import (
     IntMatrix,
@@ -344,33 +344,20 @@ def float_orbit_frequencies(
     x0: float | None = None,
 ) -> tuple[float, ...]:
     """Visit frequencies of a plain float orbit to each labelled interval."""
-    d = comb.d
-    breaks = [0.0]
-    for label in comb.top:
-        breaks.append(breaks[-1] + lengths.lengths[label - 1])
-    image_start: dict[int, float] = {}
-    pos = 0.0
-    for label in comb.bottom:
-        image_start[label] = pos
-        pos += lengths.lengths[label - 1]
-    delta = {}
-    pos = 0.0
-    for label in comb.top:
-        delta[label] = image_start[label] - pos
-        pos += lengths.lengths[label - 1]
-    by_position = list(comb.top)
+    breaks = list(accumulate((lengths.lengths[t - 1] for t in comb.top), initial=0.0))
+    image = dict(zip(comb.bottom, accumulate((lengths.lengths[b - 1] for b in comb.bottom), initial=0.0)))
+    shift = [image[label] - start for label, start in zip(comb.top, breaks)]  # by domain position
+    interior, end = breaks[1:-1], breaks[-1]
     # default start: a generic point (1/pi of the interval), kept away from
     # the algebraic breakpoint data of the packaged instances
-    x = 0.3183098861837907 * breaks[-1] if x0 is None else x0
-    counts = [0] * d
+    x = 0.3183098861837907 * end if x0 is None else x0
+    counts = [0] * comb.d  # visits per domain position
     for _ in range(steps):
-        i = bisect_right(breaks, x) - 1
-        i = min(max(i, 0), d - 1)
-        label = by_position[i]
-        counts[label - 1] += 1
-        x += delta[label]
+        i = bisect_right(interior, x)  # 0..d-1: points outside [0, end) clamp to an end
+        counts[i] += 1
+        x += shift[i]
         if x < 0.0:
             x = 0.0
-        elif x >= breaks[-1]:
-            x = breaks[-1] * (1.0 - 1e-16)
-    return tuple(c / steps for c in counts)
+        elif x >= end:
+            x = end * (1.0 - 1e-16)
+    return tuple(c / steps for _, c in sorted(zip(comb.top, counts)))

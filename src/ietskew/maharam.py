@@ -101,7 +101,12 @@ def level_matrices(floor: FloorCocycle, psis: np.ndarray) -> np.ndarray:
     if psis.shape[1:] != (floor.m,):
         raise ValueError(f"psi must have dimension {floor.m}")
     d = floor.diagram.d
-    return (np.exp(psis @ floor.f.T) @ np.eye(d * d)[floor.cell]).reshape(len(psis), d, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = (np.exp(psis @ floor.f.T) @ np.eye(d * d)[floor.cell]).reshape(len(psis), d, d)
+    if not np.isfinite(mats).all():
+        bad = tuple(psis[np.argmin(np.isfinite(mats).all(axis=(1, 2)))].tolist())
+        raise ValueError(f"psi {bad} is out of float range: M(exp psi) overflows a float")
+    return mats
 
 
 def log_masses(psis, pf: PerronData, exponents, targets, lengths) -> np.ndarray:
@@ -154,74 +159,75 @@ class MaharamMeasure:
 
     def base_mass(self, i: int, a=None) -> float:
         """Level-0 cylinder: interval i at fiber a."""
-        return self.level_base_mass(0, i, a)
-
-    def level_base_mass(self, k: int, j: int, a=None) -> float:
-        """Level-k tower base at fiber a: lambda^a v_j / r^k."""
-        return self._mass(zero_vector(self.phi.m) if a is None else a, j, k)
+        return self._mass(zero_vector(self.phi.m) if a is None else a, i, 0)
 
 
-def invariance_recurrence_check(measure: MaharamMeasure, k: int, power: LaurentMatrix) -> float:
-    """Residual of mu(K_i x {0}) = sum_j sum_a b^k_{ij,a} mu(level-k base j, a).
+def invariance_recurrence_check(psis, pf: PerronData, k: int, power: LaurentMatrix) -> np.ndarray:
+    """Residual of mu(K_i x {0}) = sum_j sum_a b^k_{ij,a} mu(level-k base j, a),
+    worst over i, for each psi of the stack that ``pf`` solved.
 
     The right side weighs level-k base masses by the coefficients of
     ``power``, the exact (psi-free) k-th power of the level-counting matrix,
     so it exercises the counting route rather than the eigenvector identity.
     """
-    d = measure.diagram.d
-    worst = 0.0
-    for i in range(1, d + 1):
-        rhs = 0.0
-        for j in range(1, d + 1):
-            for a, count in power[i - 1, j - 1].terms.items():
-                rhs += count * measure.level_base_mass(k, j, a)
-        worst = max(worst, abs(measure.base_mass(i) - rhs))
-    return worst
+    d = power.d
+    terms = [(i, j, a, n) for i in range(d) for j in range(d) for a, n in power[i, j].terms.items()]
+    i, j, a, n = zip(*terms)
+    rhs = (np.exp(log_masses(psis, pf, a, list(j), [k] * len(n))) * n) @ np.eye(d)[list(i)]
+    return np.abs(pf.vector - rhs).max(axis=1)
 
 
-def recurrence_vector_residual(measure: MaharamMeasure, k: int) -> float:
-    """Max-norm of v - M(lambda)^k (r^-k v), the base-mass recurrence."""
-    v = np.asarray(measure.perron.vector)
-    wk = v / measure.perron.eigenvalue ** k
-    return float(np.abs(v - np.linalg.matrix_power(measure.matrix_at_lam, k) @ wk).max())
+def recurrence_vector_residual(matrices: np.ndarray, pf: PerronData, k: int) -> np.ndarray:
+    """Max-norm of v - M(lambda)^k (r^-k v), the base-mass recurrence, per matrix of the stack."""
+    wk = pf.vector / pf.eigenvalue[:, None] ** k
+    return np.abs(pf.vector - (np.linalg.matrix_power(matrices, k) @ wk[:, :, None])[:, :, 0]).max(axis=1)
 
 
 @dataclass(frozen=True)
-class StepCheckResult:
-    invariance_residual: float
-    quasi_invariance_residual: float
-    samples: int
+class StepCheckResult:  # worst residuals, one per psi of the stack
+    invariance_residual: np.ndarray
+    quasi_invariance_residual: np.ndarray
+
+
+def step_samples(diagram: BratteliDiagram, level: int, samples: int, m: int, seed: int):
+    """(samples, k) edge ids of ``random_path`` draws, again while maximal, each
+    then given a fiber offset in [-2, 2]^m, (samples, m), by random.Random(seed)."""
+    rng, rows, fibers = random.Random(seed), [], []
+    top = {first + q - 1 for first, q in zip(diagram.first_ids, diagram.q)}
+    while len(rows) < samples:
+        ids = diagram.random_path_ids(level, rng)
+        if not top.issuperset(ids):
+            rows.append(ids)
+            fibers.append([rng.randint(-2, 2) for _ in range(m)])
+    return np.array(rows).reshape(samples, level), np.array(fibers).reshape(samples, m)
 
 
 def invariance_step_check(
-    measure: MaharamMeasure, samples: int = 1000, level: int = 5, seed: int = 0
+    floor: FloorCocycle, psis, pf: PerronData, seeds, samples: int = 1000, level: int = 5
 ) -> StepCheckResult:
     """Sampled invariance of cylinder masses under the skewed exchange.
 
-    For random non-maximal level-k paths p and fiber offsets a:
+    For each psi of the stack that ``pf`` solved and the ``step_samples``
+    (p, a) drawn from its seed:
       - mu(successor floor, a + phi(p)) must equal mu(p's floor, a);
       - the base marginal must scale by exp(-psi(phi(p))) across the step.
-    Returns the worst absolute and relative residuals.
+    Returns the worst absolute and relative residuals of each psi.
     """
-    diagram, phi = measure.diagram, measure.phi
-    rng = random.Random(seed)
-    worst_inv = 0.0
-    worst_quasi = 0.0
-    for _ in range(samples):
-        p = diagram.random_path(level, rng)
-        while diagram.is_maximal(p):
-            p = diagram.random_path(level, rng)
-        a = tuple(rng.randint(-2, 2) for _ in range(phi.m))
-        succ = diagram.adic_successor(p)
-        move = phi.of_label(p.source)
-        lhs = measure.cylinder_measure(succ, vec_add(a, move))
-        rhs = measure.cylinder_measure(p, a)
-        worst_inv = max(worst_inv, abs(lhs - rhs))
-        nu_before = measure.cylinder_measure(p)
-        nu_after = measure.cylinder_measure(succ)
-        expected = math.exp(-sum(ps * x for ps, x in zip(measure.parameter.psi, move)))
-        worst_quasi = max(worst_quasi, abs(nu_after / nu_before - expected) / expected)
-    return StepCheckResult(worst_inv, worst_quasi, samples)
+    diagram, phi = floor.diagram, np.array(floor.phi.values)
+    source, target, _ = diagram.edge_arrays
+    worst = []
+    for t, seed in enumerate(seeds):
+        ids, a = step_samples(diagram, level, samples, floor.m, seed)
+        succ = diagram.adic_successors(ids)
+        move, sums, succ_sums = phi[source[ids[:, 0]]], floor.f[ids].sum(1), floor.f[succ].sum(1)
+        exponents = np.concatenate((succ_sums + a + move, sums + a, sums, succ_sums))
+        targets = np.tile(np.concatenate((target[succ[:, -1]], target[ids[:, -1]])), 2)
+        one = PerronData(pf.eigenvalue[t:t + 1], pf.vector[t:t + 1], pf.iterations[t:t + 1])
+        masses = np.exp(log_masses(psis[t:t + 1], one, exponents, targets, [level] * len(targets)))
+        lhs, rhs, before, after = masses.reshape(4, samples)
+        expected = np.exp(-move @ psis[t])
+        worst.append((np.abs(lhs - rhs).max(), (np.abs(after / before - expected) / expected).max()))
+    return StepCheckResult(*np.array(worst).reshape(-1, 2).T)
 
 
 # -- weak-* continuity profiling ----------------------------------------------

@@ -220,3 +220,35 @@ def test_path_blocks_split_into_enumeration_order(built, monkeypatch):
 def test_path_blocks_reject_level_zero(odometer):
     with pytest.raises(ValueError):
         next(odometer.path_blocks(0))
+
+
+def test_adic_successors_match_adic_successor_row_by_row(built):
+    diagram = built.diagram
+    edges = tuple(diagram.edges())
+    ids = np.concatenate(list(diagram.path_blocks(3)))  # every level-3 path
+    rng = random.Random(8)
+    sampled = np.array([diagram.random_path_ids(5, rng) for _ in range(2000)])
+    for rows in (ids, sampled):
+        paths = [FinitePath(tuple(edges[i] for i in row)) for row in rows.tolist()]
+        keep = [not diagram.is_maximal(p) for p in paths]
+        assert sum(keep) >= len(rows) - diagram.d
+        succ = diagram.adic_successors(rows[keep])
+        expected = [diagram.adic_successor(p) for p, k in zip(paths, keep) if k]
+        assert [tuple(edges[i] for i in row) for row in succ.tolist()] == [p.edges for p in expected]
+
+
+def test_adic_successors_refuse_a_maximal_row(built):
+    diagram = built.diagram
+    top = diagram.max_path(4, 1)
+    ids = {e: i for i, e in enumerate(diagram.edges())}
+    with pytest.raises(MaximalPathError):
+        diagram.adic_successors(np.array([[ids[e] for e in top.edges]]))
+
+
+def test_random_path_ids_are_random_path(built):
+    diagram = built.diagram
+    ids = {e: i for i, e in enumerate(diagram.edges())}
+    a, b = random.Random(17), random.Random(17)
+    for level in (1, 2, 6):
+        for _ in range(100):
+            assert diagram.random_path_ids(level, a) == [ids[e] for e in diagram.random_path(level, b).edges]

@@ -1,17 +1,22 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from ietskew import verification
+from ietskew import cli, verification
 from ietskew.cli import main
 from ietskew.cocycles import FloorCocycle
 from ietskew.instances import build_instance, load_instance
 from ietskew.maharam import MaharamMeasure, continuity_profile, default_cylinder_family
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -295,3 +300,42 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "PF eigenvalue" in proc.stdout
+
+
+def test_a_closed_stdout_ends_the_run_quietly():
+    # the reader is gone before the first write, as with `inspect | head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ietskew.cli", "inspect", "--instance", "genus2_rank2",
+             "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+
+
+def test_a_runtime_error_outside_a_check_is_inconclusive(monkeypatch, capsys):
+    def give_up(spec):
+        raise RuntimeError("horizon exceeded simulating tower 2")
+
+    monkeypatch.setattr(cli, "build_instance", give_up)
+    assert run_cli("inspect", "--instance", "golden_triple") == 3
+    err = capsys.readouterr().err
+    assert err == "inconclusive: horizon exceeded simulating tower 2\n"
+
+
+@pytest.mark.parametrize("psi", ["0,300", "0,-300"])
+def test_maharam_names_a_psi_out_of_float_range(psi, capsys):
+    assert run_cli("maharam", "--instance", "genus2_rank2", "--psi", psi, "--level", "2") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = "(0.0, 300.0)" if psi == "0,300" else "(0.0, -300.0)"
+    assert captured.err == (
+        f"error: psi {expected} is out of float range: M(exp psi) overflows a float\n"
+    )

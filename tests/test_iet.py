@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import pytest
 
 from ietskew.algebra import column_sums, mat_pow, mat_vec
@@ -166,3 +168,48 @@ def test_float_orbit_frequencies(golden):
     freqs = float_orbit_frequencies(golden.loop.start, golden.lengths, 200_000)
     for f, l in zip(freqs, golden.lengths.lengths):
         assert f == pytest.approx(l, abs=5e-3)
+
+
+def dict_orbit_frequencies(comb, lengths, steps, x0=None):
+    """The per-step dict/min/max orbit loop, kept as an oracle."""
+    d = comb.d
+    breaks = [0.0]
+    for label in comb.top:
+        breaks.append(breaks[-1] + lengths.lengths[label - 1])
+    image_start = {}
+    pos = 0.0
+    for label in comb.bottom:
+        image_start[label] = pos
+        pos += lengths.lengths[label - 1]
+    delta = {}
+    pos = 0.0
+    for label in comb.top:
+        delta[label] = image_start[label] - pos
+        pos += lengths.lengths[label - 1]
+    by_position = list(comb.top)
+    x = 0.3183098861837907 * breaks[-1] if x0 is None else x0
+    counts = [0] * d
+    for _ in range(steps):
+        i = bisect_right(breaks, x) - 1
+        i = min(max(i, 0), d - 1)
+        label = by_position[i]
+        counts[label - 1] += 1
+        x += delta[label]
+        if x < 0.0:
+            x = 0.0
+        elif x >= breaks[-1]:
+            x = breaks[-1] * (1.0 - 1e-16)
+    return tuple(c / steps for c in counts)
+
+
+def test_float_orbit_frequencies_equal_the_dict_loop(built):
+    comb, lengths = built.loop.start, built.lengths
+    breaks = [0.0]
+    for label in comb.top:
+        breaks.append(breaks[-1] + lengths.lengths[label - 1])
+    # the default start, points within 1e-12 of a breakpoint, and one left of the interval
+    starts = [None, breaks[1] - 1e-12, breaks[-2] + 5e-13, -1.0]
+    for x0 in starts:
+        assert float_orbit_frequencies(comb, lengths, 50_000, x0) == dict_orbit_frequencies(
+            comb, lengths, 50_000, x0
+        )

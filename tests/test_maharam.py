@@ -21,8 +21,10 @@ from ietskew.maharam import (
     invariance_recurrence_check,
     invariance_step_check,
     level_counting_matrix,
+    level_matrices,
     perron,
     recurrence_vector_residual,
+    step_samples,
 )
 from ietskew.skew import SkewCocycle
 
@@ -153,27 +155,108 @@ def test_cylinder_measure_deep_levels_underflow_to_zero(golden):
     assert measure.cylinder_measure(golden.diagram.min_path(800, 1)) == 0.0
 
 
+def stack(built, psis):
+    """M(lambda) and Perron data of a psi stack."""
+    psis = np.array(psis, dtype=float).reshape(-1, built.phi.m)
+    matrices = level_matrices(FloorCocycle.of(built.diagram, built.phi), psis)
+    return psis, matrices, perron(matrices)
+
+
 def test_invariance_recurrence(built):
     rng = random.Random(10)
     mat = level_counting_matrix(built.diagram, built.phi)
     powers = {k: laurent_matrix_pow(mat, k) for k in (1, 2, 3)}
-    for psi in [zero_vector(built.phi.m)] + [
-        tuple(rng.uniform(-1, 1) for _ in range(built.phi.m)) for _ in range(3)
-    ]:
+    psis, matrices, pf = stack(
+        built,
+        [zero_vector(built.phi.m)]
+        + [tuple(rng.uniform(-1, 1) for _ in range(built.phi.m)) for _ in range(3)],
+    )
+    for k in (1, 2, 3):
+        assert (invariance_recurrence_check(psis, pf, k, powers[k]) <= 1e-10).all()
+        assert (recurrence_vector_residual(matrices, pf, k) <= 1e-10).all()
+
+
+def test_invariance_recurrence_matches_scalar_masses(built):
+    # the counting sum from per-measure base masses, one psi at a time
+    power = laurent_matrix_pow(level_counting_matrix(built.diagram, built.phi), 2)
+    psis, matrices, pf = stack(built, [(0.3,) * built.phi.m, (-0.7,) * built.phi.m])
+    for t, psi in enumerate(psis):
         measure = MaharamMeasure(built.diagram, built.phi, psi)
-        for k in (1, 2, 3):
-            assert invariance_recurrence_check(measure, k, powers[k]) <= 1e-10
-            assert recurrence_vector_residual(measure, k) <= 1e-10
+        worst = 0.0
+        for i in range(built.diagram.d):
+            rhs = sum(
+                count * measure.base_mass(j + 1, a) / measure.perron.eigenvalue ** 2
+                for j in range(built.diagram.d)
+                for a, count in power[i, j].terms.items()
+            )
+            worst = max(worst, abs(measure.base_mass(i + 1) - rhs))
+        assert invariance_recurrence_check(psis, pf, 2, power)[t] == pytest.approx(worst, abs=1e-15)
+        lam_k = np.linalg.matrix_power(measure.matrix_at_lam, 2)
+        v = np.array(measure.perron.vector)
+        expected = np.abs(v - lam_k @ (v / measure.perron.eigenvalue ** 2)).max()
+        assert recurrence_vector_residual(matrices, pf, 2)[t] == pytest.approx(expected, abs=1e-15)
 
 
 def test_invariance_step_and_quasi_invariance(built):
     rng = random.Random(11)
-    for _ in range(3):
-        psi = tuple(rng.uniform(-1, 1) for _ in range(built.phi.m))
-        measure = MaharamMeasure(built.diagram, built.phi, psi)
-        result = invariance_step_check(measure, samples=300, level=4, seed=5)
-        assert result.invariance_residual <= 1e-10
-        assert result.quasi_invariance_residual <= 1e-10
+    psis, _, pf = stack(built, [tuple(rng.uniform(-1, 1) for _ in range(built.phi.m)) for _ in range(3)])
+    floor = FloorCocycle.of(built.diagram, built.phi)
+    result = invariance_step_check(floor, psis, pf, seeds=[5, 6, 7], samples=300, level=4)
+    assert result.invariance_residual.shape == result.quasi_invariance_residual.shape == (3,)
+    assert (result.invariance_residual <= 1e-10).all()
+    assert (result.quasi_invariance_residual <= 1e-10).all()
+
+
+def reference_samples(diagram, level, samples, m, seed):
+    """The per-sample draw: random_path, again while maximal, then a fiber."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        p = diagram.random_path(level, rng)
+        while diagram.is_maximal(p):
+            p = diagram.random_path(level, rng)
+        out.append((p, tuple(rng.randint(-2, 2) for _ in range(m))))
+    return out
+
+
+def test_step_samples_repeat_the_random_path_draws(built):
+    diagram, m = built.diagram, built.phi.m
+    edge_ids = {e: i for i, e in enumerate(diagram.edges())}
+    for level, seed in ((1, 3), (5, 12345)):
+        ids, fibers = step_samples(diagram, level, 700, m, seed)
+        assert ids.shape == (700, level) and fibers.shape == (700, m)
+        reference = reference_samples(diagram, level, 700, m, seed)
+        assert ids.tolist() == [[edge_ids[e] for e in p.edges] for p, _ in reference]
+        assert [tuple(a) for a in fibers.tolist()] == [a for _, a in reference]
+
+
+def test_step_check_matches_per_sample_cylinder_measures(built):
+    # the per-sample loop over MaharamMeasure.cylinder_measure, on the same draws
+    rng = random.Random(21)
+    psis, _, pf = stack(built, [tuple(rng.uniform(-1, 1) for _ in range(built.phi.m)) for _ in range(2)])
+    floor = FloorCocycle.of(built.diagram, built.phi)
+    result = invariance_step_check(floor, psis, pf, seeds=[99, 100], samples=400, level=5)
+    for t, seed in enumerate((99, 100)):
+        measure = MaharamMeasure(built.diagram, built.phi, psis[t])
+        worst_inv = worst_quasi = 0.0
+        for p, a in reference_samples(built.diagram, 5, 400, built.phi.m, seed):
+            succ = built.diagram.adic_successor(p)
+            move = built.phi.of_label(p.source)
+            lhs = measure.cylinder_measure(succ, vec_add(a, move))
+            worst_inv = max(worst_inv, abs(lhs - measure.cylinder_measure(p, a)))
+            ratio = measure.cylinder_measure(succ) / measure.cylinder_measure(p)
+            expected = math.exp(-sum(x * y for x, y in zip(psis[t], move)))
+            worst_quasi = max(worst_quasi, abs(ratio - expected) / expected)
+        assert abs(result.invariance_residual[t] - worst_inv) <= 1e-13
+        assert abs(result.quasi_invariance_residual[t] - worst_quasi) <= 1e-13
+
+
+def test_level_matrices_name_a_psi_out_of_float_range(rank2):
+    floor = FloorCocycle.of(rank2.diagram, rank2.phi)
+    assert np.isfinite(level_matrices(floor, np.array([[0.0, 200.0]]))).all()
+    for bad in ((0.0, 300.0), (0.0, -300.0)):
+        with pytest.raises(ValueError, match=rf"psi \({bad[0]}, {bad[1]}\) is out of float range"):
+            level_matrices(floor, np.array([[0.1, 0.2], bad]))
 
 
 def test_continuity_profile_modulus_decreases(built):
