@@ -80,9 +80,18 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
         raise ValueError("mat_pow needs a square matrix")
     if k < 0:
         raise ValueError("negative power")
-    out = identity_matrix(len(a))
-    for _ in range(k):
-        out = mat_mul(out, a)
+    return _power(a, k, identity_matrix(len(a)), mat_mul)
+
+
+def _power(x, k: int, one, mul):
+    """x**k by square-and-multiply: about 2 log2(k) products."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
     return out
 
 
@@ -323,10 +332,7 @@ class LaurentPolynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = LaurentPolynomial.one(self.m)
-        for _ in range(k):
-            out = out * self
-        return out
+        return _power(self, k, LaurentPolynomial.one(self.m), LaurentPolynomial.__mul__)
 
     def __eq__(self, other):
         return (
@@ -424,7 +430,4 @@ class LaurentMatrix:
 def laurent_matrix_pow(mat: LaurentMatrix, k: int) -> LaurentMatrix:
     if k < 0:
         raise ValueError("negative matrix power")
-    out = LaurentMatrix.identity(mat.d, mat.m)
-    for _ in range(k):
-        out = out * mat
-    return out
+    return _power(mat, k, LaurentMatrix.identity(mat.d, mat.m), LaurentMatrix.__mul__)

@@ -4,15 +4,16 @@ Vertices at every level are the tower labels 1..d.  An edge (j, l) stands
 for floor l of tower j; it targets j, its source is the label under floor l
 (the l-th letter of the return word w_j), and edges into the same tower are
 ordered by floor.  Finite admissible paths of length k are in bijection
-with the floors of the level-k towers; the adic successor realises the
-exchange map on that dictionary, the left shift realises projection to the
-tower base one level down.
+with the floors of the level-k towers (the dictionary works on edge-id
+arrays: a height is a gather-sum of per-level offsets); the adic successor
+realises the exchange map on that dictionary, the left shift realises
+projection to the tower base one level down.
 
 Paths here are always finite prefixes.  Where an infinite path would be
-needed the canonical extension is by minimal edges, but the Maximal /
-Minimal boundary cases are surfaced as errors rather than silently
-extended: those paths code the single forward/backward orbit excluded from
-the two-sided coding, and measure code downstream must see them.
+needed the canonical extension is by minimal edges, but the maximal
+boundary case is surfaced as an error rather than silently extended: those
+paths code the single forward orbit excluded from the two-sided coding,
+and measure code downstream must see them.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ PATH_BLOCK = 32_768  # most paths in one path_blocks array
 
 class MaximalPathError(Exception):
     """Every edge of the path (at this truncation depth) is maximal."""
-
-
-class MinimalPathError(Exception):
-    """Every edge of the path (at this truncation depth) is minimal."""
 
 
 @dataclass(frozen=True, order=True)
@@ -114,6 +111,8 @@ class BratteliDiagram:
         if any(not es for es in self.edges_by_source.values()):
             raise ValueError("a vertex has out-degree zero")
         self._heights: dict[int, tuple[int, ...]] = {0: (1,) * self.d}
+        self._offsets: dict[int, np.ndarray] = {}
+        self._floor_sources: dict[int, tuple[np.ndarray, ...]] = {}
         # one FloorCocycle per skewing cocycle, kept by FloorCocycle.of
         self.floor_cocycles: dict = {}
 
@@ -131,9 +130,6 @@ class BratteliDiagram:
     def is_max_edge(self, e: Edge) -> bool:
         return e.floor == self.q[e.tower - 1] - 1
 
-    def is_min_edge(self, e: Edge) -> bool:
-        return e.floor == 0
-
     def heights(self, level: int) -> tuple[int, ...]:
         """Heights of the level-``level`` towers (column sums of A^level)."""
         if level not in self._heights:
@@ -144,9 +140,6 @@ class BratteliDiagram:
 
     def is_maximal(self, p: FinitePath) -> bool:
         return all(self.is_max_edge(e) for e in p.edges)
-
-    def is_minimal(self, p: FinitePath) -> bool:
-        return all(self.is_min_edge(e) for e in p.edges)
 
     def adic_successor(self, p: FinitePath) -> FinitePath:
         """Smallest path above p in lexicographic order, same tail.
@@ -165,19 +158,6 @@ class BratteliDiagram:
             new_edges[r] = self.edge(new_edges[r + 1].source, 0)
         return FinitePath(tuple(new_edges))
 
-    def adic_predecessor(self, p: FinitePath) -> FinitePath:
-        for n, e in enumerate(p.edges):
-            if not self.is_min_edge(e):
-                break
-        else:
-            raise MinimalPathError(str(p))
-        new_edges = list(p.edges)
-        new_edges[n] = self.edge(e.tower, e.floor - 1)
-        for r in range(n - 1, -1, -1):
-            src = new_edges[r + 1].source
-            new_edges[r] = self.edge(src, self.q[src - 1] - 1)
-        return FinitePath(tuple(new_edges))
-
     def left_shift(self, p: FinitePath) -> FinitePath:
         if len(p) < 2:
             raise ValueError("cannot shift a length-1 path")
@@ -188,45 +168,66 @@ class BratteliDiagram:
 
     # -- the path/floor dictionary -------------------------------------------
 
-    def path_to_floor(self, p: FinitePath) -> FloorCoordinate:
-        """Height of the floor the path codes, inside its level-k tower.
+    def offsets(self, level: int) -> np.ndarray:
+        """Per edge id e = (j, l): the total height of the level-``level``
+        towers under floor l of tower j, which edge ``level`` (0-based) of a
+        path climbs.  Python ints where level + 1 outgrows int64."""
+        if level not in self._offsets:
+            sub = self.heights(level)
+            off = [h for w in self.words for h in accumulate((sub[c - 1] for c in w[:-1]), initial=0)]
+            wide = sum(self.heights(level + 1)) >= 2 ** 63
+            self._offsets[level] = np.array(off, dtype=object if wide else np.int64)
+        return self._offsets[level]
 
-        Climbing from the base, each edge (j_m, l_m) contributes the heights
-        of the full level-(m-1) towers passed under the first l_m letters of
-        w_{j_m}.
-        """
-        k = len(p)
-        height = 0
-        for m in range(k, 0, -1):
-            e = p.edges[m - 1]
-            sub = self.heights(m - 1)
-            word = self.words[e.tower - 1]
-            height += sum(sub[word[u] - 1] for u in range(e.floor))
-        return FloorCoordinate(k, p.target, height)
+    def paths_to_floors(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """0-based tower and height of the floor each row of a (rows, k)
+        edge-id array codes: the height is the gather-sum of ``offsets``."""
+        heights = sum(self.offsets(m)[ids[:, m]] for m in range(ids.shape[1]))
+        return self.edge_arrays[1][ids[:, -1]], heights
+
+    def floors_to_paths(self, level: int, towers: np.ndarray, heights: np.ndarray) -> np.ndarray:
+        """(rows, level) edge ids coding floor ``heights[i]`` of the 0-based
+        tower ``towers[i]``: the greedy descent, one ``searchsorted`` per
+        level over the offsets lifted by the heights of the towers before
+        each edge's tower, which increase over all edge ids."""
+        source, target, _ = self.edge_arrays
+        ids = np.empty((len(towers), level), dtype=np.intp)
+        j, h = np.asarray(towers), np.asarray(heights)
+        for m in range(level - 1, -1, -1):
+            off = self.offsets(m)
+            base = np.array(tuple(accumulate(self.heights(m + 1)[:-1], initial=0)), dtype=off.dtype)
+            ids[:, m] = e = np.searchsorted(base[target] + off, base[j] + h, side="right") - 1
+            h, j = h - off[e], source[e]
+        return ids
+
+    def path_from_ids(self, ids) -> FinitePath:
+        edges = tuple(self._edges.values())
+        return FinitePath(tuple(edges[i] for i in ids))
+
+    def path_to_floor(self, p: FinitePath) -> FloorCoordinate:
+        """Floor the path codes in its level-k tower: ``paths_to_floors`` of one row."""
+        ids = [self.first_ids[e.tower - 1] + e.floor for e in p.edges]
+        _, height = self.paths_to_floors(np.array([ids]))
+        return FloorCoordinate(len(p), p.target, int(height[0]))
 
     def floor_to_path(self, level: int, tower: int, height: int) -> FinitePath:
-        """Unique admissible path coding the given floor (greedy descent)."""
+        """Unique admissible path coding the given floor: ``floors_to_paths`` of one row."""
         if level < 1:
             raise ValueError("level must be at least 1")
-        if not 0 <= height < self.heights(level)[tower - 1]:
-            raise ValueError(
-                f"height {height} out of range for tower {tower} at level {level}"
-            )
-        edges: list[Edge] = []
-        h = height
-        j = tower
-        for m in range(level, 0, -1):
-            sub = self.heights(m - 1)
-            word = self.words[j - 1]
-            l = 0
-            while l < len(word) and h >= sub[word[l] - 1]:
-                h -= sub[word[l] - 1]
-                l += 1
-            edges.append(self.edge(j, l))
-            j = word[l]
-        if h != 0:
-            raise AssertionError("greedy height decomposition left a remainder")
-        return FinitePath(tuple(reversed(edges)))
+        if not (1 <= tower <= self.d and 0 <= height < self.heights(level)[tower - 1]):
+            raise ValueError(f"height {height} out of range for tower {tower} at level {level}")
+        ids = self.floors_to_paths(level, np.array([tower - 1]), np.array([height]))
+        return self.path_from_ids(ids[0].tolist())
+
+    def floor_sources(self, level: int) -> tuple[np.ndarray, ...]:
+        """Per tower, the 0-based label under each level-``level`` floor,
+        bottom to top: the return words substituted ``level`` times."""
+        if level not in self._floor_sources:
+            blocks = [np.array([j]) for j in range(self.d)]
+            for _ in range(level):
+                blocks = [np.concatenate([blocks[c - 1] for c in w]) for w in self.words]
+            self._floor_sources[level] = tuple(blocks)
+        return self._floor_sources[level]
 
     # -- path constructions ----------------------------------------------------
 
@@ -247,22 +248,9 @@ class BratteliDiagram:
         return FinitePath(tuple(edges))
 
     def enumerate_paths(self, level: int):
-        """All admissible paths of the given length, lazily."""
-        if level < 1:
-            raise ValueError("level must be at least 1")
-        stack = [(e,) for e in sorted(self._edges.values())]
-        if level == 1:
-            yield from (FinitePath(t) for t in stack)
-            return
-        for prefix in stack:
-            yield from self._extend(prefix, level)
-
-    def _extend(self, prefix, level):
-        if len(prefix) == level:
-            yield FinitePath(prefix)
-            return
-        for e in self.edges_by_source[prefix[-1].tower]:
-            yield from self._extend(prefix + (e,), level)
+        """All admissible paths of the given length, lazily, in ``path_blocks`` order."""
+        for ids in self.path_blocks(level):
+            yield from map(self.path_from_ids, ids.tolist())
 
     @cached_property
     def edge_arrays(self):
@@ -278,7 +266,8 @@ class BratteliDiagram:
 
     def path_blocks(self, level: int):
         """All level-k paths as int arrays of edge ids, shape (rows, k), in
-        ``enumerate_paths`` order, at most PATH_BLOCK rows per array."""
+        lexicographic order of their ids from edge one, at most PATH_BLOCK
+        rows per array."""
         if level < 1:
             raise ValueError("level must be at least 1")
         yield from self._grow(np.arange(self.num_edges)[:, None], level)
@@ -310,8 +299,7 @@ class BratteliDiagram:
 
     def random_path(self, level: int, rng: random.Random) -> FinitePath:
         """Uniform-floor random path, built target-first."""
-        edges = tuple(self._edges.values())
-        return FinitePath(tuple(edges[i] for i in self.random_path_ids(level, rng)))
+        return self.path_from_ids(self.random_path_ids(level, rng))
 
     def random_path_ids(self, level: int, rng: random.Random) -> list[int]:
         """Edge ids (positions in ``edges()``) of ``random_path``, by the same rng calls."""

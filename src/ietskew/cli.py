@@ -2,9 +2,10 @@
 
 Every command takes --instance (a file path or a packaged instance name).
 Exit codes: 0 ok, 1 validation error, 2 check failure, 3 inconclusive
-(a bound hit before a result), each with one line on stderr; a closed
-stdout (``| head``) ends the run quietly.  Output rows are written in a
-canonical order so runs are reproducible given (instance file, seed).
+(a bound hit before a result, or memory ran out), each with one line on
+stderr; a closed stdout (``| head``) ends the run quietly.  Output rows
+are written in a canonical order so runs are reproducible given
+(instance file, seed).
 """
 
 from __future__ import annotations
@@ -327,7 +328,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # InstanceError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         print(f"inconclusive: {str(exc) or repr(exc)}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import in_row_lattice, invariant_factors, vec_add, vec_sub, zero_vector
-from .bratteli import BratteliDiagram, Edge, FinitePath, MaximalPathError, MinimalPathError
+from .algebra import column_sums, in_row_lattice, invariant_factors, mat_mul, mat_vec, transpose
+from .algebra import vec_add, vec_neg, vec_sub, zero_vector
+from .bratteli import BratteliDiagram, Edge, FinitePath
 from .iet import RauzyLoop, compose_loop
 from .skew import SkewCocycle, check_periodic_type
 
@@ -115,13 +116,6 @@ def skewed_adic_step(
     )
 
 
-def skewed_adic_step_back(
-    diagram: BratteliDiagram, state: SkewedPathState, phi: SkewCocycle
-) -> SkewedPathState:
-    prev = diagram.adic_predecessor(state.path)
-    return SkewedPathState(prev, vec_sub(state.fiber, phi.of_label(prev.source)))
-
-
 def skewed_shift_step(
     diagram: BratteliDiagram, state: SkewedPathState, phi: SkewCocycle
 ) -> SkewedPathState:
@@ -153,29 +147,25 @@ def tail_orbit_witness(
     """Orbit witness for two states with the same depth-k shift image.
 
     Returns n with the n-th skewed adic image of s1 equal to s2 (n may be
-    negative), or None when the shift images differ.  The search stays
-    inside one level-``depth`` skew tower, so |n| is bounded by that
-    tower's height.
+    negative), or None when there is none inside one level-``depth`` skew
+    tower, as when the shift images differ.  The paths must share their
+    edges beyond ``depth`` and their level-``depth`` tower; n is their floor
+    difference, returned only when the fibers differ by phi summed over the
+    labels of the floors passed: exactly what n adic steps add.
     """
-    fl = FloorCocycle.of(diagram, phi)
-    if shift_image(fl, s1, depth) != shift_image(fl, s2, depth):
+    if min(len(s1.path), len(s2.path)) < depth:
+        raise ValueError("depth exceeds path length")
+    if s1.path.edges[depth:] != s2.path.edges[depth:]:
         return None
-    bound = diagram.heights(depth)[s1.path.truncate(depth).target - 1]
-    state = s1
-    for n in range(bound + 1):
-        if state == s2:
-            return n
-        if diagram.is_maximal(state.path.truncate(depth)):
-            break
-        state = skewed_adic_step(diagram, state, phi)
-    state = s1
-    for n in range(1, bound + 1):
-        if diagram.is_minimal(state.path.truncate(depth)):
-            break
-        state = skewed_adic_step_back(diagram, state, phi)
-        if state == s2:
-            return -n
-    return None
+    f1 = diagram.path_to_floor(s1.path.truncate(depth))
+    f2 = diagram.path_to_floor(s2.path.truncate(depth))
+    if f1.tower != f2.tower:
+        return None
+    low, high = sorted((f1.height, f2.height))
+    labels = diagram.floor_sources(depth)[f1.tower - 1][low:high]
+    passed = mat_vec(transpose(phi.values), np.bincount(labels, minlength=diagram.d).tolist())
+    n = f2.height - f1.height
+    return n if vec_sub(s2.fiber, s1.fiber) == (passed if n >= 0 else vec_neg(passed)) else None
 
 
 @dataclass(frozen=True)
@@ -240,7 +230,10 @@ def amplify_for_common_prefix(
 ) -> AperiodicityCertificate:
     """Repeat the loop until all tower words share a covering prefix.
 
-    Doubling schedule on the repetition count.  At a qualifying repetition,
+    Doubling schedule on the repetition count.  The total word length of a
+    repetition is read off A^rep before its words are built, so words that
+    would outgrow MAX_TOTAL_WORD_LENGTH end the search as inconclusive
+    without being built.  At a qualifying repetition,
     the covering prefix supplies shift-fixed self-loop paths whose f-sum
     differences recover every value of the skewing cocycle; the Smith
     invariant factors of those generators decide the verdict.
@@ -250,13 +243,18 @@ def amplify_for_common_prefix(
         raise ValueError("cocycle is not fixed by the loop (not periodic type)")
     d = loop.d
     last_diag = ""
+    power = base.matrix  # A^rep, squared each round: its column sums are the q
     for exp in range(MAX_REPETITION_EXPONENT + 1):
         rep = 2 ** exp
-        tower = compose_loop(loop, rep)
-        if sum(tower.q) > MAX_TOTAL_WORD_LENGTH:
+        if exp:
+            power = mat_mul(power, power)
+        total = sum(column_sums(power))
+        if total > MAX_TOTAL_WORD_LENGTH:
             raise CertificateInconclusive(
-                f"word length cap exceeded at repetition {rep}; last state: {last_diag}"
+                f"word length cap exceeded at repetition {rep}: sum q = {total} > "
+                f"{MAX_TOTAL_WORD_LENGTH}; last state: {last_diag}"
             )
+        tower = compose_loop(loop, rep)
         prefix_len = _common_prefix_length(tower.words)
         m_len = prefix_len - 1
         letters = {tower.words[0][n] for n in range(1, max(m_len, 1))}

@@ -147,31 +147,39 @@ def check_bratteli_dictionary(built: BuiltInstance, kmax: int = 3, **_) -> Check
     )
     if counts != diagram.matrix:
         return CheckResult("", "fail", detail="edge multiset disagrees with incidence matrix")
+    target = diagram.edge_arrays[1]
+    bottom = np.array(diagram.first_ids)[target]  # per edge id: floor-0 and top edge ids of its tower
+    top = bottom + np.array(diagram.q)[target] - 1
+    n_paths = 0
     for level in range(1, kmax + 1):
-        heights = diagram.heights(level)
-        seen = set()
+        heights = np.array(diagram.heights(level))
+        base = np.cumsum(heights) - heights  # (tower, height) -> base[tower] + height
+        hits = np.zeros(heights.sum(), dtype=np.int64)
         n_max = n_min = 0
-        for p in diagram.enumerate_paths(level):
-            fc = diagram.path_to_floor(p)
-            key = (fc.tower, fc.height)
-            if key in seen or not 0 <= fc.height < heights[fc.tower - 1]:
+        for ids in diagram.path_blocks(level):
+            towers, floor = diagram.paths_to_floors(ids)
+            if not ((0 <= floor) & (floor < heights[towers])).all():
                 return CheckResult("", "fail", detail=f"floor bijection broken at level {level}")
-            seen.add(key)
-            if diagram.floor_to_path(level, fc.tower, fc.height) != p:
+            keys = base[towers] + floor
+            np.add.at(hits, keys, 1)
+            if (hits[keys] > 1).any():
+                return CheckResult("", "fail", detail=f"floor bijection broken at level {level}")
+            if (diagram.floors_to_paths(level, towers, floor) != ids).any():
                 return CheckResult("", "fail", detail=f"floor inversion broken at level {level}")
-            if diagram.is_maximal(p):
-                n_max += 1
-            elif diagram.path_to_floor(diagram.adic_successor(p)) != type(fc)(
-                level, fc.tower, fc.height + 1
-            ):
+            maximal = (ids == top[ids]).all(axis=1)
+            above = diagram.paths_to_floors(diagram.adic_successors(ids[~maximal]))
+            if (above[0] != towers[~maximal]).any() or (above[1] != floor[~maximal] + 1).any():
                 return CheckResult("", "fail", detail=f"coding identity broken at level {level}")
-            if diagram.is_minimal(p):
-                n_min += 1
-        if len(seen) != sum(heights):
+            n_max += int(maximal.sum())
+            n_min += int((ids == bottom[ids]).all(axis=1).sum())
+            n_paths += len(ids)
+        if not hits.all():
             return CheckResult("", "fail", detail=f"path count != floor count at level {level}")
         if n_max != diagram.d or n_min != diagram.d:
             return CheckResult("", "fail", detail=f"extremal path count wrong at level {level}")
-    return CheckResult("", "pass", residual=0.0, detail=f"exhaustive to level {kmax}")
+    return CheckResult(
+        "", "pass", residual=0.0, detail=f"exhaustive to level {kmax} over {n_paths} paths"
+    )
 
 
 # -- criterion 4 ---------------------------------------------------------------

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from ietskew import bratteli
-from ietskew.bratteli import (
-    BratteliDiagram,
-    FinitePath,
-    MaximalPathError,
-    MinimalPathError,
-)
+from ietskew.bratteli import BratteliDiagram, FinitePath, MaximalPathError
 from ietskew.cocycles import FloorCocycle
-from ietskew.iet import TowerSystem
+from ietskew.iet import TowerSystem, compose_loop
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +28,8 @@ def test_odometer_addition(odometer):
     p = bits_to_path(odometer, (1, 1, 0))
     succ = odometer.adic_successor(p)
     assert path_to_bits(succ) == (0, 0, 1)
-    assert path_to_bits(odometer.adic_predecessor(succ)) == (1, 1, 0)
+    assert odometer.path_to_floor(succ).height == 4
+    assert odometer.floor_to_path(3, 1, 3) == p
     # full 3-bit cycle enumerates 0..7 in binary order
     value = lambda bits: sum(b << i for i, b in enumerate(bits))
     p = bits_to_path(odometer, (0, 0, 0))
@@ -44,8 +40,6 @@ def test_odometer_addition(odometer):
     assert seen == list(range(8))
     with pytest.raises(MaximalPathError):
         odometer.adic_successor(bits_to_path(odometer, (1, 1, 1)))
-    with pytest.raises(MinimalPathError):
-        odometer.adic_predecessor(bits_to_path(odometer, (0, 0, 0)))
 
 
 def test_identity_diagram_is_self_loops():
@@ -70,7 +64,7 @@ def test_min_max_path_counts(built):
     for level in (1, 2, 3):
         paths = list(diagram.enumerate_paths(level))
         maximal = [p for p in paths if diagram.is_maximal(p)]
-        minimal = [p for p in paths if diagram.is_minimal(p)]
+        minimal = [p for p in paths if all(e.floor == 0 for e in p.edges)]
         assert len(maximal) == diagram.d
         assert len(minimal) == diagram.d
         assert sorted(str(p) for p in maximal) == sorted(
@@ -115,8 +109,12 @@ def test_floor_formula_basics(built):
 
 
 def test_floor_to_path_range_check(built):
+    diagram = built.diagram
+    for tower, height in ((1, diagram.heights(2)[0]), (1, -1), (0, 0), (diagram.d + 1, 0)):
+        with pytest.raises(ValueError):
+            diagram.floor_to_path(2, tower, height)
     with pytest.raises(ValueError):
-        built.diagram.floor_to_path(2, 1, built.diagram.heights(2)[0])
+        diagram.floor_to_path(0, 1, 0)
 
 
 def test_coding_identity_floor_increments(built):
@@ -199,6 +197,15 @@ def test_dump_edges_schema(built):
         assert built.diagram.words[row["j"] - 1][row["l"]] == row["s"]
 
 
+def extend_edge_by_edge(diagram, level):
+    """Every level-k path: the edges in order, each path extended by the
+    edges out of its target in order."""
+    paths = [(e,) for e in sorted(diagram.edges())]
+    for _ in range(level - 1):
+        paths = [p + (e,) for p in paths for e in diagram.edges_by_source[p[-1].tower]]
+    return [FinitePath(p) for p in paths]
+
+
 def test_path_blocks_split_into_enumeration_order(built, monkeypatch):
     # blocks of at most 7 rows force splits inside every level and inside
     # the extensions of a single prefix (out-degrees reach 29)
@@ -210,7 +217,8 @@ def test_path_blocks_split_into_enumeration_order(built, monkeypatch):
         blocks = list(diagram.path_blocks(level))
         assert all(1 <= len(b) <= 7 and b.shape[1] == level for b in blocks)
         ids = np.concatenate(blocks)
-        paths = list(diagram.enumerate_paths(level))
+        paths = extend_edge_by_edge(diagram, level)
+        assert list(diagram.enumerate_paths(level)) == paths
         assert len(ids) == len(paths) == sum(diagram.heights(level))
         assert ids.tolist() == [[edge_id[e] for e in p.edges] for p in paths]
         sums = fl.f[ids].sum(axis=1).tolist()
@@ -252,3 +260,77 @@ def test_random_path_ids_are_random_path(built):
     for level in (1, 2, 6):
         for _ in range(100):
             assert diagram.random_path_ids(level, a) == [ids[e] for e in diagram.random_path(level, b).edges]
+
+
+def climb_to_floor(diagram, p):
+    """Height of a path's floor by the per-edge climb over whole words."""
+    height = 0
+    for m in range(len(p), 0, -1):
+        e = p.edges[m - 1]
+        sub = diagram.heights(m - 1)
+        word = diagram.words[e.tower - 1]
+        height += sum(sub[word[u] - 1] for u in range(e.floor))
+    return height
+
+
+def descend_to_path(diagram, level, tower, height):
+    """Path of a floor by the greedy descent, one letter at a time."""
+    edges = []
+    h, j = height, tower
+    for m in range(level, 0, -1):
+        sub = diagram.heights(m - 1)
+        word = diagram.words[j - 1]
+        l = 0
+        while l < len(word) and h >= sub[word[l] - 1]:
+            h -= sub[word[l] - 1]
+            l += 1
+        edges.append(diagram.edge(j, l))
+        j = word[l]
+    assert h == 0
+    return FinitePath(tuple(reversed(edges)))
+
+
+def test_array_dictionary_matches_the_climb_and_the_descent(built):
+    # every path at levels 1-3; a stride of about 1,500 paths at level 4
+    diagram = built.diagram
+    for level in (1, 2, 3, 4):
+        ids = np.concatenate(list(diagram.path_blocks(level)))
+        ids = ids[:: max(1, len(ids) // 1500)]
+        towers, heights = diagram.paths_to_floors(ids)
+        paths = [diagram.path_from_ids(row) for row in ids.tolist()]
+        assert towers.tolist() == [p.target - 1 for p in paths]
+        assert heights.tolist() == [climb_to_floor(diagram, p) for p in paths]
+        back = diagram.floors_to_paths(level, towers, heights)
+        assert [diagram.path_from_ids(row) for row in back.tolist()] == [
+            descend_to_path(diagram, level, t + 1, h)
+            for t, h in zip(towers.tolist(), heights.tolist())
+        ]
+        assert (back == ids).all()
+
+
+def test_dictionary_past_int64(built):
+    # the first level whose floors outgrow int64 keeps its heights exact
+    diagram = built.diagram
+    level = next(k for k in range(1, 40) if sum(diagram.heights(k)) >= 2 ** 63)
+    assert diagram.offsets(level - 1).dtype == object
+    rng = random.Random(5)
+    paths = [diagram.random_path(level, rng) for _ in range(20)]
+    paths += [diagram.max_path(level, j) for j in range(1, diagram.d + 1)]
+    for p in paths:
+        fc = diagram.path_to_floor(p)
+        assert fc.height == climb_to_floor(diagram, p)
+        assert diagram.floor_to_path(level, fc.tower, fc.height) == p
+    tops = [diagram.path_to_floor(diagram.max_path(level, j)).height for j in range(1, diagram.d + 1)]
+    assert tops == [h - 1 for h in diagram.heights(level)]
+
+
+def test_floor_sources_are_the_return_words_and_the_first_edges(built):
+    diagram = built.diagram
+    for level in (0, 1, 2, 3):
+        sources = diagram.floor_sources(level)
+        words = compose_loop(built.loop, level).words
+        assert [tuple((s + 1).tolist()) for s in sources] == list(words)
+    for j in range(1, diagram.d + 1):
+        assert diagram.floor_sources(2)[j - 1].tolist() == [
+            diagram.floor_to_path(2, j, h).source - 1 for h in range(diagram.heights(2)[j - 1])
+        ]

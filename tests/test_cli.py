@@ -104,6 +104,22 @@ def test_certify_requires_periodic_type(tmp_path, capsys):
     assert "not periodic type" in capsys.readouterr().err
 
 
+def test_certify_is_inconclusive_before_the_words_blow_up(tmp_path, capsys):
+    # repetition 8 of this loop would build words of 1,037,504,259 letters
+    data = {
+        "d": 3,
+        "top": [1, 2, 3],
+        "bottom": [3, 2, 1],
+        "loop": list("bttttbttbb"),
+        "phi": [[0], [1], [-4]],
+    }
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("certify", "--instance", str(path)) == 3
+    out = capsys.readouterr().out
+    assert "inconclusive" in out and "repetition 8: sum q = 1037504259" in out
+
+
 def test_maharam_table_schema_and_determinism(tmp_path):
     out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
     for out in (out1, out2):
@@ -328,6 +344,16 @@ def test_a_runtime_error_outside_a_check_is_inconclusive(monkeypatch, capsys):
     assert run_cli("inspect", "--instance", "golden_triple") == 3
     err = capsys.readouterr().err
     assert err == "inconclusive: horizon exceeded simulating tower 2\n"
+
+
+def test_running_out_of_memory_is_inconclusive(monkeypatch, capsys):
+    def exhaust(built, args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "verify", exhaust)
+    assert run_cli("verify", "--instance", "golden_triple") == 3
+    err = capsys.readouterr().err
+    assert err == "inconclusive: MemoryError()\n"
 
 
 @pytest.mark.parametrize("psi", ["0,300", "0,-300"])

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from ietskew.algebra import vec_add, vec_sub, zero_vector
 from ietskew.bratteli import MaximalPathError
 from ietskew.cocycles import (
     AperiodicityCertificate,
+    CertificateInconclusive,
     FloorCocycle,
     SkewedPathState,
     amplify_for_common_prefix,
@@ -15,11 +17,11 @@ from ietskew.cocycles import (
     sample_cycle,
     shift_image,
     skewed_adic_step,
-    skewed_adic_step_back,
     skewed_shift_step,
     tail_cocycle,
     tail_orbit_witness,
 )
+from ietskew.iet import IetCombinatorics, RauzyLoop, compose_loop
 from ietskew.skew import SkewCocycle
 
 
@@ -175,8 +177,10 @@ def test_skewed_adic_step_and_inverse(built):
         state = SkewedPathState(p, zero_vector(phi.m))
         stepped = skewed_adic_step(diagram, state, phi)
         assert stepped.fiber == phi.of_label(p.source)
-        back = skewed_adic_step_back(diagram, stepped, phi)
-        assert back == state
+        # the inverse: one floor down in the dictionary, minus phi under it
+        floor = diagram.path_to_floor(stepped.path)
+        prev = diagram.floor_to_path(3, floor.tower, floor.height - 1)
+        assert SkewedPathState(prev, vec_sub(stepped.fiber, phi.of_label(prev.source))) == state
 
 
 def test_skewed_shift_step(built):
@@ -276,6 +280,51 @@ def test_witness_rejects_different_tails(built):
     assert tail_orbit_witness(diagram, s1, shifted_fiber, phi, 2) is None
 
 
+def test_witness_none_for_empty_tails_in_different_towers(built):
+    # floor-0 paths of towers 1 and 2 with equal fibers have equal shift
+    # images, at the same height: only the tower tells them apart
+    diagram, phi = built.diagram, built.phi
+    fl = FloorCocycle.of(diagram, phi)
+    s1 = SkewedPathState(diagram.min_path(2, 1), zero_vector(phi.m))
+    s2 = SkewedPathState(diagram.min_path(2, 2), zero_vector(phi.m))
+    assert shift_image(fl, s1, 2)[1] == shift_image(fl, s2, 2)[1]
+    assert tail_orbit_witness(diagram, s1, s2, phi, 2) is None
+    assert tail_orbit_witness(diagram, s2, s1, phi, 2) is None
+
+
+def test_witness_none_when_the_fiber_identity_fails(built):
+    diagram, phi = built.diagram, built.phi
+    rng = random.Random(40)
+    for _ in range(50):
+        s1 = SkewedPathState(random_nonmax_path(diagram, 3, rng), zero_vector(phi.m))
+        s2 = skewed_adic_step(diagram, s1, phi)
+        off = SkewedPathState(s2.path, vec_add(s2.fiber, (0,) * (phi.m - 1) + (1,)))
+        assert tail_orbit_witness(diagram, s1, off, phi, 3) is None
+        assert tail_orbit_witness(diagram, off, s1, phi, 3) is None
+
+
+def test_witness_below_a_shared_tail(built):
+    # level-5 states at depth 2: n adic steps that stay inside the level-2
+    # tower keep edges 3-5, and the witness finds n and -n
+    diagram, phi = built.diagram, built.phi
+    rng = random.Random(41)
+    for _ in range(30):
+        s1 = SkewedPathState(diagram.random_path(5, rng), (3,) * phi.m)
+        s2, n = s1, 0
+        for _ in range(rng.randint(1, 8)):
+            if diagram.is_maximal(s2.path.truncate(2)):
+                break
+            s2, n = skewed_adic_step(diagram, s2, phi), n + 1
+        assert s2.path.edges[2:] == s1.path.edges[2:]
+        assert tail_orbit_witness(diagram, s1, s2, phi, 2) == n
+        assert tail_orbit_witness(diagram, s2, s1, phi, 2) == -n
+        other_tail = diagram.random_path(5, rng)
+        if other_tail.edges[2:] != s1.path.edges[2:]:
+            assert tail_orbit_witness(diagram, s1, SkewedPathState(other_tail, s1.fiber), phi, 2) is None
+    with pytest.raises(ValueError):
+        tail_orbit_witness(diagram, s1, s1, phi, 6)
+
+
 # -- aperiodicity certificate -------------------------------------------------
 
 
@@ -301,6 +350,18 @@ def test_certificate_rejects_non_periodic(built):
     values[0][0] += 1
     with pytest.raises(ValueError):
         amplify_for_common_prefix(built.loop, SkewCocycle(values))
+
+
+def test_certificate_stops_before_building_words_past_the_cap():
+    # repetitions 1, 2, 4 have 31, 363 and 51,459 letters; repetition 8
+    # would have 1,037,504,259, past MAX_TOTAL_WORD_LENGTH
+    loop = RauzyLoop(IetCombinatorics((1, 2, 3), (3, 2, 1)), "bttttbttbb")
+    phi = SkewCocycle([[0], [1], [-4]])
+    assert [sum(compose_loop(loop, rep).q) for rep in (1, 2, 4)] == [31, 363, 51459]
+    start = time.perf_counter()
+    with pytest.raises(CertificateInconclusive, match=r"repetition 8: sum q = 1037504259 > 10000000"):
+        amplify_for_common_prefix(loop, phi)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_closure_probe(built):

@@ -2,10 +2,13 @@ import copy
 import random
 import re
 
+import pytest
+
 from ietskew import maharam
 from ietskew import verification as V
 from ietskew.algebra import LaurentMatrix, LaurentPolynomial
-from ietskew.cocycles import FloorCocycle
+from ietskew.bratteli import BratteliDiagram
+from ietskew.cocycles import FloorCocycle, SkewedPathState
 
 
 def moved_exponent(mat: LaurentMatrix) -> LaurentMatrix:
@@ -110,3 +113,54 @@ def test_maharam_names_the_first_psi_with_a_scaled_perron_component(built, monke
     assert result.status == "fail"
     assert result.residual > 1e-10
     assert result.detail.startswith("residual above 1e-10 at psi #3; ")
+
+
+def test_dictionary_detail_counts_the_paths_visited(built):
+    result = V.check_bratteli_dictionary(built, kmax=3)
+    assert result.status == "pass"
+    n_paths = sum(sum(built.diagram.heights(k)) for k in (1, 2, 3))
+    assert result.detail == f"exhaustive to level 3 over {n_paths} paths"
+
+
+@pytest.mark.parametrize(
+    "level, damage, detail",
+    [
+        (0, "raise", "floor bijection broken at level 1"),
+        (1, "raise", "floor bijection broken at level 2"),
+        (2, "raise", "floor bijection broken at level 3"),
+        (0, "swap", "floor inversion broken at level 1"),
+    ],
+)
+def test_dictionary_fails_on_a_wrong_offset(built, level, damage, detail):
+    # a fresh diagram, so the damaged table stays out of the shared fixture
+    diagram = BratteliDiagram(built.tower)
+    off = diagram.offsets(level).copy()
+    if damage == "raise":
+        off[1] += 1
+    else:
+        off[1], off[2] = off[2], off[1]
+    diagram._offsets[level] = off
+    result = V.check_bratteli_dictionary(built.with_diagram(diagram), kmax=3)
+    assert (result.status, result.detail) == ("fail", detail)
+
+
+def test_tail_orbit_fails_on_a_chain_with_one_shifted_fiber(golden, monkeypatch):
+    # golden_triple's first level-2 tower has 21 floors, so every pair of
+    # its chain is checked; chain[4] alone gets its fiber moved by one
+    exact_step = V.skewed_adic_step
+    calls = []
+
+    def shifted_step(diagram, state, phi):
+        calls.append(None)
+        out = exact_step(diagram, state, phi)
+        move = {4: 1, 5: -1}.get(len(calls), 0)
+        return SkewedPathState(out.path, (out.fiber[0] + move,) + out.fiber[1:])
+
+    monkeypatch.setattr(V, "skewed_adic_step", shifted_step)
+    result = V.check_tail_orbit(golden, seed=0)
+    assert (result.status, result.detail) == ("fail", "orbit left its shift class in tower 1")
+    # with the shift-class test reduced to the tails, the witness still fails
+    calls.clear()
+    monkeypatch.setattr(V, "shift_image", lambda fl, state, depth: state.path.edges[depth:])
+    result = V.check_tail_orbit(golden, seed=0)
+    assert (result.status, result.detail) == ("fail", "witness failed in tower 1")
