@@ -15,7 +15,7 @@ for name in ("golden_triple", "genus2_rank2"):
     profiles = continuity_profile(built.diagram, built.phi, cylinders, grids)
     print(f"== {name}: {len(cylinders)} fixed cylinders at level 4")
     for profile in profiles:
-        points = len(profile.rows) // len(cylinders)
+        points = profile.masses.shape[0]
         print(
             f"   step {profile.step:<5}: {points:>3} grid points, "
             f"observed modulus {profile.modulus:.6e}"

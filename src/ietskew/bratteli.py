@@ -112,6 +112,7 @@ class BratteliDiagram:
             raise ValueError("a vertex has out-degree zero")
         self._heights: dict[int, tuple[int, ...]] = {0: (1,) * self.d}
         self._offsets: dict[int, np.ndarray] = {}
+        self._lifted: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._floor_sources: dict[int, tuple[np.ndarray, ...]] = {}
         # one FloorCocycle per skewing cocycle, kept by FloorCocycle.of
         self.floor_cocycles: dict = {}
@@ -185,19 +186,27 @@ class BratteliDiagram:
         heights = sum(self.offsets(m)[ids[:, m]] for m in range(ids.shape[1]))
         return self.edge_arrays[1][ids[:, -1]], heights
 
+    def lifted_offsets(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per 0-based tower, the total height of the level-(``level`` + 1)
+        towers before it; and ``offsets(level)`` lifted by that base of each
+        edge's tower, which increases over all edge ids."""
+        if level not in self._lifted:
+            off = self.offsets(level)
+            base = np.array(tuple(accumulate(self.heights(level + 1)[:-1], initial=0)), dtype=off.dtype)
+            self._lifted[level] = base, base[self.edge_arrays[1]] + off
+        return self._lifted[level]
+
     def floors_to_paths(self, level: int, towers: np.ndarray, heights: np.ndarray) -> np.ndarray:
         """(rows, level) edge ids coding floor ``heights[i]`` of the 0-based
         tower ``towers[i]``: the greedy descent, one ``searchsorted`` per
-        level over the offsets lifted by the heights of the towers before
-        each edge's tower, which increase over all edge ids."""
-        source, target, _ = self.edge_arrays
+        level over the ``lifted_offsets``."""
+        source = self.edge_arrays[0]
         ids = np.empty((len(towers), level), dtype=np.intp)
         j, h = np.asarray(towers), np.asarray(heights)
         for m in range(level - 1, -1, -1):
-            off = self.offsets(m)
-            base = np.array(tuple(accumulate(self.heights(m + 1)[:-1], initial=0)), dtype=off.dtype)
-            ids[:, m] = e = np.searchsorted(base[target] + off, base[j] + h, side="right") - 1
-            h, j = h - off[e], source[e]
+            base, lifted = self.lifted_offsets(m)
+            ids[:, m] = e = np.searchsorted(lifted, base[j] + h, side="right") - 1
+            h, j = h - self.offsets(m)[e], source[e]
         return ids
 
     def path_from_ids(self, ids) -> FinitePath:
@@ -264,25 +273,33 @@ class BratteliDiagram:
         source, target = np.array([(e.source - 1, e.tower - 1) for e in self.edges()]).T
         return source, target, out
 
-    def path_blocks(self, level: int):
+    def path_blocks(self, level: int, rank=None):
         """All level-k paths as int arrays of edge ids, shape (rows, k), in
-        lexicographic order of their ids from edge one, at most PATH_BLOCK
+        lexicographic order of their ids from edge one, or of the ranks
+        ``rank[id]`` when a rank per edge id is given, at most PATH_BLOCK
         rows per array."""
         if level < 1:
             raise ValueError("level must be at least 1")
-        yield from self._grow(np.arange(self.num_edges)[:, None], level)
+        _, _, out = self.edge_arrays
+        first = np.arange(self.num_edges)
+        if rank is not None:  # each vertex's out-edges, and the first edges, by rank
+            rank = np.asarray(rank)
+            key = np.where(out >= 0, rank[out], rank.max() + 1)
+            out = np.take_along_axis(out, np.argsort(key, axis=1), axis=1)
+            first = np.argsort(rank)
+        yield from self._grow(first[:, None], level, out)
 
-    def _grow(self, prefixes, level):
+    def _grow(self, prefixes, level, out):
         if prefixes.shape[1] == level:
             yield from (prefixes[s:s + PATH_BLOCK] for s in range(0, len(prefixes), PATH_BLOCK))
             return
-        _, target, out = self.edge_arrays
+        target = self.edge_arrays[1]
         step = max(1, PATH_BLOCK // out.shape[1])  # prefixes whose extensions fit a block
         for start in range(0, len(prefixes), step):
             chunk = prefixes[start:start + step]
             following = out[target[chunk[:, -1]]]
             rows, cols = np.nonzero(following >= 0)
-            yield from self._grow(np.column_stack((chunk[rows], following[rows, cols])), level)
+            yield from self._grow(np.column_stack((chunk[rows], following[rows, cols])), level, out)
 
     def adic_successors(self, ids: np.ndarray) -> np.ndarray:
         """``adic_successor`` of each row of a (rows, k) edge-id array."""

@@ -16,13 +16,17 @@ import io
 import json
 import os
 import sys
+from itertools import chain, product
 
 import numpy as np
 
+from . import bratteli
 from .algebra import zero_vector
 from .cocycles import CertificateInconclusive, amplify_for_common_prefix
 from .instances import BuiltInstance, InstanceError, build_instance, load_instance
 from .maharam import (
+    GridProfile,
+    MeasureTable,
     build_measure_table,
     continuity_profile,
     default_cylinder_family,
@@ -215,36 +219,94 @@ def cmd_certify(built: BuiltInstance, args) -> int:
     return EXIT_OK if cert.verdict else EXIT_CHECK_FAILURE
 
 
+def _csv_blocks(n_rows: int, block):
+    """CSV text of rows 0 .. n_rows - 1, one string per block of at most
+    PATH_BLOCK rows.
+
+    ``block(rows)`` takes an index array of consecutive rows and returns a
+    list of their %-templates, then one list per template field holding its
+    value in each row; a block is one % call on the joined templates with
+    the fields interleaved row by row.
+    """
+    for start in range(0, n_rows, bratteli.PATH_BLOCK):
+        templates, *fields = block(np.arange(start, min(start + bratteli.PATH_BLOCK, n_rows)))
+        args = [None] * (len(templates) * len(fields))
+        for k, field in enumerate(fields):
+            args[k::len(fields)] = field
+        yield "".join(templates) % tuple(args)
+
+
+def _write_csv(header: list[str], row_blocks, out: str | None) -> None:
+    """Write the header row, then each string of ``row_blocks`` as it comes,
+    to the file ``out`` or to stdout."""
+    chunks = chain([",".join(_csv_cells(header)) + "\r\n"], row_blocks)
+    if out:
+        with open(out, "w") as fh:
+            fh.writelines(chunks)
+    else:
+        sys.stdout.writelines(chunks)
+
+
+def _table_blocks(built: BuiltInstance, psi, table: MeasureTable):
+    """Rows of one maharam table, psi as given, sorted by (path string, fiber string).
+
+    Edge strings (j,l) are prefix-free, so path strings sort as the tuples
+    of their edges' string ranks: the paths come in that order from
+    ``path_blocks``, and each block of paths gets its strings as it is
+    written.  A path string always holds a comma and never a quote, so its
+    CSV cell is the string in quotes.
+    """
+    edge_strs = [str(e) for e in built.diagram.edges()]
+    fiber_strs = [_fiber_str(a) for a in table.fibers]
+    fiber_order = np.argsort(fiber_strs)
+    fiber_logs = table.fiber_logs[fiber_order]
+    prefix = ",".join(_csv_cells(list(psi) + [table.level]))
+    templates = np.array(
+        [f'{prefix},"%s",{cell},%.15g\r\n' for cell in _csv_cells(fiber_strs[j] for j in fiber_order)],
+        dtype=object,
+    )
+    rank, edge_objs = np.argsort(np.argsort(edge_strs)), np.array(edge_strs, dtype=object)
+    for ids in built.diagram.path_blocks(table.level, rank=rank):
+        paths = edge_objs[ids].sum(axis=1)  # the edge strings of each row, concatenated
+        path_logs = table.path_logs(ids)
+
+        def block(rows):
+            p, f = np.divmod(rows, len(templates))
+            masses = np.exp(path_logs[p] + fiber_logs[f])
+            return templates[f].tolist(), paths[p].tolist(), masses.tolist()
+
+        yield from _csv_blocks(len(ids) * len(templates), block)
+
+
 def cmd_maharam(built: BuiltInstance, args) -> int:
     _require_phi(built)
     if args.format == "json":
         raise InstanceError("measure tables are emitted as CSV")
     m = built.phi.m
     level = args.level if args.level is not None else 5
-    psis = _parse_psi_args(args, m, built)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        [f"psi_{i + 1}" for i in range(m)] + ["level", "path", "fiber", "measure"]
-    )
-    edge_strs = [str(e) for e in built.diagram.edges()]
-    for psi in psis:
-        table = build_measure_table(built.diagram, built.phi, psi, level=level)
-        # rows sorted by (path string, fiber string): the product of both sorts
-        path_strs = ["".join(edge_strs[i] for i in row) for row in table.path_ids.tolist()]
-        fiber_strs = [_fiber_str(a) for a in table.fibers]
-        path_order, fiber_order = np.argsort(path_strs), np.argsort(fiber_strs)
-        prefix = ",".join(_csv_cells(list(psi) + [level]))
-        path_cells = _csv_cells(path_strs[i] for i in path_order)
-        fiber_cells = _csv_cells(fiber_strs[j] for j in fiber_order)
-        masses = table.masses[np.ix_(path_order, fiber_order)].tolist()
-        buffer.writelines(
-            f"{prefix},{path_cell},{fiber_cell},{value:.15g}\r\n"
-            for path_cell, row in zip(path_cells, masses)
-            for fiber_cell, value in zip(fiber_cells, row)
-        )
-    _emit(buffer.getvalue(), args.out)
+    # every table, so every psi, is checked before the first row is written
+    tables = [
+        (psi, build_measure_table(built.diagram, built.phi, psi, level=level))
+        for psi in _parse_psi_args(args, m, built)
+    ]
+    header = [f"psi_{i + 1}" for i in range(m)] + ["level", "path", "fiber", "measure"]
+    rows = (block for psi, table in tables for block in _table_blocks(built, psi, table))
+    _write_csv(header, rows, args.out)
     return EXIT_OK
+
+
+def _profile_blocks(profile: GridProfile):
+    """Rows of one continuity grid, cylinder-major, points in product(*axes) order."""
+    psi_strs = np.array([",".join(map(str, point)) for point in product(*profile.axes)], dtype=object)
+    n_cyl = profile.masses.shape[1]
+    templates = np.array([f"{profile.step},{c},%s,%.15g,%.15g\r\n" for c in range(n_cyl)], dtype=object)
+    masses, deltas = profile.masses.T.ravel(), profile.deltas.T.ravel()
+
+    def block(rows):
+        c, i = np.divmod(rows, len(psi_strs))
+        return templates[c].tolist(), psi_strs[i].tolist(), masses[rows].tolist(), deltas[rows].tolist()
+
+    return _csv_blocks(masses.size, block)
 
 
 def cmd_continuity(built: BuiltInstance, args) -> int:
@@ -254,30 +316,20 @@ def cmd_continuity(built: BuiltInstance, args) -> int:
     grids = _parse_grid_args(args, m) or dyadic_grids(m, refinements=3)
     cylinders = default_cylinder_family(built.diagram, m, level=level)
     profiles = continuity_profile(built.diagram, built.phi, cylinders, grids)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        ["grid_step", "cylinder_id"]
-        + [f"psi_{i + 1}" for i in range(m)]
-        + ["measure", "adjacent_delta"]
-    )
-    for profile in profiles:
-        # rows are point-major in increasing psi order: write them cylinder-major
-        n_cyl = len(cylinders)
-        psi_strs = [",".join(map(str, row["psi"])) for row in profile.rows[::n_cyl]]
-        buffer.writelines(
-            f"{profile.step},{c},{psi_str},{row['measure']:.15g},{row['adjacent_delta']:.15g}\r\n"
-            for c in range(n_cyl)
-            for psi_str, row in zip(psi_strs, profile.rows[c::n_cyl])
-        )
     if args.format == "json":
         payload = [
-            {"step": p.step, "modulus": p.modulus, "points": len(p.rows)}
+            {"step": p.step, "modulus": p.modulus, "points": p.masses.size}
             for p in profiles
         ]
         _emit(json.dumps(payload, indent=2), args.out)
     else:
-        _emit(buffer.getvalue(), args.out)
+        header = (
+            ["grid_step", "cylinder_id"]
+            + [f"psi_{i + 1}" for i in range(m)]
+            + ["measure", "adjacent_delta"]
+        )
+        rows = (block for profile in profiles for block in _profile_blocks(profile))
+        _write_csv(header, rows, args.out)
     moduli = ", ".join(f"{p.modulus:.3e}" for p in profiles)
     print(f"observed adjacent-grid moduli: {moduli}", file=sys.stderr)
     return EXIT_OK

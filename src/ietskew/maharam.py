@@ -235,11 +235,17 @@ def invariance_step_check(
 
 @dataclass(frozen=True)
 class GridProfile:
-    """Measure values over one psi-grid plus the observed adjacent modulus."""
+    """Measure values over one psi-grid plus the observed adjacent modulus.
+
+    Row i of ``masses`` and ``deltas`` is the i-th point of product(*axes),
+    column c is cylinder c; a delta is the largest |measure difference| to a
+    grid neighbour one step up one axis.
+    """
 
     step: float
     axes: tuple[tuple[float, ...], ...]
-    rows: tuple[dict, ...]
+    masses: np.ndarray
+    deltas: np.ndarray
     modulus: float
 
 
@@ -274,8 +280,7 @@ def continuity_profile(
     lengths = [len(p) for p, _ in cylinders]
     profiles = []
     for axes in grids:
-        points = list(product(*axes))
-        psis = np.array(points, dtype=float)
+        psis = np.array(list(product(*axes)), dtype=float)
         pf = perron(level_matrices(fl, psis))
         masses = np.exp(log_masses(psis, pf, exponents, targets, lengths))
         grid = masses.reshape(tuple(len(axis) for axis in axes) + (len(cylinders),))
@@ -283,15 +288,9 @@ def continuity_profile(
         for axis in range(phi.m):
             below_top = (slice(None),) * axis + (slice(0, -1),)
             delta[below_top] = np.maximum(delta[below_top], np.abs(np.diff(grid, axis=axis)))
-        deltas = delta.reshape(masses.shape).tolist()
-        rows = tuple(
-            {"cylinder_id": c_idx, "psi": point, "measure": value, "adjacent_delta": change}
-            for point, values, changes in zip(points, masses.tolist(), deltas)
-            for c_idx, (value, change) in enumerate(zip(values, changes))
-        )
         modulus = float(delta.max()) if delta.size else 0.0
         step = axes[0][1] - axes[0][0] if len(axes[0]) > 1 else 0.0
-        profiles.append(GridProfile(step, axes, rows, modulus))
+        profiles.append(GridProfile(step, axes, masses, delta.reshape(masses.shape), modulus))
     return profiles
 
 
@@ -310,14 +309,58 @@ def default_cylinder_family(diagram: BratteliDiagram, m: int, level: int = 4):
 
 @dataclass(frozen=True)
 class MeasureTable:
-    """Cylinder measures at one psi: ``masses[i, j]`` is the mass of path
-    ``path_ids[i]`` (edge ids, ``enumerate_paths`` order) at ``fibers[j]``."""
+    """Cylinder measures at one psi in their rank-one form: the mass of a
+    level-k path p at fiber a is exp(path_logs(p) + <psi, a>), with
+    path_logs(p) the logarithm of lambda^{S_k f(p)} v_t / r^k.
+
+    The per-path factor is computed for any block of paths, so a table holds
+    nothing that grows with the number of paths until ``path_ids`` or
+    ``masses`` asks for all of them.
+    """
 
     psi: tuple[float, ...]
     level: int
-    path_ids: np.ndarray
     fibers: tuple[tuple[int, ...], ...]
-    masses: np.ndarray
+    floor: FloorCocycle
+    pf: PerronData  # of M(exp psi), as a stack of one
+
+    def path_logs(self, ids: np.ndarray) -> np.ndarray:
+        """The per-path log factor of each row of a (rows, level) edge-id array."""
+        sums = sum(self.floor.f[ids[:, k]] for k in range(self.level))
+        targets = self.floor.diagram.edge_arrays[1][ids[:, -1]]
+        return log_masses(np.array([self.psi]), self.pf, sums, targets, [self.level] * len(ids))[0]
+
+    @property
+    def fiber_logs(self) -> np.ndarray:
+        """<psi, a> for each fiber a."""
+        return np.array(self.fibers) @ np.array(self.psi)
+
+    @property
+    def path_ids(self) -> np.ndarray:
+        """Every level-k path as its edge ids, in ``enumerate_paths`` order."""
+        return np.concatenate(list(self.floor.diagram.path_blocks(self.level)))
+
+    @property
+    def masses(self) -> np.ndarray:
+        """The (paths, fibers) array of masses, paths in ``path_ids`` order,
+        formed on each call."""
+        return np.exp(self.path_logs(self.path_ids)[:, None] + self.fiber_logs)
+
+
+def path_sum_bound(floor: FloorCocycle, level: int) -> int:
+    """Largest |S_k f(p)| over the level-k paths p and the coordinates.
+
+    The extreme sums of the paths ending at each vertex grow one level at a
+    time: edges into a tower have consecutive ids, so one ``reduceat`` per
+    level takes the extremes over each tower's edges.
+    """
+    diagram = floor.diagram
+    source = diagram.edge_arrays[0]
+    hi = lo = np.zeros((diagram.d, floor.m), dtype=floor.f.dtype)
+    for _ in range(level):
+        hi = np.maximum.reduceat(hi[source] + floor.f, diagram.first_ids)
+        lo = np.minimum.reduceat(lo[source] + floor.f, diagram.first_ids)
+    return int(max(hi.max(), -lo.min()))
 
 
 def build_measure_table(
@@ -327,22 +370,19 @@ def build_measure_table(
     level: int = 5,
     fiber_bound: int | None = None,
 ) -> MeasureTable:
-    """Tabulate cylinder masses for every level-k path and a fiber box.
+    """Cylinder masses for every level-k path and a fiber box.
 
     The default fiber box spans the attainable f-sums at this level, which
     is the finite set of fibers a level-k tower can reach from fiber zero.
-    A mass is lambda^a times a per-path factor lambda^{S_k f(p)} v_t / r^k,
-    which is computed once per path (as its logarithm, like every mass).
+    A mass is lambda^a times a per-path factor lambda^{S_k f(p)} v_t / r^k;
+    the table keeps the two factors apart, as logarithms like every mass.
     """
+    if level < 1:
+        raise ValueError("level must be at least 1")
     fl = FloorCocycle.of(diagram, phi)
     psis = np.array([psi], dtype=float)
     pf = perron(level_matrices(fl, psis))
-    path_ids = np.concatenate(list(diagram.path_blocks(level)))
-    sums = fl.f[path_ids].sum(axis=1)
     if fiber_bound is None:
-        fiber_bound = int(np.abs(sums).max(initial=0))
+        fiber_bound = path_sum_bound(fl, level)
     fibers = tuple(product(range(-fiber_bound, fiber_bound + 1), repeat=phi.m))
-    targets = diagram.edge_arrays[1][path_ids[:, -1]]
-    per_path = log_masses(psis, pf, sums, targets, [level] * len(path_ids))[0]
-    masses = np.exp(per_path[:, None] + np.array(fibers) @ psis[0])
-    return MeasureTable(tuple(psis[0].tolist()), level, path_ids, fibers, masses)
+    return MeasureTable(tuple(psis[0].tolist()), level, fibers, fl, pf)

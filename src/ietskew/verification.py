@@ -428,14 +428,27 @@ def _tower_with_swapped_letters(tower: TowerSystem) -> TowerSystem:
     return corrupt
 
 
+def _phi_fault(built: BuiltInstance) -> SkewCocycle:
+    """The first change of one phi value by +1, then -1 (intervals, then
+    coordinates, in order) whose cocycle still generates Z^m and is no
+    longer fixed by A^T."""
+    for i, k, step in product(range(built.phi.d), range(built.phi.m), (1, -1)):
+        values = [list(v) for v in built.phi.values]
+        values[i][k] += step
+        try:
+            bad_phi = SkewCocycle(values)
+        except ValueError:  # the changed values generate a proper sublattice
+            continue
+        if not check_periodic_type(built.tower.matrix, bad_phi):
+            return bad_phi
+    raise RuntimeError("no change of one phi value by +-1 is a fault to inject")
+
+
 @_timed("fault_injection")
 def check_fault_injection(built: BuiltInstance, **_) -> CheckResult:
     """Perturbations must surface at their own layer, gating the rest."""
-    values = [list(v) for v in built.phi.values]
-    values[0][0] += 1
-    bad_phi = SkewCocycle(values)
     report = run_layers(
-        built.with_phi(bad_phi),
+        built.with_phi(_phi_fault(built)),
         [check_cocycle_identities, check_bratteli_dictionary, check_tail_cocycle],
     )
     statuses = [r.status for r in report]

@@ -225,6 +225,18 @@ def test_path_blocks_split_into_enumeration_order(built, monkeypatch):
         assert [tuple(s) for s in sums] == [fl.path_sum(p) for p in paths]
 
 
+def test_path_blocks_by_rank_come_in_rank_order(built, monkeypatch):
+    # a rank per edge id reorders the enumeration, blocks of 7 rows or not
+    diagram = built.diagram
+    rank = np.random.default_rng(5).permutation(diagram.num_edges)
+    for block in (bratteli.PATH_BLOCK, 7):
+        monkeypatch.setattr(bratteli, "PATH_BLOCK", block)
+        for level in (1, 2, 3):
+            ids = np.concatenate(list(diagram.path_blocks(level)))
+            ranked = np.concatenate(list(diagram.path_blocks(level, rank=rank)))
+            assert ranked.tolist() == sorted(ids.tolist(), key=lambda row: rank[row].tolist())
+
+
 def test_path_blocks_reject_level_zero(odometer):
     with pytest.raises(ValueError):
         next(odometer.path_blocks(0))

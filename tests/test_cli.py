@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ietskew import cli, verification
+from ietskew import bratteli, cli, verification
 from ietskew.cli import main
 from ietskew.cocycles import FloorCocycle
 from ietskew.instances import build_instance, load_instance
@@ -223,10 +223,15 @@ def test_continuity_rows_are_cylinder_major_and_sorted(tmp_path):
     axes = tuple(tuple(lo + (hi - lo) * i / 3 for i in range(4)) for lo, hi in [(-1.1, 1.15), (-0.6, 1.35)])
     cylinders = default_cylinder_family(built.diagram, 2, level=3)
     (profile,) = continuity_profile(built.diagram, built.phi, cylinders, [axes])
+    rows = [
+        {"cylinder_id": c_idx, "psi": point, "measure": mass, "adjacent_delta": delta}
+        for point, masses, deltas in zip(product(*axes), profile.masses.tolist(), profile.deltas.tolist())
+        for c_idx, (mass, delta) in enumerate(zip(masses, deltas))
+    ]
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["grid_step", "cylinder_id", "psi_1", "psi_2", "measure", "adjacent_delta"])
-    for row in sorted(profile.rows, key=lambda r: (r["cylinder_id"], r["psi"])):
+    for row in sorted(rows, key=lambda r: (r["cylinder_id"], r["psi"])):
         writer.writerow(
             [profile.step, row["cylinder_id"], *row["psi"]]
             + [f"{row['measure']:.15g}", f"{row['adjacent_delta']:.15g}"]
@@ -365,3 +370,37 @@ def test_maharam_names_a_psi_out_of_float_range(psi, capsys):
     assert captured.err == (
         f"error: psi {expected} is out of float range: M(exp psi) overflows a float\n"
     )
+
+
+def test_maharam_checks_every_psi_before_writing(tmp_path, capsys):
+    # the second psi overflows: no row of the first table may be written
+    argv = ["maharam", "--instance", "genus2_rank2", "--level", "2", "--psi", "0,0", "--psi", "0,300"]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: psi (0.0, 300.0) is out of float range: M(exp psi) overflows a float\n"
+    out = tmp_path / "t.csv"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
+BLOCK_COMMANDS = [
+    ["maharam", "--instance", "golden_triple", "--level", "3", "--psi=0.3", "--psi=-0.7"],
+    ["maharam", "--instance", "genus2_rank2", "--level", "1", "--psi=0.4,-0.3", "--psi=-0.9,0.6"],
+    ["continuity", "--instance", "golden_triple", "--level", "2", "--grid=-1:1:4"],
+    ["continuity", "--instance", "genus2_rank2", "--level", "2", "--grid=-1:1:3", "--grid=-0.5:1:4"],
+]
+
+
+@pytest.mark.parametrize("argv", BLOCK_COMMANDS, ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, capsys, argv):
+    # blocks of 7 rows split paths, fibers, grids and tables at every offset
+    whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
+    assert run_cli(*argv, "--out", str(whole)) == 0
+    monkeypatch.setattr(bratteli, "PATH_BLOCK", 7)
+    assert run_cli(*argv, "--out", str(split)) == 0
+    assert split.read_bytes() == whole.read_bytes()
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out.encode() == whole.read_bytes()

@@ -22,6 +22,7 @@ from ietskew.maharam import (
     invariance_step_check,
     level_counting_matrix,
     level_matrices,
+    path_sum_bound,
     perron,
     recurrence_vector_residual,
     step_samples,
@@ -301,23 +302,27 @@ def test_continuity_profile_matches_eigen_reference(built):
     profiles = continuity_profile(built.diagram, built.phi, cylinders, grids)
     for axes, profile in zip(grids, profiles):
         points = list(product(*axes))
-        rows = {(row["psi"], row["cylinder_id"]): row for row in profile.rows}
-        assert len(rows) == len(profile.rows) == len(points) * len(cylinders)
+        # (psi, cylinder) -> (measure, adjacent delta), row i of the arrays at points[i]
+        rows = {
+            (point, c_idx): (mass, delta)
+            for point, masses, deltas in zip(points, profile.masses.tolist(), profile.deltas.tolist())
+            for c_idx, (mass, delta) in enumerate(zip(masses, deltas))
+        }
+        assert profile.masses.shape == profile.deltas.shape == (len(points), len(cylinders))
+        assert len(rows) == profile.masses.size == len(points) * len(cylinders)
         for point in points:
             want = eigen_reference_masses(built.diagram, built.phi, level_matrix, cylinders, point)
             for c_idx, mass in enumerate(want):
-                assert rows[(point, c_idx)]["measure"] == pytest.approx(mass, rel=1e-12, abs=0)
+                assert rows[(point, c_idx)][0] == pytest.approx(mass, rel=1e-12, abs=0)
         # a delta is the largest change to a neighbour one step up one axis
-        for (point, c_idx), row in rows.items():
+        for (point, c_idx), (mass, delta) in rows.items():
             ups = [
                 point[:i] + (axis[axis.index(x) + 1],) + point[i + 1 :]
                 for i, (axis, x) in enumerate(zip(axes, point))
                 if axis.index(x) + 1 < len(axis)
             ]
-            assert row["adjacent_delta"] == max(
-                (abs(rows[(up, c_idx)]["measure"] - row["measure"]) for up in ups), default=0.0
-            )
-        assert profile.modulus == max(row["adjacent_delta"] for row in profile.rows)
+            assert delta == max((abs(rows[(up, c_idx)][0] - mass) for up in ups), default=0.0)
+        assert profile.modulus == max(delta for _, delta in rows.values())
 
 
 def test_continuity_profile_one_perron_call_per_grid(rank2, monkeypatch):
@@ -340,7 +345,7 @@ def test_continuity_profile_one_perron_call_per_grid(rank2, monkeypatch):
     axis = tuple(-1.0 + i / 8 for i in range(17))
     cylinders = default_cylinder_family(rank2.diagram, 2, level=4)
     (profile,) = continuity_profile(rank2.diagram, rank2.phi, cylinders, [(axis, axis)])
-    assert len(profile.rows) == 17 * 17 * len(cylinders)
+    assert profile.masses.shape == profile.deltas.shape == (17 * 17, len(cylinders))
     assert calls == Counter(perron=1)
 
 
@@ -360,6 +365,23 @@ def test_measure_table(golden):
         max(abs(x) for x in fl.path_sum(p)) for p in golden.diagram.enumerate_paths(2)
     )
     assert bound == max_sum
+
+
+def test_path_sum_bound_is_the_largest_path_sum(built):
+    fl = FloorCocycle.of(built.diagram, built.phi)
+    for level in (1, 2, 3):
+        ids = np.concatenate(list(built.diagram.path_blocks(level)))
+        assert path_sum_bound(fl, level) == np.abs(fl.f[ids].sum(axis=1)).max()
+
+
+def test_measure_table_rank_one_factors_give_the_masses(golden):
+    table = build_measure_table(golden.diagram, golden.phi, (0.2,), level=3)
+    measure = MaharamMeasure(golden.diagram, golden.phi, (0.2,))
+    paths = list(golden.diagram.enumerate_paths(3))
+    assert table.masses.shape == (len(paths), len(table.fibers))
+    for path, masses in zip(paths[::7], table.masses[::7].tolist()):
+        for fiber, mass in zip(table.fibers, masses):
+            assert mass == pytest.approx(measure.cylinder_measure(path, fiber), rel=1e-12)
 
 
 def test_measure_table_respects_explicit_bound(golden):

@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 import re
 
@@ -9,6 +10,7 @@ from ietskew import verification as V
 from ietskew.algebra import LaurentMatrix, LaurentPolynomial
 from ietskew.bratteli import BratteliDiagram
 from ietskew.cocycles import FloorCocycle, SkewedPathState
+from ietskew.instances import build_instance, load_instance
 
 
 def moved_exponent(mat: LaurentMatrix) -> LaurentMatrix:
@@ -164,3 +166,21 @@ def test_tail_orbit_fails_on_a_chain_with_one_shifted_fiber(golden, monkeypatch)
     monkeypatch.setattr(V, "shift_image", lambda fl, state, depth: state.path.edges[depth:])
     result = V.check_tail_orbit(golden, seed=0)
     assert (result.status, result.detail) == ("fail", "witness failed in tower 1")
+
+
+@pytest.mark.parametrize(
+    "loop, phi, fault",
+    [
+        # phi_1 + 1 gives (2, -2, 0), and phi_1 - 1 gives (0, -2, 0): both generate 2Z
+        ("tttbtbbbbtt", ((1,), (-2,), (0,)), ((1,), (-1,), (0,))),
+        ("btbbttbtt", ((1,), (-2,), (8,)), ((1,), (-1,), (8,))),
+    ],
+)
+def test_fault_injection_skips_changes_that_leave_a_sublattice(tmp_path, loop, phi, fault):
+    path = tmp_path / f"{loop}.json"
+    path.write_text(json.dumps({"d": 3, "top": [1, 2, 3], "bottom": [3, 2, 1], "loop": list(loop)}))
+    built = build_instance(load_instance(str(path)))
+    assert built.phi.values == phi
+    result = V.check_fault_injection(built)
+    assert result.status == "pass", result.detail
+    assert V._phi_fault(built).values == fault
