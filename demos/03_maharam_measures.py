@@ -61,7 +61,7 @@ for k in (1, 2, 3):
 print()
 
 table = build_measure_table(built.diagram, phi, psi, level=2, fiber_bound=1)
-edge_strs = [str(e) for e in built.diagram.edges()]
+edge_strs = built.diagram.labels
 cells = sorted(
     ("".join(edge_strs[i] for i in row), fiber, mass)
     for row, masses in zip(table.path_ids.tolist(), table.masses.tolist())

@@ -256,7 +256,7 @@ def _table_blocks(built: BuiltInstance, psi, table: MeasureTable):
     written.  A path string always holds a comma and never a quote, so its
     CSV cell is the string in quotes.
     """
-    edge_strs = [str(e) for e in built.diagram.edges()]
+    edge_strs = built.diagram.labels
     fiber_strs = [_fiber_str(a) for a in table.fibers]
     fiber_order = np.argsort(fiber_strs)
     fiber_logs = table.fiber_logs[fiber_order]
@@ -318,7 +318,7 @@ def cmd_continuity(built: BuiltInstance, args) -> int:
     profiles = continuity_profile(built.diagram, built.phi, cylinders, grids)
     if args.format == "json":
         payload = [
-            {"step": p.step, "modulus": p.modulus, "points": p.masses.size}
+            {"step": p.step, "modulus": p.modulus, "points": p.masses.shape[0]}
             for p in profiles
         ]
         _emit(json.dumps(payload, indent=2), args.out)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import column_sums, in_row_lattice, invariant_factors, mat_mul, mat_vec, transpose
-from .algebra import vec_add, vec_neg, vec_sub, zero_vector
-from .bratteli import BratteliDiagram, Edge, FinitePath
+from .algebra import vec_add, vec_neg, vec_sub
+from .bratteli import BratteliDiagram, FinitePath
 from .iet import RauzyLoop, compose_loop
 from .skew import SkewCocycle, check_periodic_type
 
@@ -33,10 +33,11 @@ class CertificateInconclusive(RuntimeError):
 
 
 class FloorCocycle:
-    """Precomputed f-values of every edge of a diagram, plus path sums.
+    """The f-value of every edge of a diagram, plus path sums.
 
-    Arrays in edge order: ``f`` holds f(e), shape (E, m), and ``cell`` the
-    flat index source * d + target (0-based) of each edge's matrix cell.
+    Arrays by edge id: ``f`` holds f(e), shape (E, m), minus the sum of phi
+    over the floors of its tower under it; ``cell`` holds the flat index
+    source * d + target (0-based) of each edge's matrix cell.
     """
 
     def __init__(self, diagram: BratteliDiagram, phi: SkewCocycle):
@@ -45,17 +46,10 @@ class FloorCocycle:
         self.diagram = diagram
         self.phi = phi
         self.m = phi.m
-        values: dict[tuple[int, int], tuple[int, ...]] = {}
-        for j in range(1, diagram.d + 1):
-            acc = zero_vector(phi.m)
-            word = diagram.words[j - 1]
-            for l in range(len(word)):
-                values[(j, l)] = acc
-                acc = vec_sub(acc, phi.of_label(word[l]))
-        self.values = values
-        edges = list(diagram.edges())
-        self.f = np.array([values[(e.tower, e.floor)] for e in edges]).reshape(len(edges), phi.m)
-        self.cell = diagram.edge_arrays[0] * diagram.d + diagram.edge_arrays[1]
+        under = np.array(phi.values)[diagram.source]  # phi of the label under each floor
+        below = np.cumsum(under, axis=0) - under  # summed over the edge ids before each one
+        self.f = below[np.array(diagram.first_ids)[diagram.target]] - below
+        self.cell = diagram.source * diagram.d + diagram.target
 
     @classmethod
     def of(cls, diagram: BratteliDiagram, phi: SkewCocycle) -> "FloorCocycle":
@@ -64,45 +58,31 @@ class FloorCocycle:
             diagram.floor_cocycles[phi] = cls(diagram, phi)
         return diagram.floor_cocycles[phi]
 
-    def of_edge(self, e: Edge) -> tuple[int, ...]:
-        return self.values[(e.tower, e.floor)]
-
-    def of_path(self, p: FinitePath) -> tuple[int, ...]:
-        """f has memory one: the value on a path is the value on edge one."""
-        return self.of_edge(p.edges[0])
-
     def path_sum(self, p: FinitePath, k: int | None = None) -> tuple[int, ...]:
-        """Birkhoff sum of f along the first k shifts of the path."""
-        return self.edge_sum(p.edges if k is None else p.edges[:k])
-
-    def edge_sum(self, edges) -> tuple[int, ...]:
-        """Sum of f over a sequence of edges, column by column."""
-        if not edges:
-            return zero_vector(self.m)
-        return tuple(map(sum, zip(*(self.values[(e.tower, e.floor)] for e in edges))))
+        """Birkhoff sum of f along the first k shifts of the path: its first k edges."""
+        return tuple(self.f[list(p.ids[:k])].sum(axis=0).tolist())
 
 
-def tail_cocycle(diagram: BratteliDiagram, p: FinitePath, phi: SkewCocycle) -> tuple[int, ...]:
-    """Telescoped f-discrepancy between p and its adic successor.
+def tail_cocycle(diagram: BratteliDiagram, ids: np.ndarray, phi: SkewCocycle) -> np.ndarray:
+    """Telescoped f-discrepancy between each row of a (rows, k) edge-id
+    array and its adic successor, shape (rows, m).
 
     Only the shifts up to the first non-maximal edge contribute, because f
-    has memory one and the successor agrees with p beyond that edge.
-    Undefined (MaximalPathError) when every edge is maximal.
+    has memory one and the successor agrees with the row beyond that edge.
+    Undefined (MaximalPathError) on a row of maximal edges.
     """
-    succ = diagram.adic_successor(p)  # raises MaximalPathError on the boundary
-    fl = FloorCocycle.of(diagram, phi)
-    n = next(i for i, e in enumerate(p.edges) if not diagram.is_max_edge(e))
-    acc = zero_vector(phi.m)
-    for i in range(n + 1):
-        acc = vec_add(acc, vec_sub(fl.of_edge(p.edges[i]), fl.of_edge(succ.edges[i])))
-    return acc
+    succ = diagram.adic_successors(ids)  # raises MaximalPathError on the boundary
+    f = FloorCocycle.of(diagram, phi).f
+    first_below_top = (~diagram.is_top[ids]).argmax(axis=1)
+    shifts = np.arange(ids.shape[1]) <= first_below_top[:, None]
+    return ((f[ids] - f[succ]) * shifts[:, :, None]).sum(axis=1)
 
 
 @dataclass(frozen=True)
 class SkewedPathState:
-    """A path together with a fiber coordinate in Z^m."""
+    """A path, as its edge ids, together with a fiber coordinate in Z^m."""
 
-    path: FinitePath
+    ids: tuple[int, ...]
     fiber: tuple[int, ...]
 
 
@@ -110,31 +90,18 @@ def skewed_adic_step(
     diagram: BratteliDiagram, state: SkewedPathState, phi: SkewCocycle
 ) -> SkewedPathState:
     """(p, a) -> (successor of p, a + phi at the source of edge one)."""
-    return SkewedPathState(
-        diagram.adic_successor(state.path),
-        vec_add(state.fiber, phi.of_label(state.path.source)),
-    )
-
-
-def skewed_shift_step(
-    diagram: BratteliDiagram, state: SkewedPathState, phi: SkewCocycle
-) -> SkewedPathState:
-    """(p, a) -> (shifted p, a + f(p)): one level of tower-base projection."""
-    fl = FloorCocycle.of(diagram, phi)
-    return SkewedPathState(
-        diagram.left_shift(state.path),
-        vec_add(state.fiber, fl.of_path(state.path)),
-    )
+    succ = diagram.adic_successors(np.array([state.ids]))[0]
+    source = int(diagram.source[state.ids[0]]) + 1
+    return SkewedPathState(tuple(succ.tolist()), vec_add(state.fiber, phi.of_label(source)))
 
 
 def shift_image(
     fl: FloorCocycle, state: SkewedPathState, depth: int
-) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
-    """Remaining edges and fiber after ``depth`` skewed shift steps."""
-    p = state.path
-    if len(p) < depth:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Remaining edge ids and fiber after ``depth`` skewed shift steps."""
+    if len(state.ids) < depth:
         raise ValueError("depth exceeds path length")
-    return p.edges[depth:], vec_add(state.fiber, fl.path_sum(p, depth))
+    return state.ids[depth:], vec_add(state.fiber, fl.f[list(state.ids[:depth])].sum(axis=0).tolist())
 
 
 def tail_orbit_witness(
@@ -153,18 +120,17 @@ def tail_orbit_witness(
     difference, returned only when the fibers differ by phi summed over the
     labels of the floors passed: exactly what n adic steps add.
     """
-    if min(len(s1.path), len(s2.path)) < depth:
-        raise ValueError("depth exceeds path length")
-    if s1.path.edges[depth:] != s2.path.edges[depth:]:
+    if not 1 <= depth <= min(len(s1.ids), len(s2.ids)):
+        raise ValueError("depth must be between 1 and the path length")
+    if s1.ids[depth:] != s2.ids[depth:]:
         return None
-    f1 = diagram.path_to_floor(s1.path.truncate(depth))
-    f2 = diagram.path_to_floor(s2.path.truncate(depth))
-    if f1.tower != f2.tower:
+    (t1, t2), (h1, h2) = diagram.paths_to_floors(np.array([s1.ids[:depth], s2.ids[:depth]]))
+    if t1 != t2:
         return None
-    low, high = sorted((f1.height, f2.height))
-    labels = diagram.floor_sources(depth)[f1.tower - 1][low:high]
+    low, high = sorted((int(h1), int(h2)))
+    labels = diagram.floor_sources(depth)[t1][low:high]
     passed = mat_vec(transpose(phi.values), np.bincount(labels, minlength=diagram.d).tolist())
-    n = f2.height - f1.height
+    n = int(h2) - int(h1)
     return n if vec_sub(s2.fiber, s1.fiber) == (passed if n >= 0 else vec_neg(passed)) else None
 
 
@@ -257,26 +223,24 @@ def amplify_for_common_prefix(
         tower = compose_loop(loop, rep)
         prefix_len = _common_prefix_length(tower.words)
         m_len = prefix_len - 1
-        letters = {tower.words[0][n] for n in range(1, max(m_len, 1))}
+        covered = {tower.words[0][n] for n in range(1, max(m_len, 1))}
         q_min = min(tower.q)
-        covers = letters == set(range(1, d + 1))
+        covers = covered == set(range(1, d + 1))
         tall_enough = q_min > m_len + 1
         last_diag = f"rep={rep} M={m_len} q_min={q_min} covers={covers}"
         if not (covers and tall_enough):
             continue
         diagram = BratteliDiagram(tower)
         fl = FloorCocycle(diagram, phi)
-        fixed_edges = []
-        for n in range(1, m_len + 1):
-            i_n = tower.words[0][n]
-            e = diagram.edge(i_n, n)
-            if e.source != i_n or diagram.is_max_edge(e):
-                raise AssertionError("covering prefix produced a bad self-loop edge")
-            fixed_edges.append(e)
+        letters = tower.words[0][1:m_len + 1]  # i_n for n = 1 .. M
+        fixed = [diagram.first_ids[i - 1] + n for n, i in enumerate(letters, 1)]  # edge (i_n, n)
+        if any(diagram.source[e] != i - 1 or diagram.floor[e] != n or diagram.is_top[e]
+               for n, (e, i) in enumerate(zip(fixed, letters), 1)):
+            raise AssertionError("covering prefix produced a bad self-loop edge")
         generators = []
         for n in range(1, m_len):
-            g = vec_sub(fl.of_edge(fixed_edges[n - 1]), fl.of_edge(fixed_edges[n]))
-            if g != phi.of_label(fixed_edges[n - 1].tower):
+            g = tuple((fl.f[fixed[n - 1]] - fl.f[fixed[n]]).tolist())
+            if g != phi.of_label(letters[n - 1]):
                 raise AssertionError("generator differs from the cocycle value")
             generators.append(g)
         factors = invariant_factors(generators)
@@ -285,7 +249,7 @@ def amplify_for_common_prefix(
             exponent=loop.amplification * rep,
             repetition=rep,
             prefix_length=m_len,
-            prefix_letters=tuple(e.tower for e in fixed_edges[:-1]),
+            prefix_letters=tuple(letters[:-1]),
             generators=tuple(generators),
             factors=factors,
             verdict=verdict,
@@ -320,17 +284,17 @@ def recheck_certificate(
 
 def sample_cycle(
     diagram: BratteliDiagram, rng: random.Random, max_len: int = 12
-) -> tuple[Edge, ...] | None:
-    """One random shift-periodic block: an edge cycle in the source graph."""
+) -> tuple[int, ...] | None:
+    """One random shift-periodic block: the edge ids of a cycle in the source graph."""
     v = rng.randrange(1, diagram.d + 1)
-    edges = []
+    ids = []
     current = v
     for _ in range(max_len):
-        e = rng.choice(diagram.edges_by_source[current])
-        edges.append(e)
-        current = e.tower
+        out = diagram.out[current - 1]
+        ids.append(int(rng.choice(out[out >= 0])))
+        current = int(diagram.target[ids[-1]]) + 1
         if current == v:
-            return tuple(edges)
+            return tuple(ids)
     return None
 
 
@@ -348,8 +312,8 @@ def delta_closure_probe(
     certificate generators.
     """
     rng = random.Random(seed)
-    fl = FloorCocycle.of(diagram, phi)
-    by_length: dict[int, list[tuple[Edge, ...]]] = {}
+    f = FloorCocycle.of(diagram, phi).f
+    by_length: dict[int, list[tuple[int, ...]]] = {}
     checked = 0
     attempts = 0
     while checked < samples and attempts < 200 * samples:
@@ -358,8 +322,9 @@ def delta_closure_probe(
         if cycle is None:
             continue
         bucket = by_length.setdefault(len(cycle), [])
+        cycle_sum = f[list(cycle)].sum(axis=0)
         for other in bucket:
-            if not in_row_lattice(generators, vec_sub(fl.edge_sum(cycle), fl.edge_sum(other))):
+            if not in_row_lattice(generators, (cycle_sum - f[list(other)].sum(axis=0)).tolist()):
                 return False
             checked += 1
             if checked >= samples:

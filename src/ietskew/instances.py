@@ -10,7 +10,7 @@ An instance file is JSON with the combinatorial data and optional extras:
       "loop": ["b", "t", "t", ...],      // "t" = top wins, "b" = bottom wins
       "phi": [[1], [-1], [0], [0]],      // optional, d rows of m ints
       "psi": [[0.25]],                   // optional parameter presets
-      "depth": 3,                        // optional default working level
+      "depth": 3,                        // accepted and ignored
       "seed": 0                          // optional default sample seed
     }
 
@@ -44,7 +44,6 @@ class InstanceSpec:
     loop: tuple[str, ...]
     phi: tuple[tuple[int, ...], ...] | None = None
     psi: tuple[tuple[float, ...], ...] | None = None
-    depth: int = 3
     seed: int = 0
 
 
@@ -82,7 +81,6 @@ def _parse(data: dict, name: str) -> InstanceSpec:
         loop=loop,
         phi=phi,
         psi=psi,
-        depth=int(data.get("depth", 3)),
         seed=int(data.get("seed", 0)),
     )
 

@@ -122,10 +122,8 @@ def level_counting_matrix(diagram: BratteliDiagram, phi: SkewCocycle) -> Laurent
     fl = FloorCocycle.of(diagram, phi)
     d, m = diagram.d, phi.m
     rows = [[LaurentPolynomial.zero(m) for _ in range(d)] for _ in range(d)]
-    for e in diagram.edges():
-        rows[e.source - 1][e.tower - 1] = rows[e.source - 1][e.tower - 1] + (
-            LaurentPolynomial.monomial(fl.of_edge(e))
-        )
+    for s, t, a in zip(diagram.source.tolist(), diagram.target.tolist(), fl.f.tolist()):
+        rows[s][t] = rows[s][t] + LaurentPolynomial.monomial(a)
     return LaurentMatrix(rows)
 
 
@@ -193,10 +191,9 @@ def step_samples(diagram: BratteliDiagram, level: int, samples: int, m: int, see
     """(samples, k) edge ids of ``random_path`` draws, again while maximal, each
     then given a fiber offset in [-2, 2]^m, (samples, m), by random.Random(seed)."""
     rng, rows, fibers = random.Random(seed), [], []
-    top = {first + q - 1 for first, q in zip(diagram.first_ids, diagram.q)}
     while len(rows) < samples:
         ids = diagram.random_path_ids(level, rng)
-        if not top.issuperset(ids):
+        if not diagram.is_maximal(ids):
             rows.append(ids)
             fibers.append([rng.randint(-2, 2) for _ in range(m)])
     return np.array(rows).reshape(samples, level), np.array(fibers).reshape(samples, m)
@@ -214,7 +211,7 @@ def invariance_step_check(
     Returns the worst absolute and relative residuals of each psi.
     """
     diagram, phi = floor.diagram, np.array(floor.phi.values)
-    source, target, _ = diagram.edge_arrays
+    source, target = diagram.source, diagram.target
     worst = []
     for t, seed in enumerate(seeds):
         ids, a = step_samples(diagram, level, samples, floor.m, seed)
@@ -327,7 +324,7 @@ class MeasureTable:
     def path_logs(self, ids: np.ndarray) -> np.ndarray:
         """The per-path log factor of each row of a (rows, level) edge-id array."""
         sums = sum(self.floor.f[ids[:, k]] for k in range(self.level))
-        targets = self.floor.diagram.edge_arrays[1][ids[:, -1]]
+        targets = self.floor.diagram.target[ids[:, -1]]
         return log_masses(np.array([self.psi]), self.pf, sums, targets, [self.level] * len(ids))[0]
 
     @property
@@ -355,7 +352,7 @@ def path_sum_bound(floor: FloorCocycle, level: int) -> int:
     level takes the extremes over each tower's edges.
     """
     diagram = floor.diagram
-    source = diagram.edge_arrays[0]
+    source = diagram.source
     hi = lo = np.zeros((diagram.d, floor.m), dtype=floor.f.dtype)
     for _ in range(level):
         hi = np.maximum.reduceat(hi[source] + floor.f, diagram.first_ids)

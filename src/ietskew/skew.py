@@ -148,16 +148,6 @@ def check_periodic_type(a: IntMatrix, phi: SkewCocycle) -> bool:
     return _transpose_apply(a, phi.values) == phi.values
 
 
-def renormalized_phi(a: IntMatrix, phi: SkewCocycle, n: int) -> SkewCocycle:
-    """(A^T)^n phi; equal to phi for every n in the periodic-type case."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    values = phi.values
-    for _ in range(n):
-        values = _transpose_apply(a, values)
-    return SkewCocycle(values, check_generates=False)
-
-
 def birkhoff_sum_at_return(tower: TowerSystem, phi: SkewCocycle, j: int) -> tuple[int, ...]:
     """Sum of phi over one pass up tower j; equals (A^T phi)_j exactly."""
     if not 1 <= j <= tower.d:

@@ -19,7 +19,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .algebra import laurent_matrix_pow, mat_mul, mat_pow, vec_add, vec_sub, zero_vector
+from .algebra import laurent_matrix_pow, mat_mul, mat_pow, zero_vector
 from .bratteli import BratteliDiagram
 from .cocycles import (
     CertificateInconclusive,
@@ -147,9 +147,6 @@ def check_bratteli_dictionary(built: BuiltInstance, kmax: int = 3, **_) -> Check
     )
     if counts != diagram.matrix:
         return CheckResult("", "fail", detail="edge multiset disagrees with incidence matrix")
-    target = diagram.edge_arrays[1]
-    bottom = np.array(diagram.first_ids)[target]  # per edge id: floor-0 and top edge ids of its tower
-    top = bottom + np.array(diagram.q)[target] - 1
     n_paths = 0
     for level in range(1, kmax + 1):
         heights = np.array(diagram.heights(level))
@@ -166,12 +163,12 @@ def check_bratteli_dictionary(built: BuiltInstance, kmax: int = 3, **_) -> Check
                 return CheckResult("", "fail", detail=f"floor bijection broken at level {level}")
             if (diagram.floors_to_paths(level, towers, floor) != ids).any():
                 return CheckResult("", "fail", detail=f"floor inversion broken at level {level}")
-            maximal = (ids == top[ids]).all(axis=1)
+            maximal = diagram.is_top[ids].all(axis=1)
             above = diagram.paths_to_floors(diagram.adic_successors(ids[~maximal]))
             if (above[0] != towers[~maximal]).any() or (above[1] != floor[~maximal] + 1).any():
                 return CheckResult("", "fail", detail=f"coding identity broken at level {level}")
             n_max += int(maximal.sum())
-            n_min += int((ids == bottom[ids]).all(axis=1).sum())
+            n_min += int((diagram.floor[ids] == 0).all(axis=1).sum())
             n_paths += len(ids)
         if not hits.all():
             return CheckResult("", "fail", detail=f"path count != floor count at level {level}")
@@ -185,41 +182,60 @@ def check_bratteli_dictionary(built: BuiltInstance, kmax: int = 3, **_) -> Check
 # -- criterion 4 ---------------------------------------------------------------
 
 
+TELESCOPE_LEVEL = 9
+
+
+def tail_draws(diagram: BratteliDiagram, rng: random.Random, n_paths: int):
+    """Criterion 4's paths in rng order, as edge-id lists: ``n_paths``
+    non-maximal paths of 2-4 edges (a random length, then length 4 again
+    while maximal); then, of 60 level-9 draws, each non-maximal one with its
+    number of adic steps in 1..20."""
+    paths = []
+    for _ in range(n_paths):
+        ids = diagram.random_path_ids(rng.choice([2, 3, 4]), rng)
+        while diagram.is_maximal(ids):
+            ids = diagram.random_path_ids(4, rng)
+        paths.append(ids)
+    starts = []
+    for _ in range(60):
+        ids = diagram.random_path_ids(TELESCOPE_LEVEL, rng)
+        if not diagram.is_maximal(ids):
+            starts.append((ids, rng.randint(1, 20)))
+    return paths, starts
+
+
 @_timed("tail_cocycle_identity")
 def check_tail_cocycle(built: BuiltInstance, n_paths: int = 1000, seed: int = 0, **_) -> CheckResult:
     diagram, phi = built.diagram, built.phi
-    fl = FloorCocycle.of(diagram, phi)
-    rng = random.Random(seed)
-    for _ in range(n_paths):
-        p = diagram.random_path(rng.choice([2, 3, 4]), rng)
-        while diagram.is_maximal(p):
-            p = diagram.random_path(4, rng)
-        if tail_cocycle(diagram, p, phi) != phi.of_label(p.source):
-            return CheckResult("", "fail", detail=f"tail cocycle != phi at {p}")
+    f = FloorCocycle.of(diagram, phi).f
+    paths, starts = tail_draws(diagram, random.Random(seed), n_paths)
+    wrong = []
+    for k in (2, 3, 4):
+        at = [i for i, ids in enumerate(paths) if len(ids) == k]
+        ids = np.array([paths[i] for i in at], dtype=np.intp).reshape(-1, k)
+        missed = tail_cocycle(diagram, ids, phi) != np.array(phi.values)[diagram.source[ids[:, 0]]]
+        wrong += [at[i] for i in np.flatnonzero(missed.any(axis=1))]
+    if wrong:
+        first = diagram.path_from_ids(paths[min(wrong)])
+        return CheckResult("", "fail", detail=f"tail cocycle != phi at {first}")
     # telescoped form: over n successor steps the tail-cocycle sums match
     # shift sums of f once the shifted paths agree
-    level = 9
-    for _ in range(60):
-        p = diagram.random_path(level, rng)
-        if diagram.is_maximal(p):
-            continue
-        n = rng.randint(1, 20)
-        q = p
-        total = zero_vector(phi.m)
-        ok = True
-        for _ in range(n):
-            if diagram.is_maximal(q):
-                ok = False
-                break
-            total = vec_add(total, tail_cocycle(diagram, q, phi))
-            q = diagram.adic_successor(q)
-        if not ok:
-            continue
-        k = next((k for k in range(level + 1) if p.edges[k:] == q.edges[k:]), None)
-        if k is None:
-            return CheckResult("", "fail", detail="successor iterates never re-joined")
-        if total != vec_sub(fl.path_sum(p, k), fl.path_sum(q, k)):
-            return CheckResult("", "fail", detail=f"telescoped sum identity broken (n={n})")
+    p = np.array([ids for ids, _ in starts], dtype=np.intp).reshape(-1, TELESCOPE_LEVEL)
+    n = np.array([n for _, n in starts], dtype=int)
+    q, total = p.copy(), np.zeros((len(p), phi.m), dtype=f.dtype)
+    whole = np.ones(len(p), dtype=bool)  # rows that took all their n steps
+    for t in range(n.max(initial=0)):
+        step = whole & (t < n)
+        whole &= ~(step & diagram.is_top[q].all(axis=1))  # no step from a maximal iterate
+        step &= whole
+        total[step] += tail_cocycle(diagram, q[step], phi)
+        q[step] = diagram.adic_successors(q[step])
+    differ = p != q  # k is the least with p[k:] == q[k:]
+    k = np.where(differ.any(axis=1), TELESCOPE_LEVEL - differ[:, ::-1].argmax(axis=1), 0)
+    head = (np.arange(TELESCOPE_LEVEL) < k[:, None])[:, :, None]
+    broken = whole & (total != (f[p] * head).sum(axis=1) - (f[q] * head).sum(axis=1)).any(axis=1)
+    if broken.any():
+        return CheckResult("", "fail", detail=f"telescoped sum identity broken (n={n[broken.argmax()]})")
     return CheckResult("", "pass", residual=0.0, detail=f"{n_paths} paths, seed {seed}")
 
 
@@ -234,7 +250,7 @@ def check_tail_orbit(built: BuiltInstance, witness_samples: int = 150, seed: int
     rng = random.Random(seed)
     for j in range(1, diagram.d + 1):
         height = diagram.heights(depth)[j - 1]
-        state = SkewedPathState(diagram.min_path(depth, j), zero_vector(phi.m))
+        state = SkewedPathState(diagram.min_path(depth, j).ids, zero_vector(phi.m))
         img0 = shift_image(fl, state, depth)
         chain = [state]
         for _ in range(height - 1):
@@ -244,7 +260,7 @@ def check_tail_orbit(built: BuiltInstance, witness_samples: int = 150, seed: int
                     "", "fail", detail=f"orbit left its shift class in tower {j}"
                 )
             chain.append(state)
-        if not diagram.is_maximal(chain[-1].path):
+        if not diagram.is_maximal(chain[-1].ids):
             return CheckResult("", "fail", detail=f"tower {j} orbit ended early")
         # the chain exhausts the skew tower: every floor pair is connected by
         # construction; validate the witness search itself on sampled pairs
@@ -295,7 +311,7 @@ def check_level_counting(built: BuiltInstance, kmax: int = 4, **_) -> CheckResul
     if [tuple(round(x) for x in row) for row in at_one] != list(diagram.matrix):
         return CheckResult("", "fail", detail="matrix at t=1 differs from incidence")
     fl = FloorCocycle.of(diagram, phi)
-    source, target = diagram.edge_arrays[:2]
+    source, target = diagram.source, diagram.target
     lo, hi = fl.f.min(axis=0), fl.f.max(axis=0)
     mk, ak = mat, diagram.matrix
     n_paths = 0

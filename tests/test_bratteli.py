@@ -1,10 +1,12 @@
 import random
+import re
+from itertools import product
 
 import numpy as np
 import pytest
 
 from ietskew import bratteli
-from ietskew.bratteli import BratteliDiagram, FinitePath, MaximalPathError
+from ietskew.bratteli import BratteliDiagram, MaximalPathError
 from ietskew.cocycles import FloorCocycle
 from ietskew.iet import TowerSystem, compose_loop
 
@@ -16,11 +18,48 @@ def odometer():
 
 
 def bits_to_path(diagram, bits):
-    return FinitePath(tuple(diagram.edge(1, b) for b in bits))
+    return diagram.path_from_ids(diagram.first_ids[0] + b for b in bits)
 
 
 def path_to_bits(p):
-    return tuple(e.floor for e in p.edges)
+    return tuple(p.diagram.floor[list(p.ids)].tolist())
+
+
+def edge_list(diagram):
+    """(tower, floor, source) of each edge, in edge id order, read off the return words."""
+    return [(j, l, w[l]) for j, w in enumerate(diagram.words, 1) for l in range(len(w))]
+
+
+def test_edge_arrays_are_the_return_words(built):
+    diagram = built.diagram
+    edges = edge_list(diagram)
+    assert diagram.num_edges == len(edges)
+    assert diagram.source.tolist() == [s - 1 for _, _, s in edges]
+    assert diagram.target.tolist() == [j - 1 for j, _, _ in edges]
+    assert diagram.floor.tolist() == [l for _, l, _ in edges]
+    assert diagram.labels == tuple(f"({j},{l})" for j, l, _ in edges)
+    assert diagram.is_top.tolist() == [l == diagram.q[j - 1] - 1 for j, l, _ in edges]
+    assert list(diagram.top_ids) == [e for e, (j, l, _) in enumerate(edges) if l == diagram.q[j - 1] - 1]
+    assert list(diagram.first_ids) == [e for e, (_, l, _) in enumerate(edges) if l == 0]
+    for v in range(1, diagram.d + 1):
+        out = [e for e, (_, _, s) in enumerate(edges) if s == v]
+        assert diagram.out[v - 1, :len(out)].tolist() == out
+        assert (diagram.out[v - 1, len(out):] == -1).all()
+
+
+def test_finite_path_is_an_admissible_id_tuple(built):
+    diagram = built.diagram
+    edges = edge_list(diagram)
+    p = diagram.max_path(3, 1)
+    assert (len(p), p.source, p.target) == (3, edges[p.ids[0]][2], 1)
+    assert str(p) == "".join(f"({j},{l})" for j, l, _ in (edges[e] for e in p.ids))
+    with pytest.raises(ValueError, match="at least one edge"):
+        diagram.path_from_ids(())
+    # edge b does not leave the tower that edge a goes into
+    a, b = next((a, b) for a, b in product(range(len(edges)), repeat=2) if edges[a][0] != edges[b][2])
+    (ja, la, _), (jb, lb, _) = edges[a], edges[b]
+    with pytest.raises(ValueError, match=re.escape(f"inadmissible junction ({ja},{la}) -> ({jb},{lb})")):
+        diagram.path_from_ids((a, b))
 
 
 def test_odometer_addition(odometer):
@@ -46,8 +85,7 @@ def test_identity_diagram_is_self_loops():
     tower = TowerSystem(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1,), (2,), (3,)), (1, 1, 1))
     diagram = BratteliDiagram(tower)
     assert diagram.num_edges == 3
-    for e in diagram.edges():
-        assert e.source == e.tower and e.floor == 0
+    assert (diagram.source == diagram.target).all() and (diagram.floor == 0).all()
 
 
 def test_edge_count_and_degrees(built):
@@ -55,16 +93,16 @@ def test_edge_count_and_degrees(built):
     assert diagram.num_edges == sum(built.tower.q)
     assert diagram.num_edges > 1
     for i in range(1, diagram.d + 1):
-        assert diagram.edges_by_source[i]  # out-degree >= 1
-        assert any(e.tower == i for e in diagram.edges())  # in-degree >= 1
+        assert diagram.out[i - 1, 0] >= 0  # out-degree >= 1
+        assert (diagram.target == i - 1).any()  # in-degree >= 1
 
 
 def test_min_max_path_counts(built):
     diagram = built.diagram
     for level in (1, 2, 3):
         paths = list(diagram.enumerate_paths(level))
-        maximal = [p for p in paths if diagram.is_maximal(p)]
-        minimal = [p for p in paths if all(e.floor == 0 for e in p.edges)]
+        maximal = [p for p in paths if diagram.is_maximal(p.ids)]
+        minimal = [p for p in paths if set(p.ids) <= set(diagram.first_ids)]
         assert len(maximal) == diagram.d
         assert len(minimal) == diagram.d
         assert sorted(str(p) for p in maximal) == sorted(
@@ -76,21 +114,24 @@ def test_min_max_path_counts(built):
 
 
 def test_path_floor_bijection_exhaustive(built):
+    # every path of levels 1-3, block by block; the one-row calls on a stride
     diagram = built.diagram
     for level in (1, 2, 3):
-        heights = diagram.heights(level)
-        seen = set()
-        count = 0
-        for p in diagram.enumerate_paths(level):
+        heights = np.array(diagram.heights(level))
+        ids = np.concatenate(list(diagram.path_blocks(level)))
+        towers, floors = diagram.paths_to_floors(ids)
+        assert (towers == diagram.target[ids[:, -1]]).all()
+        assert ((0 <= floors) & (floors < heights[towers])).all()
+        assert len(set(zip(towers.tolist(), floors.tolist()))) == len(ids)  # no floor twice
+        assert len(ids) == heights.sum()  # every floor hit exactly once
+        assert (diagram.floors_to_paths(level, towers, floors) == ids).all()
+        stride = max(1, len(ids) // 300)
+        strided = zip(ids[::stride].tolist(), towers[::stride].tolist(), floors[::stride].tolist())
+        for row, t, h in strided:
+            p = diagram.path_from_ids(row)
             fc = diagram.path_to_floor(p)
-            assert fc.level == level and fc.tower == p.target
-            assert 0 <= fc.height < heights[fc.tower - 1]
-            key = (fc.tower, fc.height)
-            assert key not in seen
-            seen.add(key)
-            count += 1
+            assert (fc.level, fc.tower, fc.height) == (level, t + 1, h) and fc.tower == p.target
             assert diagram.floor_to_path(level, fc.tower, fc.height) == p
-        assert count == sum(heights)  # every floor hit exactly once
 
 
 def test_floor_formula_basics(built):
@@ -98,7 +139,7 @@ def test_floor_formula_basics(built):
     # length-1 path (j, l) sits at height l
     for j in range(1, diagram.d + 1):
         for l in range(diagram.q[j - 1]):
-            p = FinitePath((diagram.edge(j, l),))
+            p = diagram.path_from_ids((diagram.first_ids[j - 1] + l,))
             assert diagram.path_to_floor(p).height == l
     # all-minimal path of any length sits at the base
     for level in (1, 2, 3):
@@ -118,16 +159,19 @@ def test_floor_to_path_range_check(built):
 
 
 def test_coding_identity_floor_increments(built):
+    # every non-maximal path of levels 1-3; the one-row calls on a stride
     diagram = built.diagram
     for level in (1, 2, 3):
-        for p in diagram.enumerate_paths(level):
-            if diagram.is_maximal(p):
-                continue
-            succ = diagram.adic_successor(p)
-            a = diagram.path_to_floor(p)
-            b = diagram.path_to_floor(succ)
-            assert b.tower == a.tower
-            assert b.height == a.height + 1
+        ids = np.concatenate(list(diagram.path_blocks(level)))
+        ids = ids[~diagram.is_top[ids].all(axis=1)]
+        succ = diagram.adic_successors(ids)
+        (ta, ha), (tb, hb) = diagram.paths_to_floors(ids), diagram.paths_to_floors(succ)
+        assert (tb == ta).all()
+        assert (hb == ha + 1).all()
+        for row in ids[:: max(1, len(ids) // 300)].tolist():
+            p = diagram.path_from_ids(row)
+            a, b = diagram.path_to_floor(p), diagram.path_to_floor(diagram.adic_successor(p))
+            assert (b.tower, b.height) == (a.tower, a.height + 1)
 
 
 def test_successor_minimality_same_tail(built):
@@ -138,48 +182,47 @@ def test_successor_minimality_same_tail(built):
     for level in (1, 2):
         by_tail = {}
         for p in diagram.enumerate_paths(level):
-            by_tail.setdefault(p.edges[-1], []).append(p)
+            by_tail.setdefault(p.ids[-1], []).append(p)
         for paths in by_tail.values():
-            paths.sort(key=lambda p: tuple(e.floor for e in reversed(p.edges)))
+            paths.sort(key=lambda p: diagram.floor[list(reversed(p.ids))].tolist())
             for a, b in zip(paths, paths[1:]):
                 assert diagram.adic_successor(a) == b
 
 
 def test_shifts(built):
+    # dropping the first edge, and putting the floor-0 edge of the source
+    # tower in front, keep a path admissible and undo each other
     diagram = built.diagram
     rng = random.Random(4)
     for _ in range(50):
         p = diagram.random_path(3, rng)
-        shifted = diagram.left_shift(p)
-        assert shifted.edges == p.edges[1:]
-        back = diagram.right_shift(shifted)
-        assert diagram.left_shift(back) == shifted
-        assert back.edges[0].floor == 0
-        assert back.edges[0].tower == shifted.source
+        shifted = diagram.path_from_ids(p.ids[1:])
+        back = diagram.path_from_ids((diagram.first_ids[shifted.source - 1],) + shifted.ids)
+        assert diagram.path_from_ids(back.ids[1:]) == shifted
+        assert diagram.floor[back.ids[0]] == 0
+        assert diagram.target[back.ids[0]] + 1 == shifted.source
     with pytest.raises(ValueError):
-        diagram.left_shift(FinitePath((diagram.edge(1, 0),)))
+        diagram.path_from_ids(diagram.min_path(1, 1).ids[1:])
 
 
 def test_right_shift_floor_semantics(built):
     # prepending the minimal edge keeps the floor at the same base one level
-    # deeper: height of iota(p) equals height of p measured one level up
+    # deeper: the height of iota(p) is the climb of p's edges over the
+    # towers one level up
     diagram = built.diagram
+    edges = [(j, l) for j, l, _ in edge_list(diagram)]
     for p in diagram.enumerate_paths(2):
-        ip = diagram.right_shift(p)
+        ip = diagram.path_from_ids((diagram.first_ids[p.source - 1],) + p.ids)
         fc = diagram.path_to_floor(ip)
         assert fc.level == 3
-        # minimal first edge contributes nothing below level 1
-        inner = diagram.path_to_floor(p)
-        # heights measured against level-1 blocks: climbing contributions of
-        # p's edges shift up one level
+        assert fc.tower == diagram.path_to_floor(p).tower
         expected = 0
         for m in range(len(p), 0, -1):
-            e = p.edges[m - 1]
+            j, l = edges[p.ids[m - 1]]
             sub = diagram.heights(m)
-            word = diagram.words[e.tower - 1]
-            expected += sum(sub[word[u] - 1] for u in range(e.floor))
+            word = diagram.words[j - 1]
+            expected += sum(sub[word[u] - 1] for u in range(l))
         assert fc.height == expected
-        assert inner.tower == fc.tower
 
 
 def test_path_rendering(built):
@@ -188,22 +231,14 @@ def test_path_rendering(built):
     assert s.count("(") == 2 and s.endswith("(1,0)")
 
 
-def test_dump_edges_schema(built):
-    dump = built.diagram.dump_edges()
-    assert len(dump) == built.diagram.num_edges
-    for row in dump:
-        assert set(row) == {"j", "l", "s", "t"}
-        assert row["t"] == row["j"]
-        assert built.diagram.words[row["j"] - 1][row["l"]] == row["s"]
-
-
 def extend_edge_by_edge(diagram, level):
-    """Every level-k path: the edges in order, each path extended by the
-    edges out of its target in order."""
-    paths = [(e,) for e in sorted(diagram.edges())]
+    """Every level-k path as (tower, floor, source) tuples: the edges in
+    order, each path extended by the edges out of its target in order."""
+    edges = edge_list(diagram)
+    paths = [(e,) for e in sorted(edges)]
     for _ in range(level - 1):
-        paths = [p + (e,) for p in paths for e in diagram.edges_by_source[p[-1].tower]]
-    return [FinitePath(p) for p in paths]
+        paths = [p + (e,) for p in paths for e in edges if e[2] == p[-1][0]]
+    return paths
 
 
 def test_path_blocks_split_into_enumeration_order(built, monkeypatch):
@@ -212,17 +247,19 @@ def test_path_blocks_split_into_enumeration_order(built, monkeypatch):
     monkeypatch.setattr(bratteli, "PATH_BLOCK", 7)
     diagram = built.diagram
     fl = FloorCocycle.of(diagram, built.phi)
-    edge_id = {e: i for i, e in enumerate(diagram.edges())}
+    edge_id = {e: i for i, e in enumerate(edge_list(diagram))}
     for level in (1, 2, 3):
         blocks = list(diagram.path_blocks(level))
         assert all(1 <= len(b) <= 7 and b.shape[1] == level for b in blocks)
         ids = np.concatenate(blocks)
         paths = extend_edge_by_edge(diagram, level)
-        assert list(diagram.enumerate_paths(level)) == paths
+        enumerated = list(diagram.enumerate_paths(level))
+        assert [p.ids for p in enumerated] == [tuple(edge_id[e] for e in p) for p in paths]
+        assert [str(p) for p in enumerated] == ["".join(f"({j},{l})" for j, l, _ in p) for p in paths]
         assert len(ids) == len(paths) == sum(diagram.heights(level))
-        assert ids.tolist() == [[edge_id[e] for e in p.edges] for p in paths]
+        assert ids.tolist() == [[edge_id[e] for e in p] for p in paths]
         sums = fl.f[ids].sum(axis=1).tolist()
-        assert [tuple(s) for s in sums] == [fl.path_sum(p) for p in paths]
+        assert [tuple(s) for s in sums] == [fl.path_sum(p) for p in enumerated]
 
 
 def test_path_blocks_by_rank_come_in_rank_order(built, monkeypatch):
@@ -242,52 +279,90 @@ def test_path_blocks_reject_level_zero(odometer):
         next(odometer.path_blocks(0))
 
 
+def successor_edge_by_edge(diagram, path):
+    """Adic successor of a path of (tower, floor) pairs: the first
+    non-maximal edge moves one floor up, and each edge below it becomes the
+    floor-0 edge of the tower under the edge above it."""
+    for n, (j, l) in enumerate(path):
+        if l < diagram.q[j - 1] - 1:
+            break
+    else:
+        raise MaximalPathError(path)
+    succ = list(path)
+    succ[n] = (j, l + 1)
+    for r in range(n - 1, -1, -1):
+        j, l = succ[r + 1]
+        succ[r] = (diagram.words[j - 1][l], 0)
+    return succ
+
+
+def random_path_edge_by_edge(diagram, level, rng):
+    """Uniform-floor random path of (tower, floor) pairs, drawn target-first."""
+    j = rng.randrange(1, diagram.d + 1)
+    path = [(j, rng.randrange(diagram.q[j - 1]))]
+    for _ in range(level - 1):
+        j, l = path[-1]
+        s = diagram.words[j - 1][l]
+        path.append((s, rng.randrange(diagram.q[s - 1])))
+    return path[::-1]
+
+
 def test_adic_successors_match_adic_successor_row_by_row(built):
     diagram = built.diagram
-    edges = tuple(diagram.edges())
+    edges = [(j, l) for j, l, _ in edge_list(diagram)]
     ids = np.concatenate(list(diagram.path_blocks(3)))  # every level-3 path
     rng = random.Random(8)
     sampled = np.array([diagram.random_path_ids(5, rng) for _ in range(2000)])
     for rows in (ids, sampled):
-        paths = [FinitePath(tuple(edges[i] for i in row)) for row in rows.tolist()]
-        keep = [not diagram.is_maximal(p) for p in paths]
+        paths = [[edges[i] for i in row] for row in rows.tolist()]
+        keep = [any(l < diagram.q[j - 1] - 1 for j, l in p) for p in paths]
         assert sum(keep) >= len(rows) - diagram.d
         succ = diagram.adic_successors(rows[keep])
-        expected = [diagram.adic_successor(p) for p, k in zip(paths, keep) if k]
-        assert [tuple(edges[i] for i in row) for row in succ.tolist()] == [p.edges for p in expected]
+        expected = [successor_edge_by_edge(diagram, p) for p, k in zip(paths, keep) if k]
+        assert [[edges[i] for i in row] for row in succ.tolist()] == expected
+        stride = max(1, len(expected) // 300)
+        for row, want in zip(rows[keep][::stride].tolist(), expected[::stride]):
+            assert [edges[i] for i in diagram.adic_successor(diagram.path_from_ids(row)).ids] == want
+    with pytest.raises(MaximalPathError):
+        successor_edge_by_edge(diagram, [edges[e] for e in diagram.max_path(3, 1).ids])
 
 
 def test_adic_successors_refuse_a_maximal_row(built):
     diagram = built.diagram
     top = diagram.max_path(4, 1)
-    ids = {e: i for i, e in enumerate(diagram.edges())}
     with pytest.raises(MaximalPathError):
-        diagram.adic_successors(np.array([[ids[e] for e in top.edges]]))
+        diagram.adic_successors(np.array([top.ids]))
+    with pytest.raises(MaximalPathError):
+        diagram.adic_successor(top)
 
 
 def test_random_path_ids_are_random_path(built):
     diagram = built.diagram
-    ids = {e: i for i, e in enumerate(diagram.edges())}
-    a, b = random.Random(17), random.Random(17)
+    edges = [(j, l) for j, l, _ in edge_list(diagram)]
+    a, b, c = random.Random(17), random.Random(17), random.Random(17)
     for level in (1, 2, 6):
         for _ in range(100):
-            assert diagram.random_path_ids(level, a) == [ids[e] for e in diagram.random_path(level, b).edges]
+            want = random_path_edge_by_edge(diagram, level, b)
+            assert [edges[i] for i in diagram.random_path_ids(level, a)] == want
+            assert [edges[i] for i in diagram.random_path(level, c).ids] == want
 
 
-def climb_to_floor(diagram, p):
-    """Height of a path's floor by the per-edge climb over whole words."""
+def climb_to_floor(diagram, path):
+    """Height of the floor of a path of (tower, floor) pairs by the per-edge
+    climb over whole words."""
     height = 0
-    for m in range(len(p), 0, -1):
-        e = p.edges[m - 1]
+    for m in range(len(path), 0, -1):
+        j, l = path[m - 1]
         sub = diagram.heights(m - 1)
-        word = diagram.words[e.tower - 1]
-        height += sum(sub[word[u] - 1] for u in range(e.floor))
+        word = diagram.words[j - 1]
+        height += sum(sub[word[u] - 1] for u in range(l))
     return height
 
 
 def descend_to_path(diagram, level, tower, height):
-    """Path of a floor by the greedy descent, one letter at a time."""
-    edges = []
+    """Path of a floor, as (tower, floor) pairs, by the greedy descent, one
+    letter at a time."""
+    path = []
     h, j = height, tower
     for m in range(level, 0, -1):
         sub = diagram.heights(m - 1)
@@ -296,24 +371,25 @@ def descend_to_path(diagram, level, tower, height):
         while l < len(word) and h >= sub[word[l] - 1]:
             h -= sub[word[l] - 1]
             l += 1
-        edges.append(diagram.edge(j, l))
+        path.append((j, l))
         j = word[l]
     assert h == 0
-    return FinitePath(tuple(reversed(edges)))
+    return path[::-1]
 
 
 def test_array_dictionary_matches_the_climb_and_the_descent(built):
     # every path at levels 1-3; a stride of about 1,500 paths at level 4
     diagram = built.diagram
+    edges = [(j, l) for j, l, _ in edge_list(diagram)]
     for level in (1, 2, 3, 4):
         ids = np.concatenate(list(diagram.path_blocks(level)))
         ids = ids[:: max(1, len(ids) // 1500)]
         towers, heights = diagram.paths_to_floors(ids)
-        paths = [diagram.path_from_ids(row) for row in ids.tolist()]
-        assert towers.tolist() == [p.target - 1 for p in paths]
+        paths = [[edges[i] for i in row] for row in ids.tolist()]
+        assert towers.tolist() == [p[-1][0] - 1 for p in paths]
         assert heights.tolist() == [climb_to_floor(diagram, p) for p in paths]
         back = diagram.floors_to_paths(level, towers, heights)
-        assert [diagram.path_from_ids(row) for row in back.tolist()] == [
+        assert [[edges[i] for i in row] for row in back.tolist()] == [
             descend_to_path(diagram, level, t + 1, h)
             for t, h in zip(towers.tolist(), heights.tolist())
         ]
@@ -323,6 +399,7 @@ def test_array_dictionary_matches_the_climb_and_the_descent(built):
 def test_dictionary_past_int64(built):
     # the first level whose floors outgrow int64 keeps its heights exact
     diagram = built.diagram
+    edges = [(j, l) for j, l, _ in edge_list(diagram)]
     level = next(k for k in range(1, 40) if sum(diagram.heights(k)) >= 2 ** 63)
     assert diagram.offsets(level - 1).dtype == object
     rng = random.Random(5)
@@ -330,7 +407,7 @@ def test_dictionary_past_int64(built):
     paths += [diagram.max_path(level, j) for j in range(1, diagram.d + 1)]
     for p in paths:
         fc = diagram.path_to_floor(p)
-        assert fc.height == climb_to_floor(diagram, p)
+        assert fc.height == climb_to_floor(diagram, [edges[i] for i in p.ids])
         assert diagram.floor_to_path(level, fc.tower, fc.height) == p
     tops = [diagram.path_to_floor(diagram.max_path(level, j)).height for j in range(1, diagram.d + 1)]
     assert tops == [h - 1 for h in diagram.heights(level)]

@@ -257,6 +257,15 @@ def test_continuity_default_refinements(tmp_path):
     assert steps == [0.25, 0.5, 1.0]
 
 
+@pytest.mark.parametrize("name, m", [("golden_triple", 1), ("genus2_rank2", 2)])
+def test_continuity_json_counts_grid_points(name, m, capsys):
+    # the default grids have 3, 5 and 9 points per axis; 2d cylinders each
+    assert run_cli("continuity", "--instance", name, "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [p["step"] for p in payload] == [1.0, 0.5, 0.25]
+    assert [p["points"] for p in payload] == [n ** m for n in (3, 5, 9)]
+
+
 def test_verify_pass_and_report(tmp_path, capsys):
     out = tmp_path / "verify.json"
     assert run_cli("verify", "--instance", "golden_triple", "--out", str(out)) == 0

@@ -17,7 +17,6 @@ from ietskew.cocycles import (
     sample_cycle,
     shift_image,
     skewed_adic_step,
-    skewed_shift_step,
     tail_cocycle,
     tail_orbit_witness,
 )
@@ -28,8 +27,18 @@ from ietskew.skew import SkewCocycle
 def random_nonmax_path(diagram, level, rng):
     while True:
         p = diagram.random_path(level, rng)
-        if not diagram.is_maximal(p):
+        if not diagram.is_maximal(p.ids):
             return p
+
+
+def f_of(fl, e):
+    """f of one edge id, as a tuple."""
+    return tuple(fl.f[e].tolist())
+
+
+def tail_of(diagram, p, phi):
+    """The tail cocycle of one path: ``tail_cocycle`` of one row."""
+    return tuple(tail_cocycle(diagram, np.array([p.ids]), phi)[0].tolist())
 
 
 # -- the floor cocycle f ------------------------------------------------------
@@ -39,10 +48,10 @@ def test_floor_cocycle_values(built):
     diagram, phi = built.diagram, built.phi
     fl = FloorCocycle(diagram, phi)
     for j in range(1, diagram.d + 1):
-        word = diagram.words[j - 1]
-        assert fl.of_edge(diagram.edge(j, 0)) == zero_vector(phi.m)
+        word, first = diagram.words[j - 1], diagram.first_ids[j - 1]
+        assert f_of(fl, first) == zero_vector(phi.m)
         if diagram.q[j - 1] > 1:
-            assert fl.of_edge(diagram.edge(j, 1)) == vec_sub(
+            assert f_of(fl, first + 1) == vec_sub(
                 zero_vector(phi.m), phi.of_label(word[0])
             )
         if diagram.q[j - 1] > 2:
@@ -50,20 +59,24 @@ def test_floor_cocycle_values(built):
                 vec_sub(zero_vector(phi.m), phi.of_label(word[0])),
                 phi.of_label(word[1]),
             )
-            assert fl.of_edge(diagram.edge(j, 2)) == expected
+            assert f_of(fl, first + 2) == expected
 
 
 def test_floor_cocycle_kept_per_phi_with_matching_arrays(built):
+    # each edge (j, l), in id order, against minus phi summed up word j
     diagram, phi = built.diagram, built.phi
     fl = FloorCocycle.of(diagram, phi)
     assert FloorCocycle.of(diagram, SkewCocycle(phi.values)) is fl
     negated = SkewCocycle([[-x for x in v] for v in phi.values])
     assert FloorCocycle.of(diagram, negated) is not fl
-    edges = list(diagram.edges())
+    edges = [(j, l) for j, w in enumerate(diagram.words, 1) for l in range(len(w))]
     assert fl.f.shape == (len(edges), phi.m)
-    for e, f, cell in zip(edges, fl.f.tolist(), fl.cell):
-        assert tuple(f) == fl.of_edge(e)
-        assert divmod(cell, diagram.d) == (e.source - 1, e.tower - 1)
+    for (j, l), f, cell in zip(edges, fl.f.tolist(), fl.cell):
+        below = zero_vector(phi.m)
+        for letter in diagram.words[j - 1][:l]:
+            below = vec_sub(below, phi.of_label(letter))
+        assert tuple(f) == below
+        assert divmod(cell, diagram.d) == (diagram.words[j - 1][l] - 1, j - 1)
 
 
 # -- tail cocycle and its recurrences ----------------------------------------
@@ -72,9 +85,13 @@ def test_floor_cocycle_kept_per_phi_with_matching_arrays(built):
 def test_tail_cocycle_equals_phi(built):
     diagram, phi = built.diagram, built.phi
     rng = random.Random(31)
+    by_level = {}
     for _ in range(1000):
         p = random_nonmax_path(diagram, rng.choice([2, 3, 4]), rng)
-        assert tail_cocycle(diagram, p, phi) == phi.of_label(p.source)
+        by_level.setdefault(len(p), []).append(p)
+    for paths in by_level.values():
+        tails = tail_cocycle(diagram, np.array([p.ids for p in paths]), phi)
+        assert [tuple(t) for t in tails.tolist()] == [phi.of_label(p.source) for p in paths]
 
 
 def test_tail_cocycle_non_top_floor_form(built):
@@ -85,11 +102,11 @@ def test_tail_cocycle_non_top_floor_form(built):
     hits = 0
     while hits < 200:
         p = diagram.random_path(3, rng)
-        if diagram.is_max_edge(p.edges[0]):
+        if diagram.is_maximal(p.ids[:1]):
             continue
         hits += 1
         succ = diagram.adic_successor(p)
-        assert tail_cocycle(diagram, p, phi) == vec_sub(fl.of_path(p), fl.of_path(succ))
+        assert tail_of(diagram, p, phi) == vec_sub(f_of(fl, p.ids[0]), f_of(fl, succ.ids[0]))
 
 
 def test_top_floor_recurrence(built):
@@ -97,15 +114,14 @@ def test_top_floor_recurrence(built):
     diagram, phi = built.diagram, built.phi
     fl = FloorCocycle(diagram, phi)
     for j in range(1, diagram.d + 1):
-        top = diagram.edge(j, diagram.q[j - 1] - 1)
-        for e2 in diagram.edges_by_source[j]:
-            p = None
-            from ietskew.bratteli import FinitePath
-
-            p = FinitePath((top, e2))
+        top = diagram.top_ids[j - 1]
+        for e2 in diagram.out[j - 1]:
+            if e2 < 0:
+                continue
+            p = diagram.path_from_ids((top, int(e2)))
             lhs = vec_add(
-                vec_sub(fl.of_path(p), phi.of_label(p.source)),
-                phi.of_label(diagram.left_shift(p).source),
+                vec_sub(f_of(fl, top), phi.of_label(p.source)),
+                phi.of_label(diagram.path_from_ids(p.ids[1:]).source),
             )
             assert lhs == zero_vector(phi.m)
 
@@ -119,16 +135,16 @@ def test_f_recurrence_under_successor(built):
     for _ in range(400):
         p = random_nonmax_path(diagram, 3, rng)
         succ = diagram.adic_successor(p)
-        if diagram.is_max_edge(p.edges[0]):
-            assert fl.of_path(succ) == zero_vector(phi.m)
+        if diagram.is_maximal(p.ids[:1]):
+            assert f_of(fl, succ.ids[0]) == zero_vector(phi.m)
         else:
-            assert fl.of_path(succ) == vec_sub(fl.of_path(p), phi.of_label(p.source))
+            assert f_of(fl, succ.ids[0]) == vec_sub(f_of(fl, p.ids[0]), phi.of_label(p.source))
 
 
 def test_tail_cocycle_undefined_on_maximal(built):
     p = built.diagram.max_path(3, 1)
     with pytest.raises(MaximalPathError):
-        tail_cocycle(built.diagram, p, built.phi)
+        tail_of(built.diagram, p, built.phi)
 
 
 def test_birkhoff_telescoping_identity(built):
@@ -145,10 +161,10 @@ def test_birkhoff_telescoping_identity(built):
         q = p
         ok = True
         for _ in range(n):
-            if diagram.is_maximal(q):
+            if diagram.is_maximal(q.ids):
                 ok = False
                 break
-            sum_tail = vec_add(sum_tail, tail_cocycle(diagram, q, phi))
+            sum_tail = vec_add(sum_tail, tail_of(diagram, q, phi))
             q = diagram.adic_successor(q)
         if not ok:
             continue
@@ -156,7 +172,7 @@ def test_birkhoff_telescoping_identity(built):
             (
                 k
                 for k in range(level + 1)
-                if p.edges[k:] == q.edges[k:]
+                if p.ids[k:] == q.ids[k:]
             ),
             None,
         )
@@ -174,28 +190,32 @@ def test_skewed_adic_step_and_inverse(built):
     rng = random.Random(35)
     for _ in range(200):
         p = random_nonmax_path(diagram, 3, rng)
-        state = SkewedPathState(p, zero_vector(phi.m))
+        state = SkewedPathState(p.ids, zero_vector(phi.m))
         stepped = skewed_adic_step(diagram, state, phi)
         assert stepped.fiber == phi.of_label(p.source)
         # the inverse: one floor down in the dictionary, minus phi under it
-        floor = diagram.path_to_floor(stepped.path)
+        floor = diagram.path_to_floor(diagram.path_from_ids(stepped.ids))
         prev = diagram.floor_to_path(3, floor.tower, floor.height - 1)
-        assert SkewedPathState(prev, vec_sub(stepped.fiber, phi.of_label(prev.source))) == state
+        assert SkewedPathState(prev.ids, vec_sub(stepped.fiber, phi.of_label(prev.source))) == state
 
 
 def test_skewed_shift_step(built):
+    # one skewed shift step is the shift image at depth 1: (p, a) -> (p
+    # without its first edge, a + f(p))
     diagram, phi = built.diagram, built.phi
     fl = FloorCocycle(diagram, phi)
     rng = random.Random(36)
     for _ in range(100):
         p = diagram.random_path(3, rng)
-        state = SkewedPathState(p, (7,) * phi.m)
-        shifted = skewed_shift_step(diagram, state, phi)
-        assert shifted.path == diagram.left_shift(p)
-        assert shifted.fiber == vec_add((7,) * phi.m, fl.of_path(p))
+        state = SkewedPathState(p.ids, (7,) * phi.m)
+        ids, fiber = shift_image(fl, state, 1)
+        assert ids == diagram.path_from_ids(p.ids[1:]).ids
+        assert fiber == vec_add((7,) * phi.m, f_of(fl, p.ids[0]))
         # bottom floors leave the fiber unchanged
-        if p.edges[0].floor == 0:
-            assert shifted.fiber == state.fiber
+        if p.ids[0] in diagram.first_ids:
+            assert fiber == state.fiber
+    with pytest.raises(ValueError):
+        shift_image(fl, state, 4)
 
 
 def test_skewed_iteration_accumulates_birkhoff_sums(built):
@@ -203,10 +223,11 @@ def test_skewed_iteration_accumulates_birkhoff_sums(built):
     fl = FloorCocycle(diagram, phi)
     rng = random.Random(37)
     p = diagram.random_path(4, rng)
-    state = SkewedPathState(p, zero_vector(phi.m))
+    state = SkewedPathState(p.ids, zero_vector(phi.m))
     for k in range(1, 4):
-        state = skewed_shift_step(diagram, state, phi)
-        assert state.fiber == fl.path_sum(p, k)
+        assert shift_image(fl, state, k) == (p.ids[k:], fl.path_sum(p, k))
+        state_k = SkewedPathState(*shift_image(fl, state, k))
+        assert shift_image(fl, state_k, 1) == shift_image(fl, state, k + 1)
 
 
 def test_path_sum_of_no_shifts_is_zero(built):
@@ -218,12 +239,19 @@ def test_path_sum_of_no_shifts_is_zero(built):
 
 
 def test_path_sum_matches_path_block_sums(built):
+    # every level-3 path, edge by edge; one-row path_sum on a stride of them
     diagram = built.diagram
     fl = FloorCocycle.of(diagram, built.phi)
     ids = np.concatenate(list(diagram.path_blocks(3)))
+    stride = max(1, len(ids) // 500)
     for k in range(4):
-        sums = fl.f[ids[:, :k]].sum(axis=1).tolist()
-        assert [tuple(s) for s in sums] == [fl.path_sum(p, k) for p in diagram.enumerate_paths(3)]
+        sums = fl.f[ids[:, :k]].sum(axis=1)
+        by_edge = np.zeros_like(sums)
+        for c in range(k):
+            by_edge += fl.f[ids[:, c]]
+        assert (sums == by_edge).all()
+        strided = [fl.path_sum(diagram.path_from_ids(row), k) for row in ids[::stride].tolist()]
+        assert [tuple(s) for s in sums[::stride].tolist()] == strided
 
 
 # -- tail equivalence vs orbit equivalence -----------------------------------
@@ -234,7 +262,7 @@ def test_witness_trivial_and_single_step(built):
     rng = random.Random(38)
     for _ in range(50):
         p = random_nonmax_path(diagram, 3, rng)
-        s1 = SkewedPathState(p, zero_vector(phi.m))
+        s1 = SkewedPathState(p.ids, zero_vector(phi.m))
         assert tail_orbit_witness(diagram, s1, s1, phi, 3) == 0
         s2 = skewed_adic_step(diagram, s1, phi)
         assert tail_orbit_witness(diagram, s1, s2, phi, 3) == 1
@@ -249,7 +277,7 @@ def test_witness_exhaustive_level2(built):
     depth = 2
     for j in range(1, diagram.d + 1):
         base = diagram.min_path(depth, j)
-        state = SkewedPathState(base, zero_vector(phi.m))
+        state = SkewedPathState(base.ids, zero_vector(phi.m))
         img0 = shift_image(fl, state, depth)
         height = diagram.heights(depth)[j - 1]
         chain = [state]
@@ -257,7 +285,7 @@ def test_witness_exhaustive_level2(built):
             state = skewed_adic_step(diagram, state, phi)
             assert shift_image(fl, state, depth) == img0
             chain.append(state)
-        assert diagram.is_maximal(chain[-1].path)
+        assert diagram.is_maximal(chain[-1].ids)
         # spot-validate the witness search against the enumerated chain
         rng = random.Random(39 + j)
         pairs = (
@@ -275,8 +303,8 @@ def test_witness_exhaustive_level2(built):
 def test_witness_rejects_different_tails(built):
     diagram, phi = built.diagram, built.phi
     base1 = diagram.min_path(2, 1)
-    s1 = SkewedPathState(base1, zero_vector(phi.m))
-    shifted_fiber = SkewedPathState(base1, tuple(5 for _ in range(phi.m)))
+    s1 = SkewedPathState(base1.ids, zero_vector(phi.m))
+    shifted_fiber = SkewedPathState(base1.ids, tuple(5 for _ in range(phi.m)))
     assert tail_orbit_witness(diagram, s1, shifted_fiber, phi, 2) is None
 
 
@@ -285,8 +313,8 @@ def test_witness_none_for_empty_tails_in_different_towers(built):
     # images, at the same height: only the tower tells them apart
     diagram, phi = built.diagram, built.phi
     fl = FloorCocycle.of(diagram, phi)
-    s1 = SkewedPathState(diagram.min_path(2, 1), zero_vector(phi.m))
-    s2 = SkewedPathState(diagram.min_path(2, 2), zero_vector(phi.m))
+    s1 = SkewedPathState(diagram.min_path(2, 1).ids, zero_vector(phi.m))
+    s2 = SkewedPathState(diagram.min_path(2, 2).ids, zero_vector(phi.m))
     assert shift_image(fl, s1, 2)[1] == shift_image(fl, s2, 2)[1]
     assert tail_orbit_witness(diagram, s1, s2, phi, 2) is None
     assert tail_orbit_witness(diagram, s2, s1, phi, 2) is None
@@ -296,9 +324,9 @@ def test_witness_none_when_the_fiber_identity_fails(built):
     diagram, phi = built.diagram, built.phi
     rng = random.Random(40)
     for _ in range(50):
-        s1 = SkewedPathState(random_nonmax_path(diagram, 3, rng), zero_vector(phi.m))
+        s1 = SkewedPathState(random_nonmax_path(diagram, 3, rng).ids, zero_vector(phi.m))
         s2 = skewed_adic_step(diagram, s1, phi)
-        off = SkewedPathState(s2.path, vec_add(s2.fiber, (0,) * (phi.m - 1) + (1,)))
+        off = SkewedPathState(s2.ids, vec_add(s2.fiber, (0,) * (phi.m - 1) + (1,)))
         assert tail_orbit_witness(diagram, s1, off, phi, 3) is None
         assert tail_orbit_witness(diagram, off, s1, phi, 3) is None
 
@@ -309,20 +337,22 @@ def test_witness_below_a_shared_tail(built):
     diagram, phi = built.diagram, built.phi
     rng = random.Random(41)
     for _ in range(30):
-        s1 = SkewedPathState(diagram.random_path(5, rng), (3,) * phi.m)
+        s1 = SkewedPathState(diagram.random_path(5, rng).ids, (3,) * phi.m)
         s2, n = s1, 0
         for _ in range(rng.randint(1, 8)):
-            if diagram.is_maximal(s2.path.truncate(2)):
+            if diagram.is_maximal(s2.ids[:2]):
                 break
             s2, n = skewed_adic_step(diagram, s2, phi), n + 1
-        assert s2.path.edges[2:] == s1.path.edges[2:]
+        assert s2.ids[2:] == s1.ids[2:]
         assert tail_orbit_witness(diagram, s1, s2, phi, 2) == n
         assert tail_orbit_witness(diagram, s2, s1, phi, 2) == -n
         other_tail = diagram.random_path(5, rng)
-        if other_tail.edges[2:] != s1.path.edges[2:]:
-            assert tail_orbit_witness(diagram, s1, SkewedPathState(other_tail, s1.fiber), phi, 2) is None
-    with pytest.raises(ValueError):
-        tail_orbit_witness(diagram, s1, s1, phi, 6)
+        if other_tail.ids[2:] != s1.ids[2:]:
+            s3 = SkewedPathState(other_tail.ids, s1.fiber)
+            assert tail_orbit_witness(diagram, s1, s3, phi, 2) is None
+    for depth in (0, 6):
+        with pytest.raises(ValueError):
+            tail_orbit_witness(diagram, s1, s1, phi, depth)
 
 
 # -- aperiodicity certificate -------------------------------------------------
@@ -384,14 +414,14 @@ def test_cycle_concatenation_additivity(built):
         while len(out) < want and attempts < 20000:
             attempts += 1
             c = sample_cycle(diagram, rng)
-            if c is not None and len(c) == n and c[0].source == v:
+            if c is not None and len(c) == n and diagram.source[c[0]] + 1 == v:
                 out.append(c)
         return out
 
     def f_sum(cycle):
         acc = zero_vector(phi.m)
         for e in cycle:
-            acc = vec_add(acc, fl.of_edge(e))
+            acc = vec_add(acc, f_of(fl, e))
         return acc
 
     v = 1
@@ -404,3 +434,26 @@ def test_cycle_concatenation_additivity(built):
     concat_1 = pair_a[0] + pair_b[0]
     concat_2 = pair_a[1] + pair_b[1]
     assert vec_sub(f_sum(concat_1), f_sum(concat_2)) == vec_add(delta_a, delta_b)
+
+
+def test_sample_cycle_draws_out_edges_in_id_order(built):
+    # the reference draws by rng.choice from each vertex's out-edges, listed
+    # in edge id order from the return words
+    diagram = built.diagram
+    edges = [(j, w[l]) for j, w in enumerate(diagram.words, 1) for l in range(len(w))]
+    out = {v: [e for e, (_, s) in enumerate(edges) if s == v] for v in range(1, diagram.d + 1)}
+
+    def reference(rng, max_len=12):
+        v = current = rng.randrange(1, diagram.d + 1)
+        cycle = []
+        for _ in range(max_len):
+            cycle.append(rng.choice(out[current]))
+            current = edges[cycle[-1]][0]
+            if current == v:
+                return tuple(cycle)
+        return None
+
+    a, b = random.Random(12), random.Random(12)
+    draws = [sample_cycle(diagram, a) for _ in range(300)]
+    assert draws == [reference(b) for _ in range(300)]
+    assert sum(c is not None for c in draws) > 100

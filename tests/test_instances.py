@@ -1,9 +1,11 @@
 import json
+from importlib import resources
 
 import pytest
 
 from ietskew.instances import (
     InstanceError,
+    _parse,
     build_instance,
     load_instance,
     packaged_names,
@@ -95,6 +97,11 @@ def test_loop_without_unit_eigenvalue_gives_no_phi(tmp_path):
 
 def test_defaults():
     spec = load_instance("golden_triple")
-    assert spec.depth == 3 and spec.seed == 0
+    assert spec.seed == 0
+    # "depth" is accepted and ignored
+    data = json.loads((resources.files("ietskew") / "instances" / "golden_triple.json").read_text())
+    assert data["depth"] == 3
+    without = {key: value for key, value in data.items() if key != "depth"}
+    assert _parse(dict(data, depth=7), "golden_triple") == _parse(without, "golden_triple") == spec
     spec2 = load_instance("genus2_rank1")
     assert spec2.psi == ((0.25,), (-0.5,))

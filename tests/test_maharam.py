@@ -106,14 +106,11 @@ def test_matrix_power_counts_paths_exhaustively(built):
 def test_b_counts_edge_weights(built):
     mat = level_counting_matrix(built.diagram, built.phi)
     fl = FloorCocycle(built.diagram, built.phi)
-    for e in built.diagram.edges():
-        a = fl.of_edge(e)
-        count = sum(
-            1
-            for e2 in built.diagram.edges()
-            if e2.source == e.source and e2.tower == e.tower and fl.of_edge(e2) == a
-        )
-        assert mat[e.source - 1, e.tower - 1].coefficient(a) == count
+    # (source, target) of each edge id from the return words, with its f-value
+    cells = [(w[l], j) for j, w in enumerate(built.diagram.words, 1) for l in range(len(w))]
+    edges = [(s, t, tuple(a)) for (s, t), a in zip(cells, fl.f.tolist())]
+    for s, t, a in edges:
+        assert mat[s - 1, t - 1].coefficient(a) == edges.count((s, t, a))
 
 
 def test_psi_zero_reduces_to_incidence_pf(built):
@@ -214,7 +211,7 @@ def reference_samples(diagram, level, samples, m, seed):
     out = []
     for _ in range(samples):
         p = diagram.random_path(level, rng)
-        while diagram.is_maximal(p):
+        while diagram.is_maximal(p.ids):
             p = diagram.random_path(level, rng)
         out.append((p, tuple(rng.randint(-2, 2) for _ in range(m))))
     return out
@@ -222,12 +219,11 @@ def reference_samples(diagram, level, samples, m, seed):
 
 def test_step_samples_repeat_the_random_path_draws(built):
     diagram, m = built.diagram, built.phi.m
-    edge_ids = {e: i for i, e in enumerate(diagram.edges())}
     for level, seed in ((1, 3), (5, 12345)):
         ids, fibers = step_samples(diagram, level, 700, m, seed)
         assert ids.shape == (700, level) and fibers.shape == (700, m)
         reference = reference_samples(diagram, level, 700, m, seed)
-        assert ids.tolist() == [[edge_ids[e] for e in p.edges] for p, _ in reference]
+        assert ids.tolist() == [list(p.ids) for p, _ in reference]
         assert [tuple(a) for a in fibers.tolist()] == [a for _, a in reference]
 
 

@@ -8,7 +8,6 @@ from ietskew.skew import (
     birkhoff_sum_at_return,
     check_periodic_type,
     eigencocycles,
-    renormalized_phi,
     skew_from_basis,
 )
 
@@ -47,23 +46,6 @@ def test_check_periodic_type(built):
     values[0][0] += 1
     perturbed = SkewCocycle(values)
     assert not check_periodic_type(a, perturbed)
-
-
-def test_renormalized_phi(built):
-    a = built.tower.matrix
-    assert renormalized_phi(a, built.phi, 0) == built.phi
-    for n in (1, 2, 5):
-        assert renormalized_phi(a, built.phi, n) == built.phi
-
-
-def test_renormalized_phi_non_eigen():
-    a = ((2, 1), (1, 1))
-    phi = SkewCocycle(((1,), (0,)))
-    out = renormalized_phi(a, phi, 1)
-    # (A^T phi)_j = sum_i A[i][j] phi_i
-    assert out.values == ((2,), (1,))
-    chained = renormalized_phi(a, renormalized_phi(a, phi, 1), 2)
-    assert chained == renormalized_phi(a, phi, 3)
 
 
 def test_birkhoff_sum_is_transpose_action(built):

@@ -146,6 +146,62 @@ def test_dictionary_fails_on_a_wrong_offset(built, level, damage, detail):
     assert (result.status, result.detail) == ("fail", detail)
 
 
+@pytest.mark.parametrize(
+    "name, path",
+    [
+        ("golden_triple", "(1,3)(1,2)(2,0)"),
+        ("genus2_rank1", "(3,16)(3,14)(2,7)(2,8)"),
+        ("genus2_rank2", "(3,25)(2,9)(3,2)(3,14)"),
+    ],
+)
+def test_tail_cocycle_fails_on_the_injected_phi_fault(name, path):
+    # the first drawn path whose tail cocycle misses the changed phi
+    built = build_instance(load_instance(name))
+    result = V.check_tail_cocycle(built.with_phi(V._phi_fault(built)), seed=0)
+    assert (result.status, result.detail) == ("fail", f"tail cocycle != phi at {path}")
+
+
+def reference_tail_draws(diagram, seed, n_paths):
+    """Criterion 4's draws as a loop over paths: random_path at a random
+    length, again at length 4 while maximal; then 60 level-9 paths, each
+    non-maximal one with its number of adic steps."""
+    rng = random.Random(seed)
+    paths = []
+    for _ in range(n_paths):
+        p = diagram.random_path(rng.choice([2, 3, 4]), rng)
+        while diagram.is_maximal(p.ids):
+            p = diagram.random_path(4, rng)
+        paths.append(p)
+    starts = []
+    for _ in range(60):
+        p = diagram.random_path(9, rng)
+        if diagram.is_maximal(p.ids):
+            continue
+        starts.append((p, rng.randint(1, 20)))
+    return paths, starts
+
+
+@pytest.mark.parametrize("seed, n_paths", [(0, 1000), (5, 1000), (7, 30)])
+def test_tail_draws_are_the_per_path_draws(built, seed, n_paths):
+    paths, starts = V.tail_draws(built.diagram, random.Random(seed), n_paths)
+    ref_paths, ref_starts = reference_tail_draws(built.diagram, seed, n_paths)
+    assert paths == [list(p.ids) for p in ref_paths]
+    assert starts == [(list(p.ids), n) for p, n in ref_starts]
+    assert {len(ids) for ids in paths} == {2, 3, 4} and len(starts) > 50
+
+
+def test_tail_cocycle_fails_on_a_telescoped_sum_off_by_one(golden, monkeypatch):
+    # exact on the 2-4 edge paths, one too high on every level-9 row
+    exact = V.tail_cocycle
+
+    def one_high_at_level_9(diagram, ids, phi):
+        return exact(diagram, ids, phi) + (ids.shape[1] == 9)
+
+    monkeypatch.setattr(V, "tail_cocycle", one_high_at_level_9)
+    result = V.check_tail_cocycle(golden, seed=0)
+    assert (result.status, result.detail) == ("fail", "telescoped sum identity broken (n=6)")
+
+
 def test_tail_orbit_fails_on_a_chain_with_one_shifted_fiber(golden, monkeypatch):
     # golden_triple's first level-2 tower has 21 floors, so every pair of
     # its chain is checked; chain[4] alone gets its fiber moved by one
@@ -156,14 +212,14 @@ def test_tail_orbit_fails_on_a_chain_with_one_shifted_fiber(golden, monkeypatch)
         calls.append(None)
         out = exact_step(diagram, state, phi)
         move = {4: 1, 5: -1}.get(len(calls), 0)
-        return SkewedPathState(out.path, (out.fiber[0] + move,) + out.fiber[1:])
+        return SkewedPathState(out.ids, (out.fiber[0] + move,) + out.fiber[1:])
 
     monkeypatch.setattr(V, "skewed_adic_step", shifted_step)
     result = V.check_tail_orbit(golden, seed=0)
     assert (result.status, result.detail) == ("fail", "orbit left its shift class in tower 1")
     # with the shift-class test reduced to the tails, the witness still fails
     calls.clear()
-    monkeypatch.setattr(V, "shift_image", lambda fl, state, depth: state.path.edges[depth:])
+    monkeypatch.setattr(V, "shift_image", lambda fl, state, depth: state.ids[depth:])
     result = V.check_tail_orbit(golden, seed=0)
     assert (result.status, result.detail) == ("fail", "witness failed in tower 1")
 
