@@ -235,22 +235,22 @@ def invariant_factors(b: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(factors)
 
 
+def solve_in_row_lattice(h: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
+    """Integer coefficients c with sum_i c_i h_i = target, where ``h`` is a
+    row HNF (as ``row_hnf`` returns it); None when target is not in its
+    row lattice."""
+    coeffs = []
+    t = list(target)
+    for row in h:  # a remainder at a pivot column is never cleared again
+        c = next(j for j, x in enumerate(row) if x)
+        coeffs.append(t[c] // row[c])
+        t = [x - coeffs[-1] * y for x, y in zip(t, row)]
+    return None if any(t) else coeffs
+
+
 def in_row_lattice(basis: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
     """True when ``target`` is an integer combination of the basis rows."""
-    h = row_hnf(basis)
-    t = list(target)
-    pivots = {next(j for j, x in enumerate(row) if x): row for row in h}
-    for c in range(len(t)):
-        if t[c] == 0:
-            continue
-        row = pivots.get(c)
-        if row is None:
-            return False
-        q, rem = divmod(t[c], row[c])
-        if rem:
-            return False
-        t = [x - q * y for x, y in zip(t, row)]
-    return not any(t)
+    return solve_in_row_lattice(row_hnf(basis), target) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -299,25 +299,13 @@ class LaurentPolynomial:
             raise ValueError(f"dimension mismatch: {self.m} vs {other.m}")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPolynomial(self.m, {zero_vector(self.m): other})
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
         return LaurentPolynomial(self.m, terms)
 
-    def __neg__(self):
-        return LaurentPolynomial(self.m, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPolynomial(
-                self.m, {e: c * other for e, c in self.terms.items()}
-            )
         self._check(other)
         prod: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
@@ -326,23 +314,12 @@ class LaurentPolynomial:
                 prod[e] = prod.get(e, 0) + c1 * c2
         return LaurentPolynomial(self.m, prod)
 
-    __rmul__ = __mul__
-    __radd__ = __add__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        return _power(self, k, LaurentPolynomial.one(self.m), LaurentPolynomial.__mul__)
-
     def __eq__(self, other):
         return (
             isinstance(other, LaurentPolynomial)
             and self.m == other.m
             and self.terms == other.terms
         )
-
-    def __bool__(self):
-        return bool(self.terms)
 
     # -- queries -----------------------------------------------------------
 

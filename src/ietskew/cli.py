@@ -21,7 +21,7 @@ from itertools import chain, product
 import numpy as np
 
 from . import bratteli
-from .algebra import zero_vector
+from .algebra import is_positive, zero_vector
 from .cocycles import CertificateInconclusive, amplify_for_common_prefix
 from .instances import BuiltInstance, InstanceError, build_instance, load_instance
 from .maharam import (
@@ -40,8 +40,33 @@ EXIT_CHECK_FAILURE = 2
 EXIT_INCONCLUSIVE = 3
 
 
+# the options each command reads, besides --instance, and its --format choices
+OPTIONS = {
+    "--psi": dict(action="append", help="comma-separated parameter vector; repeatable"),
+    "--grid": dict(action="append", help="min:max:steps grid axis; repeat per coordinate"),
+    "--level": dict(type=int, help="working depth"),
+    "--seed": dict(type=int, help="sampling seed"),
+    "--out": dict(help="write output to this path"),
+}
+SUBCOMMANDS = [
+    ("inspect", "tower data, positivity and Perron-Frobenius lengths", ["--out"], ["json"]),
+    ("eigencocycles", "integer 1-eigenvectors of the transposed loop matrix", ["--out"], ["json"]),
+    ("certify", "aperiodicity certificate via the common-prefix construction", ["--out"], ["json"]),
+    ("maharam", "cylinder measure table (CSV) for given parameters", ["--psi", "--level", "--out"], []),
+    ("continuity", "measure profile over a parameter grid", ["--grid", "--level", "--out"], ["json", "csv"]),
+    ("verify", "run the whole verification suite", ["--seed", "--out"], ["json"]),
+]
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error: exit 1 with one stderr line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ietskew",
         description=(
             "Periodic-type skew-products over interval exchanges: towers, "
@@ -49,32 +74,13 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("inspect", "tower data, positivity and Perron-Frobenius lengths"),
-        ("eigencocycles", "integer 1-eigenvectors of the transposed loop matrix"),
-        ("certify", "aperiodicity certificate via the common-prefix construction"),
-        ("maharam", "cylinder measure table for given parameters"),
-        ("continuity", "measure profile over a parameter grid"),
-        ("verify", "run the whole verification suite"),
-    ]:
+    for name, helptext, flags, formats in SUBCOMMANDS:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--instance", required=True, help="instance file or packaged name")
-        cmd.add_argument(
-            "--psi",
-            action="append",
-            default=None,
-            help="comma-separated parameter vector; repeatable",
-        )
-        cmd.add_argument(
-            "--grid",
-            action="append",
-            default=None,
-            help="min:max:steps grid axis; repeat per coordinate",
-        )
-        cmd.add_argument("--level", type=int, default=None, help="working depth")
-        cmd.add_argument("--seed", type=int, default=None, help="sampling seed")
-        cmd.add_argument("--out", default=None, help="write output to this path")
-        cmd.add_argument("--format", choices=("json", "csv"), default=None)
+        for flag in flags:
+            cmd.add_argument(flag, **OPTIONS[flag])
+        if formats:
+            cmd.add_argument("--format", choices=formats)
     return parser
 
 
@@ -154,7 +160,7 @@ def cmd_inspect(built: BuiltInstance, args) -> int:
         "matrix": [list(row) for row in tower.matrix],
         "q": list(tower.q),
         "words": [list(w) for w in tower.words],
-        "positive": all(x > 0 for row in tower.matrix for x in row),
+        "positive": is_positive(tower.matrix),
         "pf_eigenvalue": lengths.alpha,
         "pf_lengths": list(lengths.lengths),
         "eigenrank": built.eigenrank,
@@ -280,8 +286,6 @@ def _table_blocks(built: BuiltInstance, psi, table: MeasureTable):
 
 def cmd_maharam(built: BuiltInstance, args) -> int:
     _require_phi(built)
-    if args.format == "json":
-        raise InstanceError("measure tables are emitted as CSV")
     m = built.phi.m
     level = args.level if args.level is not None else 5
     # every table, so every psi, is checked before the first row is written
@@ -367,8 +371,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         spec = load_instance(args.instance)
         built = build_instance(spec)
         code = COMMANDS[args.command](built, args)
@@ -377,7 +381,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # later writes, the one at exit too, go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except ValueError as exc:  # InstanceError included
+    except ValueError as exc:  # InstanceError and usage errors included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (RuntimeError, MemoryError) as exc:

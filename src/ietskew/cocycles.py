@@ -282,14 +282,15 @@ def recheck_certificate(
     return factors == cert.factors and cert.verdict == (factors == (1,) * phi.m)
 
 
-def sample_cycle(
-    diagram: BratteliDiagram, rng: random.Random, max_len: int = 12
-) -> tuple[int, ...] | None:
+CYCLE_MAX_LEN = 12  # edges walked before sample_cycle gives up
+
+
+def sample_cycle(diagram: BratteliDiagram, rng: random.Random) -> tuple[int, ...] | None:
     """One random shift-periodic block: the edge ids of a cycle in the source graph."""
     v = rng.randrange(1, diagram.d + 1)
     ids = []
     current = v
-    for _ in range(max_len):
+    for _ in range(CYCLE_MAX_LEN):
         out = diagram.out[current - 1]
         ids.append(int(rng.choice(out[out >= 0])))
         current = int(diagram.target[ids[-1]]) + 1

@@ -47,6 +47,9 @@ SCALE = 10 ** SCALE_DIGITS
 KEANE_TOL = 10 ** (SCALE_DIGITS - 9)
 # slack for structural coincidences of rounded endpoints
 SNAP = 10 ** (SCALE_DIGITS - 40)
+# power-iteration cap of pf_lengths, and steps per tower of the simulation
+LENGTH_MAX_ITER = 20_000
+HORIZON = 1_000_000
 
 
 class PrecisionAlarm(RuntimeError):
@@ -134,7 +137,6 @@ class RauzyLoop:
             mat = mat_mul(mat, rule.matrix(start.d))
         if comb != start:
             raise ValueError("move sequence does not return to its starting combinatorics")
-        self.raw_matrix = mat
         power = mat
         amp = 1
         cap = 2 * start.d * start.d
@@ -166,21 +168,24 @@ class TowerSystem:
     def __post_init__(self):
         if self.q != tuple(len(w) for w in self.words):
             raise ValueError("return times disagree with word lengths")
-        counts = tuple(
-            tuple(w.count(i) for w in self.words) for i in range(1, self.d + 1)
-        )
-        if counts != self.matrix:
+        if letter_counts(self.words) != self.matrix:
             raise ValueError("incidence matrix disagrees with word letter counts")
         if column_sums(self.matrix) != self.q:
             raise ValueError("column sums disagree with return times")
+
+
+def letter_counts(words) -> IntMatrix:
+    """The matrix whose entry (i, j) counts the letter i + 1 in words[j]."""
+    return tuple(tuple(w.count(i) for w in words) for i in range(1, len(words) + 1))
 
 
 def compose_loop(loop: RauzyLoop, repeat: int = 1) -> TowerSystem:
     """Tower system for the (amplified) loop traversed ``repeat`` times.
 
     ``repeat = 0`` gives the identity system (w_j = (j), A = I).  Words
-    compose by substitution, so the matrix of ``repeat = k`` equals the
-    k-th power of the one-period matrix exactly.
+    compose by substitution, so their letter counts must equal the
+    ``repeat``-th power of the one-period matrix, which ``TowerSystem``
+    checks.
     """
     if repeat < 0:
         raise ValueError("repeat must be nonnegative")
@@ -193,12 +198,7 @@ def compose_loop(loop: RauzyLoop, repeat: int = 1) -> TowerSystem:
             tuple(chain.from_iterable(words[x - 1] for x in rule.words[j]))
             for j in range(d)
         ]
-    matrix = as_matrix(
-        [[words[j].count(i) for j in range(d)] for i in range(1, d + 1)]
-    )
-    if matrix != mat_pow(loop.period_matrix, repeat):
-        raise AssertionError("word substitution disagrees with matrix power")
-    return TowerSystem(d, matrix, tuple(words), tuple(len(w) for w in words))
+    return TowerSystem(d, mat_pow(loop.period_matrix, repeat), tuple(words), tuple(map(len, words)))
 
 
 @dataclass(frozen=True)
@@ -206,17 +206,16 @@ class LengthData:
     """Perron-Frobenius lengths of a positive incidence matrix.
 
     ``lengths``/``alpha`` are float views; ``lengths_scaled``/``alpha_scaled``
-    hold the same data as integers times ``scale`` for exact simulation.
+    hold the same data as integers times ``SCALE`` for exact simulation.
     """
 
     lengths: tuple[float, ...]
     alpha: float
     lengths_scaled: tuple[int, ...] = field(repr=False)
     alpha_scaled: int = field(repr=False)
-    scale: int = field(default=SCALE, repr=False)
 
 
-def pf_lengths(a: IntMatrix, max_iter: int = 20000) -> LengthData:
+def pf_lengths(a: IntMatrix) -> LengthData:
     """Leading eigenvector of a strictly positive integer matrix.
 
     Power iteration in scaled-integer arithmetic (48 decimal digits); the
@@ -226,7 +225,7 @@ def pf_lengths(a: IntMatrix, max_iter: int = 20000) -> LengthData:
         raise ValueError("matrix must be strictly positive for Perron-Frobenius lengths")
     d = len(a)
     v = [SCALE // d] * d
-    for _ in range(max_iter):
+    for _ in range(LENGTH_MAX_ITER):
         u = mat_vec(a, v)
         tot = sum(u)
         v_new = [x * SCALE // tot for x in u]
@@ -266,7 +265,6 @@ def simulate_return_times(
     comb: IetCombinatorics,
     lengths: LengthData,
     level: int,
-    horizon: int = 1_000_000,
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Directly simulate first returns to the level-``level`` induction interval.
 
@@ -286,7 +284,7 @@ def simulate_return_times(
         return (1,) * d, tuple((j,) for j in range(1, d + 1))
 
     delta = {label: image[label] - start[label] for label in start}
-    shrink_num = lengths.scale ** level
+    shrink_num = SCALE ** level
     shrink_den = lengths.alpha_scaled ** level
 
     def level_pos(x: int) -> int:
@@ -307,7 +305,7 @@ def simulate_return_times(
         while True:
             if steps >= 1 and u + w <= base_total + SNAP:
                 break
-            if steps > horizon:
+            if steps > HORIZON:
                 raise RuntimeError(f"horizon exceeded simulating tower {label}")
             i = bisect_right(breaks, u) - 1
             for t in (i, i + 1):

@@ -57,12 +57,12 @@ class PerronData:
     iterations: int
 
 
-def perron(matrix, tol: float = PF_TOL, max_iter: int = PF_MAX_ITER) -> PerronData:
+def perron(matrix) -> PerronData:
     """Leading eigenpair of a strictly positive matrix by power iteration.
 
     ``matrix`` is one (d, d) matrix or an (N, d, d) stack, iterated together
     from a uniform start with L1 normalisation.  Each matrix stops on its own
-    once |M v - r v|_1 <= tol * r, a bound that scales with M.
+    once |M v - r v|_1 <= PF_TOL * r, a bound that scales with M.
     """
     mats = np.asarray(matrix, dtype=float)
     single = mats.ndim == 2
@@ -75,19 +75,19 @@ def perron(matrix, tol: float = PF_TOL, max_iter: int = PF_MAX_ITER) -> PerronDa
     r, v, iterations = np.empty(n), np.empty((n, d)), np.zeros(n, dtype=int)
     live = np.arange(n)  # matrices still iterating; mats is cut down with it
     mv = mats.sum(axis=2) / d  # M v for the uniform start
-    for step in range(1, max_iter + 1):
+    for step in range(1, PF_MAX_ITER + 1):
         r_live = mv.sum(axis=1)
         v_live = mv / r_live[:, None]
         mv = np.einsum("nij,nj->ni", mats, v_live)
         residual = np.abs(mv - r_live[:, None] * v_live).sum(axis=1)
-        done = residual <= tol * r_live
+        done = residual <= PF_TOL * r_live
         r[live[done]], v[live[done]], iterations[live[done]] = r_live[done], v_live[done], step
         if done.all():
             break
         live, mats, mv = live[~done], mats[~done], mv[~done]
     else:
         raise ArithmeticError(
-            f"power iteration did not converge in {max_iter} steps "
+            f"power iteration did not converge in {PF_MAX_ITER} steps "
             f"(relative residual {float((residual / r_live).max()):.3e})"
         )
     if single:

@@ -12,7 +12,10 @@ from .algebra import (
     IntMatrix,
     integer_kernel,
     invariant_factors,
+    mat_mul,
     row_hnf,
+    solve_in_row_lattice,
+    transpose,
     vec_add,
     zero_vector,
 )
@@ -66,37 +69,6 @@ class SkewCocycle:
         return self.values[label - 1]
 
 
-def _transpose_apply(a: IntMatrix, values) -> tuple[tuple[int, ...], ...]:
-    """(A^T phi)_j = sum_i A[i][j] phi_i, acting on Z^m rows."""
-    d = len(a)
-    m = len(values[0])
-    out = []
-    for j in range(d):
-        acc = list(zero_vector(m))
-        for i in range(d):
-            coeff = a[i][j]
-            if coeff:
-                acc = [x + coeff * y for x, y in zip(acc, values[i])]
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def _solve_in_row_lattice(h, target):
-    """Coefficients expressing target over the HNF basis rows (exact)."""
-    coeffs = [0] * len(h)
-    t = list(target)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in h]
-    for idx, (row, c) in enumerate(zip(h, pivots)):
-        q, rem = divmod(t[c], row[c])
-        if rem:
-            raise ArithmeticError("target not in the row lattice")
-        coeffs[idx] = q
-        t = [x - q * y for x, y in zip(t, row)]
-    if any(t):
-        raise ArithmeticError("target not in the row lattice")
-    return coeffs
-
-
 def eigencocycles(a: IntMatrix) -> tuple[int, list[tuple[int, ...]]]:
     """Integer basis of ker(A^T - I), re-coordinatised to generate Z^m.
 
@@ -116,21 +88,19 @@ def eigencocycles(a: IntMatrix) -> tuple[int, list[tuple[int, ...]]]:
     if m == 0:
         return 0, []
     # value matrix: row j is phi_j, column c is the c-th kernel vector
-    value_rows = [tuple(kernel[c][j] for c in range(m)) for j in range(d)]
+    value_rows = transpose(kernel)
     basis_of_lattice = row_hnf(value_rows)
     if len(basis_of_lattice) != m:
         raise ArithmeticError("kernel basis lost rank")  # impossible for independent columns
-    new_rows = [
-        tuple(_solve_in_row_lattice(basis_of_lattice, row)) for row in value_rows
-    ]
-    rotated = [tuple(new_rows[j][c] for j in range(d)) for c in range(m)]
-    for vec in rotated:
-        image = tuple(sum(a[i][j] * vec[i] for i in range(d)) for j in range(d))
-        if image != vec:
-            raise ArithmeticError("rotated basis left the 1-eigenspace")
+    new_rows = [solve_in_row_lattice(basis_of_lattice, row) for row in value_rows]
+    if None in new_rows:
+        raise ArithmeticError("target not in the row lattice")
+    new_rows = tuple(map(tuple, new_rows))
+    if mat_mul(transpose(a), new_rows) != new_rows:
+        raise ArithmeticError("rotated basis left the 1-eigenspace")
     if invariant_factors(new_rows) != (1,) * m:
         raise ArithmeticError("rotation failed to reach the full lattice")
-    return m, rotated
+    return m, list(transpose(new_rows))
 
 
 def skew_from_basis(basis: list[tuple[int, ...]]) -> SkewCocycle:
@@ -145,7 +115,7 @@ def check_periodic_type(a: IntMatrix, phi: SkewCocycle) -> bool:
     """True exactly when A^T phi = phi, componentwise over Z."""
     if len(a) != phi.d:
         raise ValueError("matrix size does not match cocycle length")
-    return _transpose_apply(a, phi.values) == phi.values
+    return mat_mul(transpose(a), phi.values) == phi.values
 
 
 def birkhoff_sum_at_return(tower: TowerSystem, phi: SkewCocycle, j: int) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ import pytest
 
 from ietskew import cli
 from ietskew.instances import build_instance, load_instance, packaged_names
-from ietskew.maharam import MaharamMeasure, default_cylinder_family
+from ietskew.maharam import MaharamMeasure, default_cylinder_family, level_counting_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,18 +26,36 @@ def load_bench_module(name):
     return module
 
 
+def resolve(module, attr):
+    owner = importlib.import_module(f"ietskew.{module}")
+    if "." in attr:  # looked up in the class's own namespace, as Tracing does
+        cls_name, meth = attr.split(".")
+        return vars(getattr(owner, cls_name)).get(meth)
+    return getattr(owner, attr, None)
+
+
 def test_every_span_target_resolves():
     spans = load_bench_module("spans")
     for module, attr, name, kind in spans.TARGETS:
-        owner = importlib.import_module(f"ietskew.{module}")
-        if "." in attr:  # looked up in the class's own namespace, as Tracing does
-            cls_name, meth = attr.split(".")
-            fn = vars(getattr(owner, cls_name)).get(meth)
-        else:
-            fn = getattr(owner, attr, None)
+        fn = resolve(module, attr)
         assert callable(fn), f"{module}.{attr}"
         assert inspect.isgeneratorfunction(fn) == (kind == "generator"), f"{module}.{attr}"
     assert set(spans.SIZE_COUNTERS) <= {name for _, _, name, _ in spans.TARGETS}
+
+
+def test_every_size_counter_reads_what_its_target_returns(golden):
+    # the recorder applies each counter to every value returned or yielded
+    spans = load_bench_module("spans")
+    targets = {name: resolve(module, attr) for module, attr, name, _ in spans.TARGETS}
+    outputs = {
+        "iet.compose_loop": lambda fn: [fn(golden.loop, 2)],
+        "algebra.laurent_matrix_pow": lambda fn: [fn(level_counting_matrix(golden.diagram, golden.phi), 2)],
+        "bratteli.enumerate_paths": lambda fn: list(fn(golden.diagram, 2)),
+    }
+    assert set(outputs) == set(spans.SIZE_COUNTERS)
+    for name, (counter, size) in spans.SIZE_COUNTERS.items():
+        counts = [size(out) for out in outputs[name](targets[name])]
+        assert counts and all(isinstance(n, int) and n > 0 for n in counts), counter
 
 
 def test_tracing_records_a_command_and_restores_the_targets():

@@ -350,6 +350,58 @@ def test_a_closed_stdout_ends_the_run_quietly():
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["inspect"], "the following arguments are required: --instance"),
+        (["verify", "--instance", "golden_triple", "--level", "1"], "unrecognized arguments: --level 1"),
+        (["inspect", "--instance", "golden_triple", "--psi", "9,9,9"], "unrecognized arguments: --psi 9,9,9"),
+    ],
+)
+def test_a_usage_error_exits_1_with_one_line(argv, message, capsys):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+READ_OPTIONS = {
+    "inspect": {"--out", "--format"},
+    "eigencocycles": {"--out", "--format"},
+    "certify": {"--out", "--format"},
+    "maharam": {"--psi", "--level", "--out"},
+    "continuity": {"--grid", "--level", "--out", "--format"},
+    "verify": {"--seed", "--out", "--format"},
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    values = {"--psi": "0.5", "--grid": "0:1:2", "--level": "2", "--seed": "3", "--out": "o", "--format": "json"}
+    taken = {name: set() for name in READ_OPTIONS}
+    for name, (flag, value) in product(READ_OPTIONS, values.items()):
+        try:
+            cli._parser().parse_args([name, "--instance", "golden_triple", flag, value])
+        except ValueError:
+            continue
+        taken[name].add(flag)
+    assert taken == READ_OPTIONS
+    assert sum(map(len, taken.values())) == 16
+    for name in READ_OPTIONS:  # csv is a choice of continuity only
+        argv = [name, "--instance", "golden_triple", "--format", "csv"]
+        if name == "continuity":
+            assert cli._parser().parse_args(argv).format == "csv"
+        else:
+            with pytest.raises(ValueError):
+                cli._parser().parse_args(argv)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--help")
+    assert exc.value.code == 0
+    assert "--seed" in capsys.readouterr().out
+
+
 def test_a_runtime_error_outside_a_check_is_inconclusive(monkeypatch, capsys):
     def give_up(spec):
         raise RuntimeError("horizon exceeded simulating tower 2")

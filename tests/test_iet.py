@@ -95,6 +95,13 @@ def test_matrix_power_and_column_sums(built):
             assert tk.q == expected
 
 
+def test_compose_loop_leaves_the_letter_counts_to_tower_system(golden):
+    loop = RauzyLoop(golden.loop.start, golden.loop.steps)
+    loop.period_matrix = mat_pow(loop.period_matrix, 2)  # no longer the matrix of its words
+    with pytest.raises(ValueError, match="incidence matrix disagrees with word letter counts"):
+        compose_loop(loop, 1)
+
+
 def test_word_occurrence_counts(built):
     tw = built.tower
     for j in range(tw.d):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-from ietskew.algebra import in_row_lattice, integer_kernel, invariant_factors, mat_vec, row_hnf
+from ietskew.algebra import in_row_lattice, integer_kernel, invariant_factors, mat_vec, row_hnf, solve_in_row_lattice
 
 
 def matrices(max_rows=4, max_cols=4, bound=6):
@@ -74,3 +74,9 @@ def test_in_row_lattice_agrees_with_the_smith_invariants(rows, data):
     before, after = sympy_factors(rows), sympy_factors(rows + [target])
     inside = len(before) == len(after) and prod(before) == prod(after)
     assert in_row_lattice(rows, target) == inside
+    # the coefficients over the HNF rows rebuild the target
+    h = row_hnf(rows)
+    coeffs = solve_in_row_lattice(h, target)
+    assert (coeffs is not None) == inside
+    if inside:
+        assert [sum(c * row[j] for c, row in zip(coeffs, h)) for j in range(cols)] == list(target)

@@ -37,6 +37,31 @@ def test_level_counting_fails_at_k1_on_a_moved_exponent(built, monkeypatch):
     assert result.detail == "coefficients disagree with paths at k=1"
 
 
+def moved_cell(mat: LaurentMatrix) -> LaurentMatrix:
+    """Copy of mat with one edge's monomial moved to the next cell of its row.
+
+    The coefficient total of the matrix is unchanged; those of the two
+    cells, and so the matrix at t = 1, are not.
+    """
+    rows = [list(row) for row in mat.entries]
+    i, j = next((i, j) for i in range(mat.d) for j in range(mat.d) if rows[i][j].terms)
+    terms = dict(rows[i][j].terms)
+    a = next(iter(terms))
+    terms[a] -= 1
+    rows[i][j] = LaurentPolynomial(mat.m, terms)
+    k = (j + 1) % mat.d
+    rows[i][k] = rows[i][k] + LaurentPolynomial.monomial(a)
+    return LaurentMatrix(rows)
+
+
+def test_level_counting_fails_at_k1_on_a_monomial_in_another_cell(built, monkeypatch):
+    exact = V.level_counting_matrix
+    monkeypatch.setattr(V, "level_counting_matrix", lambda *a: moved_cell(exact(*a)))
+    result = V.check_level_counting(built, kmax=3)
+    assert result.status == "fail"
+    assert result.detail == "coefficients disagree with paths at k=1"
+
+
 def test_level_counting_fails_at_the_damaged_power(built, monkeypatch):
     # M itself is exact; every product M^(k-1) * M comes out with one
     # exponent moved, so the check must pass k=1 and fail at k=2
@@ -45,6 +70,26 @@ def test_level_counting_fails_at_the_damaged_power(built, monkeypatch):
     result = V.check_level_counting(built, kmax=3)
     assert result.status == "fail"
     assert result.detail == "coefficients disagree with paths at k=2"
+
+
+def with_fault_tower(built):
+    """built on the diagram of a tower whose words disagree with its matrix."""
+    corrupt = V._tower_with_swapped_letters(built.tower)  # built past TowerSystem's validation
+    return built.with_diagram(BratteliDiagram(corrupt))
+
+
+def test_bratteli_dictionary_counts_the_letters_of_a_fault_tower(built):
+    result = V.check_bratteli_dictionary(with_fault_tower(built))
+    assert result.status == "fail"
+    assert result.detail == "edge multiset disagrees with incidence matrix"
+
+
+def test_level_counting_checks_m_at_one_against_the_incidence_matrix(built):
+    # M(t) and the path counts both come from the edges, so only the exact
+    # M(1) = A check sees edges that disagree with the matrix
+    result = V.check_level_counting(with_fault_tower(built), kmax=3)
+    assert result.status == "fail"
+    assert result.detail == "coefficient totals != incidence power at k=1"
 
 
 def test_level_counting_counts_every_path(built):
