@@ -11,7 +11,7 @@ from ietskew.maharam import continuity_profile, default_cylinder_family, dyadic_
 for name in ("golden_triple", "genus2_rank2"):
     built = build_instance(load_instance(name))
     cylinders = default_cylinder_family(built.diagram, built.phi.m, level=4)
-    grids = dyadic_grids(built.phi.m, refinements=3)
+    grids = dyadic_grids(built.phi.m)
     profiles = continuity_profile(built.diagram, built.phi, cylinders, grids)
     print(f"== {name}: {len(cylinders)} fixed cylinders at level 4")
     for profile in profiles:

@@ -218,6 +218,8 @@ class BratteliDiagram:
     def _walk_down(self, level: int, tower: int, edge_of) -> FinitePath:
         """From ``tower`` down, each time the edge ``edge_of[tower]`` of the
         tower under the last edge; then reversed into level order."""
+        if level < 1:
+            raise ValueError("level must be at least 1")
         ids = [edge_of[tower - 1]]
         for _ in range(level - 1):
             ids.append(edge_of[self.source[ids[-1]]])

@@ -25,6 +25,8 @@ from .algebra import is_positive, zero_vector
 from .cocycles import CertificateInconclusive, amplify_for_common_prefix
 from .instances import BuiltInstance, InstanceError, build_instance, load_instance
 from .maharam import (
+    CONTINUITY_LEVEL,
+    TABLE_LEVEL,
     GridProfile,
     MeasureTable,
     build_measure_table,
@@ -287,7 +289,7 @@ def _table_blocks(built: BuiltInstance, psi, table: MeasureTable):
 def cmd_maharam(built: BuiltInstance, args) -> int:
     _require_phi(built)
     m = built.phi.m
-    level = args.level if args.level is not None else 5
+    level = args.level if args.level is not None else TABLE_LEVEL
     # every table, so every psi, is checked before the first row is written
     tables = [
         (psi, build_measure_table(built.diagram, built.phi, psi, level=level))
@@ -316,8 +318,8 @@ def _profile_blocks(profile: GridProfile):
 def cmd_continuity(built: BuiltInstance, args) -> int:
     _require_phi(built)
     m = built.phi.m
-    level = args.level if args.level is not None else 4
-    grids = _parse_grid_args(args, m) or dyadic_grids(m, refinements=3)
+    level = args.level if args.level is not None else CONTINUITY_LEVEL
+    grids = _parse_grid_args(args, m) or dyadic_grids(m)
     cylinders = default_cylinder_family(built.diagram, m, level=level)
     profiles = continuity_profile(built.diagram, built.phi, cylinders, grids)
     if args.format == "json":

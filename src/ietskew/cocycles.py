@@ -204,12 +204,11 @@ def amplify_for_common_prefix(
     differences recover every value of the skewing cocycle; the Smith
     invariant factors of those generators decide the verdict.
     """
-    base = compose_loop(loop, 1)
-    if not check_periodic_type(base.matrix, phi):
+    if not check_periodic_type(loop.period_matrix, phi):
         raise ValueError("cocycle is not fixed by the loop (not periodic type)")
     d = loop.d
     last_diag = ""
-    power = base.matrix  # A^rep, squared each round: its column sums are the q
+    power = loop.period_matrix  # A^rep, squared each round: its column sums are the q
     for exp in range(MAX_REPETITION_EXPONENT + 1):
         rep = 2 ** exp
         if exp:
@@ -303,8 +302,8 @@ def delta_closure_probe(
     diagram: BratteliDiagram,
     phi: SkewCocycle,
     generators,
-    samples: int = 100,
-    seed: int = 0,
+    samples: int,
+    seed: int,
 ) -> bool:
     """Sampled closure check of the Birkhoff-difference subgroup.
 

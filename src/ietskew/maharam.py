@@ -35,6 +35,10 @@ from .skew import SkewCocycle
 
 PF_TOL = 1e-14
 PF_MAX_ITER = 100_000
+CONTINUITY_LEVEL = 4  # level of the default cylinder family: criterion 10 and ``continuity``
+GRID_REFINEMENTS = 3  # dyadic refinements of GRID_BOX in the default grids
+GRID_BOX = (-1.0, 1.0)
+TABLE_LEVEL = 5  # level of a ``maharam`` table without --level
 
 
 @dataclass(frozen=True)
@@ -200,7 +204,7 @@ def step_samples(diagram: BratteliDiagram, level: int, samples: int, m: int, see
 
 
 def invariance_step_check(
-    floor: FloorCocycle, psis, pf: PerronData, seeds, samples: int = 1000, level: int = 5
+    floor: FloorCocycle, psis, pf: PerronData, seeds, samples: int, level: int
 ) -> StepCheckResult:
     """Sampled invariance of cylinder masses under the skewed exchange.
 
@@ -246,10 +250,11 @@ class GridProfile:
     modulus: float
 
 
-def dyadic_grids(m: int, refinements: int = 3, lo: float = -1.0, hi: float = 1.0):
-    """Axis lists for ``refinements`` dyadic refinements of [lo, hi]^m."""
+def dyadic_grids(m: int):
+    """Axis lists for GRID_REFINEMENTS dyadic refinements of GRID_BOX^m."""
+    lo, hi = GRID_BOX
     grids = []
-    for r in range(refinements):
+    for r in range(GRID_REFINEMENTS):
         n = 2 ** (r + 1)  # n intervals per axis
         axis = tuple(lo + (hi - lo) * i / n for i in range(n + 1))
         grids.append(tuple(axis for _ in range(m)))
@@ -291,14 +296,10 @@ def continuity_profile(
     return profiles
 
 
-def default_cylinder_family(diagram: BratteliDiagram, m: int, level: int = 4):
+def default_cylinder_family(diagram: BratteliDiagram, m: int, level: int):
     """Deterministic cylinder family: min and max paths per tower, fiber 0."""
-    fam = []
-    zero = zero_vector(m)
-    for j in range(1, diagram.d + 1):
-        fam.append((diagram.min_path(level, j), zero))
-        fam.append((diagram.max_path(level, j), zero))
-    return fam
+    walks = (diagram.min_path, diagram.max_path)
+    return [(walk(level, j), zero_vector(m)) for j in range(1, diagram.d + 1) for walk in walks]
 
 
 # -- measure tables -------------------------------------------------------------
@@ -364,7 +365,7 @@ def build_measure_table(
     diagram: BratteliDiagram,
     phi: SkewCocycle,
     psi,
-    level: int = 5,
+    level: int,
     fiber_bound: int | None = None,
 ) -> MeasureTable:
     """Cylinder masses for every level-k path and a fiber box.

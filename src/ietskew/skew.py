@@ -16,10 +16,7 @@ from .algebra import (
     row_hnf,
     solve_in_row_lattice,
     transpose,
-    vec_add,
-    zero_vector,
 )
-from .iet import TowerSystem
 
 
 class SkewCocycle:
@@ -116,13 +113,3 @@ def check_periodic_type(a: IntMatrix, phi: SkewCocycle) -> bool:
     if len(a) != phi.d:
         raise ValueError("matrix size does not match cocycle length")
     return mat_mul(transpose(a), phi.values) == phi.values
-
-
-def birkhoff_sum_at_return(tower: TowerSystem, phi: SkewCocycle, j: int) -> tuple[int, ...]:
-    """Sum of phi over one pass up tower j; equals (A^T phi)_j exactly."""
-    if not 1 <= j <= tower.d:
-        raise ValueError(f"tower index {j} out of range")
-    acc = zero_vector(phi.m)
-    for letter in tower.words[j - 1]:
-        acc = vec_add(acc, phi.of_label(letter))
-    return acc

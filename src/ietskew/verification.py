@@ -6,12 +6,15 @@ skipped, so a broken instance reports the layer that actually broke rather
 than a cascade.  Residuals are included wherever a check is numerical; the
 combinatorial checks are exact and report residual 0.0 on success.
 
-Sampling is seeded and the seed is recorded in the result details, so a
-report is reproducible from (instance file, seed).
+Each check is called as ``check(built, seed)``.  Its sizes and tolerances
+are the module constants below, one stated value each; the seed is its only
+parameter.  Sampling is seeded and the seed is recorded in the result
+details, so a report is reproducible from (instance file, seed).
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -19,7 +22,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .algebra import laurent_matrix_pow, mat_mul, transpose, zero_vector
+from .algebra import laurent_matrix_pow, mat_mul, zero_vector
 from .bratteli import BratteliDiagram
 from .cocycles import (
     CertificateInconclusive,
@@ -37,6 +40,7 @@ from .iet import PrecisionAlarm, TowerSystem, compose_loop, float_orbit_frequenc
 from .iet import letter_counts, pf_lengths, simulate_return_times
 from .instances import BuiltInstance
 from .maharam import (
+    CONTINUITY_LEVEL,
     MaharamMeasure,
     continuity_profile,
     default_cylinder_family,
@@ -48,7 +52,28 @@ from .maharam import (
     perron,
     recurrence_vector_residual,
 )
-from .skew import SkewCocycle, birkhoff_sum_at_return, check_periodic_type
+from .skew import SkewCocycle, check_periodic_type
+
+# The stated size and tolerance of each check, by criterion.
+ORACLE_LEVELS = 3  # 1: towers k = 0..ORACLE_LEVELS equal the float simulation
+IDENTITY_LEVELS = 4  # 2: towers up to this k pass TowerSystem's letter counts
+DICTIONARY_LEVELS = 3  # 3: path <-> floor exhaustive up to this level
+TAIL_PATHS = 1000  # 4: random non-maximal paths of 2-4 edges
+TELESCOPE_LEVEL = 9  # 4: the telescoped form: paths of this level,
+TELESCOPE_DRAWS = 60  # 4: this many drawn,
+TELESCOPE_STEPS = 20  # 4: each stepped 1..TELESCOPE_STEPS times
+WITNESS_LEVEL = 2  # 5: the skew towers of this level, exhausted
+WITNESS_ALL_PAIRS = 22  # 5: every floor pair of a tower this tall or less,
+WITNESS_SAMPLES = 150  # 5: else this many sampled pairs
+PROBE_SAMPLES = 100  # 6: cycle pairs of the closure probe
+COUNTING_LEVELS = 4  # 7: M(t)^k coefficient-exact up to this k
+MAHARAM_PSIS = 20  # 8: random psi in [-1, 1]^m
+MAHARAM_CYLINDERS = 1000  # 8: sampled cylinders per psi
+MAHARAM_LEVEL = 5  # 8: their level, and the largest k of the base recurrence
+RECURRENCE_POWER = 3  # 8: the k of the counting-route recurrence
+ORBIT_STEPS = 1_000_000  # 9: float orbit length
+MEASURE_TOL = 1e-10  # 8, 9: bound on measure residuals
+ORBIT_TOL = 5e-3  # 9: bound on visit-frequency error
 
 
 @dataclass
@@ -75,10 +100,11 @@ class CheckResult:
 
 def _timed(name):
     def wrap(fn):
-        def inner(*args, **kwargs) -> CheckResult:
+        @functools.wraps(fn)
+        def inner(built: BuiltInstance, seed: int = 0) -> CheckResult:
             start = time.perf_counter()
             try:
-                result = fn(*args, **kwargs)
+                result = fn(built, seed)
             except (AssertionError, PrecisionAlarm, ValueError, ArithmeticError) as exc:
                 result = CheckResult(name, "fail", detail=str(exc) or repr(exc))
             except RuntimeError as exc:  # a bound hit before the check could decide
@@ -97,32 +123,29 @@ def _timed(name):
 
 
 @_timed("tower_oracle_equivalence")
-def check_tower_oracle(built: BuiltInstance, kmax: int = 3, **_) -> CheckResult:
+def check_tower_oracle(built: BuiltInstance, seed: int = 0) -> CheckResult:
     """Word system from loop substitution equals direct float simulation."""
-    for k in range(kmax + 1):
+    for k in range(ORACLE_LEVELS + 1):
         tower = compose_loop(built.loop, k)
         q, words = simulate_return_times(built.loop.start, built.lengths, k)
         if q != tower.q or words != tower.words:
             return CheckResult(
                 "", "fail", detail=f"simulation disagrees at level {k}"
             )
-    return CheckResult("", "pass", residual=0.0, detail=f"levels 0..{kmax} exact")
+    return CheckResult("", "pass", residual=0.0, detail=f"levels 0..{ORACLE_LEVELS} exact")
 
 
 # -- criterion 2 ---------------------------------------------------------------
 
 
 @_timed("cocycle_identities")
-def check_cocycle_identities(built: BuiltInstance, kmax: int = 4, **_) -> CheckResult:
-    for k in range(1, kmax + 1):
-        compose_loop(built.loop, k)  # its TowerSystem checks letter counts = A^k, column sums = q
-    tower, phi = built.tower, built.phi
-    image = mat_mul(transpose(tower.matrix), phi.values)
-    for j in range(1, tower.d + 1):
-        if birkhoff_sum_at_return(tower, phi, j) != image[j - 1]:
-            return CheckResult("", "fail", detail=f"return-word sum identity broken at j={j}")
-    if image != phi.values:
+def check_cocycle_identities(built: BuiltInstance, seed: int = 0) -> CheckResult:
+    if not check_periodic_type(built.tower.matrix, built.phi):
         return CheckResult("", "fail", detail="A^T phi = phi failed: not periodic type")
+    # criterion 1 composed k <= ORACLE_LEVELS; each TowerSystem checks
+    # letter counts = A^k and column sums = q
+    for k in range(ORACLE_LEVELS + 1, IDENTITY_LEVELS + 1):
+        compose_loop(built.loop, k)
     return CheckResult("", "pass", residual=0.0, detail="exact integer identities hold")
 
 
@@ -130,12 +153,12 @@ def check_cocycle_identities(built: BuiltInstance, kmax: int = 4, **_) -> CheckR
 
 
 @_timed("bratteli_dictionary")
-def check_bratteli_dictionary(built: BuiltInstance, kmax: int = 3, **_) -> CheckResult:
+def check_bratteli_dictionary(built: BuiltInstance, seed: int = 0) -> CheckResult:
     diagram = built.diagram
     if letter_counts(diagram.words) != diagram.matrix:
         return CheckResult("", "fail", detail="edge multiset disagrees with incidence matrix")
     n_paths = 0
-    for level in range(1, kmax + 1):
+    for level in range(1, DICTIONARY_LEVELS + 1):
         heights = np.array(diagram.heights(level))
         base = np.cumsum(heights) - heights  # (tower, height) -> base[tower] + height
         hits = np.zeros(heights.sum(), dtype=np.int64)
@@ -162,21 +185,18 @@ def check_bratteli_dictionary(built: BuiltInstance, kmax: int = 3, **_) -> Check
         if n_max != diagram.d or n_min != diagram.d:
             return CheckResult("", "fail", detail=f"extremal path count wrong at level {level}")
     return CheckResult(
-        "", "pass", residual=0.0, detail=f"exhaustive to level {kmax} over {n_paths} paths"
+        "", "pass", residual=0.0, detail=f"exhaustive to level {DICTIONARY_LEVELS} over {n_paths} paths"
     )
 
 
 # -- criterion 4 ---------------------------------------------------------------
 
 
-TELESCOPE_LEVEL = 9
-
-
 def tail_draws(diagram: BratteliDiagram, rng: random.Random, n_paths: int):
     """Criterion 4's paths in rng order, as edge-id lists: ``n_paths``
     non-maximal paths of 2-4 edges (a random length, then length 4 again
-    while maximal); then, of 60 level-9 draws, each non-maximal one with its
-    number of adic steps in 1..20."""
+    while maximal); then, of TELESCOPE_DRAWS level-TELESCOPE_LEVEL draws,
+    each non-maximal one with its number of adic steps in 1..TELESCOPE_STEPS."""
     paths = []
     for _ in range(n_paths):
         ids = diagram.random_path_ids(rng.choice([2, 3, 4]), rng)
@@ -184,18 +204,18 @@ def tail_draws(diagram: BratteliDiagram, rng: random.Random, n_paths: int):
             ids = diagram.random_path_ids(4, rng)
         paths.append(ids)
     starts = []
-    for _ in range(60):
+    for _ in range(TELESCOPE_DRAWS):
         ids = diagram.random_path_ids(TELESCOPE_LEVEL, rng)
         if not diagram.is_maximal(ids):
-            starts.append((ids, rng.randint(1, 20)))
+            starts.append((ids, rng.randint(1, TELESCOPE_STEPS)))
     return paths, starts
 
 
 @_timed("tail_cocycle_identity")
-def check_tail_cocycle(built: BuiltInstance, n_paths: int = 1000, seed: int = 0, **_) -> CheckResult:
+def check_tail_cocycle(built: BuiltInstance, seed: int = 0) -> CheckResult:
     diagram, phi = built.diagram, built.phi
     f = FloorCocycle.of(diagram, phi).f
-    paths, starts = tail_draws(diagram, random.Random(seed), n_paths)
+    paths, starts = tail_draws(diagram, random.Random(seed), TAIL_PATHS)
     wrong = []
     for k in (2, 3, 4):
         at = [i for i, ids in enumerate(paths) if len(ids) == k]
@@ -217,23 +237,21 @@ def check_tail_cocycle(built: BuiltInstance, n_paths: int = 1000, seed: int = 0,
         step &= whole
         total[step] += tail_cocycle(diagram, q[step], phi)
         q[step] = diagram.adic_successors(q[step])
-    differ = p != q  # k is the least with p[k:] == q[k:]
-    k = np.where(differ.any(axis=1), TELESCOPE_LEVEL - differ[:, ::-1].argmax(axis=1), 0)
-    head = (np.arange(TELESCOPE_LEVEL) < k[:, None])[:, :, None]
-    broken = whole & (total != (f[p] * head).sum(axis=1) - (f[q] * head).sum(axis=1)).any(axis=1)
+    # summed over the edges where p and q differ: f[p] - f[q] is 0 on the others
+    broken = whole & (total != (f[p] - f[q]).sum(axis=1)).any(axis=1)
     if broken.any():
         return CheckResult("", "fail", detail=f"telescoped sum identity broken (n={n[broken.argmax()]})")
-    return CheckResult("", "pass", residual=0.0, detail=f"{n_paths} paths, seed {seed}")
+    return CheckResult("", "pass", residual=0.0, detail=f"{TAIL_PATHS} paths, seed {seed}")
 
 
 # -- criterion 5 ---------------------------------------------------------------
 
 
 @_timed("tail_orbit_equivalence")
-def check_tail_orbit(built: BuiltInstance, witness_samples: int = 150, seed: int = 0, **_) -> CheckResult:
+def check_tail_orbit(built: BuiltInstance, seed: int = 0) -> CheckResult:
     diagram, phi = built.diagram, built.phi
     fl = FloorCocycle.of(diagram, phi)
-    depth = 2
+    depth = WITNESS_LEVEL
     rng = random.Random(seed)
     for j in range(1, diagram.d + 1):
         height = diagram.heights(depth)[j - 1]
@@ -253,20 +271,20 @@ def check_tail_orbit(built: BuiltInstance, witness_samples: int = 150, seed: int
         # construction; validate the witness search itself on sampled pairs
         pairs = (
             [(a, b) for a in range(height) for b in range(height)]
-            if height <= 22
-            else [(rng.randrange(height), rng.randrange(height)) for _ in range(witness_samples)]
+            if height <= WITNESS_ALL_PAIRS
+            else [(rng.randrange(height), rng.randrange(height)) for _ in range(WITNESS_SAMPLES)]
         )
         for a, b in pairs:
             if tail_orbit_witness(diagram, chain[a], chain[b], phi, depth) != b - a:
                 return CheckResult("", "fail", detail=f"witness failed in tower {j}")
-    return CheckResult("", "pass", residual=0.0, detail="level-2 towers exhausted")
+    return CheckResult("", "pass", residual=0.0, detail=f"level-{depth} towers exhausted")
 
 
 # -- criterion 6 ---------------------------------------------------------------
 
 
 @_timed("aperiodicity_certificate")
-def check_certificate(built: BuiltInstance, probe_samples: int = 100, seed: int = 0, **_) -> CheckResult:
+def check_certificate(built: BuiltInstance, seed: int = 0) -> CheckResult:
     try:
         cert = amplify_for_common_prefix(built.loop, built.phi)
     except CertificateInconclusive as exc:
@@ -277,21 +295,17 @@ def check_certificate(built: BuiltInstance, probe_samples: int = 100, seed: int 
         return CheckResult("", "fail", detail="generators differ from cocycle values")
     if not recheck_certificate(built.loop, built.phi, cert):
         return CheckResult("", "fail", detail="stored certificate failed re-validation")
-    if not delta_closure_probe(built.diagram, built.phi, cert.generators, probe_samples, seed):
+    if not delta_closure_probe(built.diagram, built.phi, cert.generators, PROBE_SAMPLES, seed):
         return CheckResult("", "fail", detail="sampled Birkhoff difference left the lattice")
-    return CheckResult(
-        "",
-        "pass",
-        residual=0.0,
-        detail=f"exponent {cert.exponent}, M={cert.prefix_length}, probe {probe_samples} ok",
-    )
+    detail = f"exponent {cert.exponent}, M={cert.prefix_length}, probe {PROBE_SAMPLES} ok"
+    return CheckResult("", "pass", residual=0.0, detail=detail)
 
 
 # -- criterion 7 ---------------------------------------------------------------
 
 
 @_timed("level_counting_cocycle")
-def check_level_counting(built: BuiltInstance, kmax: int = 4, **_) -> CheckResult:
+def check_level_counting(built: BuiltInstance, seed: int = 0) -> CheckResult:
     diagram, phi = built.diagram, built.phi
     mat = level_counting_matrix(diagram, phi)
     fl = FloorCocycle.of(diagram, phi)
@@ -299,7 +313,7 @@ def check_level_counting(built: BuiltInstance, kmax: int = 4, **_) -> CheckResul
     lo, hi = fl.f.min(axis=0), fl.f.max(axis=0)
     mk, ak = mat, diagram.matrix
     n_paths = 0
-    for k in range(1, kmax + 1):
+    for k in range(1, COUNTING_LEVELS + 1):
         if k > 1:
             mk, ak = mk * mat, mat_mul(ak, diagram.matrix)
         # one dense count per (source, target, S_k f - k lo), over every path
@@ -321,7 +335,7 @@ def check_level_counting(built: BuiltInstance, kmax: int = 4, **_) -> CheckResul
                         "", "fail", detail=f"coefficient totals != incidence power at k={k}"
                     )
     return CheckResult(
-        "", "pass", residual=0.0, detail=f"coefficient-exact to k={kmax} over {n_paths} paths"
+        "", "pass", residual=0.0, detail=f"coefficient-exact to k={COUNTING_LEVELS} over {n_paths} paths"
     )
 
 
@@ -329,33 +343,27 @@ def check_level_counting(built: BuiltInstance, kmax: int = 4, **_) -> CheckResul
 
 
 @_timed("maharam_invariance")
-def check_maharam(
-    built: BuiltInstance,
-    n_psi: int = 20,
-    n_cylinders: int = 1000,
-    kmax: int = 5,
-    seed: int = 0,
-    **_,
-) -> CheckResult:
+def check_maharam(built: BuiltInstance, seed: int = 0) -> CheckResult:
     diagram, phi = built.diagram, built.phi
     fl = FloorCocycle.of(diagram, phi)
     rng = random.Random(seed)  # each psi, then the seed of its samples
-    draws = [([rng.uniform(-1.0, 1.0) for _ in range(phi.m)], rng.randrange(2 ** 30)) for _ in range(n_psi)]
-    psis = np.array([psi for psi, _ in draws]).reshape(n_psi, phi.m)
+    draws = [([rng.uniform(-1.0, 1.0) for _ in range(phi.m)], rng.randrange(2 ** 30)) for _ in range(MAHARAM_PSIS)]
+    psis = np.array([psi for psi, _ in draws]).reshape(MAHARAM_PSIS, phi.m)
     matrices = level_matrices(fl, psis)
     pf = perron(matrices)
-    step = invariance_step_check(fl, psis, pf, [s for _, s in draws], samples=n_cylinders, level=kmax)
-    power = laurent_matrix_pow(level_counting_matrix(diagram, phi), min(3, kmax))
-    recurrence = [recurrence_vector_residual(matrices, pf, k) for k in range(1, kmax + 1)]
-    recurrence.append(invariance_recurrence_check(psis, pf, min(3, kmax), power))
+    seeds = [s for _, s in draws]
+    step = invariance_step_check(fl, psis, pf, seeds, samples=MAHARAM_CYLINDERS, level=MAHARAM_LEVEL)
+    power = laurent_matrix_pow(level_counting_matrix(diagram, phi), RECURRENCE_POWER)
+    recurrence = [recurrence_vector_residual(matrices, pf, k) for k in range(1, MAHARAM_LEVEL + 1)]
+    recurrence.append(invariance_recurrence_check(psis, pf, RECURRENCE_POWER, power))
     residuals = np.array([step.invariance_residual, step.quasi_invariance_residual, np.max(recurrence, 0)])
     worst = np.maximum.accumulate(residuals.max(axis=0))  # running worst over psi; NaN stays NaN
     detail = "step {:.2e}, quasi {:.2e}, recurrence {:.2e}".format(*residuals.max(axis=1))
     detail += f", Perron <= {pf.iterations.max()} iterations"
-    t = int(np.argmin(worst <= 1e-10))  # the first psi over the bound, if any
-    if not worst[t] <= 1e-10:
-        return CheckResult("", "fail", float(worst[t]), f"residual above 1e-10 at psi #{t}; {detail}")
-    detail = f"{n_psi} psi x {n_cylinders} cylinders, seed {seed}; {detail}"
+    t = int(np.argmin(worst <= MEASURE_TOL))  # the first psi over the bound, if any
+    if not worst[t] <= MEASURE_TOL:
+        return CheckResult("", "fail", float(worst[t]), f"residual above {MEASURE_TOL:g} at psi #{t}; {detail}")
+    detail = f"{MAHARAM_PSIS} psi x {MAHARAM_CYLINDERS} cylinders, seed {seed}; {detail}"
     return CheckResult("", "pass", float(worst[-1]), detail)
 
 
@@ -363,33 +371,29 @@ def check_maharam(
 
 
 @_timed("psi_zero_consistency")
-def check_psi_zero(built: BuiltInstance, orbit_steps: int = 1_000_000, **_) -> CheckResult:
+def check_psi_zero(built: BuiltInstance, seed: int = 0) -> CheckResult:
     measure = MaharamMeasure(built.diagram, built.phi, zero_vector(built.phi.m))
     lengths = pf_lengths(built.tower.matrix)
     worst = max(
         abs(a - b) for a, b in zip(measure.perron.vector, lengths.lengths)
     )
-    if worst > 1e-10:
+    if worst > MEASURE_TOL:
         return CheckResult("", "fail", residual=worst, detail="PF vector mismatch at psi=0")
-    freqs = float_orbit_frequencies(built.loop.start, lengths, orbit_steps)
+    freqs = float_orbit_frequencies(built.loop.start, lengths, ORBIT_STEPS)
     orbit_err = max(abs(f - v) for f, v in zip(freqs, measure.perron.vector))
-    if orbit_err > 5e-3:
+    if orbit_err > ORBIT_TOL:
         return CheckResult("", "fail", residual=orbit_err, detail="orbit frequencies off")
-    return CheckResult(
-        "",
-        "pass",
-        residual=worst,
-        detail=f"PF match {worst:.2e}; orbit ({orbit_steps} steps) off by {orbit_err:.2e}",
-    )
+    detail = f"PF match {worst:.2e}; orbit ({ORBIT_STEPS} steps) off by {orbit_err:.2e}"
+    return CheckResult("", "pass", residual=worst, detail=detail)
 
 
 # -- criterion 10 --------------------------------------------------------------
 
 
 @_timed("continuity_modulus")
-def check_continuity(built: BuiltInstance, level: int = 4, refinements: int = 3, **_) -> CheckResult:
-    cylinders = default_cylinder_family(built.diagram, built.phi.m, level=level)
-    grids = dyadic_grids(built.phi.m, refinements=refinements)
+def check_continuity(built: BuiltInstance, seed: int = 0) -> CheckResult:
+    cylinders = default_cylinder_family(built.diagram, built.phi.m, level=CONTINUITY_LEVEL)
+    grids = dyadic_grids(built.phi.m)
     profiles = continuity_profile(built.diagram, built.phi, cylinders, grids)
     moduli = [p.modulus for p in profiles]
     if not all(a > b for a, b in zip(moduli, moduli[1:])):
@@ -445,18 +449,19 @@ def _phi_fault(built: BuiltInstance) -> SkewCocycle:
 
 
 @_timed("fault_injection")
-def check_fault_injection(built: BuiltInstance, **_) -> CheckResult:
+def check_fault_injection(built: BuiltInstance, seed: int = 0) -> CheckResult:
     """Perturbations must surface at their own layer, gating the rest."""
     report = run_layers(
         built.with_phi(_phi_fault(built)),
         [check_cocycle_identities, check_bratteli_dictionary, check_tail_cocycle],
+        seed,
     )
     statuses = [r.status for r in report]
     if statuses != ["fail", "skipped", "skipped"]:
         return CheckResult("", "fail", detail=f"phi fault gave {statuses}")
     corrupt = _tower_with_swapped_letters(built.tower)
     corrupted = built.with_diagram(BratteliDiagram(corrupt))
-    report = run_layers(corrupted, [check_bratteli_dictionary, check_tail_orbit])
+    report = run_layers(corrupted, [check_bratteli_dictionary, check_tail_orbit], seed)
     statuses = [r.status for r in report]
     if statuses != ["fail", "skipped"]:
         return CheckResult("", "fail", detail=f"word fault gave {statuses}")
@@ -481,7 +486,7 @@ ALL_CHECKS = [
 ]
 
 
-def run_layers(built: BuiltInstance, checks, **kwargs) -> list[CheckResult]:
+def run_layers(built: BuiltInstance, checks, seed: int = 0) -> list[CheckResult]:
     """Run checks in order; after the first failure everything is skipped."""
     results: list[CheckResult] = []
     failed = False
@@ -489,12 +494,12 @@ def run_layers(built: BuiltInstance, checks, **kwargs) -> list[CheckResult]:
         if failed:
             results.append(CheckResult(fn.check_name, "skipped", detail="earlier layer failed"))
             continue
-        result = fn(built, **kwargs)
+        result = fn(built, seed)
         results.append(result)
         if result.status == "fail":
             failed = True
     return results
 
 
-def run_verification(built: BuiltInstance, seed: int = 0, **kwargs) -> list[CheckResult]:
-    return run_layers(built, ALL_CHECKS, seed=seed, **kwargs)
+def run_verification(built: BuiltInstance, seed: int = 0) -> list[CheckResult]:
+    return run_layers(built, ALL_CHECKS, seed)

@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ietskew import bratteli, cli, verification
@@ -148,6 +150,13 @@ def test_maharam_table_schema_and_determinism(tmp_path):
     assert all(v > 0 for v in values)
 
 
+def csv_cells(values) -> list[str]:
+    """Each value as csv.writer writes it as a cell."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([v] for v in values)
+    return buffer.getvalue().split("\r\n")[:-1]
+
+
 @pytest.mark.parametrize(
     "name, level, psis",
     [("golden_triple", 3, ["0.3", "-0.7"]), ("genus2_rank2", 2, ["0.4,-0.3", "-0.9,0.6"])],
@@ -156,29 +165,41 @@ def test_maharam_rows_match_path_enumeration_and_cylinder_measures(tmp_path, nam
     built = build_instance(load_instance(name))
     diagram, m = built.diagram, built.phi.m
     fl = FloorCocycle.of(diagram, built.phi)
-    paths = {str(p): p for p in diagram.enumerate_paths(level)}
-    bound = max(abs(x) for p in paths.values() for x in fl.path_sum(p))
-    fibers = {
-        "(" + ",".join(map(str, a)) + ")": a
-        for a in product(range(-bound, bound + 1), repeat=m)
-    }
+    paths = sorted((str(p), p) for p in diagram.enumerate_paths(level))
+    ids = np.array([p.ids for _, p in paths])
+    sums = fl.f[ids].sum(axis=1)  # S_k f(p), one row per path
+    bound = int(np.abs(sums).max())
+    fibers = sorted(
+        ("(" + ",".join(map(str, a)) + ")", a) for a in product(range(-bound, bound + 1), repeat=m)
+    )
     assert len(fibers) in (9, 11**2)
-    reference = sorted(product(paths, fibers))
+    cells = list(product(csv_cells(p for p, _ in paths), csv_cells(a for a, _ in fibers)))
+    measures = [MaharamMeasure(diagram, built.phi, tuple(map(float, psi.split(",")))) for psi in psis]
+    prefixes = [",".join(csv_cells(list(mu.parameter.psi) + [level])) for mu in measures]
     out = tmp_path / "t.csv"
     argv = ["maharam", "--instance", name, "--level", str(level), "--out", str(out)]
     assert run_cli(*argv, *(f"--psi={psi}" for psi in psis)) == 0
-    with open(out) as fh:
-        rows = list(csv.reader(fh))[1:]
-    assert len(rows) == len(psis) * len(reference)
-    for n, psi in enumerate(psis):
-        measure = MaharamMeasure(diagram, built.phi, tuple(float(x) for x in psi.split(",")))
-        block = rows[n * len(reference):(n + 1) * len(reference)]
-        assert [(r[m + 1], r[m + 2]) for r in block] == reference
-        # every fifth row: the fiber box has 9 or 11^2 fibers, both prime to
-        # 5, so this still reaches every path and every fiber
+    with open(out, newline="") as fh:
+        header, body = fh.read().split("\r\n", 1)
+    assert header == ",".join([f"psi_{i + 1}" for i in range(m)] + ["level", "path", "fiber", "measure"])
+    values = re.findall(r",([^,]*)\r\n", body)  # the measure cell of each row
+    keys = [f"{prefix},{p},{a}" for prefix in prefixes for p, a in cells]
+    assert body == "".join(f"{k},{v}\r\n" for k, v in zip(keys, values))  # and its other cells
+    # every row: lambda^(a + S_k f(p)) v_t / r^k from the measure's own Perron pair
+    targets = diagram.target[ids[:, -1]]
+    exponents = sums[:, None, :] + np.array([a for _, a in fibers])
+    # a stride prime to the fiber count and below it reaches every path and every fiber
+    picked = np.arange(0, len(cells), len(fibers) - 1)
+    assert set(picked // len(fibers)) == set(range(len(paths)))
+    assert set(picked % len(fibers)) == set(range(len(fibers)))
+    for measure, got in zip(measures, np.array(values, dtype=float).reshape(len(psis), -1)):
+        pf = measure.perron
+        logs = exponents @ measure.parameter.psi + np.log(pf.vector)[targets][:, None]
+        expected = np.exp(logs - level * np.log(pf.eigenvalue)).ravel()
+        assert np.abs(got / expected - 1).max() <= 1e-12
         worst = max(
-            abs(float(r[m + 3]) / measure.cylinder_measure(paths[r[m + 1]], fibers[r[m + 2]]) - 1)
-            for r in block[::5]
+            abs(got[i] / measure.cylinder_measure(paths[i // len(fibers)][1], fibers[i % len(fibers)][1]) - 1)
+            for i in picked.tolist()
         )
         assert worst <= 1e-12
 
@@ -255,6 +276,14 @@ def test_continuity_default_refinements(tmp_path):
         rows = list(csv.reader(fh))
     steps = sorted({float(r[0]) for r in rows[1:]})
     assert steps == [0.25, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("level", ["0", "-1"])
+def test_continuity_refuses_a_level_below_1(level, capsys):
+    assert run_cli("continuity", "--instance", "golden_triple", "--level", level) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: level must be at least 1\n"
 
 
 @pytest.mark.parametrize("name, m", [("golden_triple", 1), ("genus2_rank2", 2)])

@@ -257,7 +257,7 @@ def test_level_matrices_name_a_psi_out_of_float_range(rank2):
 
 
 def test_continuity_profile_modulus_decreases(built):
-    grids = dyadic_grids(built.phi.m, refinements=3)
+    grids = dyadic_grids(built.phi.m)
     cylinders = default_cylinder_family(built.diagram, built.phi.m, level=3)
     profiles = continuity_profile(built.diagram, built.phi, cylinders, grids)
     moduli = [p.modulus for p in profiles]
@@ -294,7 +294,7 @@ def test_continuity_profile_matches_eigen_reference(built):
     m = built.phi.m
     level_matrix = level_counting_matrix(built.diagram, built.phi)
     cylinders = default_cylinder_family(built.diagram, m, level=4)
-    grids = dyadic_grids(m, refinements=3) + [((0.3,),) * m]  # last: one point per axis
+    grids = dyadic_grids(m) + [((0.3,),) * m]  # last: one point per axis
     profiles = continuity_profile(built.diagram, built.phi, cylinders, grids)
     for axes, profile in zip(grids, profiles):
         points = list(product(*axes))

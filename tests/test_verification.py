@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import random
 import re
@@ -11,6 +12,26 @@ from ietskew.algebra import LaurentMatrix, LaurentPolynomial
 from ietskew.bratteli import BratteliDiagram
 from ietskew.cocycles import FloorCocycle, SkewedPathState
 from ietskew.instances import build_instance, load_instance
+
+
+def test_every_check_takes_only_built_and_seed():
+    assert len(V.ALL_CHECKS) == 11
+    for check in V.ALL_CHECKS:
+        params = inspect.signature(check).parameters
+        assert list(params) == ["built", "seed"], check.check_name
+        assert params["seed"].default == 0, check.check_name
+    assert list(inspect.signature(V.run_verification).parameters) == ["built", "seed"]
+
+
+def test_criteria_1_2_and_11_compose_each_tower_once(built, monkeypatch):
+    # criterion 2 composes only the levels above criterion 1's, and on the
+    # phi fault of criterion 11 it fails before composing any
+    composed = []
+    real = V.compose_loop
+    monkeypatch.setattr(V, "compose_loop", lambda loop, k: composed.append(k) or real(loop, k))
+    checks = [V.check_tower_oracle, V.check_cocycle_identities, V.check_fault_injection]
+    assert [r.status for r in V.run_layers(built, checks)] == ["pass"] * 3
+    assert composed == [0, 1, 2, 3, 4]
 
 
 def moved_exponent(mat: LaurentMatrix) -> LaurentMatrix:
@@ -32,7 +53,8 @@ def moved_exponent(mat: LaurentMatrix) -> LaurentMatrix:
 def test_level_counting_fails_at_k1_on_a_moved_exponent(built, monkeypatch):
     exact = V.level_counting_matrix
     monkeypatch.setattr(V, "level_counting_matrix", lambda *a: moved_exponent(exact(*a)))
-    result = V.check_level_counting(built, kmax=3)
+    monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
+    result = V.check_level_counting(built)
     assert result.status == "fail"
     assert result.detail == "coefficients disagree with paths at k=1"
 
@@ -57,7 +79,8 @@ def moved_cell(mat: LaurentMatrix) -> LaurentMatrix:
 def test_level_counting_fails_at_k1_on_a_monomial_in_another_cell(built, monkeypatch):
     exact = V.level_counting_matrix
     monkeypatch.setattr(V, "level_counting_matrix", lambda *a: moved_cell(exact(*a)))
-    result = V.check_level_counting(built, kmax=3)
+    monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
+    result = V.check_level_counting(built)
     assert result.status == "fail"
     assert result.detail == "coefficients disagree with paths at k=1"
 
@@ -67,7 +90,8 @@ def test_level_counting_fails_at_the_damaged_power(built, monkeypatch):
     # exponent moved, so the check must pass k=1 and fail at k=2
     exact_mul = LaurentMatrix.__mul__
     monkeypatch.setattr(LaurentMatrix, "__mul__", lambda a, b: moved_exponent(exact_mul(a, b)))
-    result = V.check_level_counting(built, kmax=3)
+    monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
+    result = V.check_level_counting(built)
     assert result.status == "fail"
     assert result.detail == "coefficients disagree with paths at k=2"
 
@@ -84,16 +108,18 @@ def test_bratteli_dictionary_counts_the_letters_of_a_fault_tower(built):
     assert result.detail == "edge multiset disagrees with incidence matrix"
 
 
-def test_level_counting_checks_m_at_one_against_the_incidence_matrix(built):
+def test_level_counting_checks_m_at_one_against_the_incidence_matrix(built, monkeypatch):
     # M(t) and the path counts both come from the edges, so only the exact
     # M(1) = A check sees edges that disagree with the matrix
-    result = V.check_level_counting(with_fault_tower(built), kmax=3)
+    monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
+    result = V.check_level_counting(with_fault_tower(built))
     assert result.status == "fail"
     assert result.detail == "coefficient totals != incidence power at k=1"
 
 
-def test_level_counting_counts_every_path(built):
-    result = V.check_level_counting(built, kmax=3)
+def test_level_counting_counts_every_path(built, monkeypatch):
+    monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
+    result = V.check_level_counting(built)
     assert result.status == "pass"
     n_paths = sum(sum(built.diagram.heights(k)) for k in (1, 2, 3))
     assert result.detail == f"coefficient-exact to k=3 over {n_paths} paths"
@@ -108,7 +134,9 @@ def test_maharam_draws_psi_then_seed_from_one_rng(built, monkeypatch):
         return real(floor, psis, pf, seeds, **kwargs)
 
     monkeypatch.setattr(V, "invariance_step_check", spy)
-    assert V.check_maharam(built, n_psi=6, n_cylinders=50, seed=31).passed
+    monkeypatch.setattr(V, "MAHARAM_PSIS", 6)
+    monkeypatch.setattr(V, "MAHARAM_CYLINDERS", 50)
+    assert V.check_maharam(built, seed=31).passed
     rng = random.Random(31)
     psis, seeds = [], []
     for _ in range(6):
@@ -127,7 +155,9 @@ def test_maharam_is_one_perron_call_and_no_scalar_masses(built, monkeypatch):
     monkeypatch.setattr(maharam.MaharamMeasure, "__init__", refuse)
     monkeypatch.setattr(maharam.MaharamMeasure, "cylinder_measure", refuse)
     monkeypatch.setattr(built.diagram, "adic_successor", refuse)
-    result = V.check_maharam(built, n_psi=7, n_cylinders=40, seed=2)
+    monkeypatch.setattr(V, "MAHARAM_PSIS", 7)
+    monkeypatch.setattr(V, "MAHARAM_CYLINDERS", 40)
+    result = V.check_maharam(built, seed=2)
     assert result.passed, result.detail
     assert calls == [(7, built.diagram.d, built.diagram.d)]
     assert re.fullmatch(
@@ -142,7 +172,9 @@ def test_maharam_fails_on_a_shifted_f_value(built, monkeypatch):
     damaged.f = damaged.f.copy()
     damaged.f[1, 0] += 1
     monkeypatch.setattr(FloorCocycle, "of", classmethod(lambda cls, diagram, phi: damaged))
-    result = V.check_maharam(built, n_psi=5, n_cylinders=200, seed=4)
+    monkeypatch.setattr(V, "MAHARAM_PSIS", 5)
+    monkeypatch.setattr(V, "MAHARAM_CYLINDERS", 200)
+    result = V.check_maharam(built, seed=4)
     assert result.status == "fail"
     assert result.residual > 1e-10
     assert result.detail.startswith("residual above 1e-10 at psi #0; step ")
@@ -156,14 +188,16 @@ def test_maharam_names_the_first_psi_with_a_scaled_perron_component(built, monke
         return pf
 
     monkeypatch.setattr(V, "perron", scaled)
-    result = V.check_maharam(built, n_psi=8, n_cylinders=100, seed=4)
+    monkeypatch.setattr(V, "MAHARAM_PSIS", 8)
+    monkeypatch.setattr(V, "MAHARAM_CYLINDERS", 100)
+    result = V.check_maharam(built, seed=4)
     assert result.status == "fail"
     assert result.residual > 1e-10
     assert result.detail.startswith("residual above 1e-10 at psi #3; ")
 
 
 def test_dictionary_detail_counts_the_paths_visited(built):
-    result = V.check_bratteli_dictionary(built, kmax=3)
+    result = V.check_bratteli_dictionary(built)
     assert result.status == "pass"
     n_paths = sum(sum(built.diagram.heights(k)) for k in (1, 2, 3))
     assert result.detail == f"exhaustive to level 3 over {n_paths} paths"
@@ -187,7 +221,7 @@ def test_dictionary_fails_on_a_wrong_offset(built, level, damage, detail):
     else:
         off[1], off[2] = off[2], off[1]
     diagram._offsets[level] = off
-    result = V.check_bratteli_dictionary(built.with_diagram(diagram), kmax=3)
+    result = V.check_bratteli_dictionary(built.with_diagram(diagram))
     assert (result.status, result.detail) == ("fail", detail)
 
 
