@@ -13,6 +13,7 @@ so concurrent reads are safe.
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -173,66 +174,18 @@ def invariant_factors(b: Sequence[Sequence[int]]) -> tuple[int, ...]:
     Z^m exactly when this returns m factors; the sublattice is all of Z^m
     exactly when they are all 1.
     """
-    a = [list(row) for row in b]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    factors: list[int] = []
-    t = 0
-    while t < min(nrows, ncols):
-        entries = [
-            (abs(a[i][j]), i, j)
-            for i in range(t, nrows)
-            for j in range(t, ncols)
-            if a[i][j] != 0
-        ]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            if any(a[i][t] for i in range(t + 1, nrows)):
-                # remainder became the smaller pivot candidate; reselect
-                pi = min(
-                    (i for i in range(t, nrows) if a[i][t]),
-                    key=lambda i: abs(a[i][t]),
-                )
-                a[t], a[pi] = a[pi], a[t]
-                continue
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-            if any(a[t][j] for j in range(t + 1, ncols)):
-                pj = min(
-                    (j for j in range(t, ncols) if a[t][j]),
-                    key=lambda j: abs(a[t][j]),
-                )
-                for row in a:
-                    row[t], row[pj] = row[pj], row[t]
-                continue
-            break
-        # enforce the divisibility chain before accepting the pivot
-        bad = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % a[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            continue
-        factors.append(abs(a[t][t]))
-        t += 1
-    return tuple(factors)
+    rows = row_hnf(b)
+    # The loop ends.  With H = rows, HNF(H^T) starts with the gcd of H's
+    # first row: a proper divisor of its pivot p until p divides the row,
+    # then (p, 0, ...), H's pivot column, as the HNF is unique.  That row
+    # stays so, the rows below follow, and a positive pivot cannot shrink forever.
+    while any(sum(1 for x in row if x) > 1 for row in rows):
+        rows = row_hnf(transpose(rows))
+    diagonal = [max(row) for row in rows]
+    for i in range(len(diagonal)):  # (gcd, lcm) on each pair sorts every prime's exponents
+        for j in range(i + 1, len(diagonal)):
+            diagonal[i], diagonal[j] = gcd(diagonal[i], diagonal[j]), lcm(diagonal[i], diagonal[j])
+    return tuple(diagonal)
 
 
 def solve_in_row_lattice(h: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
@@ -246,11 +199,6 @@ def solve_in_row_lattice(h: Sequence[Sequence[int]], target: Sequence[int]) -> l
         coeffs.append(t[c] // row[c])
         t = [x - coeffs[-1] * y for x, y in zip(t, row)]
     return None if any(t) else coeffs
-
-
-def in_row_lattice(basis: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
-    """True when ``target`` is an integer combination of the basis rows."""
-    return solve_in_row_lattice(row_hnf(basis), target) is not None
 
 
 # ---------------------------------------------------------------------------

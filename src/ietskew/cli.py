@@ -1,11 +1,11 @@
 """Batch command line: inspect | eigencocycles | certify | maharam | continuity | verify.
 
 Every command takes --instance (a file path or a packaged instance name).
-Exit codes: 0 ok, 1 validation error, 2 check failure, 3 inconclusive
-(a bound hit before a result, or memory ran out), each with one line on
-stderr; a closed stdout (``| head``) ends the run quietly.  Output rows
-are written in a canonical order so runs are reproducible given
-(instance file, seed).
+Exit codes: 0 ok, 1 validation error or unwritable --out, 2 check failure,
+3 inconclusive (a bound hit before a result, or memory ran out), each with
+one line on stderr; a closed stdout (``| head``) ends the run quietly.
+Output rows are written in a canonical order so runs are reproducible
+given (instance file, seed).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .maharam import (
     default_cylinder_family,
     dyadic_grids,
 )
+from .skew import check_periodic_type, eigencocycles, require_periodic_type
 from .verification import run_verification
 
 EXIT_OK = 0
@@ -182,8 +183,6 @@ def cmd_inspect(built: BuiltInstance, args) -> int:
 
 
 def cmd_eigencocycles(built: BuiltInstance, args) -> int:
-    from .skew import check_periodic_type, eigencocycles
-
     m, basis = eigencocycles(built.tower.matrix)
     payload = {"name": built.name, "m": m, "basis": [list(v) for v in basis]}
     if m == 0:
@@ -288,6 +287,7 @@ def _table_blocks(built: BuiltInstance, psi, table: MeasureTable):
 
 def cmd_maharam(built: BuiltInstance, args) -> int:
     _require_phi(built)
+    require_periodic_type(built.tower.matrix, built.phi)
     m = built.phi.m
     level = args.level if args.level is not None else TABLE_LEVEL
     # every table, so every psi, is checked before the first row is written
@@ -317,6 +317,7 @@ def _profile_blocks(profile: GridProfile):
 
 def cmd_continuity(built: BuiltInstance, args) -> int:
     _require_phi(built)
+    require_periodic_type(built.tower.matrix, built.phi)
     m = built.phi.m
     level = args.level if args.level is not None else CONTINUITY_LEVEL
     grids = _parse_grid_args(args, m) or dyadic_grids(m)
@@ -383,7 +384,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # later writes, the one at exit too, go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except ValueError as exc:  # InstanceError and usage errors included
+    except (ValueError, OSError) as exc:  # InstanceError, usage errors, an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (RuntimeError, MemoryError) as exc:

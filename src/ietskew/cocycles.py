@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import column_sums, in_row_lattice, invariant_factors, mat_mul, mat_vec, transpose
+from .algebra import column_sums, invariant_factors, mat_mul, mat_vec, row_hnf, solve_in_row_lattice, transpose
 from .algebra import vec_add, vec_neg, vec_sub
 from .bratteli import BratteliDiagram, FinitePath
 from .iet import RauzyLoop, compose_loop
-from .skew import SkewCocycle, check_periodic_type
+from .skew import SkewCocycle, require_periodic_type
 
 
 class CertificateInconclusive(RuntimeError):
@@ -204,8 +204,7 @@ def amplify_for_common_prefix(
     differences recover every value of the skewing cocycle; the Smith
     invariant factors of those generators decide the verdict.
     """
-    if not check_periodic_type(loop.period_matrix, phi):
-        raise ValueError("cocycle is not fixed by the loop (not periodic type)")
+    require_periodic_type(loop.period_matrix, phi)
     d = loop.d
     last_diag = ""
     power = loop.period_matrix  # A^rep, squared each round: its column sums are the q
@@ -313,6 +312,7 @@ def delta_closure_probe(
     """
     rng = random.Random(seed)
     f = FloorCocycle.of(diagram, phi).f
+    lattice = row_hnf(generators)
     by_length: dict[int, list[tuple[int, ...]]] = {}
     checked = 0
     attempts = 0
@@ -324,7 +324,7 @@ def delta_closure_probe(
         bucket = by_length.setdefault(len(cycle), [])
         cycle_sum = f[list(cycle)].sum(axis=0)
         for other in bucket:
-            if not in_row_lattice(generators, (cycle_sum - f[list(other)].sum(axis=0)).tolist()):
+            if solve_in_row_lattice(lattice, (cycle_sum - f[list(other)].sum(axis=0)).tolist()) is None:
                 return False
             checked += 1
             if checked >= samples:

@@ -20,16 +20,11 @@ from .algebra import (
 
 
 class SkewCocycle:
-    """Fiber displacement per labelled interval.
-
-    By default the values are required to generate Z^m (the working
-    assumption everywhere downstream); pass ``check_generates=False`` for
-    transient vectors such as renormalisations of a non-eigen cocycle.
-    """
+    """Fiber displacement per labelled interval; the values must generate Z^m."""
 
     __slots__ = ("values",)
 
-    def __init__(self, values, check_generates: bool = True):
+    def __init__(self, values):
         values = tuple(tuple(int(x) for x in row) for row in values)
         if not values:
             raise ValueError("empty cocycle")
@@ -38,7 +33,7 @@ class SkewCocycle:
             raise ValueError("inconsistent fiber dimensions")
         if m == 0:
             raise ValueError("fiber dimension must be at least 1")
-        if check_generates and invariant_factors(values) != (1,) * m:
+        if invariant_factors(values) != (1,) * m:
             raise ValueError("cocycle values do not generate the full lattice Z^m")
         object.__setattr__(self, "values", values)
 
@@ -113,3 +108,9 @@ def check_periodic_type(a: IntMatrix, phi: SkewCocycle) -> bool:
     if len(a) != phi.d:
         raise ValueError("matrix size does not match cocycle length")
     return mat_mul(transpose(a), phi.values) == phi.values
+
+
+def require_periodic_type(a: IntMatrix, phi: SkewCocycle) -> None:
+    """Refuse a cocycle that A^T does not fix: nothing periodic-type is defined for it."""
+    if not check_periodic_type(a, phi):
+        raise ValueError("cocycle is not fixed by the loop (not periodic type)")

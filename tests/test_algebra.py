@@ -8,7 +8,6 @@ from ietskew.algebra import (
     LaurentPolynomial,
     as_matrix,
     identity_matrix,
-    in_row_lattice,
     integer_kernel,
     invariant_factors,
     laurent_matrix_pow,
@@ -16,6 +15,7 @@ from ietskew.algebra import (
     mat_pow,
     mat_vec,
     row_hnf,
+    solve_in_row_lattice,
 )
 
 
@@ -159,7 +159,7 @@ def test_kernel_small_example_vs_brute_force():
     assert basis[0] in ((1, 1), (-1, -1))
     members = brute_force_kernel_members(b)
     for v in members:
-        assert in_row_lattice(basis, v)
+        assert solve_in_row_lattice(row_hnf(basis), v) is not None
 
 
 def test_kernel_random_vs_brute_force():
@@ -173,7 +173,7 @@ def test_kernel_random_vs_brute_force():
         for v in basis:
             assert all(x == 0 for x in mat_vec(b, v))
         for v in brute_force_kernel_members(b, box=2):
-            assert in_row_lattice(basis, v), (b, basis, v)
+            assert solve_in_row_lattice(row_hnf(basis), v) is not None, (b, basis, v)
 
 
 def test_invariant_factors_examples():
@@ -183,6 +183,15 @@ def test_invariant_factors_examples():
     # oracle for [[2,1],[0,3]]: d1 = gcd of entries = 1, d1*d2 = |det| = 6
     assert invariant_factors(as_matrix([[2, 1], [0, 3]])) == (1, 6)
     assert invariant_factors(as_matrix([[0, 0], [0, 0]])) == ()
+    # a zero row among nonzero rows changes nothing
+    assert invariant_factors([[2, 0], [0, 0], [0, 4]]) == (2, 4)
+    assert invariant_factors([[0, 0, 0], [3, 6, 9], [0, 0, 0]]) == (3,)
+    # rank-deficient tall matrices: rank 1 of 5 rows in Z^2, rank 2 of 6 rows in Z^3
+    assert invariant_factors([[2, -4], [4, -8], [0, 0], [-6, 12], [2, -4]]) == (2,)
+    assert invariant_factors([[1, 2, 3], [2, 4, 6], [0, 2, 4], [0, 4, 8], [1, 4, 7], [0, 0, 0]]) == (1, 2)
+    # a certificate-shaped list: many rows in Z^1 whose gcd is 1 only jointly
+    assert invariant_factors([[6]] * 40 + [[10], [15]]) == (1,)
+    assert invariant_factors([[6]] * 40 + [[10], [0]]) == (2,)
 
 
 def random_unimodular(rng, n, steps=6):
@@ -211,6 +220,6 @@ def test_row_hnf_reproduces_row_lattice():
         rows = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         h = row_hnf(rows)
         for row in rows:
-            assert in_row_lattice(h, row)
+            assert solve_in_row_lattice(h, row) is not None
         for row in h:
-            assert in_row_lattice(rows, row)
+            assert solve_in_row_lattice(row_hnf(rows), row) is not None

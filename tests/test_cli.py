@@ -106,6 +106,29 @@ def test_certify_requires_periodic_type(tmp_path, capsys):
     assert "not periodic type" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["certify", "maharam", "continuity"])
+def test_measure_commands_refuse_a_phi_not_of_periodic_type(command, tmp_path, capsys):
+    # the Maharam measures, like the certificate, need A^T phi = phi
+    data = json.loads((ROOT / "src" / "ietskew" / "instances" / "golden_triple.json").read_text())
+    data["phi"] = [[1], [0], [0]]
+    path = tmp_path / "notperiodic.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(command, "--instance", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cocycle is not fixed by the loop (not periodic type)\n"
+
+
+@pytest.mark.parametrize("command", [name for name, _, flags, _ in cli.SUBCOMMANDS if "--out" in flags])
+def test_an_unwritable_out_exits_1_with_one_line(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    level = ["--level", "2"] if command == "maharam" else []
+    assert run_cli(command, "--instance", "golden_triple", "--out", str(out), *level) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert str(out) in err
+
+
 def test_certify_is_inconclusive_before_the_words_blow_up(tmp_path, capsys):
     # repetition 8 of this loop would build words of 1,037,504,259 letters
     data = {

@@ -27,7 +27,6 @@ from ietskew.maharam import (
     recurrence_vector_residual,
     step_samples,
 )
-from ietskew.skew import SkewCocycle
 
 
 def path_count_coefficients(diagram, phi, k):
@@ -69,18 +68,6 @@ def test_level_counting_matrix_at_one_is_incidence(built):
     for i in range(built.tower.d):
         for j in range(built.tower.d):
             assert evaluated[i][j] == pytest.approx(built.tower.matrix[i][j], abs=0)
-
-
-def test_level_counting_zero_cocycle_degenerate(built):
-    zero_phi = SkewCocycle(
-        tuple((0,) for _ in range(built.tower.d)), check_generates=False
-    )
-    mat = level_counting_matrix(built.diagram, zero_phi)
-    for i in range(built.tower.d):
-        for j in range(built.tower.d):
-            entry = mat[i, j]
-            assert set(entry.terms) <= {(0,)}
-            assert entry.coefficient((0,)) == built.tower.matrix[i][j]
 
 
 def test_matrix_power_counts_paths_exhaustively(built):
