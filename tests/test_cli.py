@@ -318,6 +318,9 @@ def test_continuity_json_counts_grid_points(name, m, capsys):
     assert [p["points"] for p in payload] == [n ** m for n in (3, 5, 9)]
 
 
+GOLDEN_VERIFY = ROOT / "tests" / "data" / "verify_golden_triple.json"
+
+
 def test_verify_pass_and_report(tmp_path, capsys):
     out = tmp_path / "verify.json"
     assert run_cli("verify", "--instance", "golden_triple", "--out", str(out)) == 0
@@ -328,6 +331,13 @@ def test_verify_pass_and_report(tmp_path, capsys):
     names = [c["name"] for c in payload["checks"]]
     assert len(names) == len(set(names)) == 11
     assert all(c["status"] == "pass" for c in payload["checks"])
+    # every residual and detail byte, each runtime taken out: a change that
+    # moves one (a speed-up that reorders float sums or rng draws) must
+    # update the golden file on purpose
+    for check in payload["checks"]:
+        del check["runtime"]
+    stdout = re.sub(r" \(\d+\.\d\ds\)$", "", stdout, flags=re.M)
+    assert {"stdout": stdout, "report": payload} == json.loads(GOLDEN_VERIFY.read_text())
 
 
 def test_verify_fails_first_layer_on_phi_fault(tmp_path, capsys):
