@@ -33,6 +33,17 @@ from .iet import TowerSystem
 PATH_BLOCK = 32_768  # most paths in one path_blocks array
 
 
+def _below(bits, n: int) -> int:
+    """A draw from range(n) by ``bits`` = rng.getrandbits: n.bit_length() bits,
+    drawn again until below n.  This is how random.Random.randrange(n) draws
+    (CPython 3.10+), so the values and the rng state after them are its own."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 class MaximalPathError(Exception):
     """Every edge of the path (at this truncation depth) is maximal."""
 
@@ -95,6 +106,7 @@ class BratteliDiagram:
             raise ValueError("diagram needs more than one edge per level")
         self.first_ids = tuple(accumulate(self.q[:-1], initial=0))  # edge id of (j, 0) at j - 1
         self.top_ids = tuple(first + n - 1 for first, n in zip(self.first_ids, self.q))
+        self._tops = frozenset(self.top_ids)
         # 0-based source and target, and the floor, of each edge id
         self.source = np.array([letter - 1 for w in self.words for letter in w])
         self.target = np.repeat(np.arange(self.d), self.q)
@@ -131,7 +143,7 @@ class BratteliDiagram:
 
     def is_maximal(self, ids) -> bool:
         """Whether every edge id of the sequence is the top floor of its tower."""
-        return set(self.top_ids).issuperset(ids)
+        return self._tops.issuperset(ids)
 
     def adic_successor(self, p: FinitePath) -> FinitePath:
         """Smallest path above p in lexicographic order, same tail: ``adic_successors`` of one row."""
@@ -274,12 +286,14 @@ class BratteliDiagram:
 
     def random_path_ids(self, level: int, rng: random.Random) -> list[int]:
         """Edge ids of ``random_path``: a tower, then one of its floors, then a
-        floor of the tower under that floor, and so on down, by rng."""
-        j = rng.randrange(1, self.d + 1)
+        floor of the tower under that floor, and so on down, each by ``_below``
+        on rng's bits."""
+        bits, first, q, words = rng.getrandbits, self.first_ids, self.q, self.words
+        j = _below(bits, self.d)
         ids = []
         for _ in range(level):
-            l = rng.randrange(self.q[j - 1])
-            ids.append(self.first_ids[j - 1] + l)
-            j = self.words[j - 1][l]
+            l = _below(bits, q[j])
+            ids.append(first[j] + l)
+            j = words[j][l] - 1
         ids.reverse()
         return ids

@@ -11,6 +11,7 @@ given (instance file, seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -345,16 +346,21 @@ def cmd_continuity(built: BuiltInstance, args) -> int:
 def cmd_verify(built: BuiltInstance, args) -> int:
     _require_phi(built)
     seed = args.seed if args.seed is not None else built.spec.seed
-    report = run_verification(built, seed=seed)
-    for result in report:
-        residual = "" if result.residual is None else f" residual={result.residual:.3e}"
-        print(f"{result.status.upper():6s} {result.name}{residual} ({result.runtime:.2f}s)")
-    payload = {
-        "instance": built.name,
-        "seed": seed,
-        "checks": [r.to_dict() for r in report],
-    }
-    _maybe_json(payload, args)
+    # an unwritable --out fails before the first check, not after the last
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
+        report = run_verification(built, seed=seed)
+        for result in report:
+            residual = "" if result.residual is None else f" residual={result.residual:.3e}"
+            print(f"{result.status.upper():6s} {result.name}{residual} ({result.runtime:.2f}s)")
+        payload = {
+            "instance": built.name,
+            "seed": seed,
+            "checks": [r.to_dict() for r in report],
+        }
+        if out:
+            out.write(json.dumps(payload, indent=2))
+        else:
+            _maybe_json(payload, args)
     statuses = {r.status for r in report}
     if "fail" in statuses:
         return EXIT_CHECK_FAILURE

@@ -29,6 +29,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
+import numpy as np
+
 from .algebra import (
     IntMatrix,
     as_matrix,
@@ -339,23 +341,68 @@ def float_orbit_frequencies(
     comb: IetCombinatorics,
     lengths: LengthData,
     steps: int,
+    towers: tuple[np.ndarray, ...],
     x0: float | None = None,
 ) -> tuple[float, ...]:
-    """Visit frequencies of a plain float orbit to each labelled interval."""
+    """Visit frequencies of a plain float orbit to each labelled interval.
+
+    The orbit is x <- x + shift(interval of x), clamped back into [0, end)
+    after each step.  ``towers`` predicts it: per label, the 0-based labels its
+    floors visit bottom to top (``BratteliDiagram.floor_sources``).  Each
+    floor gets a float left endpoint, its tower's base scaled so that the
+    floors cover [0, end).  From the floor under x, the rest of its word is
+    the predicted block; ``np.add.accumulate`` walks it as the same left fold
+    of IEEE additions that a step-by-step loop makes, and the block is kept
+    up to the first step whose interval differs from the prediction or whose
+    point left [0, end).  A block that fails at once is one plain step.  The
+    predictor sets only the speed: the frequencies are those of the
+    step-by-step loop, bit for bit, whatever ``towers`` holds.
+    """
+    d = comb.d
     breaks = list(accumulate((lengths.lengths[t - 1] for t in comb.top), initial=0.0))
     image = dict(zip(comb.bottom, accumulate((lengths.lengths[b - 1] for b in comb.bottom), initial=0.0)))
-    shift = [image[label] - start for label, start in zip(comb.top, breaks)]  # by domain position
-    interior, end = breaks[1:-1], breaks[-1]
+    shift = np.array([image[label] - start for label, start in zip(comb.top, breaks)])  # by domain position
+    interior, end = np.array(breaks[1:-1]), breaks[-1]
+    position = np.argsort(np.array(comb.top) - 1)  # domain position of each 0-based label
+
+    # every floor in tower order: its domain position, the end of its tower,
+    # and its float left endpoint, the base's plus the shifts below it
+    heights = [len(w) for w in towers]
+    seq = position[np.concatenate(towers)]
+    stop = np.repeat(np.cumsum(heights), heights)
+    base = np.array(breaks)[position] * (end / float(np.dot(heights, lengths.lengths)))
+    left = np.concatenate(
+        [np.add.accumulate(np.append(b, shift[position[w[:-1]]])) for b, w in zip(base, towers)]
+    )
+    order = np.argsort(left)
+    sorted_left, seq_shift = left[order], shift[seq]
+
     # default start: a generic point (1/pi of the interval), kept away from
     # the algebraic breakpoint data of the packaged instances
     x = 0.3183098861837907 * end if x0 is None else x0
-    counts = [0] * comb.d  # visits per domain position
-    for _ in range(steps):
-        i = bisect_right(interior, x)  # 0..d-1: points outside [0, end) clamp to an end
-        counts[i] += 1
-        x += shift[i]
+    counts = np.zeros(d, dtype=np.int64)  # visits per domain position
+    done = 0
+    while done < steps:
+        f = order[max(np.searchsorted(sorted_left, x, side="right") - 1, 0)]
+        n = min(stop[f] - f, steps - done)
+        xs = np.empty(n + 1)
+        xs[0] = x
+        xs[1:] = seq_shift[f:f + n]
+        np.add.accumulate(xs, out=xs)
+        missed = np.searchsorted(interior, xs[:-1], side="right") != seq[f:f + n]
+        missed[1:] |= (xs[1:-1] < 0.0) | (xs[1:-1] >= end)  # a clamp ends the block
+        kept = int(missed.argmax()) if missed.any() else n
+        if kept:
+            counts += np.bincount(seq[f:f + kept], minlength=d)
+            x = float(xs[kept])
+        else:  # one plain step
+            i = int(np.searchsorted(interior, x, side="right"))  # points outside [0, end) clamp to an end
+            counts[i] += 1
+            x += float(shift[i])
+            kept = 1
         if x < 0.0:
             x = 0.0
         elif x >= end:
             x = end * (1.0 - 1e-16)
-    return tuple(c / steps for _, c in sorted(zip(comb.top, counts)))
+        done += kept
+    return tuple(c / steps for _, c in sorted(zip(comb.top, counts.tolist())))

@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from .algebra import LaurentMatrix, LaurentPolynomial, vec_add, zero_vector
-from .bratteli import BratteliDiagram, FinitePath
+from .bratteli import BratteliDiagram, FinitePath, _below
 from .cocycles import FloorCocycle
 from .skew import SkewCocycle
 
@@ -193,14 +193,16 @@ class StepCheckResult:  # worst residuals, one per psi of the stack
 
 def step_samples(diagram: BratteliDiagram, level: int, samples: int, m: int, seed: int):
     """(samples, k) edge ids of ``random_path`` draws, again while maximal, each
-    then given a fiber offset in [-2, 2]^m, (samples, m), by random.Random(seed)."""
+    then given a fiber offset in [-2, 2]^m, (samples, m), by random.Random(seed);
+    a fiber coordinate is ``_below`` 5 less 2, as rng.randint(-2, 2) draws it."""
     rng, rows, fibers = random.Random(seed), [], []
+    bits = rng.getrandbits
     while len(rows) < samples:
         ids = diagram.random_path_ids(level, rng)
         if not diagram.is_maximal(ids):
             rows.append(ids)
-            fibers.append([rng.randint(-2, 2) for _ in range(m)])
-    return np.array(rows).reshape(samples, level), np.array(fibers).reshape(samples, m)
+            fibers.append([_below(bits, 5) for _ in range(m)])
+    return np.array(rows).reshape(samples, level), np.array(fibers).reshape(samples, m) - 2
 
 
 def invariance_step_check(

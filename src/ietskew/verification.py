@@ -72,6 +72,7 @@ MAHARAM_CYLINDERS = 1000  # 8: sampled cylinders per psi
 MAHARAM_LEVEL = 5  # 8: their level, and the largest k of the base recurrence
 RECURRENCE_POWER = 3  # 8: the k of the counting-route recurrence
 ORBIT_STEPS = 1_000_000  # 9: float orbit length
+ORBIT_FLOORS = 2 ** 16  # 9: most floors of the towers that predict the orbit
 MEASURE_TOL = 1e-10  # 8, 9: bound on measure residuals
 ORBIT_TOL = 5e-3  # 9: bound on visit-frequency error
 
@@ -109,6 +110,8 @@ def _timed(name):
                 result = CheckResult(name, "fail", detail=str(exc) or repr(exc))
             except RuntimeError as exc:  # a bound hit before the check could decide
                 result = CheckResult(name, "inconclusive", detail=str(exc) or repr(exc))
+            except MemoryError as exc:  # freed as the check unwinds; the next one runs
+                result = CheckResult(name, "inconclusive", detail=f"{name} ran out of memory: {exc!r}")
             result.name = name
             result.runtime = time.perf_counter() - start
             return result
@@ -370,6 +373,15 @@ def check_maharam(built: BuiltInstance, seed: int = 0) -> CheckResult:
 # -- criterion 9 ---------------------------------------------------------------
 
 
+def orbit_towers(diagram: BratteliDiagram) -> tuple[np.ndarray, ...]:
+    """The floor sources of the deepest level, 1 at least, whose towers have
+    at most ORBIT_FLOORS floors in all: the predictor of criterion 9's orbit."""
+    level = 1
+    while sum(diagram.heights(level + 1)) <= ORBIT_FLOORS:
+        level += 1
+    return diagram.floor_sources(level)
+
+
 @_timed("psi_zero_consistency")
 def check_psi_zero(built: BuiltInstance, seed: int = 0) -> CheckResult:
     measure = MaharamMeasure(built.diagram, built.phi, zero_vector(built.phi.m))
@@ -379,7 +391,7 @@ def check_psi_zero(built: BuiltInstance, seed: int = 0) -> CheckResult:
     )
     if worst > MEASURE_TOL:
         return CheckResult("", "fail", residual=worst, detail="PF vector mismatch at psi=0")
-    freqs = float_orbit_frequencies(built.loop.start, lengths, ORBIT_STEPS)
+    freqs = float_orbit_frequencies(built.loop.start, lengths, ORBIT_STEPS, orbit_towers(built.diagram))
     orbit_err = max(abs(f - v) for f, v in zip(freqs, measure.perron.vector))
     if orbit_err > ORBIT_TOL:
         return CheckResult("", "fail", residual=orbit_err, detail="orbit frequencies off")

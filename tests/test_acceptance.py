@@ -49,6 +49,7 @@ STATED = {
         "MAHARAM_LEVEL": 5,  # 8: levels <= 5
         "RECURRENCE_POWER": 3,  # 8: the counting-route recurrence
         "ORBIT_STEPS": 1_000_000,  # 9
+        "ORBIT_FLOORS": 2 ** 16,  # 9: the towers that predict the orbit
         "MEASURE_TOL": 1e-10,  # 8, 9
         "ORBIT_TOL": 5e-3,  # 9
     },

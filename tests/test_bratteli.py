@@ -347,6 +347,16 @@ def test_random_path_ids_are_random_path(built):
             assert [edges[i] for i in diagram.random_path(level, c).ids] == want
 
 
+def test_below_draws_as_randrange():
+    # n = 1..64 takes in every power of two, where a draw is rejected most often
+    for seed in (0, 1, 17, 12345):
+        a, b = random.Random(seed), random.Random(seed)
+        for n in range(1, 65):
+            for _ in range(20):
+                assert bratteli._below(a.getrandbits, n) == b.randrange(n)
+        assert a.getstate() == b.getstate()
+
+
 def climb_to_floor(diagram, path):
     """Height of the floor of a path of (tower, floor) pairs by the per-edge
     climb over whole words."""

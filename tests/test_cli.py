@@ -527,3 +527,27 @@ def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, capsys
     capsys.readouterr()
     assert run_cli(*argv) == 0
     assert capsys.readouterr().out.encode() == whole.read_bytes()
+
+
+
+def test_verify_reports_a_check_out_of_memory_and_runs_the_rest(tmp_path, monkeypatch, capsys):
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(verification, "float_orbit_frequencies", exhaust)
+    out = tmp_path / "verify.json"
+    assert run_cli("verify", "--instance", "golden_triple", "--out", str(out)) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11 and sum(line.startswith("PASS ") for line in lines) == 10
+    assert lines[8].startswith("INCONCLUSIVE psi_zero_consistency")
+    check = json.loads(out.read_text())["checks"][8]
+    assert check["status"] == "inconclusive"
+    assert check["detail"] == "psi_zero_consistency ran out of memory: MemoryError()"
+
+
+def test_verify_fails_on_an_unwritable_out_before_the_first_check(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_verification", lambda *args, **kwargs: pytest.fail("checks ran"))
+    out = tmp_path / "missing" / "x"
+    assert run_cli("verify", "--instance", "genus2_rank2", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and str(out) in captured.err

@@ -1,10 +1,12 @@
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from ietskew.algebra import column_sums, mat_pow, mat_vec
 from ietskew.iet import (
     IetCombinatorics,
+    LengthData,
     PrecisionAlarm,
     RauzyLoop,
     compose_loop,
@@ -13,6 +15,7 @@ from ietskew.iet import (
     rauzy_step,
     simulate_return_times,
 )
+from ietskew.verification import orbit_towers
 
 
 def test_combinatorics_validation():
@@ -172,14 +175,15 @@ def test_simulation_alarm_on_perturbed_lengths(golden):
 
 
 def test_float_orbit_frequencies(golden):
-    freqs = float_orbit_frequencies(golden.loop.start, golden.lengths, 200_000)
+    towers = orbit_towers(golden.diagram)
+    freqs = float_orbit_frequencies(golden.loop.start, golden.lengths, 200_000, towers)
     for f, l in zip(freqs, golden.lengths.lengths):
         assert f == pytest.approx(l, abs=5e-3)
 
 
-def dict_orbit_frequencies(comb, lengths, steps, x0=None):
-    """The per-step dict/min/max orbit loop, kept as an oracle."""
-    d = comb.d
+def dict_orbit(comb, lengths, steps, x0=None):
+    """The per-step dict/min/max orbit loop, kept as an oracle: the label
+    visited at each step."""
     breaks = [0.0]
     for label in comb.top:
         breaks.append(breaks[-1] + lengths.lengths[label - 1])
@@ -195,28 +199,81 @@ def dict_orbit_frequencies(comb, lengths, steps, x0=None):
         pos += lengths.lengths[label - 1]
     by_position = list(comb.top)
     x = 0.3183098861837907 * breaks[-1] if x0 is None else x0
-    counts = [0] * d
+    labels = []
     for _ in range(steps):
         i = bisect_right(breaks, x) - 1
-        i = min(max(i, 0), d - 1)
+        i = min(max(i, 0), comb.d - 1)
         label = by_position[i]
-        counts[label - 1] += 1
+        labels.append(label)
         x += delta[label]
         if x < 0.0:
             x = 0.0
         elif x >= breaks[-1]:
             x = breaks[-1] * (1.0 - 1e-16)
-    return tuple(c / steps for c in counts)
+    return labels
+
+
+def dict_orbit_frequencies(comb, lengths, steps, x0=None):
+    labels = dict_orbit(comb, lengths, steps, x0)
+    return tuple(labels.count(j) / steps for j in range(1, comb.d + 1))
 
 
 def test_float_orbit_frequencies_equal_the_dict_loop(built):
     comb, lengths = built.loop.start, built.lengths
+    towers = orbit_towers(built.diagram)
     breaks = [0.0]
     for label in comb.top:
         breaks.append(breaks[-1] + lengths.lengths[label - 1])
-    # the default start, points within 1e-12 of a breakpoint, and one left of the interval
-    starts = [None, breaks[1] - 1e-12, breaks[-2] + 5e-13, -1.0]
+    # the default start at criterion 9's towers, over 200k steps
+    assert float_orbit_frequencies(comb, lengths, 200_000, towers) == dict_orbit_frequencies(
+        comb, lengths, 200_000
+    )
+    # points within 1e-12 of a breakpoint, one left of the interval and one right of it
+    starts = [breaks[1] - 1e-12, breaks[-2] + 5e-13, -1.0, 1.5 * breaks[-1]]
     for x0 in starts:
-        assert float_orbit_frequencies(comb, lengths, 50_000, x0) == dict_orbit_frequencies(
-            comb, lengths, 50_000, x0
+        assert float_orbit_frequencies(comb, lengths, 20_000, towers, x0) == dict_orbit_frequencies(
+            comb, lengths, 20_000, x0
         )
+
+
+def test_orbit_steps_may_end_inside_the_first_block(built):
+    comb, lengths = built.loop.start, built.lengths
+    towers = orbit_towers(built.diagram)
+    assert min(map(len, towers)) > 40
+    for steps in (1, 2, 7, 40):
+        assert float_orbit_frequencies(comb, lengths, steps, towers) == dict_orbit_frequencies(
+            comb, lengths, steps
+        )
+
+
+def test_a_wrong_predictor_changes_no_frequency(built):
+    # towers of other levels, each word rotated by one floor, the words
+    # handed to the wrong labels, and every floor put in the first interval
+    # (which agrees with the visits left of 0, so only the clamp test ends
+    # those blocks): slower walks, the same orbit
+    comb, lengths, diagram = built.loop.start, built.lengths, built.diagram
+    wrong = [
+        diagram.floor_sources(1),
+        diagram.floor_sources(2),
+        tuple(np.roll(w, 1) for w in orbit_towers(diagram)),
+        diagram.floor_sources(2)[::-1],
+        tuple(np.full_like(w, comb.top[0] - 1) for w in diagram.floor_sources(2)),
+    ]
+    for x0 in (None, -1.0, 1.5 * sum(lengths.lengths)):
+        expected = dict_orbit_frequencies(comb, lengths, 1_000, x0)
+        for towers in wrong:
+            assert float_orbit_frequencies(comb, lengths, 1_000, towers, x0) == expected
+
+
+@pytest.mark.parametrize("lengths", [(0.1, 0.7, 0.2), (0.1, 0.2, 0.3)])
+def test_the_walk_rounds_as_the_loop_does_on_a_periodic_exchange(lengths):
+    # a rational exchange's orbit runs through its breakpoints, where the
+    # last bit of each sum picks the interval; its own itinerary, cut into
+    # words, predicts it in long blocks
+    comb = IetCombinatorics((1, 2, 3), (3, 2, 1))
+    data = LengthData(lengths, 1.0, (0, 0, 0), 0)
+    path = np.array(dict_orbit(comb, data, 5_000, 0.0)) - 1
+    expected = dict_orbit_frequencies(comb, data, 5_000, 0.0)
+    for height in (7, 100):
+        towers = tuple(path[k:k + height] for k in range(3))
+        assert float_orbit_frequencies(comb, data, 5_000, towers, 0.0) == expected

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,6 +213,37 @@ def test_step_samples_repeat_the_random_path_draws(built):
         reference = reference_samples(diagram, level, 700, m, seed)
         assert ids.tolist() == [list(p.ids) for p, _ in reference]
         assert [tuple(a) for a in fibers.tolist()] == [a for _, a in reference]
+
+
+def randrange_step_samples(diagram, level, samples, m, rng):
+    """step_samples' rows and fibers drawn by rng.randrange and rng.randint."""
+    rows, fibers = [], []
+    while len(rows) < samples:
+        j, ids = rng.randrange(1, diagram.d + 1), []
+        for _ in range(level):
+            l = rng.randrange(diagram.q[j - 1])
+            ids.append(diagram.first_ids[j - 1] + l)
+            j = diagram.words[j - 1][l]
+        if not set(diagram.top_ids).issuperset(ids):
+            rows.append(ids[::-1])
+            fibers.append([rng.randint(-2, 2) for _ in range(m)])
+    return rows, fibers
+
+
+def test_step_samples_leave_the_rng_as_randrange_does(built, monkeypatch):
+    made = []  # the rng of each step_samples call
+
+    def recorded(seed):
+        made.append(random.Random(seed))
+        return made[-1]
+
+    monkeypatch.setattr(maharam, "random", SimpleNamespace(Random=recorded))
+    diagram, m = built.diagram, built.phi.m
+    for level, seed in ((1, 3), (5, 77)):
+        ids, fibers = step_samples(diagram, level, 500, m, seed)
+        reference = random.Random(seed)
+        assert (ids.tolist(), fibers.tolist()) == randrange_step_samples(diagram, level, 500, m, reference)
+        assert made[-1].getstate() == reference.getstate()
 
 
 def test_step_check_matches_per_sample_cylinder_measures(built):

@@ -269,6 +269,37 @@ def test_tail_draws_are_the_per_path_draws(built, seed, n_paths):
     assert {len(ids) for ids in paths} == {2, 3, 4} and len(starts) > 50
 
 
+def randrange_tail_draws(diagram, rng, n_paths):
+    """tail_draws with every floor and tower drawn by rng.randrange."""
+
+    def draw(level):
+        j, ids = rng.randrange(1, diagram.d + 1), []
+        for _ in range(level):
+            l = rng.randrange(diagram.q[j - 1])
+            ids.append(diagram.first_ids[j - 1] + l)
+            j = diagram.words[j - 1][l]
+        return ids[::-1]
+
+    paths = []
+    for _ in range(n_paths):
+        ids = draw(rng.choice([2, 3, 4]))
+        while diagram.is_maximal(ids):
+            ids = draw(4)
+        paths.append(ids)
+    starts = []
+    for _ in range(60):
+        ids = draw(9)
+        if not diagram.is_maximal(ids):
+            starts.append((ids, rng.randint(1, 20)))
+    return paths, starts
+
+
+def test_tail_draws_leave_the_rng_as_randrange_does(built):
+    a, b = random.Random(3), random.Random(3)
+    assert V.tail_draws(built.diagram, a, 1000) == randrange_tail_draws(built.diagram, b, 1000)
+    assert a.getstate() == b.getstate()
+
+
 def test_tail_cocycle_fails_on_a_telescoped_sum_off_by_one(golden, monkeypatch):
     # exact on the 2-4 edge paths, one too high on every level-9 row
     exact = V.tail_cocycle
