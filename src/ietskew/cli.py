@@ -88,10 +88,36 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _open_out(path: str | None):
+    """The --out file, opened before the command does its work, so that an
+    unwritable path fails at once. It is emptied only when the command
+    writes (``_start``): a command that stops early leaves an old file as
+    it was, and a new file it never wrote is removed."""
+    if not path:
+        yield None
+        return
+    existed = os.path.exists(path)
+    fh = open(path, "a")
+    try:
+        yield fh
+    finally:
+        fh.close()
+        if not existed and os.path.getsize(path) == 0:
+            os.remove(path)
+
+
+def _start(out):
+    """The open --out file, emptied for the command's output."""
+    if out.seekable():
+        out.seek(0)
+        out.truncate()
+    return out
+
+
+def _emit(text: str, out) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _start(out).write(text)
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -244,13 +270,12 @@ def _csv_blocks(n_rows: int, block):
         yield "".join(templates) % tuple(args)
 
 
-def _write_csv(header: list[str], row_blocks, out: str | None) -> None:
+def _write_csv(header: list[str], row_blocks, out) -> None:
     """Write the header row, then each string of ``row_blocks`` as it comes,
-    to the file ``out`` or to stdout."""
+    to the open file ``out`` or to stdout."""
     chunks = chain([",".join(_csv_cells(header)) + "\r\n"], row_blocks)
     if out:
-        with open(out, "w") as fh:
-            fh.writelines(chunks)
+        _start(out).writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
 
@@ -346,21 +371,16 @@ def cmd_continuity(built: BuiltInstance, args) -> int:
 def cmd_verify(built: BuiltInstance, args) -> int:
     _require_phi(built)
     seed = args.seed if args.seed is not None else built.spec.seed
-    # an unwritable --out fails before the first check, not after the last
-    with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
-        report = run_verification(built, seed=seed)
-        for result in report:
-            residual = "" if result.residual is None else f" residual={result.residual:.3e}"
-            print(f"{result.status.upper():6s} {result.name}{residual} ({result.runtime:.2f}s)")
-        payload = {
-            "instance": built.name,
-            "seed": seed,
-            "checks": [r.to_dict() for r in report],
-        }
-        if out:
-            out.write(json.dumps(payload, indent=2))
-        else:
-            _maybe_json(payload, args)
+    report = run_verification(built, seed=seed)
+    for result in report:
+        residual = "" if result.residual is None else f" residual={result.residual:.3e}"
+        print(f"{result.status.upper():6s} {result.name}{residual} ({result.runtime:.2f}s)")
+    payload = {
+        "instance": built.name,
+        "seed": seed,
+        "checks": [r.to_dict() for r in report],
+    }
+    _maybe_json(payload, args)
     statuses = {r.status for r in report}
     if "fail" in statuses:
         return EXIT_CHECK_FAILURE
@@ -382,9 +402,11 @@ COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        spec = load_instance(args.instance)
-        built = build_instance(spec)
-        code = COMMANDS[args.command](built, args)
+        # the commands see args.out as the open file (or None)
+        with _open_out(args.out) as args.out:
+            spec = load_instance(args.instance)
+            built = build_instance(spec)
+            code = COMMANDS[args.command](built, args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:  # later writes, the one at exit too, go nowhere

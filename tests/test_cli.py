@@ -551,3 +551,31 @@ def test_verify_fails_on_an_unwritable_out_before_the_first_check(tmp_path, monk
     assert run_cli("verify", "--instance", "genus2_rank2", "--out", str(out)) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and str(out) in captured.err
+
+
+@pytest.mark.parametrize("command", [name for name, _, flags, _ in cli.SUBCOMMANDS if "--out" in flags])
+def test_every_command_opens_its_out_before_building_the_instance(command, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "build_instance", lambda spec: pytest.fail("instance built"))
+    assert run_cli(command, "--instance", "golden_triple", "--out", str(tmp_path / "missing" / "x")) == 1
+
+
+@pytest.mark.parametrize(
+    "error, code", [(RuntimeError("horizon exceeded"), 3), (MemoryError(), 3), (ValueError("bad"), 1)]
+)
+def test_a_run_that_stops_early_leaves_an_old_out_as_it_was(error, code, tmp_path, monkeypatch, capsys):
+    def stop(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_verification", stop)
+    new = tmp_path / "new.json"
+    assert run_cli("verify", "--instance", "golden_triple", "--out", str(new)) == code
+    assert not new.exists()
+    out = tmp_path / "verify.json"
+    old = "the previous report\n" * 1000
+    out.write_text(old)
+    assert run_cli("verify", "--instance", "golden_triple", "--out", str(out)) == code
+    assert out.read_text() == old
+    # a run that finishes replaces the old, longer file whole
+    capsys.readouterr()
+    assert run_cli("eigencocycles", "--instance", "golden_triple", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["name"] == "golden_triple"

@@ -231,8 +231,8 @@ def test_float_orbit_frequencies_equal_the_dict_loop(built):
     # points within 1e-12 of a breakpoint, one left of the interval and one right of it
     starts = [breaks[1] - 1e-12, breaks[-2] + 5e-13, -1.0, 1.5 * breaks[-1]]
     for x0 in starts:
-        assert float_orbit_frequencies(comb, lengths, 20_000, towers, x0) == dict_orbit_frequencies(
-            comb, lengths, 20_000, x0
+        assert float_orbit_frequencies(comb, lengths, 50_000, towers, x0) == dict_orbit_frequencies(
+            comb, lengths, 50_000, x0
         )
 
 
