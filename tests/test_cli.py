@@ -318,26 +318,38 @@ def test_continuity_json_counts_grid_points(name, m, capsys):
     assert [p["points"] for p in payload] == [n ** m for n in (3, 5, 9)]
 
 
-GOLDEN_VERIFY = ROOT / "tests" / "data" / "verify_golden_triple.json"
+def golden_verify(name):
+    return json.loads((ROOT / "tests" / "data" / f"verify_{name}.json").read_text())
+
+
+def verify_without_times(name, tmp_path, capsys):
+    """verify's stdout and --out report for an instance at its own seed,
+    every runtime taken out: a change that moves a residual or a detail (a
+    speed-up that reorders float sums or rng draws) must update the golden
+    file on purpose."""
+    out = tmp_path / "verify.json"
+    assert run_cli("verify", "--instance", name, "--out", str(out)) == 0
+    stdout = re.sub(r" \(\d+\.\d\ds\)$", "", capsys.readouterr().out, flags=re.M)
+    payload = json.loads(out.read_text())
+    for check in payload["checks"]:
+        del check["runtime"]
+    return {"stdout": stdout, "report": payload}
 
 
 def test_verify_pass_and_report(tmp_path, capsys):
-    out = tmp_path / "verify.json"
-    assert run_cli("verify", "--instance", "golden_triple", "--out", str(out)) == 0
-    stdout = capsys.readouterr().out
-    assert stdout.count("PASS") == 11
-    payload = json.loads(out.read_text())
+    found = verify_without_times("golden_triple", tmp_path, capsys)
+    assert found["stdout"].count("PASS") == 11
+    payload = found["report"]
     assert payload["seed"] == 0
     names = [c["name"] for c in payload["checks"]]
     assert len(names) == len(set(names)) == 11
     assert all(c["status"] == "pass" for c in payload["checks"])
-    # every residual and detail byte, each runtime taken out: a change that
-    # moves one (a speed-up that reorders float sums or rng draws) must
-    # update the golden file on purpose
-    for check in payload["checks"]:
-        del check["runtime"]
-    stdout = re.sub(r" \(\d+\.\d\ds\)$", "", stdout, flags=re.M)
-    assert {"stdout": stdout, "report": payload} == json.loads(GOLDEN_VERIFY.read_text())
+    assert found == golden_verify("golden_triple")
+
+
+@pytest.mark.parametrize("name", ["genus2_rank1", "genus2_rank2"])
+def test_verify_matches_its_golden_file(name, tmp_path, capsys):
+    assert verify_without_times(name, tmp_path, capsys) == golden_verify(name)
 
 
 def test_verify_fails_first_layer_on_phi_fault(tmp_path, capsys):
