@@ -4,8 +4,7 @@ Everything in this module is exact: matrices and vectors are plain Python
 ints (arbitrary precision, since tower counts grow geometrically), Laurent
 polynomials store integer coefficients keyed by integer exponent vectors.
 Group elements of Z^m are represented throughout the package as plain
-tuples of ints; the helpers ``vec_add`` / ``vec_sub`` / ``vec_neg`` operate
-on those.
+tuples of ints; the helpers ``vec_add`` / ``vec_sub`` operate on those.
 
 All values are immutable after construction and all operations are pure,
 so concurrent reads are safe.
@@ -14,6 +13,7 @@ so concurrent reads are safe.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 
@@ -34,10 +34,6 @@ def vec_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_neg(a: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-x for x in a)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +251,15 @@ class LaurentPolynomial:
 
     def __mul__(self, other):
         self._check(other)
-        prod: dict[tuple[int, ...], int] = {}
+        return LaurentPolynomial(self.m, self._times(other, {}))
+
+    def _times(self, other, into: dict) -> dict:
+        """The terms of self * other added into ``into``."""
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                prod[e] = prod.get(e, 0) + c1 * c2
-        return LaurentPolynomial(self.m, prod)
+                e = tuple(map(add, e1, e2))
+                into[e] = into.get(e, 0) + c1 * c2
+        return into
 
     def __eq__(self, other):
         return (
@@ -332,10 +331,10 @@ class LaurentMatrix:
         for i in range(self.d):
             row = []
             for j in range(self.d):
-                acc = LaurentPolynomial.zero(self.m)
+                acc: dict[tuple[int, ...], int] = {}
                 for r in range(self.d):
-                    acc = acc + self.entries[i][r] * other.entries[r][j]
-                row.append(acc)
+                    self.entries[i][r]._times(other.entries[r][j], acc)
+                row.append(LaurentPolynomial(self.m, acc))
             rows.append(row)
         return LaurentMatrix(rows)
 

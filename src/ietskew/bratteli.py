@@ -33,15 +33,22 @@ from .iet import TowerSystem
 PATH_BLOCK = 32_768  # most paths in one path_blocks array
 
 
-def _below(bits, n: int) -> int:
-    """A draw from range(n) by ``bits`` = rng.getrandbits: n.bit_length() bits,
-    drawn again until below n.  This is how random.Random.randrange(n) draws
-    (CPython 3.10+), so the values and the rng state after them are its own."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
+def _draw_chain(bits, rows, row: int, count: int) -> list[int]:
+    """``count`` draws by ``bits`` = rng.getrandbits down a table of rows
+    (n, width, offset, follow).  A draw r from range(n) takes ``width`` =
+    n.bit_length() bits, drawn again until below n: this is how
+    random.Random.randrange(n) draws (CPython 3.10+), so the values and the
+    rng state after them are its own.  It records offset + r and moves on
+    to row follow[r]."""
+    out = []
+    for _ in range(count):
+        n, width, offset, follow = rows[row]
+        r = bits(width)
+        while r >= n:
+            r = bits(width)
+        out.append(offset + r)
+        row = follow[r]
+    return out
 
 
 class MaximalPathError(Exception):
@@ -284,16 +291,17 @@ class BratteliDiagram:
         """Uniform-floor random path, built target-first."""
         return self.path_from_ids(self.random_path_ids(level, rng))
 
+    @cached_property
+    def draw_rows(self) -> tuple:
+        """The ``_draw_chain`` table of ``random_path_ids``: per 0-based tower
+        j, (q_j, its bit width, the edge id of floor 0, the 0-based label
+        under each floor); then a last row that draws the tower."""
+        rows = [(n, n.bit_length(), first, tuple(c - 1 for c in w))
+                for n, first, w in zip(self.q, self.first_ids, self.words)]
+        return (*rows, (self.d, self.d.bit_length(), 0, tuple(range(self.d))))
+
     def random_path_ids(self, level: int, rng: random.Random) -> list[int]:
         """Edge ids of ``random_path``: a tower, then one of its floors, then a
-        floor of the tower under that floor, and so on down, each by ``_below``
-        on rng's bits."""
-        bits, first, q, words = rng.getrandbits, self.first_ids, self.q, self.words
-        j = _below(bits, self.d)
-        ids = []
-        for _ in range(level):
-            l = _below(bits, q[j])
-            ids.append(first[j] + l)
-            j = words[j][l] - 1
-        ids.reverse()
-        return ids
+        floor of the tower under that floor, and so on down, drawn by
+        ``_draw_chain`` on rng's bits; the tower is not an edge."""
+        return _draw_chain(rng.getrandbits, self.draw_rows, self.d, level + 1)[:0:-1]

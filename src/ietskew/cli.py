@@ -371,10 +371,11 @@ def cmd_continuity(built: BuiltInstance, args) -> int:
 def cmd_verify(built: BuiltInstance, args) -> int:
     _require_phi(built)
     seed = args.seed if args.seed is not None else built.spec.seed
-    report = run_verification(built, seed=seed)
-    for result in report:
+    report = []
+    for result in run_verification(built, seed=seed):  # each line as its check ends
         residual = "" if result.residual is None else f" residual={result.residual:.3e}"
-        print(f"{result.status.upper():6s} {result.name}{residual} ({result.runtime:.2f}s)")
+        print(f"{result.status.upper():6s} {result.name}{residual} ({result.runtime:.2f}s)", flush=True)
+        report.append(result)
     payload = {
         "instance": built.name,
         "seed": seed,

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import column_sums, invariant_factors, mat_mul, mat_vec, row_hnf, solve_in_row_lattice, transpose
-from .algebra import vec_add, vec_neg, vec_sub
+from .algebra import column_sums, invariant_factors, mat_mul, row_hnf, solve_in_row_lattice
 from .bratteli import BratteliDiagram, FinitePath
 from .iet import RauzyLoop, compose_loop
 from .skew import SkewCocycle, require_periodic_type
@@ -78,30 +77,28 @@ def tail_cocycle(diagram: BratteliDiagram, ids: np.ndarray, phi: SkewCocycle) ->
     return ((f[ids] - f[succ]) * shifts[:, :, None]).sum(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkewedPathState:
-    """A path, as its edge ids, together with a fiber coordinate in Z^m."""
+    """Rows of paths, a (rows, k) edge-id array, each with a fiber coordinate
+    in Z^m, a (rows, m) array."""
 
-    ids: tuple[int, ...]
-    fiber: tuple[int, ...]
+    ids: np.ndarray
+    fiber: np.ndarray
 
 
 def skewed_adic_step(
     diagram: BratteliDiagram, state: SkewedPathState, phi: SkewCocycle
 ) -> SkewedPathState:
-    """(p, a) -> (successor of p, a + phi at the source of edge one)."""
-    succ = diagram.adic_successors(np.array([state.ids]))[0]
-    source = int(diagram.source[state.ids[0]]) + 1
-    return SkewedPathState(tuple(succ.tolist()), vec_add(state.fiber, phi.of_label(source)))
+    """Each row (p, a) -> (successor of p, a + phi at the source of edge one)."""
+    move = np.array(phi.values)[diagram.source[state.ids[:, 0]]]
+    return SkewedPathState(diagram.adic_successors(state.ids), state.fiber + move)
 
 
-def shift_image(
-    fl: FloorCocycle, state: SkewedPathState, depth: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Remaining edge ids and fiber after ``depth`` skewed shift steps."""
-    if len(state.ids) < depth:
+def shift_image(fl: FloorCocycle, state: SkewedPathState, depth: int) -> SkewedPathState:
+    """Remaining edge ids and fiber of each row after ``depth`` skewed shift steps."""
+    if state.ids.shape[1] < depth:
         raise ValueError("depth exceeds path length")
-    return state.ids[depth:], vec_add(state.fiber, fl.f[list(state.ids[:depth])].sum(axis=0).tolist())
+    return SkewedPathState(state.ids[:, depth:], state.fiber + fl.f[state.ids[:, :depth]].sum(axis=1))
 
 
 def tail_orbit_witness(
@@ -110,28 +107,29 @@ def tail_orbit_witness(
     s2: SkewedPathState,
     phi: SkewCocycle,
     depth: int,
-) -> int | None:
-    """Orbit witness for two states with the same depth-k shift image.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit witnesses for pairs of states with the same depth-k shift image,
+    row i of s1 with row i of s2.
 
-    Returns n with the n-th skewed adic image of s1 equal to s2 (n may be
-    negative), or None when there is none inside one level-``depth`` skew
-    tower, as when the shift images differ.  The paths must share their
-    edges beyond ``depth`` and their level-``depth`` tower; n is their floor
-    difference, returned only when the fibers differ by phi summed over the
-    labels of the floors passed: exactly what n adic steps add.
+    Returns (n, found): where found, the n-th skewed adic image of the s1
+    row is the s2 row (n may be negative); found is False where there is
+    none inside one level-``depth`` skew tower, as when the shift images
+    differ.  The paths must share their edges beyond ``depth`` and their
+    level-``depth`` tower; n is their floor difference, a witness only when
+    the fibers differ by phi summed over the labels of the floors passed:
+    exactly what n adic steps add.
     """
-    if not 1 <= depth <= min(len(s1.ids), len(s2.ids)):
+    if not 1 <= depth <= min(s1.ids.shape[1], s2.ids.shape[1]):
         raise ValueError("depth must be between 1 and the path length")
-    if s1.ids[depth:] != s2.ids[depth:]:
-        return None
-    (t1, t2), (h1, h2) = diagram.paths_to_floors(np.array([s1.ids[:depth], s2.ids[:depth]]))
-    if t1 != t2:
-        return None
-    low, high = sorted((int(h1), int(h2)))
-    labels = diagram.floor_sources(depth)[t1][low:high]
-    passed = mat_vec(transpose(phi.values), np.bincount(labels, minlength=diagram.d).tolist())
-    n = int(h2) - int(h1)
-    return n if vec_sub(s2.fiber, s1.fiber) == (passed if n >= 0 else vec_neg(passed)) else None
+    (t1, h1), (t2, h2) = (diagram.paths_to_floors(s.ids[:, :depth]) for s in (s1, s2))
+    same_tail = s1.ids.shape == s2.ids.shape and (s1.ids[:, depth:] == s2.ids[:, depth:]).all(axis=1)
+    # per tower, phi summed over the floors under each height 0..h; towers stacked
+    values, zero = np.array(phi.values), np.zeros((1, phi.m), dtype=np.int64)
+    under = [np.cumsum(np.vstack((zero, values[s])), axis=0) for s in diagram.floor_sources(depth)]
+    start = np.cumsum([0, *map(len, under[:-1])])
+    under = np.concatenate(under)
+    passed = under[start[t2] + h2] - under[start[t1] + h1]
+    return h2 - h1, (t1 == t2) & same_tail & (s2.fiber - s1.fiber == passed).all(axis=1)
 
 
 @dataclass(frozen=True)

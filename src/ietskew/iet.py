@@ -354,7 +354,11 @@ def float_orbit_frequencies(
     the predicted block; ``np.add.accumulate`` walks it as the same left fold
     of IEEE additions that a step-by-step loop makes, and the block is kept
     up to the first step whose interval differs from the prediction or whose
-    point left [0, end).  A block that fails at once is one plain step.  The
+    point left [0, end).  A floor whose label is not x's own is one plain
+    step, and no block is built.  A block that misses partway caps the next
+    at 1024 floors, about what the fixed numpy cost of a block buys, so a
+    wrong predictor wastes a bounded amount per miss; each block kept whole
+    doubles the cap, so the true towers are walked in whole towers.  The
     predictor sets only the speed: the frequencies are those of the
     step-by-step loop, bit for bit, whatever ``towers`` holds.
     """
@@ -381,25 +385,27 @@ def float_orbit_frequencies(
     # the algebraic breakpoint data of the packaged instances
     x = 0.3183098861837907 * end if x0 is None else x0
     counts = np.zeros(d, dtype=np.int64)  # visits per domain position
-    done = 0
+    bounds, lefts, shifts = interior.tolist(), sorted_left.tolist(), shift.tolist()
+    done, cap = 0, len(seq)  # most floors of the next block
     while done < steps:
-        f = order[max(np.searchsorted(sorted_left, x, side="right") - 1, 0)]
-        n = min(stop[f] - f, steps - done)
-        xs = np.empty(n + 1)
-        xs[0] = x
-        xs[1:] = seq_shift[f:f + n]
-        np.add.accumulate(xs, out=xs)
-        missed = np.searchsorted(interior, xs[:-1], side="right") != seq[f:f + n]
-        missed[1:] |= (xs[1:-1] < 0.0) | (xs[1:-1] >= end)  # a clamp ends the block
-        kept = int(missed.argmax()) if missed.any() else n
-        if kept:
+        i = bisect_right(bounds, x)  # x's domain position; points outside [0, end) clamp to an end
+        f = order[max(bisect_right(lefts, x) - 1, 0)]
+        if seq[f] != i:  # a miss at once: one plain step
+            counts[i] += 1
+            x += shifts[i]
+            kept = 1
+        else:
+            n = min(stop[f] - f, steps - done, cap)
+            xs = np.empty(n + 1)
+            xs[0] = x
+            xs[1:] = seq_shift[f:f + n]
+            np.add.accumulate(xs, out=xs)
+            missed = np.searchsorted(interior, xs[:-1], side="right") != seq[f:f + n]
+            missed[1:] |= (xs[1:-1] < 0.0) | (xs[1:-1] >= end)  # a clamp ends the block
+            kept = int(missed.argmax()) if missed.any() else n  # at least 1: step 0 is x's own
             counts += np.bincount(seq[f:f + kept], minlength=d)
             x = float(xs[kept])
-        else:  # one plain step
-            i = int(np.searchsorted(interior, x, side="right"))  # points outside [0, end) clamp to an end
-            counts[i] += 1
-            x += float(shift[i])
-            kept = 1
+            cap = cap * 2 if kept == n else 1024
         if x < 0.0:
             x = 0.0
         elif x >= end:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -258,28 +259,31 @@ def check_tail_orbit(built: BuiltInstance, seed: int = 0) -> CheckResult:
     rng = random.Random(seed)
     for j in range(1, diagram.d + 1):
         height = diagram.heights(depth)[j - 1]
-        state = SkewedPathState(diagram.min_path(depth, j).ids, zero_vector(phi.m))
-        img0 = shift_image(fl, state, depth)
-        chain = [state]
-        for _ in range(height - 1):
-            state = skewed_adic_step(diagram, state, phi)
-            if shift_image(fl, state, depth) != img0:
-                return CheckResult(
-                    "", "fail", detail=f"orbit left its shift class in tower {j}"
-                )
-            chain.append(state)
-        if not diagram.is_maximal(chain[-1].ids):
+        # the skew tower in floor order: its paths from the dictionary, its
+        # fibers the running sum of what one skewed adic step adds to each
+        ids = diagram.floors_to_paths(depth, np.full(height, j - 1), np.arange(height))
+        zero = np.zeros((height, phi.m), dtype=np.int64)
+        step = skewed_adic_step(diagram, SkewedPathState(ids[:-1], zero[1:]), phi)
+        tower = SkewedPathState(ids, np.cumsum(np.vstack((zero[:1], step.fiber)), axis=0))
+        image = shift_image(fl, tower, depth)
+        image = np.column_stack((image.ids, image.fiber))
+        if (image != image[0]).any():
+            return CheckResult("", "fail", detail=f"orbit left its shift class in tower {j}")
+        if (ids[0] != diagram.min_path(depth, j).ids).any() or (step.ids != ids[1:]).any():
+            return CheckResult("", "fail", detail=f"tower {j} orbit left the floor order")
+        if not diagram.is_maximal(ids[-1]):
             return CheckResult("", "fail", detail=f"tower {j} orbit ended early")
-        # the chain exhausts the skew tower: every floor pair is connected by
-        # construction; validate the witness search itself on sampled pairs
-        pairs = (
-            [(a, b) for a in range(height) for b in range(height)]
-            if height <= WITNESS_ALL_PAIRS
-            else [(rng.randrange(height), rng.randrange(height)) for _ in range(WITNESS_SAMPLES)]
+        # the tower is one skewed orbit, so every floor pair is connected;
+        # validate the witness itself on all pairs, or on sampled ones
+        if height <= WITNESS_ALL_PAIRS:
+            a, b = np.divmod(np.arange(height * height), height)
+        else:
+            a, b = np.array([(rng.randrange(height), rng.randrange(height)) for _ in range(WITNESS_SAMPLES)]).T
+        n, found = tail_orbit_witness(
+            diagram, SkewedPathState(ids[a], tower.fiber[a]), SkewedPathState(ids[b], tower.fiber[b]), phi, depth
         )
-        for a, b in pairs:
-            if tail_orbit_witness(diagram, chain[a], chain[b], phi, depth) != b - a:
-                return CheckResult("", "fail", detail=f"witness failed in tower {j}")
+        if not (found & (n == b - a)).all():
+            return CheckResult("", "fail", detail=f"witness failed in tower {j}")
     return CheckResult("", "pass", residual=0.0, detail=f"level-{depth} towers exhausted")
 
 
@@ -311,32 +315,34 @@ def check_certificate(built: BuiltInstance, seed: int = 0) -> CheckResult:
 def check_level_counting(built: BuiltInstance, seed: int = 0) -> CheckResult:
     diagram, phi = built.diagram, built.phi
     mat = level_counting_matrix(diagram, phi)
-    fl = FloorCocycle.of(diagram, phi)
-    source, target = diagram.source, diagram.target
-    lo, hi = fl.f.min(axis=0), fl.f.max(axis=0)
+    f = FloorCocycle.of(diagram, phi).f
+    d, lo, hi = diagram.d, f.min(axis=0), f.max(axis=0)
     mk, ak = mat, diagram.matrix
     n_paths = 0
     for k in range(1, COUNTING_LEVELS + 1):
         if k > 1:
             mk, ak = mk * mat, mat_mul(ak, diagram.matrix)
-        # one dense count per (source, target, S_k f - k lo), over every path
-        counts = np.zeros((diagram.d, diagram.d) + tuple(k * (hi - lo) + 1), dtype=np.int64)
+        # dense counts over (source, target, S_k f - k lo); a path's flat key is
+        # the sum of its edges' weights (f(e) - lo) . strides, plus its cell's
+        shape = (d, d, *(k * (hi - lo) + 1))
+        strides = np.cumprod((1, *shape[:0:-1]))[::-1]
+        weight = (f - lo) @ strides[2:]
+        counts = np.zeros(np.prod(shape), dtype=np.int64)
         for ids in diagram.path_blocks(k):
-            sums = fl.f[ids].sum(axis=1) - k * lo
-            np.add.at(counts, (source[ids[:, 0]], target[ids[:, -1]], *sums.T), 1)
+            key = diagram.source[ids[:, 0]] * strides[0] + diagram.target[ids[:, -1]] * strides[1]
+            counts += np.bincount(key + weight[ids].sum(axis=1), minlength=counts.size)
         n_paths += int(counts.sum())
-        for i in range(diagram.d):
-            for j in range(diagram.d):
-                entry, cell = mk[i, j], counts[i, j]
-                found = zip(np.argwhere(cell) + k * lo, cell[cell > 0].tolist())
-                if entry.terms != {tuple(a.tolist()): n for a, n in found}:
-                    return CheckResult(
-                        "", "fail", detail=f"coefficients disagree with paths at k={k}"
-                    )
-                if sum(entry.terms.values()) != ak[i][j]:
-                    return CheckResult(
-                        "", "fail", detail=f"coefficient totals != incidence power at k={k}"
-                    )
+        # the exact M(t)^k in the same shape; a term outside it matches no path
+        terms = [(i * d + j, a, n) for i in range(d) for j in range(d) for a, n in mk[i, j].terms.items()]
+        cells, at, coefficients = map(np.array, zip(*terms))
+        at -= k * lo
+        inside = ((at >= 0) & (at < shape[2:])).all(axis=1)
+        power = np.zeros_like(counts)
+        power[cells[inside] * strides[1] + at[inside] @ strides[2:]] = coefficients[inside]
+        if not (inside.all() and np.array_equal(power, counts)):
+            return CheckResult("", "fail", detail=f"coefficients disagree with paths at k={k}")
+        if (counts.reshape(d * d, -1).sum(axis=1) != np.ravel(ak)).any():  # M^k's totals, as power == counts
+            return CheckResult("", "fail", detail=f"coefficient totals != incidence power at k={k}")
     return CheckResult(
         "", "pass", residual=0.0, detail=f"coefficient-exact to k={COUNTING_LEVELS} over {n_paths} paths"
     )
@@ -498,20 +504,18 @@ ALL_CHECKS = [
 ]
 
 
-def run_layers(built: BuiltInstance, checks, seed: int = 0) -> list[CheckResult]:
-    """Run checks in order; after the first failure everything is skipped."""
-    results: list[CheckResult] = []
+def run_layers(built: BuiltInstance, checks, seed: int = 0) -> Iterator[CheckResult]:
+    """Run checks in order, yielding each result as its check ends; after
+    the first failure everything is skipped."""
     failed = False
     for fn in checks:
         if failed:
-            results.append(CheckResult(fn.check_name, "skipped", detail="earlier layer failed"))
+            yield CheckResult(fn.check_name, "skipped", detail="earlier layer failed")
             continue
         result = fn(built, seed)
-        results.append(result)
-        if result.status == "fail":
-            failed = True
-    return results
+        failed = result.status == "fail"
+        yield result
 
 
-def run_verification(built: BuiltInstance, seed: int = 0) -> list[CheckResult]:
+def run_verification(built: BuiltInstance, seed: int = 0) -> Iterator[CheckResult]:
     return run_layers(built, ALL_CHECKS, seed)

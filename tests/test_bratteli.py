@@ -348,13 +348,27 @@ def test_random_path_ids_are_random_path(built):
 
 
 def test_below_draws_as_randrange():
-    # n = 1..64 takes in every power of two, where a draw is rejected most often
+    # n = 1..64 takes in every power of two, where a draw is rejected most
+    # often; a one-row table that leads back to itself draws range(n) again
     for seed in (0, 1, 17, 12345):
         a, b = random.Random(seed), random.Random(seed)
         for n in range(1, 65):
-            for _ in range(20):
-                assert bratteli._below(a.getrandbits, n) == b.randrange(n)
+            row = ((n, n.bit_length(), 0, (0,) * n),)
+            assert bratteli._draw_chain(a.getrandbits, row, 0, 20) == [b.randrange(n) for _ in range(20)]
         assert a.getstate() == b.getstate()
+
+
+def test_random_path_ids_on_a_level_0_diagram(built):
+    # every q_j = 1: each floor draw is getrandbits(1), drawn again while it is 1
+    diagram = BratteliDiagram(compose_loop(built.loop, 0))
+    assert diagram.q == (1,) * diagram.d
+    edges = [(j, l) for j, l, _ in edge_list(diagram)]
+    a, b = random.Random(5), random.Random(5)
+    for level in (1, 2, 7):
+        for _ in range(50):
+            want = random_path_edge_by_edge(diagram, level, b)
+            assert [edges[i] for i in diagram.random_path_ids(level, a)] == want
+    assert a.getstate() == b.getstate()
 
 
 def climb_to_floor(diagram, path):

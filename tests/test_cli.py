@@ -387,6 +387,38 @@ def test_verify_reports_a_runtime_error_as_inconclusive(monkeypatch, capsys):
     assert out.count("PASS") == 10
 
 
+class Stop(Exception):
+    """An exception no check catches."""
+
+
+def test_verify_prints_each_line_as_its_check_ends(monkeypatch, capsys):
+    # criterion 9 raises past _timed: the eight lines before it are out
+    def stop(*args, **kwargs):
+        raise Stop
+
+    monkeypatch.setattr(verification, "float_orbit_frequencies", stop)
+    with pytest.raises(Stop):
+        run_cli("verify", "--instance", "golden_triple")
+    stdout = re.sub(r" \(\d+\.\d\ds\)$", "", capsys.readouterr().out, flags=re.M)
+    assert stdout.splitlines() == golden_verify("golden_triple")["stdout"].splitlines()[:8]
+
+
+def test_verify_flushes_each_line():
+    # stdout is a pipe, so it is block-buffered; criterion 9 ends the
+    # process with no flush at exit, and the eight lines before it are out
+    code = (
+        "import os\n"
+        "from ietskew import cli, verification\n"
+        "verification.float_orbit_frequencies = lambda *args: os._exit(7)\n"
+        "cli.main(['verify', '--instance', 'golden_triple'])\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 7
+    names = [check.check_name for check in verification.ALL_CHECKS[:8]]
+    assert [line.split()[:2] for line in proc.stdout.splitlines()] == [["PASS", name] for name in names]
+
+
 def test_verify_requires_phi(tmp_path, capsys):
     rot = tmp_path / "rot.json"
     rot.write_text(

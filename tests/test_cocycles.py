@@ -41,6 +41,22 @@ def tail_of(diagram, p, phi):
     return tuple(tail_cocycle(diagram, np.array([p.ids]), phi)[0].tolist())
 
 
+def states(ids, fibers):
+    """Rows of skewed states from lists of edge-id rows and fiber rows."""
+    return SkewedPathState(np.array(ids), np.array(fibers).reshape(len(ids), -1))
+
+
+def rows(state):
+    """A SkewedPathState as (ids, fiber) lists of rows, for comparison."""
+    return state.ids.tolist(), state.fiber.tolist()
+
+
+def witnesses(diagram, s1, s2, phi, depth):
+    """``tail_orbit_witness`` per pair: n, or None where there is no witness."""
+    n, found = tail_orbit_witness(diagram, s1, s2, phi, depth)
+    return [int(x) if ok else None for x, ok in zip(n, found)]
+
+
 # -- the floor cocycle f ------------------------------------------------------
 
 
@@ -188,15 +204,14 @@ def test_birkhoff_telescoping_identity(built):
 def test_skewed_adic_step_and_inverse(built):
     diagram, phi = built.diagram, built.phi
     rng = random.Random(35)
-    for _ in range(200):
-        p = random_nonmax_path(diagram, 3, rng)
-        state = SkewedPathState(p.ids, zero_vector(phi.m))
-        stepped = skewed_adic_step(diagram, state, phi)
-        assert stepped.fiber == phi.of_label(p.source)
+    paths = [random_nonmax_path(diagram, 3, rng) for _ in range(200)]
+    stepped = skewed_adic_step(diagram, states([p.ids for p in paths], [zero_vector(phi.m)] * 200), phi)
+    assert stepped.fiber.tolist() == [list(phi.of_label(p.source)) for p in paths]
+    for p, ids, fiber in zip(paths, *rows(stepped)):
         # the inverse: one floor down in the dictionary, minus phi under it
-        floor = diagram.path_to_floor(diagram.path_from_ids(stepped.ids))
+        floor = diagram.path_to_floor(diagram.path_from_ids(ids))
         prev = diagram.floor_to_path(3, floor.tower, floor.height - 1)
-        assert SkewedPathState(prev.ids, vec_sub(stepped.fiber, phi.of_label(prev.source))) == state
+        assert (prev.ids, vec_sub(tuple(fiber), phi.of_label(prev.source))) == (p.ids, zero_vector(phi.m))
 
 
 def test_skewed_shift_step(built):
@@ -205,15 +220,14 @@ def test_skewed_shift_step(built):
     diagram, phi = built.diagram, built.phi
     fl = FloorCocycle(diagram, phi)
     rng = random.Random(36)
-    for _ in range(100):
-        p = diagram.random_path(3, rng)
-        state = SkewedPathState(p.ids, (7,) * phi.m)
-        ids, fiber = shift_image(fl, state, 1)
-        assert ids == diagram.path_from_ids(p.ids[1:]).ids
-        assert fiber == vec_add((7,) * phi.m, f_of(fl, p.ids[0]))
+    paths = [diagram.random_path(3, rng) for _ in range(100)]
+    state = states([p.ids for p in paths], [(7,) * phi.m] * 100)
+    for p, ids, fiber in zip(paths, *rows(shift_image(fl, state, 1))):
+        assert tuple(ids) == diagram.path_from_ids(p.ids[1:]).ids
+        assert tuple(fiber) == vec_add((7,) * phi.m, f_of(fl, p.ids[0]))
         # bottom floors leave the fiber unchanged
         if p.ids[0] in diagram.first_ids:
-            assert fiber == state.fiber
+            assert tuple(fiber) == (7,) * phi.m
     with pytest.raises(ValueError):
         shift_image(fl, state, 4)
 
@@ -223,11 +237,11 @@ def test_skewed_iteration_accumulates_birkhoff_sums(built):
     fl = FloorCocycle(diagram, phi)
     rng = random.Random(37)
     p = diagram.random_path(4, rng)
-    state = SkewedPathState(p.ids, zero_vector(phi.m))
+    state = states([p.ids], [zero_vector(phi.m)])
     for k in range(1, 4):
-        assert shift_image(fl, state, k) == (p.ids[k:], fl.path_sum(p, k))
-        state_k = SkewedPathState(*shift_image(fl, state, k))
-        assert shift_image(fl, state_k, 1) == shift_image(fl, state, k + 1)
+        assert rows(shift_image(fl, state, k)) == ([list(p.ids[k:])], [list(fl.path_sum(p, k))])
+        state_k = shift_image(fl, state, k)
+        assert rows(shift_image(fl, state_k, 1)) == rows(shift_image(fl, state, k + 1))
 
 
 def test_path_sum_of_no_shifts_is_zero(built):
@@ -260,32 +274,32 @@ def test_path_sum_matches_path_block_sums(built):
 def test_witness_trivial_and_single_step(built):
     diagram, phi = built.diagram, built.phi
     rng = random.Random(38)
-    for _ in range(50):
-        p = random_nonmax_path(diagram, 3, rng)
-        s1 = SkewedPathState(p.ids, zero_vector(phi.m))
-        assert tail_orbit_witness(diagram, s1, s1, phi, 3) == 0
-        s2 = skewed_adic_step(diagram, s1, phi)
-        assert tail_orbit_witness(diagram, s1, s2, phi, 3) == 1
-        assert tail_orbit_witness(diagram, s2, s1, phi, 3) == -1
+    s1 = states([random_nonmax_path(diagram, 3, rng).ids for _ in range(50)], [zero_vector(phi.m)] * 50)
+    assert witnesses(diagram, s1, s1, phi, 3) == [0] * 50
+    s2 = skewed_adic_step(diagram, s1, phi)
+    assert witnesses(diagram, s1, s2, phi, 3) == [1] * 50
+    assert witnesses(diagram, s2, s1, phi, 3) == [-1] * 50
 
 
 def test_witness_exhaustive_level2(built):
-    # enumerate one full skew tower per label: every floor has the same
-    # depth-2 shift image as the base, and the orbit index is the height
+    # enumerate one full skew tower per label, one skewed step at a time:
+    # every floor has the same depth-2 shift image as the base, and the
+    # orbit index is the height
     diagram, phi = built.diagram, built.phi
     fl = FloorCocycle(diagram, phi)
     depth = 2
     for j in range(1, diagram.d + 1):
         base = diagram.min_path(depth, j)
-        state = SkewedPathState(base.ids, zero_vector(phi.m))
-        img0 = shift_image(fl, state, depth)
+        state = states([base.ids], [zero_vector(phi.m)])
+        img0 = rows(shift_image(fl, state, depth))
         height = diagram.heights(depth)[j - 1]
         chain = [state]
         for _ in range(height - 1):
             state = skewed_adic_step(diagram, state, phi)
-            assert shift_image(fl, state, depth) == img0
+            assert rows(shift_image(fl, state, depth)) == img0
             chain.append(state)
-        assert diagram.is_maximal(chain[-1].ids)
+        assert diagram.is_maximal(chain[-1].ids[0])
+        ids, fibers = (np.concatenate([getattr(s, name) for s in chain]) for name in ("ids", "fiber"))
         # spot-validate the witness search against the enumerated chain
         rng = random.Random(39 + j)
         pairs = (
@@ -295,17 +309,17 @@ def test_witness_exhaustive_level2(built):
                 (rng.randrange(height), rng.randrange(height)) for _ in range(120)
             ]
         )
-        for a, b in pairs:
-            n = tail_orbit_witness(diagram, chain[a], chain[b], phi, depth)
-            assert n == b - a
+        a, b = np.array(pairs).T
+        n = witnesses(diagram, SkewedPathState(ids[a], fibers[a]), SkewedPathState(ids[b], fibers[b]), phi, depth)
+        assert n == (b - a).tolist()
 
 
 def test_witness_rejects_different_tails(built):
     diagram, phi = built.diagram, built.phi
     base1 = diagram.min_path(2, 1)
-    s1 = SkewedPathState(base1.ids, zero_vector(phi.m))
-    shifted_fiber = SkewedPathState(base1.ids, tuple(5 for _ in range(phi.m)))
-    assert tail_orbit_witness(diagram, s1, shifted_fiber, phi, 2) is None
+    s1 = states([base1.ids], [zero_vector(phi.m)])
+    shifted_fiber = states([base1.ids], [tuple(5 for _ in range(phi.m))])
+    assert witnesses(diagram, s1, shifted_fiber, phi, 2) == [None]
 
 
 def test_witness_none_for_empty_tails_in_different_towers(built):
@@ -313,22 +327,21 @@ def test_witness_none_for_empty_tails_in_different_towers(built):
     # images, at the same height: only the tower tells them apart
     diagram, phi = built.diagram, built.phi
     fl = FloorCocycle.of(diagram, phi)
-    s1 = SkewedPathState(diagram.min_path(2, 1).ids, zero_vector(phi.m))
-    s2 = SkewedPathState(diagram.min_path(2, 2).ids, zero_vector(phi.m))
-    assert shift_image(fl, s1, 2)[1] == shift_image(fl, s2, 2)[1]
-    assert tail_orbit_witness(diagram, s1, s2, phi, 2) is None
-    assert tail_orbit_witness(diagram, s2, s1, phi, 2) is None
+    s1 = states([diagram.min_path(2, 1).ids], [zero_vector(phi.m)])
+    s2 = states([diagram.min_path(2, 2).ids], [zero_vector(phi.m)])
+    assert rows(shift_image(fl, s1, 2))[1] == rows(shift_image(fl, s2, 2))[1]
+    assert witnesses(diagram, s1, s2, phi, 2) == [None]
+    assert witnesses(diagram, s2, s1, phi, 2) == [None]
 
 
 def test_witness_none_when_the_fiber_identity_fails(built):
     diagram, phi = built.diagram, built.phi
     rng = random.Random(40)
-    for _ in range(50):
-        s1 = SkewedPathState(random_nonmax_path(diagram, 3, rng).ids, zero_vector(phi.m))
-        s2 = skewed_adic_step(diagram, s1, phi)
-        off = SkewedPathState(s2.ids, vec_add(s2.fiber, (0,) * (phi.m - 1) + (1,)))
-        assert tail_orbit_witness(diagram, s1, off, phi, 3) is None
-        assert tail_orbit_witness(diagram, off, s1, phi, 3) is None
+    s1 = states([random_nonmax_path(diagram, 3, rng).ids for _ in range(50)], [zero_vector(phi.m)] * 50)
+    s2 = skewed_adic_step(diagram, s1, phi)
+    off = SkewedPathState(s2.ids, s2.fiber + ((0,) * (phi.m - 1) + (1,)))
+    assert witnesses(diagram, s1, off, phi, 3) == [None] * 50
+    assert witnesses(diagram, off, s1, phi, 3) == [None] * 50
 
 
 def test_witness_below_a_shared_tail(built):
@@ -337,22 +350,37 @@ def test_witness_below_a_shared_tail(built):
     diagram, phi = built.diagram, built.phi
     rng = random.Random(41)
     for _ in range(30):
-        s1 = SkewedPathState(diagram.random_path(5, rng).ids, (3,) * phi.m)
+        s1 = states([diagram.random_path(5, rng).ids], [(3,) * phi.m])
         s2, n = s1, 0
         for _ in range(rng.randint(1, 8)):
-            if diagram.is_maximal(s2.ids[:2]):
+            if diagram.is_maximal(s2.ids[0, :2]):
                 break
             s2, n = skewed_adic_step(diagram, s2, phi), n + 1
-        assert s2.ids[2:] == s1.ids[2:]
-        assert tail_orbit_witness(diagram, s1, s2, phi, 2) == n
-        assert tail_orbit_witness(diagram, s2, s1, phi, 2) == -n
+        assert s2.ids[0, 2:].tolist() == s1.ids[0, 2:].tolist()
+        assert witnesses(diagram, s1, s2, phi, 2) == [n]
+        assert witnesses(diagram, s2, s1, phi, 2) == [-n]
         other_tail = diagram.random_path(5, rng)
-        if other_tail.ids[2:] != s1.ids[2:]:
-            s3 = SkewedPathState(other_tail.ids, s1.fiber)
-            assert tail_orbit_witness(diagram, s1, s3, phi, 2) is None
+        if list(other_tail.ids[2:]) != s1.ids[0, 2:].tolist():
+            s3 = states([other_tail.ids], s1.fiber)
+            assert witnesses(diagram, s1, s3, phi, 2) == [None]
     for depth in (0, 6):
         with pytest.raises(ValueError):
             tail_orbit_witness(diagram, s1, s1, phi, depth)
+
+
+def test_witness_answers_every_pair_of_a_batch(built):
+    # one call over pairs of mixed outcomes gives each pair its own answer
+    diagram, phi = built.diagram, built.phi
+    rng = random.Random(42)
+    s1 = states([random_nonmax_path(diagram, 3, rng).ids for _ in range(40)], [zero_vector(phi.m)] * 40)
+    s2 = skewed_adic_step(diagram, s1, phi)
+    pick = np.arange(40) % 2 == 0  # even pairs step, odd pairs stay; pair 3 is moved off
+    mixed = SkewedPathState(np.where(pick[:, None], s2.ids, s1.ids), np.where(pick[:, None], s2.fiber, s1.fiber))
+    mixed.fiber[3] += 1
+    expected = [None if i == 3 else int(pick[i]) for i in range(40)]
+    assert witnesses(diagram, s1, mixed, phi, 3) == expected
+    # paths of another length share no tail
+    assert witnesses(diagram, s1, states(s1.ids[:, :2], s1.fiber), phi, 2) == [None] * 40
 
 
 # -- aperiodicity certificate -------------------------------------------------

@@ -265,6 +265,16 @@ def test_a_wrong_predictor_changes_no_frequency(built):
             assert float_orbit_frequencies(comb, lengths, 1_000, towers, x0) == expected
 
 
+def test_a_rotated_predictor_walks_as_the_loop_does(built):
+    # criterion 9's towers, each word rotated by one floor: most floors
+    # miss at once, the rest miss partway under a capped block
+    comb, lengths = built.loop.start, built.lengths
+    rotated = tuple(np.roll(w, 1) for w in orbit_towers(built.diagram))
+    for x0 in (None, -1.0):
+        expected = dict_orbit_frequencies(comb, lengths, 50_000, x0)
+        assert float_orbit_frequencies(comb, lengths, 50_000, rotated, x0) == expected
+
+
 @pytest.mark.parametrize("lengths", [(0.1, 0.7, 0.2), (0.1, 0.2, 0.3)])
 def test_the_walk_rounds_as_the_loop_does_on_a_periodic_exchange(lengths):
     # a rational exchange's orbit runs through its breakpoints, where the

@@ -4,6 +4,7 @@ import json
 import random
 import re
 
+import numpy as np
 import pytest
 
 from ietskew import maharam
@@ -85,6 +86,24 @@ def test_level_counting_fails_at_k1_on_a_monomial_in_another_cell(built, monkeyp
     assert result.detail == "coefficients disagree with paths at k=1"
 
 
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_level_counting_fails_at_k1_on_a_monomial_outside_the_path_range(built, monkeypatch, shift):
+    # one extra monomial below or above every path's f-sum: the dense count
+    # array has no cell for it, and it must still count as a mismatch
+    def with_outlier(mat):
+        rows = [list(row) for row in mat.entries]
+        f = FloorCocycle.of(built.diagram, built.phi).f
+        far = f.min(axis=0) - 1 if shift < 0 else f.max(axis=0) + 1
+        rows[0][0] = rows[0][0] + LaurentPolynomial.monomial(far.tolist())
+        return LaurentMatrix(rows)
+
+    exact = V.level_counting_matrix
+    monkeypatch.setattr(V, "level_counting_matrix", lambda *a: with_outlier(exact(*a)))
+    monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
+    result = V.check_level_counting(built)
+    assert (result.status, result.detail) == ("fail", "coefficients disagree with paths at k=1")
+
+
 def test_level_counting_fails_at_the_damaged_power(built, monkeypatch):
     # M itself is exact; every product M^(k-1) * M comes out with one
     # exponent moved, so the check must pass k=1 and fail at k=2
@@ -115,6 +134,22 @@ def test_level_counting_checks_m_at_one_against_the_incidence_matrix(built, monk
     result = V.check_level_counting(with_fault_tower(built))
     assert result.status == "fail"
     assert result.detail == "coefficient totals != incidence power at k=1"
+
+
+def test_level_counting_fails_at_k1_on_a_path_enumerated_twice(built, monkeypatch):
+    # the first level-1 block yields its first path once more
+    exact = BratteliDiagram.path_blocks
+
+    def twice(self, level, rank=None):
+        blocks = exact(self, level, rank)
+        first = next(blocks)
+        yield np.concatenate((first, first[:1])) if level == 1 else first
+        yield from blocks
+
+    monkeypatch.setattr(BratteliDiagram, "path_blocks", twice)
+    monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
+    result = V.check_level_counting(built)
+    assert (result.status, result.detail) == ("fail", "coefficients disagree with paths at k=1")
 
 
 def test_level_counting_counts_every_path(built, monkeypatch):
@@ -312,26 +347,81 @@ def test_tail_cocycle_fails_on_a_telescoped_sum_off_by_one(golden, monkeypatch):
     assert (result.status, result.detail) == ("fail", "telescoped sum identity broken (n=6)")
 
 
+def tails_only(fl, state, depth):
+    """shift_image reduced to the tails: the shift-class test sees no fiber."""
+    return SkewedPathState(state.ids[:, depth:], state.fiber[:, :0])
+
+
 def test_tail_orbit_fails_on_a_chain_with_one_shifted_fiber(golden, monkeypatch):
     # golden_triple's first level-2 tower has 21 floors, so every pair of
-    # its chain is checked; chain[4] alone gets its fiber moved by one
+    # its chain is checked; the chain's fibers sum what the step adds, so
+    # one step's fiber one high and the next one low move chain[4] alone
     exact_step = V.skewed_adic_step
-    calls = []
 
     def shifted_step(diagram, state, phi):
-        calls.append(None)
         out = exact_step(diagram, state, phi)
-        move = {4: 1, 5: -1}.get(len(calls), 0)
-        return SkewedPathState(out.ids, (out.fiber[0] + move,) + out.fiber[1:])
+        out.fiber[3, 0] += 1
+        out.fiber[4, 0] -= 1
+        return out
 
     monkeypatch.setattr(V, "skewed_adic_step", shifted_step)
     result = V.check_tail_orbit(golden, seed=0)
     assert (result.status, result.detail) == ("fail", "orbit left its shift class in tower 1")
     # with the shift-class test reduced to the tails, the witness still fails
-    calls.clear()
-    monkeypatch.setattr(V, "shift_image", lambda fl, state, depth: state.ids[depth:])
+    monkeypatch.setattr(V, "shift_image", tails_only)
     result = V.check_tail_orbit(golden, seed=0)
     assert (result.status, result.detail) == ("fail", "witness failed in tower 1")
+
+
+def test_tail_orbit_fails_on_one_moved_fiber_in_a_witness_batch(built, monkeypatch):
+    # every tower's pairs are one witness call; one pair's second fiber
+    # moved by one must fail that tower, the first
+    exact = V.tail_orbit_witness
+
+    def moved(diagram, s1, s2, phi, depth):
+        fiber = s2.fiber.copy()
+        fiber[len(fiber) // 2, 0] += 1
+        return exact(diagram, s1, SkewedPathState(s2.ids, fiber), phi, depth)
+
+    monkeypatch.setattr(V, "tail_orbit_witness", moved)
+    result = V.check_tail_orbit(built, seed=0)
+    assert (result.status, result.detail) == ("fail", "witness failed in tower 1")
+
+
+@pytest.mark.parametrize("damage", ["first", "step"])
+def test_tail_orbit_fails_when_the_rows_leave_the_floor_order(golden, monkeypatch, damage):
+    # the rows must start at the min path and follow the skewed adic step;
+    # the shift class alone cannot tell
+    exact_paths, exact_step = BratteliDiagram.floors_to_paths, V.skewed_adic_step
+
+    def paths(self, level, towers, heights):
+        ids = exact_paths(self, level, towers, heights)
+        if damage == "first":  # rows 0 and 1 traded
+            ids[[0, 1]] = ids[[1, 0]]
+        return ids
+
+    def step(diagram, state, phi):
+        out = exact_step(diagram, state, phi)
+        if damage == "step":  # row 2 stepped twice
+            out.ids[2] = diagram.adic_successors(out.ids[2:3])[0]
+        return out
+
+    monkeypatch.setattr(BratteliDiagram, "floors_to_paths", paths)
+    monkeypatch.setattr(V, "skewed_adic_step", step)
+    monkeypatch.setattr(V, "shift_image", tails_only)
+    result = V.check_tail_orbit(golden, seed=0)
+    assert (result.status, result.detail) == ("fail", "tower 1 orbit left the floor order")
+
+
+def test_tail_orbit_fails_on_a_tower_one_floor_short(golden, monkeypatch):
+    # a fresh diagram whose level-2 tower 1 is one floor short: its rows
+    # follow the step but the last one is not maximal
+    diagram = BratteliDiagram(golden.tower)
+    heights = diagram.heights(2)
+    diagram._heights[2] = (heights[0] - 1, *heights[1:])
+    monkeypatch.setattr(V, "shift_image", tails_only)
+    result = V.check_tail_orbit(golden.with_diagram(diagram), seed=0)
+    assert (result.status, result.detail) == ("fail", "tower 1 orbit ended early")
 
 
 @pytest.mark.parametrize(
