@@ -7,6 +7,7 @@ formula, verifies invariance under the skewed exchange step numerically,
 and prints a slice of the measure table.
 """
 
+import math
 import random
 
 import numpy as np
@@ -39,8 +40,8 @@ print()
 
 print("fiber-translation scaling: mass(K_i x {a}) = lambda^a * mass(K_i x {0})")
 for i in (1, 2):
-    base = measure.base_mass(i)
-    shifted = measure.base_mass(i, (1, 0))
+    log_v = math.log(measure.perron.vector[i - 1])  # K_i is a level-0 cylinder: mass lambda^a v_i
+    base, shifted = math.exp(log_v), math.exp(log_v + psi[0])  # fibers 0 and (1, 0)
     print(f"  i={i}: {base:.8f} -> {shifted:.8f} (ratio {shifted / base:.8f})")
 print()
 

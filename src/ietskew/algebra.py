@@ -4,7 +4,7 @@ Everything in this module is exact: matrices and vectors are plain Python
 ints (arbitrary precision, since tower counts grow geometrically), Laurent
 polynomials store integer coefficients keyed by integer exponent vectors.
 Group elements of Z^m are represented throughout the package as plain
-tuples of ints; the helpers ``vec_add`` / ``vec_sub`` operate on those.
+tuples of ints; ``vec_add`` adds two of them.
 
 All values are immutable after construction and all operations are pure,
 so concurrent reads are safe.
@@ -28,12 +28,6 @@ def vec_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

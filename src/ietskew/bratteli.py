@@ -8,7 +8,8 @@ with the floors of the level-k towers (the dictionary works on edge-id
 arrays: a height is a gather-sum of per-level offsets); the adic successor
 realises the exchange map on that dictionary, and dropping a path's first
 edge projects it to the tower base one level down.  Every edge datum is an
-array indexed by edge id; a ``FinitePath`` is a view over a tuple of ids.
+array indexed by edge id; a single path is the tuple of its edge ids, a row
+of ``path_blocks``.
 
 Paths here are always finite prefixes.  Where an infinite path would be
 needed the canonical extension is by minimal edges, but the maximal
@@ -20,7 +21,7 @@ and measure code downstream must see them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -53,37 +54,6 @@ def _draw_chain(bits, rows, row: int, count: int) -> list[int]:
 
 class MaximalPathError(Exception):
     """Every edge of the path (at this truncation depth) is maximal."""
-
-
-@dataclass(frozen=True)
-class FinitePath:
-    """A path as its edge ids in ``diagram``, checked to be admissible."""
-
-    diagram: "BratteliDiagram" = field(repr=False)
-    ids: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.ids:
-            raise ValueError("paths must contain at least one edge")
-        d, ids = self.diagram, np.array(self.ids)
-        bad = np.flatnonzero(d.target[ids[:-1]] != d.source[ids[1:]])
-        if bad.size:
-            a, b = ids[bad[0]], ids[bad[0] + 1]
-            raise ValueError(f"inadmissible junction {d.labels[a]} -> {d.labels[b]}")
-
-    def __len__(self):
-        return len(self.ids)
-
-    def __str__(self):
-        return "".join(self.diagram.labels[i] for i in self.ids)
-
-    @property
-    def source(self) -> int:
-        return int(self.diagram.source[self.ids[0]]) + 1
-
-    @property
-    def target(self) -> int:
-        return int(self.diagram.target[self.ids[-1]]) + 1
 
 
 @dataclass(frozen=True)
@@ -152,9 +122,9 @@ class BratteliDiagram:
         """Whether every edge id of the sequence is the top floor of its tower."""
         return self._tops.issuperset(ids)
 
-    def adic_successor(self, p: FinitePath) -> FinitePath:
+    def adic_successor(self, p: tuple[int, ...]) -> tuple[int, ...]:
         """Smallest path above p in lexicographic order, same tail: ``adic_successors`` of one row."""
-        return self.path_from_ids(self.adic_successors(np.array([p.ids]))[0].tolist())
+        return tuple(self.adic_successors(np.array([p]))[0].tolist())
 
     # -- the path/floor dictionary -------------------------------------------
 
@@ -197,22 +167,19 @@ class BratteliDiagram:
             h, j = h - self.offsets(m)[e], self.source[e]
         return ids
 
-    def path_from_ids(self, ids) -> FinitePath:
-        return FinitePath(self, tuple(ids))
-
-    def path_to_floor(self, p: FinitePath) -> FloorCoordinate:
+    def path_to_floor(self, p: tuple[int, ...]) -> FloorCoordinate:
         """Floor the path codes in its level-k tower: ``paths_to_floors`` of one row."""
-        _, height = self.paths_to_floors(np.array([p.ids]))
-        return FloorCoordinate(len(p), p.target, int(height[0]))
+        tower, height = self.paths_to_floors(np.array([p]))
+        return FloorCoordinate(len(p), int(tower[0]) + 1, int(height[0]))
 
-    def floor_to_path(self, level: int, tower: int, height: int) -> FinitePath:
+    def floor_to_path(self, level: int, tower: int, height: int) -> tuple[int, ...]:
         """Unique admissible path coding the given floor: ``floors_to_paths`` of one row."""
         if level < 1:
             raise ValueError("level must be at least 1")
         if not (1 <= tower <= self.d and 0 <= height < self.heights(level)[tower - 1]):
             raise ValueError(f"height {height} out of range for tower {tower} at level {level}")
         ids = self.floors_to_paths(level, np.array([tower - 1]), np.array([height]))
-        return self.path_from_ids(ids[0].tolist())
+        return tuple(ids[0].tolist())
 
     def floor_sources(self, level: int) -> tuple[np.ndarray, ...]:
         """Per tower, the 0-based label under each level-``level`` floor,
@@ -226,15 +193,15 @@ class BratteliDiagram:
 
     # -- path constructions ----------------------------------------------------
 
-    def min_path(self, level: int, tower: int) -> FinitePath:
+    def min_path(self, level: int, tower: int) -> tuple[int, ...]:
         """The path of floor-0 edges into ``tower``."""
         return self._walk_down(level, tower, self.first_ids)
 
-    def max_path(self, level: int, tower: int) -> FinitePath:
+    def max_path(self, level: int, tower: int) -> tuple[int, ...]:
         """The path of top-floor edges into ``tower``."""
         return self._walk_down(level, tower, self.top_ids)
 
-    def _walk_down(self, level: int, tower: int, edge_of) -> FinitePath:
+    def _walk_down(self, level: int, tower: int, edge_of) -> tuple[int, ...]:
         """From ``tower`` down, each time the edge ``edge_of[tower]`` of the
         tower under the last edge; then reversed into level order."""
         if level < 1:
@@ -242,12 +209,12 @@ class BratteliDiagram:
         ids = [edge_of[tower - 1]]
         for _ in range(level - 1):
             ids.append(edge_of[self.source[ids[-1]]])
-        return FinitePath(self, tuple(reversed(ids)))
+        return tuple(reversed(ids))
 
     def enumerate_paths(self, level: int):
-        """All admissible paths of the given length, lazily, in ``path_blocks`` order."""
+        """All level-k paths as edge-id tuples, lazily, in ``path_blocks`` order."""
         for ids in self.path_blocks(level):
-            yield from map(self.path_from_ids, ids.tolist())
+            yield from map(tuple, ids.tolist())
 
     def path_blocks(self, level: int, rank=None):
         """All level-k paths as int arrays of edge ids, shape (rows, k), in
@@ -287,10 +254,6 @@ class BratteliDiagram:
             succ[:, r] = np.where(r < n, first[self.source[succ[:, r + 1]]], succ[:, r])
         return succ
 
-    def random_path(self, level: int, rng: random.Random) -> FinitePath:
-        """Uniform-floor random path, built target-first."""
-        return self.path_from_ids(self.random_path_ids(level, rng))
-
     @cached_property
     def draw_rows(self) -> tuple:
         """The ``_draw_chain`` table of ``random_path_ids``: per 0-based tower
@@ -301,7 +264,7 @@ class BratteliDiagram:
         return (*rows, (self.d, self.d.bit_length(), 0, tuple(range(self.d))))
 
     def random_path_ids(self, level: int, rng: random.Random) -> list[int]:
-        """Edge ids of ``random_path``: a tower, then one of its floors, then a
-        floor of the tower under that floor, and so on down, drawn by
-        ``_draw_chain`` on rng's bits; the tower is not an edge."""
+        """Uniform-floor random path, built target-first: a tower, then one of
+        its floors, then a floor of the tower under that floor, and so on
+        down, drawn by ``_draw_chain`` on rng's bits; the tower is not an edge."""
         return _draw_chain(rng.getrandbits, self.draw_rows, self.d, level + 1)[:0:-1]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import column_sums, invariant_factors, mat_mul, row_hnf, solve_in_row_lattice
-from .bratteli import BratteliDiagram, FinitePath
+from .bratteli import BratteliDiagram
 from .iet import RauzyLoop, compose_loop
 from .skew import SkewCocycle, require_periodic_type
 
@@ -57,9 +57,9 @@ class FloorCocycle:
             diagram.floor_cocycles[phi] = cls(diagram, phi)
         return diagram.floor_cocycles[phi]
 
-    def path_sum(self, p: FinitePath, k: int | None = None) -> tuple[int, ...]:
-        """Birkhoff sum of f along the first k shifts of the path: its first k edges."""
-        return tuple(self.f[list(p.ids[:k])].sum(axis=0).tolist())
+    def path_sum(self, p: tuple[int, ...], k: int | None = None) -> tuple[int, ...]:
+        """Birkhoff sum of f along the first k shifts of the path: its first k edge ids."""
+        return tuple(self.f[list(p[:k])].sum(axis=0).tolist())
 
 
 def tail_cocycle(diagram: BratteliDiagram, ids: np.ndarray, phi: SkewCocycle) -> np.ndarray:
@@ -161,19 +161,6 @@ class AperiodicityCertificate:
             "verdict": self.verdict,
             "q_min": self.q_min,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AperiodicityCertificate":
-        return cls(
-            exponent=data["exponent"],
-            repetition=data["repetition"],
-            prefix_length=data["M"],
-            prefix_letters=tuple(data["prefix_letters"]),
-            generators=tuple(tuple(g) for g in data["generators"]),
-            factors=tuple(data["invariant_factors"]),
-            verdict=data["verdict"],
-            q_min=data["q_min"],
-        )
 
 
 def _common_prefix_length(words) -> int:

@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from .algebra import LaurentMatrix, LaurentPolynomial, vec_add, zero_vector
-from .bratteli import BratteliDiagram, FinitePath, _draw_chain
+from .bratteli import BratteliDiagram, _draw_chain
 from .cocycles import FloorCocycle
 from .skew import SkewCocycle
 
@@ -148,20 +148,16 @@ class MaharamMeasure:
         self._log_v = tuple(math.log(x) for x in self.perron.vector)
         self._log_r = math.log(self.perron.eigenvalue)
 
-    def _mass(self, exponent, target: int, k: int) -> float:  # lambda^exponent v_target / r^k
-        log_mass = self._log_v[target - 1] - k * self._log_r
+    def _mass(self, exponent, target: int, k: int) -> float:  # lambda^exponent v_target / r^k, target 0-based
+        log_mass = self._log_v[target] - k * self._log_r
         for x, e in zip(self.parameter.psi, exponent):
             log_mass += x * e
         return math.exp(log_mass)
 
-    def cylinder_measure(self, p: FinitePath, a=None) -> float:
-        """Mass of the floor coded by p at fiber offset a."""
+    def cylinder_measure(self, p: tuple[int, ...], a=None) -> float:
+        """Mass of the floor coded by the path p, its edge ids, at fiber offset a."""
         a = zero_vector(self.phi.m) if a is None else tuple(a)
-        return self._mass(vec_add(a, self.floor.path_sum(p)), p.target, len(p))
-
-    def base_mass(self, i: int, a=None) -> float:
-        """Level-0 cylinder: interval i at fiber a."""
-        return self._mass(zero_vector(self.phi.m) if a is None else a, i, 0)
+        return self._mass(vec_add(a, self.floor.path_sum(p)), self.diagram.target[p[-1]], len(p))
 
 
 def invariance_recurrence_check(psis, pf: PerronData, k: int, power: LaurentMatrix) -> np.ndarray:
@@ -192,7 +188,7 @@ class StepCheckResult:  # worst residuals, one per psi of the stack
 
 
 def step_samples(diagram: BratteliDiagram, level: int, samples: int, m: int, seed: int):
-    """(samples, k) edge ids of ``random_path`` draws, again while maximal, each
+    """(samples, k) edge ids of ``random_path_ids`` draws, again while maximal, each
     then given a fiber offset in [-2, 2]^m, (samples, m), by random.Random(seed);
     the m coordinates are one ``_draw_chain`` from range(5), less 2, as
     rng.randint(-2, 2) draws them."""
@@ -281,7 +277,7 @@ def continuity_profile(
     """
     fl = FloorCocycle.of(diagram, phi)
     exponents = np.array([vec_add(a, fl.path_sum(p)) for p, a in cylinders]).reshape(-1, phi.m)
-    targets = [p.target - 1 for p, _ in cylinders]
+    targets = [diagram.target[p[-1]] for p, _ in cylinders]
     lengths = [len(p) for p, _ in cylinders]
     profiles = []
     for axes in grids:
@@ -300,7 +296,7 @@ def continuity_profile(
 
 
 def default_cylinder_family(diagram: BratteliDiagram, m: int, level: int):
-    """Deterministic cylinder family: min and max paths per tower, fiber 0."""
+    """Deterministic cylinder family: min and max paths per tower, as edge ids, fiber 0."""
     walks = (diagram.min_path, diagram.max_path)
     return [(walk(level, j), zero_vector(m)) for j in range(1, diagram.d + 1) for walk in walks]
 

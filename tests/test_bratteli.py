@@ -1,5 +1,4 @@
 import random
-import re
 from itertools import product
 
 import numpy as np
@@ -18,11 +17,31 @@ def odometer():
 
 
 def bits_to_path(diagram, bits):
-    return diagram.path_from_ids(diagram.first_ids[0] + b for b in bits)
+    return tuple(diagram.first_ids[0] + b for b in bits)
 
 
-def path_to_bits(p):
-    return tuple(p.diagram.floor[list(p.ids)].tolist())
+def path_to_bits(diagram, p):
+    return tuple(diagram.floor[list(p)].tolist())
+
+
+def label(diagram, p):
+    """The string of a path: its edges' (j,l) labels in order."""
+    return "".join(diagram.labels[i] for i in p)
+
+
+def source(diagram, p):
+    """1-based tower under a path's first edge."""
+    return int(diagram.source[p[0]]) + 1
+
+
+def target(diagram, p):
+    """1-based tower a path's last edge goes into."""
+    return int(diagram.target[p[-1]]) + 1
+
+
+def admissible(diagram, p):
+    """Whether each edge of a nonempty path leaves the tower the edge before it goes into."""
+    return len(p) > 0 and all(diagram.target[a] == diagram.source[b] for a, b in zip(p, p[1:]))
 
 
 def edge_list(diagram):
@@ -51,31 +70,28 @@ def test_finite_path_is_an_admissible_id_tuple(built):
     diagram = built.diagram
     edges = edge_list(diagram)
     p = diagram.max_path(3, 1)
-    assert (len(p), p.source, p.target) == (3, edges[p.ids[0]][2], 1)
-    assert str(p) == "".join(f"({j},{l})" for j, l, _ in (edges[e] for e in p.ids))
-    with pytest.raises(ValueError, match="at least one edge"):
-        diagram.path_from_ids(())
+    assert type(p) is tuple and all(type(e) is int for e in p) and admissible(diagram, p)
+    assert (len(p), source(diagram, p), target(diagram, p)) == (3, edges[p[0]][2], 1)
+    assert label(diagram, p) == "".join(f"({j},{l})" for j, l, _ in (edges[e] for e in p))
     # edge b does not leave the tower that edge a goes into
     a, b = next((a, b) for a, b in product(range(len(edges)), repeat=2) if edges[a][0] != edges[b][2])
-    (ja, la, _), (jb, lb, _) = edges[a], edges[b]
-    with pytest.raises(ValueError, match=re.escape(f"inadmissible junction ({ja},{la}) -> ({jb},{lb})")):
-        diagram.path_from_ids((a, b))
+    assert not admissible(diagram, (a, b)) and not admissible(diagram, ())
 
 
 def test_odometer_addition(odometer):
     # 3 = (1,1,0) steps to 4 = (0,0,1)
     p = bits_to_path(odometer, (1, 1, 0))
     succ = odometer.adic_successor(p)
-    assert path_to_bits(succ) == (0, 0, 1)
+    assert path_to_bits(odometer, succ) == (0, 0, 1)
     assert odometer.path_to_floor(succ).height == 4
     assert odometer.floor_to_path(3, 1, 3) == p
     # full 3-bit cycle enumerates 0..7 in binary order
     value = lambda bits: sum(b << i for i, b in enumerate(bits))
     p = bits_to_path(odometer, (0, 0, 0))
-    seen = [value(path_to_bits(p))]
+    seen = [value(path_to_bits(odometer, p))]
     for _ in range(7):
         p = odometer.adic_successor(p)
-        seen.append(value(path_to_bits(p)))
+        seen.append(value(path_to_bits(odometer, p)))
     assert seen == list(range(8))
     with pytest.raises(MaximalPathError):
         odometer.adic_successor(bits_to_path(odometer, (1, 1, 1)))
@@ -101,15 +117,15 @@ def test_min_max_path_counts(built):
     diagram = built.diagram
     for level in (1, 2, 3):
         paths = list(diagram.enumerate_paths(level))
-        maximal = [p for p in paths if diagram.is_maximal(p.ids)]
-        minimal = [p for p in paths if set(p.ids) <= set(diagram.first_ids)]
+        maximal = [p for p in paths if diagram.is_maximal(p)]
+        minimal = [p for p in paths if set(p) <= set(diagram.first_ids)]
         assert len(maximal) == diagram.d
         assert len(minimal) == diagram.d
-        assert sorted(str(p) for p in maximal) == sorted(
-            str(diagram.max_path(level, j)) for j in range(1, diagram.d + 1)
+        assert sorted(label(diagram, p) for p in maximal) == sorted(
+            label(diagram, diagram.max_path(level, j)) for j in range(1, diagram.d + 1)
         )
-        assert sorted(str(p) for p in minimal) == sorted(
-            str(diagram.min_path(level, j)) for j in range(1, diagram.d + 1)
+        assert sorted(label(diagram, p) for p in minimal) == sorted(
+            label(diagram, diagram.min_path(level, j)) for j in range(1, diagram.d + 1)
         )
 
 
@@ -128,9 +144,9 @@ def test_path_floor_bijection_exhaustive(built):
         stride = max(1, len(ids) // 300)
         strided = zip(ids[::stride].tolist(), towers[::stride].tolist(), floors[::stride].tolist())
         for row, t, h in strided:
-            p = diagram.path_from_ids(row)
+            p = tuple(row)
             fc = diagram.path_to_floor(p)
-            assert (fc.level, fc.tower, fc.height) == (level, t + 1, h) and fc.tower == p.target
+            assert (fc.level, fc.tower, fc.height) == (level, t + 1, h) and fc.tower == target(diagram, p)
             assert diagram.floor_to_path(level, fc.tower, fc.height) == p
 
 
@@ -139,7 +155,7 @@ def test_floor_formula_basics(built):
     # length-1 path (j, l) sits at height l
     for j in range(1, diagram.d + 1):
         for l in range(diagram.q[j - 1]):
-            p = diagram.path_from_ids((diagram.first_ids[j - 1] + l,))
+            p = (diagram.first_ids[j - 1] + l,)
             assert diagram.path_to_floor(p).height == l
     # all-minimal path of any length sits at the base
     for level in (1, 2, 3):
@@ -169,7 +185,7 @@ def test_coding_identity_floor_increments(built):
         assert (tb == ta).all()
         assert (hb == ha + 1).all()
         for row in ids[:: max(1, len(ids) // 300)].tolist():
-            p = diagram.path_from_ids(row)
+            p = tuple(row)
             a, b = diagram.path_to_floor(p), diagram.path_to_floor(diagram.adic_successor(p))
             assert (b.tower, b.height) == (a.tower, a.height + 1)
 
@@ -182,9 +198,9 @@ def test_successor_minimality_same_tail(built):
     for level in (1, 2):
         by_tail = {}
         for p in diagram.enumerate_paths(level):
-            by_tail.setdefault(p.ids[-1], []).append(p)
+            by_tail.setdefault(p[-1], []).append(p)
         for paths in by_tail.values():
-            paths.sort(key=lambda p: diagram.floor[list(reversed(p.ids))].tolist())
+            paths.sort(key=lambda p: diagram.floor[list(reversed(p))].tolist())
             for a, b in zip(paths, paths[1:]):
                 assert diagram.adic_successor(a) == b
 
@@ -195,14 +211,13 @@ def test_shifts(built):
     diagram = built.diagram
     rng = random.Random(4)
     for _ in range(50):
-        p = diagram.random_path(3, rng)
-        shifted = diagram.path_from_ids(p.ids[1:])
-        back = diagram.path_from_ids((diagram.first_ids[shifted.source - 1],) + shifted.ids)
-        assert diagram.path_from_ids(back.ids[1:]) == shifted
-        assert diagram.floor[back.ids[0]] == 0
-        assert diagram.target[back.ids[0]] + 1 == shifted.source
-    with pytest.raises(ValueError):
-        diagram.path_from_ids(diagram.min_path(1, 1).ids[1:])
+        p = tuple(diagram.random_path_ids(3, rng))
+        shifted = p[1:]
+        back = (diagram.first_ids[source(diagram, shifted) - 1],) + shifted
+        assert admissible(diagram, shifted) and admissible(diagram, back)
+        assert back[1:] == shifted
+        assert diagram.floor[back[0]] == 0
+        assert diagram.target[back[0]] + 1 == source(diagram, shifted)
 
 
 def test_right_shift_floor_semantics(built):
@@ -212,13 +227,14 @@ def test_right_shift_floor_semantics(built):
     diagram = built.diagram
     edges = [(j, l) for j, l, _ in edge_list(diagram)]
     for p in diagram.enumerate_paths(2):
-        ip = diagram.path_from_ids((diagram.first_ids[p.source - 1],) + p.ids)
+        ip = (diagram.first_ids[source(diagram, p) - 1],) + p
+        assert admissible(diagram, ip)
         fc = diagram.path_to_floor(ip)
         assert fc.level == 3
         assert fc.tower == diagram.path_to_floor(p).tower
         expected = 0
         for m in range(len(p), 0, -1):
-            j, l = edges[p.ids[m - 1]]
+            j, l = edges[p[m - 1]]
             sub = diagram.heights(m)
             word = diagram.words[j - 1]
             expected += sum(sub[word[u] - 1] for u in range(l))
@@ -227,7 +243,7 @@ def test_right_shift_floor_semantics(built):
 
 def test_path_rendering(built):
     p = built.diagram.min_path(2, 1)
-    s = str(p)
+    s = label(built.diagram, p)
     assert s.count("(") == 2 and s.endswith("(1,0)")
 
 
@@ -254,8 +270,8 @@ def test_path_blocks_split_into_enumeration_order(built, monkeypatch):
         ids = np.concatenate(blocks)
         paths = extend_edge_by_edge(diagram, level)
         enumerated = list(diagram.enumerate_paths(level))
-        assert [p.ids for p in enumerated] == [tuple(edge_id[e] for e in p) for p in paths]
-        assert [str(p) for p in enumerated] == ["".join(f"({j},{l})" for j, l, _ in p) for p in paths]
+        assert enumerated == [tuple(edge_id[e] for e in p) for p in paths]
+        assert [label(diagram, p) for p in enumerated] == ["".join(f"({j},{l})" for j, l, _ in p) for p in paths]
         assert len(ids) == len(paths) == sum(diagram.heights(level))
         assert ids.tolist() == [[edge_id[e] for e in p] for p in paths]
         sums = fl.f[ids].sum(axis=1).tolist()
@@ -322,16 +338,16 @@ def test_adic_successors_match_adic_successor_row_by_row(built):
         assert [[edges[i] for i in row] for row in succ.tolist()] == expected
         stride = max(1, len(expected) // 300)
         for row, want in zip(rows[keep][::stride].tolist(), expected[::stride]):
-            assert [edges[i] for i in diagram.adic_successor(diagram.path_from_ids(row)).ids] == want
+            assert [edges[i] for i in diagram.adic_successor(tuple(row))] == want
     with pytest.raises(MaximalPathError):
-        successor_edge_by_edge(diagram, [edges[e] for e in diagram.max_path(3, 1).ids])
+        successor_edge_by_edge(diagram, [edges[e] for e in diagram.max_path(3, 1)])
 
 
 def test_adic_successors_refuse_a_maximal_row(built):
     diagram = built.diagram
     top = diagram.max_path(4, 1)
     with pytest.raises(MaximalPathError):
-        diagram.adic_successors(np.array([top.ids]))
+        diagram.adic_successors(np.array([top]))
     with pytest.raises(MaximalPathError):
         diagram.adic_successor(top)
 
@@ -339,12 +355,11 @@ def test_adic_successors_refuse_a_maximal_row(built):
 def test_random_path_ids_are_random_path(built):
     diagram = built.diagram
     edges = [(j, l) for j, l, _ in edge_list(diagram)]
-    a, b, c = random.Random(17), random.Random(17), random.Random(17)
+    a, b = random.Random(17), random.Random(17)
     for level in (1, 2, 6):
         for _ in range(100):
             want = random_path_edge_by_edge(diagram, level, b)
             assert [edges[i] for i in diagram.random_path_ids(level, a)] == want
-            assert [edges[i] for i in diagram.random_path(level, c).ids] == want
 
 
 def test_below_draws_as_randrange():
@@ -427,11 +442,11 @@ def test_dictionary_past_int64(built):
     level = next(k for k in range(1, 40) if sum(diagram.heights(k)) >= 2 ** 63)
     assert diagram.offsets(level - 1).dtype == object
     rng = random.Random(5)
-    paths = [diagram.random_path(level, rng) for _ in range(20)]
+    paths = [tuple(diagram.random_path_ids(level, rng)) for _ in range(20)]
     paths += [diagram.max_path(level, j) for j in range(1, diagram.d + 1)]
     for p in paths:
         fc = diagram.path_to_floor(p)
-        assert fc.height == climb_to_floor(diagram, [edges[i] for i in p.ids])
+        assert fc.height == climb_to_floor(diagram, [edges[i] for i in p])
         assert diagram.floor_to_path(level, fc.tower, fc.height) == p
     tops = [diagram.path_to_floor(diagram.max_path(level, j)).height for j in range(1, diagram.d + 1)]
     assert tops == [h - 1 for h in diagram.heights(level)]
@@ -445,5 +460,5 @@ def test_floor_sources_are_the_return_words_and_the_first_edges(built):
         assert [tuple((s + 1).tolist()) for s in sources] == list(words)
     for j in range(1, diagram.d + 1):
         assert diagram.floor_sources(2)[j - 1].tolist() == [
-            diagram.floor_to_path(2, j, h).source - 1 for h in range(diagram.heights(2)[j - 1])
+            source(diagram, diagram.floor_to_path(2, j, h)) - 1 for h in range(diagram.heights(2)[j - 1])
         ]

@@ -188,8 +188,8 @@ def test_maharam_rows_match_path_enumeration_and_cylinder_measures(tmp_path, nam
     built = build_instance(load_instance(name))
     diagram, m = built.diagram, built.phi.m
     fl = FloorCocycle.of(diagram, built.phi)
-    paths = sorted((str(p), p) for p in diagram.enumerate_paths(level))
-    ids = np.array([p.ids for _, p in paths])
+    paths = sorted(("".join(diagram.labels[i] for i in p), p) for p in diagram.enumerate_paths(level))
+    ids = np.array([p for _, p in paths])
     sums = fl.f[ids].sum(axis=1)  # S_k f(p), one row per path
     bound = int(np.abs(sums).max())
     fibers = sorted(

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from ietskew.algebra import vec_add, vec_sub, zero_vector
+from ietskew.algebra import vec_add, zero_vector
 from ietskew.bratteli import MaximalPathError
 from ietskew.cocycles import (
     AperiodicityCertificate,
@@ -26,9 +26,33 @@ from ietskew.skew import SkewCocycle
 
 def random_nonmax_path(diagram, level, rng):
     while True:
-        p = diagram.random_path(level, rng)
-        if not diagram.is_maximal(p.ids):
+        p = tuple(diagram.random_path_ids(level, rng))
+        if not diagram.is_maximal(p):
             return p
+
+
+def source(diagram, p):
+    """1-based tower under a path's first edge."""
+    return int(diagram.source[p[0]]) + 1
+
+
+def vec_sub(a, b):
+    """a - b for two elements of Z^m, as a tuple."""
+    return tuple(x - y for x, y in zip(a, b, strict=True))
+
+
+def certificate_from_dict(data):
+    """The AperiodicityCertificate that ``to_dict`` wrote as ``data``."""
+    return AperiodicityCertificate(
+        exponent=data["exponent"],
+        repetition=data["repetition"],
+        prefix_length=data["M"],
+        prefix_letters=tuple(data["prefix_letters"]),
+        generators=tuple(tuple(g) for g in data["generators"]),
+        factors=tuple(data["invariant_factors"]),
+        verdict=data["verdict"],
+        q_min=data["q_min"],
+    )
 
 
 def f_of(fl, e):
@@ -38,7 +62,7 @@ def f_of(fl, e):
 
 def tail_of(diagram, p, phi):
     """The tail cocycle of one path: ``tail_cocycle`` of one row."""
-    return tuple(tail_cocycle(diagram, np.array([p.ids]), phi)[0].tolist())
+    return tuple(tail_cocycle(diagram, np.array([p]), phi)[0].tolist())
 
 
 def states(ids, fibers):
@@ -106,8 +130,8 @@ def test_tail_cocycle_equals_phi(built):
         p = random_nonmax_path(diagram, rng.choice([2, 3, 4]), rng)
         by_level.setdefault(len(p), []).append(p)
     for paths in by_level.values():
-        tails = tail_cocycle(diagram, np.array([p.ids for p in paths]), phi)
-        assert [tuple(t) for t in tails.tolist()] == [phi.of_label(p.source) for p in paths]
+        tails = tail_cocycle(diagram, np.array(paths), phi)
+        assert [tuple(t) for t in tails.tolist()] == [phi.of_label(source(diagram, p)) for p in paths]
 
 
 def test_tail_cocycle_non_top_floor_form(built):
@@ -117,12 +141,12 @@ def test_tail_cocycle_non_top_floor_form(built):
     rng = random.Random(32)
     hits = 0
     while hits < 200:
-        p = diagram.random_path(3, rng)
-        if diagram.is_maximal(p.ids[:1]):
+        p = tuple(diagram.random_path_ids(3, rng))
+        if diagram.is_maximal(p[:1]):
             continue
         hits += 1
         succ = diagram.adic_successor(p)
-        assert tail_of(diagram, p, phi) == vec_sub(f_of(fl, p.ids[0]), f_of(fl, succ.ids[0]))
+        assert tail_of(diagram, p, phi) == vec_sub(f_of(fl, p[0]), f_of(fl, succ[0]))
 
 
 def test_top_floor_recurrence(built):
@@ -134,10 +158,10 @@ def test_top_floor_recurrence(built):
         for e2 in diagram.out[j - 1]:
             if e2 < 0:
                 continue
-            p = diagram.path_from_ids((top, int(e2)))
+            p = (top, int(e2))
             lhs = vec_add(
-                vec_sub(f_of(fl, top), phi.of_label(p.source)),
-                phi.of_label(diagram.path_from_ids(p.ids[1:]).source),
+                vec_sub(f_of(fl, top), phi.of_label(source(diagram, p))),
+                phi.of_label(source(diagram, p[1:])),
             )
             assert lhs == zero_vector(phi.m)
 
@@ -151,10 +175,10 @@ def test_f_recurrence_under_successor(built):
     for _ in range(400):
         p = random_nonmax_path(diagram, 3, rng)
         succ = diagram.adic_successor(p)
-        if diagram.is_maximal(p.ids[:1]):
-            assert f_of(fl, succ.ids[0]) == zero_vector(phi.m)
+        if diagram.is_maximal(p[:1]):
+            assert f_of(fl, succ[0]) == zero_vector(phi.m)
         else:
-            assert f_of(fl, succ.ids[0]) == vec_sub(f_of(fl, p.ids[0]), phi.of_label(p.source))
+            assert f_of(fl, succ[0]) == vec_sub(f_of(fl, p[0]), phi.of_label(source(diagram, p)))
 
 
 def test_tail_cocycle_undefined_on_maximal(built):
@@ -177,7 +201,7 @@ def test_birkhoff_telescoping_identity(built):
         q = p
         ok = True
         for _ in range(n):
-            if diagram.is_maximal(q.ids):
+            if diagram.is_maximal(q):
                 ok = False
                 break
             sum_tail = vec_add(sum_tail, tail_of(diagram, q, phi))
@@ -188,7 +212,7 @@ def test_birkhoff_telescoping_identity(built):
             (
                 k
                 for k in range(level + 1)
-                if p.ids[k:] == q.ids[k:]
+                if p[k:] == q[k:]
             ),
             None,
         )
@@ -205,13 +229,13 @@ def test_skewed_adic_step_and_inverse(built):
     diagram, phi = built.diagram, built.phi
     rng = random.Random(35)
     paths = [random_nonmax_path(diagram, 3, rng) for _ in range(200)]
-    stepped = skewed_adic_step(diagram, states([p.ids for p in paths], [zero_vector(phi.m)] * 200), phi)
-    assert stepped.fiber.tolist() == [list(phi.of_label(p.source)) for p in paths]
+    stepped = skewed_adic_step(diagram, states(paths, [zero_vector(phi.m)] * 200), phi)
+    assert stepped.fiber.tolist() == [list(phi.of_label(source(diagram, p))) for p in paths]
     for p, ids, fiber in zip(paths, *rows(stepped)):
         # the inverse: one floor down in the dictionary, minus phi under it
-        floor = diagram.path_to_floor(diagram.path_from_ids(ids))
+        floor = diagram.path_to_floor(tuple(ids))
         prev = diagram.floor_to_path(3, floor.tower, floor.height - 1)
-        assert (prev.ids, vec_sub(tuple(fiber), phi.of_label(prev.source))) == (p.ids, zero_vector(phi.m))
+        assert (prev, vec_sub(tuple(fiber), phi.of_label(source(diagram, prev)))) == (p, zero_vector(phi.m))
 
 
 def test_skewed_shift_step(built):
@@ -220,13 +244,13 @@ def test_skewed_shift_step(built):
     diagram, phi = built.diagram, built.phi
     fl = FloorCocycle(diagram, phi)
     rng = random.Random(36)
-    paths = [diagram.random_path(3, rng) for _ in range(100)]
-    state = states([p.ids for p in paths], [(7,) * phi.m] * 100)
+    paths = [tuple(diagram.random_path_ids(3, rng)) for _ in range(100)]
+    state = states(paths, [(7,) * phi.m] * 100)
     for p, ids, fiber in zip(paths, *rows(shift_image(fl, state, 1))):
-        assert tuple(ids) == diagram.path_from_ids(p.ids[1:]).ids
-        assert tuple(fiber) == vec_add((7,) * phi.m, f_of(fl, p.ids[0]))
+        assert tuple(ids) == p[1:]
+        assert tuple(fiber) == vec_add((7,) * phi.m, f_of(fl, p[0]))
         # bottom floors leave the fiber unchanged
-        if p.ids[0] in diagram.first_ids:
+        if p[0] in diagram.first_ids:
             assert tuple(fiber) == (7,) * phi.m
     with pytest.raises(ValueError):
         shift_image(fl, state, 4)
@@ -236,10 +260,10 @@ def test_skewed_iteration_accumulates_birkhoff_sums(built):
     diagram, phi = built.diagram, built.phi
     fl = FloorCocycle(diagram, phi)
     rng = random.Random(37)
-    p = diagram.random_path(4, rng)
-    state = states([p.ids], [zero_vector(phi.m)])
+    p = tuple(diagram.random_path_ids(4, rng))
+    state = states([p], [zero_vector(phi.m)])
     for k in range(1, 4):
-        assert rows(shift_image(fl, state, k)) == ([list(p.ids[k:])], [list(fl.path_sum(p, k))])
+        assert rows(shift_image(fl, state, k)) == ([list(p[k:])], [list(fl.path_sum(p, k))])
         state_k = shift_image(fl, state, k)
         assert rows(shift_image(fl, state_k, 1)) == rows(shift_image(fl, state, k + 1))
 
@@ -248,7 +272,7 @@ def test_path_sum_of_no_shifts_is_zero(built):
     fl = FloorCocycle.of(built.diagram, built.phi)
     rng = random.Random(39)
     for level in (1, 3):
-        p = built.diagram.random_path(level, rng)
+        p = tuple(built.diagram.random_path_ids(level, rng))
         assert fl.path_sum(p, 0) == zero_vector(built.phi.m)
 
 
@@ -264,7 +288,7 @@ def test_path_sum_matches_path_block_sums(built):
         for c in range(k):
             by_edge += fl.f[ids[:, c]]
         assert (sums == by_edge).all()
-        strided = [fl.path_sum(diagram.path_from_ids(row), k) for row in ids[::stride].tolist()]
+        strided = [fl.path_sum(tuple(row), k) for row in ids[::stride].tolist()]
         assert [tuple(s) for s in sums[::stride].tolist()] == strided
 
 
@@ -274,7 +298,7 @@ def test_path_sum_matches_path_block_sums(built):
 def test_witness_trivial_and_single_step(built):
     diagram, phi = built.diagram, built.phi
     rng = random.Random(38)
-    s1 = states([random_nonmax_path(diagram, 3, rng).ids for _ in range(50)], [zero_vector(phi.m)] * 50)
+    s1 = states([random_nonmax_path(diagram, 3, rng) for _ in range(50)], [zero_vector(phi.m)] * 50)
     assert witnesses(diagram, s1, s1, phi, 3) == [0] * 50
     s2 = skewed_adic_step(diagram, s1, phi)
     assert witnesses(diagram, s1, s2, phi, 3) == [1] * 50
@@ -290,7 +314,7 @@ def test_witness_exhaustive_level2(built):
     depth = 2
     for j in range(1, diagram.d + 1):
         base = diagram.min_path(depth, j)
-        state = states([base.ids], [zero_vector(phi.m)])
+        state = states([base], [zero_vector(phi.m)])
         img0 = rows(shift_image(fl, state, depth))
         height = diagram.heights(depth)[j - 1]
         chain = [state]
@@ -317,8 +341,8 @@ def test_witness_exhaustive_level2(built):
 def test_witness_rejects_different_tails(built):
     diagram, phi = built.diagram, built.phi
     base1 = diagram.min_path(2, 1)
-    s1 = states([base1.ids], [zero_vector(phi.m)])
-    shifted_fiber = states([base1.ids], [tuple(5 for _ in range(phi.m))])
+    s1 = states([base1], [zero_vector(phi.m)])
+    shifted_fiber = states([base1], [tuple(5 for _ in range(phi.m))])
     assert witnesses(diagram, s1, shifted_fiber, phi, 2) == [None]
 
 
@@ -327,8 +351,8 @@ def test_witness_none_for_empty_tails_in_different_towers(built):
     # images, at the same height: only the tower tells them apart
     diagram, phi = built.diagram, built.phi
     fl = FloorCocycle.of(diagram, phi)
-    s1 = states([diagram.min_path(2, 1).ids], [zero_vector(phi.m)])
-    s2 = states([diagram.min_path(2, 2).ids], [zero_vector(phi.m)])
+    s1 = states([diagram.min_path(2, 1)], [zero_vector(phi.m)])
+    s2 = states([diagram.min_path(2, 2)], [zero_vector(phi.m)])
     assert rows(shift_image(fl, s1, 2))[1] == rows(shift_image(fl, s2, 2))[1]
     assert witnesses(diagram, s1, s2, phi, 2) == [None]
     assert witnesses(diagram, s2, s1, phi, 2) == [None]
@@ -337,7 +361,7 @@ def test_witness_none_for_empty_tails_in_different_towers(built):
 def test_witness_none_when_the_fiber_identity_fails(built):
     diagram, phi = built.diagram, built.phi
     rng = random.Random(40)
-    s1 = states([random_nonmax_path(diagram, 3, rng).ids for _ in range(50)], [zero_vector(phi.m)] * 50)
+    s1 = states([random_nonmax_path(diagram, 3, rng) for _ in range(50)], [zero_vector(phi.m)] * 50)
     s2 = skewed_adic_step(diagram, s1, phi)
     off = SkewedPathState(s2.ids, s2.fiber + ((0,) * (phi.m - 1) + (1,)))
     assert witnesses(diagram, s1, off, phi, 3) == [None] * 50
@@ -350,7 +374,7 @@ def test_witness_below_a_shared_tail(built):
     diagram, phi = built.diagram, built.phi
     rng = random.Random(41)
     for _ in range(30):
-        s1 = states([diagram.random_path(5, rng).ids], [(3,) * phi.m])
+        s1 = states([diagram.random_path_ids(5, rng)], [(3,) * phi.m])
         s2, n = s1, 0
         for _ in range(rng.randint(1, 8)):
             if diagram.is_maximal(s2.ids[0, :2]):
@@ -359,9 +383,9 @@ def test_witness_below_a_shared_tail(built):
         assert s2.ids[0, 2:].tolist() == s1.ids[0, 2:].tolist()
         assert witnesses(diagram, s1, s2, phi, 2) == [n]
         assert witnesses(diagram, s2, s1, phi, 2) == [-n]
-        other_tail = diagram.random_path(5, rng)
-        if list(other_tail.ids[2:]) != s1.ids[0, 2:].tolist():
-            s3 = states([other_tail.ids], s1.fiber)
+        other_tail = diagram.random_path_ids(5, rng)
+        if other_tail[2:] != s1.ids[0, 2:].tolist():
+            s3 = states([other_tail], s1.fiber)
             assert witnesses(diagram, s1, s3, phi, 2) == [None]
     for depth in (0, 6):
         with pytest.raises(ValueError):
@@ -372,7 +396,7 @@ def test_witness_answers_every_pair_of_a_batch(built):
     # one call over pairs of mixed outcomes gives each pair its own answer
     diagram, phi = built.diagram, built.phi
     rng = random.Random(42)
-    s1 = states([random_nonmax_path(diagram, 3, rng).ids for _ in range(40)], [zero_vector(phi.m)] * 40)
+    s1 = states([random_nonmax_path(diagram, 3, rng) for _ in range(40)], [zero_vector(phi.m)] * 40)
     s2 = skewed_adic_step(diagram, s1, phi)
     pick = np.arange(40) % 2 == 0  # even pairs step, odd pairs stay; pair 3 is moved off
     mixed = SkewedPathState(np.where(pick[:, None], s2.ids, s1.ids), np.where(pick[:, None], s2.fiber, s1.fiber))
@@ -398,7 +422,7 @@ def test_certificate_on_instances(built):
 
 def test_certificate_roundtrip(built):
     cert = amplify_for_common_prefix(built.loop, built.phi)
-    again = AperiodicityCertificate.from_dict(cert.to_dict())
+    again = certificate_from_dict(cert.to_dict())
     assert again == cert
     assert recheck_certificate(built.loop, built.phi, again)
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +14,21 @@ def test_demos_are_found():
     assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04"]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo):
+def run_python(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    run_python([str(demo)])
+
+
+def test_readme_quick_start_prints_a_path_as_labels_and_ids():
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"## Quick start\n\n```python\n(.*?)```", readme, flags=re.S)
+    lines = run_python(["-c", block]).splitlines()
+    assert lines[2] == "(1,0)(1,0)(2,0) (0, 0, 6)"

@@ -35,8 +35,13 @@ def path_count_coefficients(diagram, phi, k):
     fl = FloorCocycle(diagram, phi)
     counts = Counter()
     for p in diagram.enumerate_paths(k):
-        counts[(p.source, p.target, fl.path_sum(p))] += 1
+        counts[(int(diagram.source[p[0]]) + 1, int(diagram.target[p[-1]]) + 1, fl.path_sum(p))] += 1
     return counts
+
+
+def base_mass(measure, i, a=None):
+    """Mass of the level-0 cylinder K_i x {a}: lambda^a v_i."""
+    return measure._mass(zero_vector(measure.phi.m) if a is None else a, i - 1, 0)
 
 
 def test_perron_basic():
@@ -115,14 +120,14 @@ def test_cylinder_measure_base_cases(built):
     measure = MaharamMeasure(built.diagram, built.phi, psi)
     v = measure.perron.vector
     # level-0 normalisation: fiber-zero slice has unit mass
-    assert sum(measure.base_mass(i) for i in range(1, built.tower.d + 1)) == pytest.approx(
+    assert sum(base_mass(measure, i) for i in range(1, built.tower.d + 1)) == pytest.approx(
         1.0, abs=1e-12
     )
     # fiber shift multiplies by lambda^a
     a = tuple(1 for _ in range(built.phi.m))
     for i in range(1, built.tower.d + 1):
         lam_a = math.prod(lam ** x for lam, x in zip(measure.parameter.lam, a))
-        assert measure.base_mass(i, a) == pytest.approx(lam_a * v[i - 1], rel=1e-12)
+        assert base_mass(measure, i, a) == pytest.approx(lam_a * v[i - 1], rel=1e-12)
     # all-minimal path has zero f-sum: mass v_j / r^k
     for j in range(1, built.tower.d + 1):
         p = built.diagram.min_path(3, j)
@@ -171,11 +176,11 @@ def test_invariance_recurrence_matches_scalar_masses(built):
         worst = 0.0
         for i in range(built.diagram.d):
             rhs = sum(
-                count * measure.base_mass(j + 1, a) / measure.perron.eigenvalue ** 2
+                count * base_mass(measure, j + 1, a) / measure.perron.eigenvalue ** 2
                 for j in range(built.diagram.d)
                 for a, count in power[i, j].terms.items()
             )
-            worst = max(worst, abs(measure.base_mass(i + 1) - rhs))
+            worst = max(worst, abs(base_mass(measure, i + 1) - rhs))
         assert invariance_recurrence_check(psis, pf, 2, power)[t] == pytest.approx(worst, abs=1e-15)
         lam_k = np.linalg.matrix_power(measure.matrix_at_lam, 2)
         v = np.array(measure.perron.vector)
@@ -194,13 +199,13 @@ def test_invariance_step_and_quasi_invariance(built):
 
 
 def reference_samples(diagram, level, samples, m, seed):
-    """The per-sample draw: random_path, again while maximal, then a fiber."""
+    """The per-sample draw: random_path_ids, again while maximal, then a fiber."""
     rng = random.Random(seed)
     out = []
     for _ in range(samples):
-        p = diagram.random_path(level, rng)
-        while diagram.is_maximal(p.ids):
-            p = diagram.random_path(level, rng)
+        p = tuple(diagram.random_path_ids(level, rng))
+        while diagram.is_maximal(p):
+            p = tuple(diagram.random_path_ids(level, rng))
         out.append((p, tuple(rng.randint(-2, 2) for _ in range(m))))
     return out
 
@@ -211,7 +216,7 @@ def test_step_samples_repeat_the_random_path_draws(built):
         ids, fibers = step_samples(diagram, level, 700, m, seed)
         assert ids.shape == (700, level) and fibers.shape == (700, m)
         reference = reference_samples(diagram, level, 700, m, seed)
-        assert ids.tolist() == [list(p.ids) for p, _ in reference]
+        assert ids.tolist() == [list(p) for p, _ in reference]
         assert [tuple(a) for a in fibers.tolist()] == [a for _, a in reference]
 
 
@@ -257,7 +262,7 @@ def test_step_check_matches_per_sample_cylinder_measures(built):
         worst_inv = worst_quasi = 0.0
         for p, a in reference_samples(built.diagram, 5, 400, built.phi.m, seed):
             succ = built.diagram.adic_successor(p)
-            move = built.phi.of_label(p.source)
+            move = built.phi.of_label(int(built.diagram.source[p[0]]) + 1)
             lhs = measure.cylinder_measure(succ, vec_add(a, move))
             worst_inv = max(worst_inv, abs(lhs - measure.cylinder_measure(p, a)))
             ratio = measure.cylinder_measure(succ) / measure.cylinder_measure(p)
@@ -303,7 +308,7 @@ def eigen_reference_masses(diagram, phi, level_matrix, cylinders, psi):
     fl = FloorCocycle(diagram, phi)
     return [
         math.prod(x ** e for x, e in zip(lam, vec_add(a, fl.path_sum(p))))
-        * v[p.target - 1]
+        * v[diagram.target[p[-1]]]
         / r ** len(p)
         for p, a in cylinders
     ]

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from ietskew import maharam
+from ietskew import cocycles, maharam
 from ietskew import verification as V
 from ietskew.algebra import LaurentMatrix, LaurentPolynomial
 from ietskew.bratteli import BratteliDiagram
@@ -276,20 +276,20 @@ def test_tail_cocycle_fails_on_the_injected_phi_fault(name, path):
 
 
 def reference_tail_draws(diagram, seed, n_paths):
-    """Criterion 4's draws as a loop over paths: random_path at a random
+    """Criterion 4's draws as a loop over paths: random_path_ids at a random
     length, again at length 4 while maximal; then 60 level-9 paths, each
     non-maximal one with its number of adic steps."""
     rng = random.Random(seed)
     paths = []
     for _ in range(n_paths):
-        p = diagram.random_path(rng.choice([2, 3, 4]), rng)
-        while diagram.is_maximal(p.ids):
-            p = diagram.random_path(4, rng)
+        p = tuple(diagram.random_path_ids(rng.choice([2, 3, 4]), rng))
+        while diagram.is_maximal(p):
+            p = tuple(diagram.random_path_ids(4, rng))
         paths.append(p)
     starts = []
     for _ in range(60):
-        p = diagram.random_path(9, rng)
-        if diagram.is_maximal(p.ids):
+        p = tuple(diagram.random_path_ids(9, rng))
+        if diagram.is_maximal(p):
             continue
         starts.append((p, rng.randint(1, 20)))
     return paths, starts
@@ -299,8 +299,8 @@ def reference_tail_draws(diagram, seed, n_paths):
 def test_tail_draws_are_the_per_path_draws(built, seed, n_paths):
     paths, starts = V.tail_draws(built.diagram, random.Random(seed), n_paths)
     ref_paths, ref_starts = reference_tail_draws(built.diagram, seed, n_paths)
-    assert paths == [list(p.ids) for p in ref_paths]
-    assert starts == [(list(p.ids), n) for p, n in ref_starts]
+    assert paths == [list(p) for p in ref_paths]
+    assert starts == [(list(p), n) for p, n in ref_starts]
     assert {len(ids) for ids in paths} == {2, 3, 4} and len(starts) > 50
 
 
@@ -422,6 +422,22 @@ def test_tail_orbit_fails_on_a_tower_one_floor_short(golden, monkeypatch):
     monkeypatch.setattr(V, "shift_image", tails_only)
     result = V.check_tail_orbit(golden.with_diagram(diagram), seed=0)
     assert (result.status, result.detail) == ("fail", "tower 1 orbit ended early")
+
+
+def test_certificate_is_inconclusive_at_the_repetition_cap(golden, monkeypatch):
+    monkeypatch.setattr(cocycles, "MAX_REPETITION_EXPONENT", 0)
+    result = V.check_certificate(golden)
+    detail = "repetition cap 2^0 exceeded; last state: rep=1 M=1 q_min=4 covers=False"
+    assert (result.status, result.detail) == ("inconclusive", detail)
+
+
+def test_psi_zero_builds_no_maharam_measure(golden, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("MaharamMeasure built in criterion 9")
+
+    monkeypatch.setattr(maharam.MaharamMeasure, "__init__", refuse)
+    result = V.check_psi_zero(golden)
+    assert result.passed, result.detail
 
 
 @pytest.mark.parametrize(
