@@ -24,7 +24,9 @@ def run_python(args):
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    run_python([str(demo)])
+    # the demos are deterministic: a change to what one prints updates its golden file on purpose
+    golden = ROOT / "tests" / "data" / f"demo_{demo.stem}.txt"
+    assert run_python([str(demo)]) == golden.read_text()
 
 
 def test_readme_quick_start_prints_a_path_as_labels_and_ids():
