@@ -31,6 +31,6 @@ for name in packaged_names():
     print(f"   Smith invariant factors of the generators: {cert.factors}")
     print(f"   verdict (full lattice, hence aperiodic cocycle): {cert.verdict}")
 
-    probe = delta_closure_probe(built.diagram, phi, cert.generators, samples=100, seed=1)
+    probe = delta_closure_probe(built.floor, cert.generators, samples=100, seed=1)
     print(f"   100-sample closure probe on Birkhoff differences: {'ok' if probe else 'FAILED'}")
     print()

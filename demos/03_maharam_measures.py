@@ -52,7 +52,7 @@ pf = perron(matrices)
 step = invariance_step_check(measure.floor, psis, pf, seeds=[7], samples=500, level=4)
 print(f"  skewed-step invariance : {step.invariance_residual[0]:.2e}")
 print(f"  quasi-invariance ratio : {step.quasi_invariance_residual[0]:.2e}")
-level_matrix = level_counting_matrix(built.diagram, phi)
+level_matrix = level_counting_matrix(built.floor)
 for k in (1, 2, 3):
     counting = invariance_recurrence_check(psis, pf, k, laurent_matrix_pow(level_matrix, k))[0]
     print(
@@ -61,7 +61,7 @@ for k in (1, 2, 3):
     )
 print()
 
-table = build_measure_table(built.diagram, phi, psi, level=2, fiber_bound=1)
+table = build_measure_table(built.floor, psi, level=2, fiber_bound=1)
 edge_strs = built.diagram.labels
 cells = sorted(
     ("".join(edge_strs[i] for i in row), fiber, mass)

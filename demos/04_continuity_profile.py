@@ -12,7 +12,7 @@ for name in ("golden_triple", "genus2_rank2"):
     built = build_instance(load_instance(name))
     cylinders = default_cylinder_family(built.diagram, built.phi.m, level=4)
     grids = dyadic_grids(built.phi.m)
-    profiles = continuity_profile(built.diagram, built.phi, cylinders, grids)
+    profiles = continuity_profile(built.floor, cylinders, grids)
     print(f"== {name}: {len(cylinders)} fixed cylinders at level 4")
     for profile in profiles:
         points = profile.masses.shape[0]

@@ -102,8 +102,6 @@ class BratteliDiagram:
         self._offsets: dict[int, np.ndarray] = {}
         self._lifted: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._floor_sources: dict[int, tuple[np.ndarray, ...]] = {}
-        # one FloorCocycle per skewing cocycle, kept by FloorCocycle.of
-        self.floor_cocycles: dict = {}
 
     @cached_property
     def labels(self) -> tuple[str, ...]:

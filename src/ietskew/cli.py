@@ -318,7 +318,7 @@ def cmd_maharam(built: BuiltInstance, args) -> int:
     level = args.level if args.level is not None else TABLE_LEVEL
     # every table, so every psi, is checked before the first row is written
     tables = [
-        (psi, build_measure_table(built.diagram, built.phi, psi, level=level))
+        (psi, build_measure_table(built.floor, psi, level=level))
         for psi in _parse_psi_args(args, m, built)
     ]
     header = [f"psi_{i + 1}" for i in range(m)] + ["level", "path", "fiber", "measure"]
@@ -348,7 +348,7 @@ def cmd_continuity(built: BuiltInstance, args) -> int:
     level = args.level if args.level is not None else CONTINUITY_LEVEL
     grids = _parse_grid_args(args, m) or dyadic_grids(m)
     cylinders = default_cylinder_family(built.diagram, m, level=level)
-    profiles = continuity_profile(built.diagram, built.phi, cylinders, grids)
+    profiles = continuity_profile(built.floor, cylinders, grids)
     if args.format == "json":
         payload = [
             {"step": p.step, "modulus": p.modulus, "points": p.masses.shape[0]}

@@ -50,19 +50,12 @@ class FloorCocycle:
         self.f = below[np.array(diagram.first_ids)[diagram.target]] - below
         self.cell = diagram.source * diagram.d + diagram.target
 
-    @classmethod
-    def of(cls, diagram: BratteliDiagram, phi: SkewCocycle) -> "FloorCocycle":
-        """The diagram's floor cocycle for phi, built on first use and kept."""
-        if phi not in diagram.floor_cocycles:
-            diagram.floor_cocycles[phi] = cls(diagram, phi)
-        return diagram.floor_cocycles[phi]
-
     def path_sum(self, p: tuple[int, ...], k: int | None = None) -> tuple[int, ...]:
         """Birkhoff sum of f along the first k shifts of the path: its first k edge ids."""
         return tuple(self.f[list(p[:k])].sum(axis=0).tolist())
 
 
-def tail_cocycle(diagram: BratteliDiagram, ids: np.ndarray, phi: SkewCocycle) -> np.ndarray:
+def tail_cocycle(fl: FloorCocycle, ids: np.ndarray) -> np.ndarray:
     """Telescoped f-discrepancy between each row of a (rows, k) edge-id
     array and its adic successor, shape (rows, m).
 
@@ -70,11 +63,10 @@ def tail_cocycle(diagram: BratteliDiagram, ids: np.ndarray, phi: SkewCocycle) ->
     has memory one and the successor agrees with the row beyond that edge.
     Undefined (MaximalPathError) on a row of maximal edges.
     """
-    succ = diagram.adic_successors(ids)  # raises MaximalPathError on the boundary
-    f = FloorCocycle.of(diagram, phi).f
-    first_below_top = (~diagram.is_top[ids]).argmax(axis=1)
+    succ = fl.diagram.adic_successors(ids)  # raises MaximalPathError on the boundary
+    first_below_top = (~fl.diagram.is_top[ids]).argmax(axis=1)
     shifts = np.arange(ids.shape[1]) <= first_below_top[:, None]
-    return ((f[ids] - f[succ]) * shifts[:, :, None]).sum(axis=1)
+    return ((fl.f[ids] - fl.f[succ]) * shifts[:, :, None]).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,12 +78,10 @@ class SkewedPathState:
     fiber: np.ndarray
 
 
-def skewed_adic_step(
-    diagram: BratteliDiagram, state: SkewedPathState, phi: SkewCocycle
-) -> SkewedPathState:
+def skewed_adic_step(fl: FloorCocycle, state: SkewedPathState) -> SkewedPathState:
     """Each row (p, a) -> (successor of p, a + phi at the source of edge one)."""
-    move = np.array(phi.values)[diagram.source[state.ids[:, 0]]]
-    return SkewedPathState(diagram.adic_successors(state.ids), state.fiber + move)
+    move = np.array(fl.phi.values)[fl.diagram.source[state.ids[:, 0]]]
+    return SkewedPathState(fl.diagram.adic_successors(state.ids), state.fiber + move)
 
 
 def shift_image(fl: FloorCocycle, state: SkewedPathState, depth: int) -> SkewedPathState:
@@ -102,11 +92,7 @@ def shift_image(fl: FloorCocycle, state: SkewedPathState, depth: int) -> SkewedP
 
 
 def tail_orbit_witness(
-    diagram: BratteliDiagram,
-    s1: SkewedPathState,
-    s2: SkewedPathState,
-    phi: SkewCocycle,
-    depth: int,
+    fl: FloorCocycle, s1: SkewedPathState, s2: SkewedPathState, depth: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orbit witnesses for pairs of states with the same depth-k shift image,
     row i of s1 with row i of s2.
@@ -121,11 +107,11 @@ def tail_orbit_witness(
     """
     if not 1 <= depth <= min(s1.ids.shape[1], s2.ids.shape[1]):
         raise ValueError("depth must be between 1 and the path length")
-    (t1, h1), (t2, h2) = (diagram.paths_to_floors(s.ids[:, :depth]) for s in (s1, s2))
+    (t1, h1), (t2, h2) = (fl.diagram.paths_to_floors(s.ids[:, :depth]) for s in (s1, s2))
     same_tail = s1.ids.shape == s2.ids.shape and (s1.ids[:, depth:] == s2.ids[:, depth:]).all(axis=1)
     # per tower, phi summed over the floors under each height 0..h; towers stacked
-    values, zero = np.array(phi.values), np.zeros((1, phi.m), dtype=np.int64)
-    under = [np.cumsum(np.vstack((zero, values[s])), axis=0) for s in diagram.floor_sources(depth)]
+    values, zero = np.array(fl.phi.values), np.zeros((1, fl.m), dtype=np.int64)
+    under = [np.cumsum(np.vstack((zero, values[s])), axis=0) for s in fl.diagram.floor_sources(depth)]
     start = np.cumsum([0, *map(len, under[:-1])])
     under = np.concatenate(under)
     passed = under[start[t2] + h2] - under[start[t1] + h1]
@@ -282,13 +268,7 @@ def sample_cycle(diagram: BratteliDiagram, rng: random.Random) -> tuple[int, ...
     return None
 
 
-def delta_closure_probe(
-    diagram: BratteliDiagram,
-    phi: SkewCocycle,
-    generators,
-    samples: int,
-    seed: int,
-) -> bool:
+def delta_closure_probe(fl: FloorCocycle, generators, samples: int, seed: int) -> bool:
     """Sampled closure check of the Birkhoff-difference subgroup.
 
     Draws pairs of equal-length shift-periodic blocks and verifies that the
@@ -296,20 +276,19 @@ def delta_closure_probe(
     certificate generators.
     """
     rng = random.Random(seed)
-    f = FloorCocycle.of(diagram, phi).f
     lattice = row_hnf(generators)
     by_length: dict[int, list[tuple[int, ...]]] = {}
     checked = 0
     attempts = 0
     while checked < samples and attempts < 200 * samples:
         attempts += 1
-        cycle = sample_cycle(diagram, rng)
+        cycle = sample_cycle(fl.diagram, rng)
         if cycle is None:
             continue
         bucket = by_length.setdefault(len(cycle), [])
-        cycle_sum = f[list(cycle)].sum(axis=0)
+        cycle_sum = fl.f[list(cycle)].sum(axis=0)
         for other in bucket:
-            if solve_in_row_lattice(lattice, (cycle_sum - f[list(other)].sum(axis=0)).tolist()) is None:
+            if solve_in_row_lattice(lattice, (cycle_sum - fl.f[list(other)].sum(axis=0)).tolist()) is None:
                 return False
             checked += 1
             if checked >= samples:

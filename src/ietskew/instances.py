@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
 from .bratteli import BratteliDiagram
+from .cocycles import FloorCocycle
 from .iet import IetCombinatorics, LengthData, RauzyLoop, TowerSystem, compose_loop, pf_lengths
 from .skew import SkewCocycle, eigencocycles, skew_from_basis
 
@@ -52,12 +54,33 @@ def packaged_names() -> list[str]:
     return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def _parse(data: dict, name: str) -> InstanceSpec:
+def _shown(value) -> str:
+    """A wrong value as an error names it: a scalar as JSON, a container by its kind."""
+    if isinstance(value, (list, dict)):
+        return "a list" if isinstance(value, list) else "an object"
+    return json.dumps(value)
+
+
+def _typed(value, kind: str, field: str, name: str):
+    """``value`` when its JSON type is ``kind``; true and false are no number."""
+    if type(value) not in {"a list": (list,), "an integer": (int,), "a number": (int, float)}[kind]:
+        raise InstanceError(f"{field} must be {kind}, not {_shown(value)}, in instance {name!r}")
+    return value
+
+
+def _entries(value, kind: str, field: str, name: str) -> tuple:
+    """The entries of a JSON list, each of JSON type ``kind``."""
+    return tuple(_typed(x, kind, f"{field}[{i}]", name) for i, x in enumerate(_typed(value, "a list", field, name)))
+
+
+def _parse(data, name: str) -> InstanceSpec:
+    if not isinstance(data, dict):
+        raise InstanceError(f"instance {name!r} must be a JSON object, not {_shown(data)}")
     try:
-        d = int(data["d"])
-        top = tuple(int(x) for x in data["top"])
-        bottom = tuple(int(x) for x in data["bottom"])
-        loop = tuple(str(x) for x in data["loop"])
+        d = _typed(data["d"], "an integer", "d", name)
+        top = _entries(data["top"], "an integer", "top", name)
+        bottom = _entries(data["bottom"], "an integer", "bottom", name)
+        loop = tuple(_typed(data["loop"], "a list", "loop", name))
     except KeyError as exc:
         raise InstanceError(f"missing required field {exc} in instance {name!r}") from None
     if len(top) != d or len(bottom) != d:
@@ -66,14 +89,16 @@ def _parse(data: dict, name: str) -> InstanceSpec:
         raise InstanceError(f"loop letters must be 't' or 'b' in {name!r}")
     phi = data.get("phi")
     if phi is not None:
-        phi = tuple(tuple(int(x) for x in row) for row in phi)
+        rows = enumerate(_entries(phi, "a list", "phi", name))
+        phi = tuple(_entries(row, "an integer", f"phi[{i}]", name) for i, row in rows)
         if len(phi) != d:
             raise InstanceError(f"phi must have {d} rows in {name!r}")
         if len({len(row) for row in phi}) != 1:
             raise InstanceError(f"phi rows have inconsistent dimensions in {name!r}")
     psi = data.get("psi")
     if psi is not None:
-        psi = tuple(tuple(float(x) for x in row) for row in psi)
+        rows = enumerate(_entries(psi, "a list", "psi", name))
+        psi = tuple(tuple(map(float, _entries(row, "a number", f"psi[{i}]", name))) for i, row in rows)
     return InstanceSpec(
         name=str(data.get("name", name)),
         top=top,
@@ -81,7 +106,7 @@ def _parse(data: dict, name: str) -> InstanceSpec:
         loop=loop,
         phi=phi,
         psi=psi,
-        seed=int(data.get("seed", 0)),
+        seed=_typed(data.get("seed", 0), "an integer", "seed", name),
     )
 
 
@@ -129,6 +154,11 @@ class BuiltInstance:
     @property
     def m(self) -> int:
         return self.phi.m if self.phi is not None else 0
+
+    @cached_property
+    def floor(self) -> FloorCocycle:
+        """The floor cocycle of (diagram, phi), built on first use; phi must be set."""
+        return FloorCocycle(self.diagram, self.phi)
 
     def with_phi(self, phi: SkewCocycle) -> "BuiltInstance":
         return replace(self, phi=phi)

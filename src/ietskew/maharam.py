@@ -121,11 +121,10 @@ def log_masses(psis, pf: PerronData, exponents, targets, lengths) -> np.ndarray:
     return logs - np.outer(np.log(pf.eigenvalue), lengths)
 
 
-def level_counting_matrix(diagram: BratteliDiagram, phi: SkewCocycle) -> LaurentMatrix:
+def level_counting_matrix(fl: FloorCocycle) -> LaurentMatrix:
     """Matrix of monomial sums t^{f(e)} over edges grouped by source/target."""
-    fl = FloorCocycle.of(diagram, phi)
-    d, m = diagram.d, phi.m
-    rows = [[LaurentPolynomial.zero(m) for _ in range(d)] for _ in range(d)]
+    diagram, d = fl.diagram, fl.diagram.d
+    rows = [[LaurentPolynomial.zero(fl.m) for _ in range(d)] for _ in range(d)]
     for s, t, a in zip(diagram.source.tolist(), diagram.target.tolist(), fl.f.tolist()):
         rows[s][t] = rows[s][t] + LaurentPolynomial.monomial(a)
     return LaurentMatrix(rows)
@@ -142,7 +141,7 @@ class MaharamMeasure:
         self.diagram = diagram
         self.phi = phi
         self.parameter = MaharamParameter(tuple(float(x) for x in psi))
-        self.floor = FloorCocycle.of(diagram, phi)
+        self.floor = FloorCocycle(diagram, phi)
         self.matrix_at_lam = level_matrices(self.floor, np.array([self.parameter.psi]))[0]
         self.perron = perron(self.matrix_at_lam)
         self._log_v = tuple(math.log(x) for x in self.perron.vector)
@@ -260,12 +259,7 @@ def dyadic_grids(m: int):
     return grids
 
 
-def continuity_profile(
-    diagram: BratteliDiagram,
-    phi: SkewCocycle,
-    cylinders,
-    grids,
-) -> list[GridProfile]:
+def continuity_profile(fl: FloorCocycle, cylinders, grids) -> list[GridProfile]:
     """Cylinder measures over nested psi-grids with adjacent-point deltas.
 
     ``cylinders`` is a list of (path, fiber) pairs held fixed across the
@@ -275,9 +269,8 @@ def continuity_profile(
     cylinder family.  Each grid is one stack: one M(lambda) per point, one
     Perron call and one array of masses.
     """
-    fl = FloorCocycle.of(diagram, phi)
-    exponents = np.array([vec_add(a, fl.path_sum(p)) for p, a in cylinders]).reshape(-1, phi.m)
-    targets = [diagram.target[p[-1]] for p, _ in cylinders]
+    exponents = np.array([vec_add(a, fl.path_sum(p)) for p, a in cylinders]).reshape(-1, fl.m)
+    targets = [fl.diagram.target[p[-1]] for p, _ in cylinders]
     lengths = [len(p) for p, _ in cylinders]
     profiles = []
     for axes in grids:
@@ -286,7 +279,7 @@ def continuity_profile(
         masses = np.exp(log_masses(psis, pf, exponents, targets, lengths))
         grid = masses.reshape(tuple(len(axis) for axis in axes) + (len(cylinders),))
         delta = np.zeros_like(grid)
-        for axis in range(phi.m):
+        for axis in range(fl.m):
             below_top = (slice(None),) * axis + (slice(0, -1),)
             delta[below_top] = np.maximum(delta[below_top], np.abs(np.diff(grid, axis=axis)))
         modulus = float(delta.max()) if delta.size else 0.0
@@ -360,13 +353,7 @@ def path_sum_bound(floor: FloorCocycle, level: int) -> int:
     return int(max(hi.max(), -lo.min()))
 
 
-def build_measure_table(
-    diagram: BratteliDiagram,
-    phi: SkewCocycle,
-    psi,
-    level: int,
-    fiber_bound: int | None = None,
-) -> MeasureTable:
+def build_measure_table(fl: FloorCocycle, psi, level: int, fiber_bound: int | None = None) -> MeasureTable:
     """Cylinder masses for every level-k path and a fiber box.
 
     The default fiber box spans the attainable f-sums at this level, which
@@ -376,10 +363,9 @@ def build_measure_table(
     """
     if level < 1:
         raise ValueError("level must be at least 1")
-    fl = FloorCocycle.of(diagram, phi)
     psis = np.array([psi], dtype=float)
     pf = perron(level_matrices(fl, psis))
     if fiber_bound is None:
         fiber_bound = path_sum_bound(fl, level)
-    fibers = tuple(product(range(-fiber_bound, fiber_bound + 1), repeat=phi.m))
+    fibers = tuple(product(range(-fiber_bound, fiber_bound + 1), repeat=fl.m))
     return MeasureTable(tuple(psis[0].tolist()), level, fibers, fl, pf)

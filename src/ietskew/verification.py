@@ -26,7 +26,6 @@ import numpy as np
 from .algebra import laurent_matrix_pow, mat_mul
 from .bratteli import BratteliDiagram
 from .cocycles import (
-    FloorCocycle,
     SkewedPathState,
     amplify_for_common_prefix,
     delta_closure_probe,
@@ -215,14 +214,13 @@ def tail_draws(diagram: BratteliDiagram, rng: random.Random, n_paths: int):
 
 @_timed("tail_cocycle_identity")
 def check_tail_cocycle(built: BuiltInstance, seed: int = 0) -> CheckResult:
-    diagram, phi = built.diagram, built.phi
-    f = FloorCocycle.of(diagram, phi).f
+    fl, diagram, phi = built.floor, built.diagram, built.phi
     paths, starts = tail_draws(diagram, random.Random(seed), TAIL_PATHS)
     wrong = []
     for k in (2, 3, 4):
         at = [i for i, ids in enumerate(paths) if len(ids) == k]
         ids = np.array([paths[i] for i in at], dtype=np.intp).reshape(-1, k)
-        missed = tail_cocycle(diagram, ids, phi) != np.array(phi.values)[diagram.source[ids[:, 0]]]
+        missed = tail_cocycle(fl, ids) != np.array(phi.values)[diagram.source[ids[:, 0]]]
         wrong += [at[i] for i in np.flatnonzero(missed.any(axis=1))]
     if wrong:
         first = "".join(diagram.labels[i] for i in paths[min(wrong)])
@@ -231,16 +229,16 @@ def check_tail_cocycle(built: BuiltInstance, seed: int = 0) -> CheckResult:
     # shift sums of f once the shifted paths agree
     p = np.array([ids for ids, _ in starts], dtype=np.intp).reshape(-1, TELESCOPE_LEVEL)
     n = np.array([n for _, n in starts], dtype=int)
-    q, total = p.copy(), np.zeros((len(p), phi.m), dtype=f.dtype)
+    q, total = p.copy(), np.zeros((len(p), phi.m), dtype=fl.f.dtype)
     whole = np.ones(len(p), dtype=bool)  # rows that took all their n steps
     for t in range(n.max(initial=0)):
         step = whole & (t < n)
         whole &= ~(step & diagram.is_top[q].all(axis=1))  # no step from a maximal iterate
         step &= whole
-        total[step] += tail_cocycle(diagram, q[step], phi)
+        total[step] += tail_cocycle(fl, q[step])
         q[step] = diagram.adic_successors(q[step])
     # summed over the edges where p and q differ: f[p] - f[q] is 0 on the others
-    broken = whole & (total != (f[p] - f[q]).sum(axis=1)).any(axis=1)
+    broken = whole & (total != (fl.f[p] - fl.f[q]).sum(axis=1)).any(axis=1)
     if broken.any():
         return CheckResult("", "fail", detail=f"telescoped sum identity broken (n={n[broken.argmax()]})")
     return CheckResult("", "pass", residual=0.0, detail=f"{TAIL_PATHS} paths, seed {seed}")
@@ -251,8 +249,7 @@ def check_tail_cocycle(built: BuiltInstance, seed: int = 0) -> CheckResult:
 
 @_timed("tail_orbit_equivalence")
 def check_tail_orbit(built: BuiltInstance, seed: int = 0) -> CheckResult:
-    diagram, phi = built.diagram, built.phi
-    fl = FloorCocycle.of(diagram, phi)
+    fl, diagram = built.floor, built.diagram
     depth = WITNESS_LEVEL
     rng = random.Random(seed)
     for j in range(1, diagram.d + 1):
@@ -260,8 +257,8 @@ def check_tail_orbit(built: BuiltInstance, seed: int = 0) -> CheckResult:
         # the skew tower in floor order: its paths from the dictionary, its
         # fibers the running sum of what one skewed adic step adds to each
         ids = diagram.floors_to_paths(depth, np.full(height, j - 1), np.arange(height))
-        zero = np.zeros((height, phi.m), dtype=np.int64)
-        step = skewed_adic_step(diagram, SkewedPathState(ids[:-1], zero[1:]), phi)
+        zero = np.zeros((height, fl.m), dtype=np.int64)
+        step = skewed_adic_step(fl, SkewedPathState(ids[:-1], zero[1:]))
         tower = SkewedPathState(ids, np.cumsum(np.vstack((zero[:1], step.fiber)), axis=0))
         image = shift_image(fl, tower, depth)
         image = np.column_stack((image.ids, image.fiber))
@@ -278,7 +275,7 @@ def check_tail_orbit(built: BuiltInstance, seed: int = 0) -> CheckResult:
         else:
             a, b = np.array([(rng.randrange(height), rng.randrange(height)) for _ in range(WITNESS_SAMPLES)]).T
         n, found = tail_orbit_witness(
-            diagram, SkewedPathState(ids[a], tower.fiber[a]), SkewedPathState(ids[b], tower.fiber[b]), phi, depth
+            fl, SkewedPathState(ids[a], tower.fiber[a]), SkewedPathState(ids[b], tower.fiber[b]), depth
         )
         if not (found & (n == b - a)).all():
             return CheckResult("", "fail", detail=f"witness failed in tower {j}")
@@ -297,7 +294,7 @@ def check_certificate(built: BuiltInstance, seed: int = 0) -> CheckResult:
         return CheckResult("", "fail", detail="generators differ from cocycle values")
     if not recheck_certificate(built.loop, built.phi, cert):
         return CheckResult("", "fail", detail="stored certificate failed re-validation")
-    if not delta_closure_probe(built.diagram, built.phi, cert.generators, PROBE_SAMPLES, seed):
+    if not delta_closure_probe(built.floor, cert.generators, PROBE_SAMPLES, seed):
         return CheckResult("", "fail", detail="sampled Birkhoff difference left the lattice")
     detail = f"exponent {cert.exponent}, M={cert.prefix_length}, probe {PROBE_SAMPLES} ok"
     return CheckResult("", "pass", residual=0.0, detail=detail)
@@ -308,9 +305,8 @@ def check_certificate(built: BuiltInstance, seed: int = 0) -> CheckResult:
 
 @_timed("level_counting_cocycle")
 def check_level_counting(built: BuiltInstance, seed: int = 0) -> CheckResult:
-    diagram, phi = built.diagram, built.phi
-    mat = level_counting_matrix(diagram, phi)
-    f = FloorCocycle.of(diagram, phi).f
+    diagram, f = built.diagram, built.floor.f
+    mat = level_counting_matrix(built.floor)
     d, lo, hi = diagram.d, f.min(axis=0), f.max(axis=0)
     mk, ak = mat, diagram.matrix
     n_paths = 0
@@ -348,16 +344,15 @@ def check_level_counting(built: BuiltInstance, seed: int = 0) -> CheckResult:
 
 @_timed("maharam_invariance")
 def check_maharam(built: BuiltInstance, seed: int = 0) -> CheckResult:
-    diagram, phi = built.diagram, built.phi
-    fl = FloorCocycle.of(diagram, phi)
+    fl = built.floor
     rng = random.Random(seed)  # each psi, then the seed of its samples
-    draws = [([rng.uniform(-1.0, 1.0) for _ in range(phi.m)], rng.randrange(2 ** 30)) for _ in range(MAHARAM_PSIS)]
-    psis = np.array([psi for psi, _ in draws]).reshape(MAHARAM_PSIS, phi.m)
+    draws = [([rng.uniform(-1.0, 1.0) for _ in range(fl.m)], rng.randrange(2 ** 30)) for _ in range(MAHARAM_PSIS)]
+    psis = np.array([psi for psi, _ in draws]).reshape(MAHARAM_PSIS, fl.m)
     matrices = level_matrices(fl, psis)
     pf = perron(matrices)
     seeds = [s for _, s in draws]
     step = invariance_step_check(fl, psis, pf, seeds, samples=MAHARAM_CYLINDERS, level=MAHARAM_LEVEL)
-    power = laurent_matrix_pow(level_counting_matrix(diagram, phi), RECURRENCE_POWER)
+    power = laurent_matrix_pow(level_counting_matrix(fl), RECURRENCE_POWER)
     recurrence = [recurrence_vector_residual(matrices, pf, k) for k in range(1, MAHARAM_LEVEL + 1)]
     recurrence.append(invariance_recurrence_check(psis, pf, RECURRENCE_POWER, power))
     residuals = np.array([step.invariance_residual, step.quasi_invariance_residual, np.max(recurrence, 0)])
@@ -385,8 +380,7 @@ def orbit_towers(diagram: BratteliDiagram) -> tuple[np.ndarray, ...]:
 
 @_timed("psi_zero_consistency")
 def check_psi_zero(built: BuiltInstance, seed: int = 0) -> CheckResult:
-    fl = FloorCocycle.of(built.diagram, built.phi)
-    vector = perron(level_matrices(fl, np.zeros((1, built.phi.m)))).vector[0].tolist()  # M(1) = A
+    vector = perron(level_matrices(built.floor, np.zeros((1, built.m)))).vector[0].tolist()  # M(1) = A
     lengths = pf_lengths(built.tower.matrix)
     worst = max(abs(a - b) for a, b in zip(vector, lengths.lengths))
     if worst > MEASURE_TOL:
@@ -406,7 +400,7 @@ def check_psi_zero(built: BuiltInstance, seed: int = 0) -> CheckResult:
 def check_continuity(built: BuiltInstance, seed: int = 0) -> CheckResult:
     cylinders = default_cylinder_family(built.diagram, built.phi.m, level=CONTINUITY_LEVEL)
     grids = dyadic_grids(built.phi.m)
-    profiles = continuity_profile(built.diagram, built.phi, cylinders, grids)
+    profiles = continuity_profile(built.floor, cylinders, grids)
     moduli = [p.modulus for p in profiles]
     if not all(a > b for a, b in zip(moduli, moduli[1:])):
         return CheckResult("", "fail", detail=f"moduli not decreasing: {moduli}")

@@ -49,7 +49,7 @@ def test_every_size_counter_reads_what_its_target_returns(golden):
     targets = {name: resolve(module, attr) for module, attr, name, _ in spans.TARGETS}
     outputs = {
         "iet.compose_loop": lambda fn: [fn(golden.loop, 2)],
-        "algebra.laurent_matrix_pow": lambda fn: [fn(level_counting_matrix(golden.diagram, golden.phi), 2)],
+        "algebra.laurent_matrix_pow": lambda fn: [fn(level_counting_matrix(golden.floor), 2)],
         "bratteli.enumerate_paths": lambda fn: list(fn(golden.diagram, 2)),
     }
     assert set(outputs) == set(spans.SIZE_COUNTERS)

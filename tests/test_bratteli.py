@@ -6,7 +6,6 @@ import pytest
 
 from ietskew import bratteli
 from ietskew.bratteli import BratteliDiagram, MaximalPathError
-from ietskew.cocycles import FloorCocycle
 from ietskew.iet import TowerSystem, compose_loop
 
 
@@ -262,7 +261,7 @@ def test_path_blocks_split_into_enumeration_order(built, monkeypatch):
     # the extensions of a single prefix (out-degrees reach 29)
     monkeypatch.setattr(bratteli, "PATH_BLOCK", 7)
     diagram = built.diagram
-    fl = FloorCocycle.of(diagram, built.phi)
+    fl = built.floor
     edge_id = {e: i for i, e in enumerate(edge_list(diagram))}
     for level in (1, 2, 3):
         blocks = list(diagram.path_blocks(level))

@@ -13,7 +13,6 @@ import pytest
 
 from ietskew import bratteli, cli, verification
 from ietskew.cli import main
-from ietskew.cocycles import FloorCocycle
 from ietskew.instances import build_instance, load_instance
 from ietskew.maharam import MaharamMeasure, continuity_profile, default_cylinder_family
 
@@ -187,7 +186,7 @@ def csv_cells(values) -> list[str]:
 def test_maharam_rows_match_path_enumeration_and_cylinder_measures(tmp_path, name, level, psis):
     built = build_instance(load_instance(name))
     diagram, m = built.diagram, built.phi.m
-    fl = FloorCocycle.of(diagram, built.phi)
+    fl = built.floor
     paths = sorted(("".join(diagram.labels[i] for i in p), p) for p in diagram.enumerate_paths(level))
     ids = np.array([p for _, p in paths])
     sums = fl.f[ids].sum(axis=1)  # S_k f(p), one row per path
@@ -266,7 +265,7 @@ def test_continuity_rows_are_cylinder_major_and_sorted(tmp_path):
     built = build_instance(load_instance("genus2_rank2"))
     axes = tuple(tuple(lo + (hi - lo) * i / 3 for i in range(4)) for lo, hi in [(-1.1, 1.15), (-0.6, 1.35)])
     cylinders = default_cylinder_family(built.diagram, 2, level=3)
-    (profile,) = continuity_profile(built.diagram, built.phi, cylinders, [axes])
+    (profile,) = continuity_profile(built.floor, cylinders, [axes])
     rows = [
         {"cylinder_id": c_idx, "psi": point, "measure": mass, "adjacent_delta": delta}
         for point, masses, deltas in zip(product(*axes), profile.masses.tolist(), profile.deltas.tolist())

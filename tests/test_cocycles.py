@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ietskew.algebra import vec_add, zero_vector
-from ietskew.bratteli import MaximalPathError
+from ietskew.bratteli import BratteliDiagram, MaximalPathError
 from ietskew.cocycles import (
     AperiodicityCertificate,
     CertificateInconclusive,
@@ -60,9 +60,9 @@ def f_of(fl, e):
     return tuple(fl.f[e].tolist())
 
 
-def tail_of(diagram, p, phi):
+def tail_of(fl, p):
     """The tail cocycle of one path: ``tail_cocycle`` of one row."""
-    return tuple(tail_cocycle(diagram, np.array([p]), phi)[0].tolist())
+    return tuple(tail_cocycle(fl, np.array([p]))[0].tolist())
 
 
 def states(ids, fibers):
@@ -75,9 +75,9 @@ def rows(state):
     return state.ids.tolist(), state.fiber.tolist()
 
 
-def witnesses(diagram, s1, s2, phi, depth):
+def witnesses(fl, s1, s2, depth):
     """``tail_orbit_witness`` per pair: n, or None where there is no witness."""
-    n, found = tail_orbit_witness(diagram, s1, s2, phi, depth)
+    n, found = tail_orbit_witness(fl, s1, s2, depth)
     return [int(x) if ok else None for x, ok in zip(n, found)]
 
 
@@ -102,13 +102,9 @@ def test_floor_cocycle_values(built):
             assert f_of(fl, first + 2) == expected
 
 
-def test_floor_cocycle_kept_per_phi_with_matching_arrays(built):
+def test_floor_cocycle_arrays_match_the_words(built):
     # each edge (j, l), in id order, against minus phi summed up word j
-    diagram, phi = built.diagram, built.phi
-    fl = FloorCocycle.of(diagram, phi)
-    assert FloorCocycle.of(diagram, SkewCocycle(phi.values)) is fl
-    negated = SkewCocycle([[-x for x in v] for v in phi.values])
-    assert FloorCocycle.of(diagram, negated) is not fl
+    fl, diagram, phi = built.floor, built.diagram, built.phi
     edges = [(j, l) for j, w in enumerate(diagram.words, 1) for l in range(len(w))]
     assert fl.f.shape == (len(edges), phi.m)
     for (j, l), f, cell in zip(edges, fl.f.tolist(), fl.cell):
@@ -119,18 +115,28 @@ def test_floor_cocycle_kept_per_phi_with_matching_arrays(built):
         assert divmod(cell, diagram.d) == (diagram.words[j - 1][l] - 1, j - 1)
 
 
+def test_built_floor_is_one_per_built_instance(built):
+    assert built.floor is built.floor
+    negated = SkewCocycle([[-x for x in v] for v in built.phi.values])
+    flipped = built.with_phi(negated).floor
+    assert flipped.phi == negated
+    assert np.array_equal(flipped.f, FloorCocycle(built.diagram, negated).f)
+    other = BratteliDiagram(built.tower)
+    assert built.with_diagram(other).floor.diagram is other
+
+
 # -- tail cocycle and its recurrences ----------------------------------------
 
 
 def test_tail_cocycle_equals_phi(built):
-    diagram, phi = built.diagram, built.phi
+    fl, diagram, phi = built.floor, built.diagram, built.phi
     rng = random.Random(31)
     by_level = {}
     for _ in range(1000):
         p = random_nonmax_path(diagram, rng.choice([2, 3, 4]), rng)
         by_level.setdefault(len(p), []).append(p)
     for paths in by_level.values():
-        tails = tail_cocycle(diagram, np.array(paths), phi)
+        tails = tail_cocycle(fl, np.array(paths))
         assert [tuple(t) for t in tails.tolist()] == [phi.of_label(source(diagram, p)) for p in paths]
 
 
@@ -146,7 +152,7 @@ def test_tail_cocycle_non_top_floor_form(built):
             continue
         hits += 1
         succ = diagram.adic_successor(p)
-        assert tail_of(diagram, p, phi) == vec_sub(f_of(fl, p[0]), f_of(fl, succ[0]))
+        assert tail_of(fl, p) == vec_sub(f_of(fl, p[0]), f_of(fl, succ[0]))
 
 
 def test_top_floor_recurrence(built):
@@ -184,7 +190,7 @@ def test_f_recurrence_under_successor(built):
 def test_tail_cocycle_undefined_on_maximal(built):
     p = built.diagram.max_path(3, 1)
     with pytest.raises(MaximalPathError):
-        tail_of(built.diagram, p, built.phi)
+        tail_of(built.floor, p)
 
 
 def test_birkhoff_telescoping_identity(built):
@@ -204,7 +210,7 @@ def test_birkhoff_telescoping_identity(built):
             if diagram.is_maximal(q):
                 ok = False
                 break
-            sum_tail = vec_add(sum_tail, tail_of(diagram, q, phi))
+            sum_tail = vec_add(sum_tail, tail_of(fl, q))
             q = diagram.adic_successor(q)
         if not ok:
             continue
@@ -226,10 +232,10 @@ def test_birkhoff_telescoping_identity(built):
 
 
 def test_skewed_adic_step_and_inverse(built):
-    diagram, phi = built.diagram, built.phi
+    fl, diagram, phi = built.floor, built.diagram, built.phi
     rng = random.Random(35)
     paths = [random_nonmax_path(diagram, 3, rng) for _ in range(200)]
-    stepped = skewed_adic_step(diagram, states(paths, [zero_vector(phi.m)] * 200), phi)
+    stepped = skewed_adic_step(fl, states(paths, [zero_vector(phi.m)] * 200))
     assert stepped.fiber.tolist() == [list(phi.of_label(source(diagram, p))) for p in paths]
     for p, ids, fiber in zip(paths, *rows(stepped)):
         # the inverse: one floor down in the dictionary, minus phi under it
@@ -269,7 +275,7 @@ def test_skewed_iteration_accumulates_birkhoff_sums(built):
 
 
 def test_path_sum_of_no_shifts_is_zero(built):
-    fl = FloorCocycle.of(built.diagram, built.phi)
+    fl = built.floor
     rng = random.Random(39)
     for level in (1, 3):
         p = tuple(built.diagram.random_path_ids(level, rng))
@@ -279,7 +285,7 @@ def test_path_sum_of_no_shifts_is_zero(built):
 def test_path_sum_matches_path_block_sums(built):
     # every level-3 path, edge by edge; one-row path_sum on a stride of them
     diagram = built.diagram
-    fl = FloorCocycle.of(diagram, built.phi)
+    fl = built.floor
     ids = np.concatenate(list(diagram.path_blocks(3)))
     stride = max(1, len(ids) // 500)
     for k in range(4):
@@ -296,13 +302,13 @@ def test_path_sum_matches_path_block_sums(built):
 
 
 def test_witness_trivial_and_single_step(built):
-    diagram, phi = built.diagram, built.phi
+    fl, diagram, phi = built.floor, built.diagram, built.phi
     rng = random.Random(38)
     s1 = states([random_nonmax_path(diagram, 3, rng) for _ in range(50)], [zero_vector(phi.m)] * 50)
-    assert witnesses(diagram, s1, s1, phi, 3) == [0] * 50
-    s2 = skewed_adic_step(diagram, s1, phi)
-    assert witnesses(diagram, s1, s2, phi, 3) == [1] * 50
-    assert witnesses(diagram, s2, s1, phi, 3) == [-1] * 50
+    assert witnesses(fl, s1, s1, 3) == [0] * 50
+    s2 = skewed_adic_step(fl, s1)
+    assert witnesses(fl, s1, s2, 3) == [1] * 50
+    assert witnesses(fl, s2, s1, 3) == [-1] * 50
 
 
 def test_witness_exhaustive_level2(built):
@@ -319,7 +325,7 @@ def test_witness_exhaustive_level2(built):
         height = diagram.heights(depth)[j - 1]
         chain = [state]
         for _ in range(height - 1):
-            state = skewed_adic_step(diagram, state, phi)
+            state = skewed_adic_step(fl, state)
             assert rows(shift_image(fl, state, depth)) == img0
             chain.append(state)
         assert diagram.is_maximal(chain[-1].ids[0])
@@ -334,44 +340,43 @@ def test_witness_exhaustive_level2(built):
             ]
         )
         a, b = np.array(pairs).T
-        n = witnesses(diagram, SkewedPathState(ids[a], fibers[a]), SkewedPathState(ids[b], fibers[b]), phi, depth)
+        n = witnesses(fl, SkewedPathState(ids[a], fibers[a]), SkewedPathState(ids[b], fibers[b]), depth)
         assert n == (b - a).tolist()
 
 
 def test_witness_rejects_different_tails(built):
-    diagram, phi = built.diagram, built.phi
+    fl, diagram, phi = built.floor, built.diagram, built.phi
     base1 = diagram.min_path(2, 1)
     s1 = states([base1], [zero_vector(phi.m)])
     shifted_fiber = states([base1], [tuple(5 for _ in range(phi.m))])
-    assert witnesses(diagram, s1, shifted_fiber, phi, 2) == [None]
+    assert witnesses(fl, s1, shifted_fiber, 2) == [None]
 
 
 def test_witness_none_for_empty_tails_in_different_towers(built):
     # floor-0 paths of towers 1 and 2 with equal fibers have equal shift
     # images, at the same height: only the tower tells them apart
-    diagram, phi = built.diagram, built.phi
-    fl = FloorCocycle.of(diagram, phi)
+    fl, diagram, phi = built.floor, built.diagram, built.phi
     s1 = states([diagram.min_path(2, 1)], [zero_vector(phi.m)])
     s2 = states([diagram.min_path(2, 2)], [zero_vector(phi.m)])
     assert rows(shift_image(fl, s1, 2))[1] == rows(shift_image(fl, s2, 2))[1]
-    assert witnesses(diagram, s1, s2, phi, 2) == [None]
-    assert witnesses(diagram, s2, s1, phi, 2) == [None]
+    assert witnesses(fl, s1, s2, 2) == [None]
+    assert witnesses(fl, s2, s1, 2) == [None]
 
 
 def test_witness_none_when_the_fiber_identity_fails(built):
-    diagram, phi = built.diagram, built.phi
+    fl, diagram, phi = built.floor, built.diagram, built.phi
     rng = random.Random(40)
     s1 = states([random_nonmax_path(diagram, 3, rng) for _ in range(50)], [zero_vector(phi.m)] * 50)
-    s2 = skewed_adic_step(diagram, s1, phi)
+    s2 = skewed_adic_step(fl, s1)
     off = SkewedPathState(s2.ids, s2.fiber + ((0,) * (phi.m - 1) + (1,)))
-    assert witnesses(diagram, s1, off, phi, 3) == [None] * 50
-    assert witnesses(diagram, off, s1, phi, 3) == [None] * 50
+    assert witnesses(fl, s1, off, 3) == [None] * 50
+    assert witnesses(fl, off, s1, 3) == [None] * 50
 
 
 def test_witness_below_a_shared_tail(built):
     # level-5 states at depth 2: n adic steps that stay inside the level-2
     # tower keep edges 3-5, and the witness finds n and -n
-    diagram, phi = built.diagram, built.phi
+    fl, diagram, phi = built.floor, built.diagram, built.phi
     rng = random.Random(41)
     for _ in range(30):
         s1 = states([diagram.random_path_ids(5, rng)], [(3,) * phi.m])
@@ -379,32 +384,32 @@ def test_witness_below_a_shared_tail(built):
         for _ in range(rng.randint(1, 8)):
             if diagram.is_maximal(s2.ids[0, :2]):
                 break
-            s2, n = skewed_adic_step(diagram, s2, phi), n + 1
+            s2, n = skewed_adic_step(fl, s2), n + 1
         assert s2.ids[0, 2:].tolist() == s1.ids[0, 2:].tolist()
-        assert witnesses(diagram, s1, s2, phi, 2) == [n]
-        assert witnesses(diagram, s2, s1, phi, 2) == [-n]
+        assert witnesses(fl, s1, s2, 2) == [n]
+        assert witnesses(fl, s2, s1, 2) == [-n]
         other_tail = diagram.random_path_ids(5, rng)
         if other_tail[2:] != s1.ids[0, 2:].tolist():
             s3 = states([other_tail], s1.fiber)
-            assert witnesses(diagram, s1, s3, phi, 2) == [None]
+            assert witnesses(fl, s1, s3, 2) == [None]
     for depth in (0, 6):
         with pytest.raises(ValueError):
-            tail_orbit_witness(diagram, s1, s1, phi, depth)
+            tail_orbit_witness(fl, s1, s1, depth)
 
 
 def test_witness_answers_every_pair_of_a_batch(built):
     # one call over pairs of mixed outcomes gives each pair its own answer
-    diagram, phi = built.diagram, built.phi
+    fl, diagram, phi = built.floor, built.diagram, built.phi
     rng = random.Random(42)
     s1 = states([random_nonmax_path(diagram, 3, rng) for _ in range(40)], [zero_vector(phi.m)] * 40)
-    s2 = skewed_adic_step(diagram, s1, phi)
+    s2 = skewed_adic_step(fl, s1)
     pick = np.arange(40) % 2 == 0  # even pairs step, odd pairs stay; pair 3 is moved off
     mixed = SkewedPathState(np.where(pick[:, None], s2.ids, s1.ids), np.where(pick[:, None], s2.fiber, s1.fiber))
     mixed.fiber[3] += 1
     expected = [None if i == 3 else int(pick[i]) for i in range(40)]
-    assert witnesses(diagram, s1, mixed, phi, 3) == expected
+    assert witnesses(fl, s1, mixed, 3) == expected
     # paths of another length share no tail
-    assert witnesses(diagram, s1, states(s1.ids[:, :2], s1.fiber), phi, 2) == [None] * 40
+    assert witnesses(fl, s1, states(s1.ids[:, :2], s1.fiber), 2) == [None] * 40
 
 
 # -- aperiodicity certificate -------------------------------------------------
@@ -448,9 +453,7 @@ def test_certificate_stops_before_building_words_past_the_cap():
 
 def test_closure_probe(built):
     cert = amplify_for_common_prefix(built.loop, built.phi)
-    assert delta_closure_probe(
-        built.diagram, built.phi, cert.generators, samples=100, seed=17
-    )
+    assert delta_closure_probe(built.floor, cert.generators, samples=100, seed=17)
 
 
 def test_cycle_concatenation_additivity(built):

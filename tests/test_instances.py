@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from ietskew.cli import main
 from ietskew.instances import (
     InstanceError,
     _parse,
@@ -105,3 +106,39 @@ def test_defaults():
     assert _parse(dict(data, depth=7), "golden_triple") == _parse(without, "golden_triple") == spec
     spec2 = load_instance("genus2_rank1")
     assert spec2.psi == ((0.25,), (-0.5,))
+
+
+GOLDEN = {"d": 3, "top": [1, 2, 3], "bottom": [3, 2, 1], "loop": list("btbtbt")}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([1, 2], "instance 'bad' must be a JSON object, not a list"),
+        (None, "instance 'bad' must be a JSON object, not null"),
+        (dict(GOLDEN, d=True), "d must be an integer, not true"),
+        (dict(GOLDEN, top=5), "top must be a list, not 5"),
+        (dict(GOLDEN, top=[1.9, 2, 3]), "top[0] must be an integer, not 1.9"),
+        (dict(GOLDEN, bottom=[3, "2", 1]), 'bottom[1] must be an integer, not "2"'),
+        (dict(GOLDEN, loop=None), "loop must be a list, not null"),
+        (dict(GOLDEN, phi=[[1.9], [-1.2], [0.3]]), "phi[0][0] must be an integer, not 1.9"),
+        (dict(GOLDEN, phi=[1, 2, 3]), "phi[0] must be a list, not 1"),
+        (dict(GOLDEN, psi=[0.5]), "psi[0] must be a list, not 0.5"),
+        (dict(GOLDEN, psi=[[False]]), "psi[0][0] must be a number, not false"),
+        (dict(GOLDEN, seed=None), "seed must be an integer, not null"),
+        (dict(GOLDEN, seed=0.0), "seed must be an integer, not 0.0"),
+    ],
+)
+def test_a_wrong_json_type_is_one_error_line_naming_the_field(tmp_path, capsys, data, message):
+    # no int() truncation and no traceback: the field and its value are named
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InstanceError) as caught:
+        load_instance(path)
+    assert str(caught.value).startswith(message)
+    capsys.readouterr()
+    assert main(["certify", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {caught.value}\n"
+

@@ -68,7 +68,7 @@ def test_perron_stop_is_relative_to_the_eigenvalue(golden):
 
 
 def test_level_counting_matrix_at_one_is_incidence(built):
-    mat = level_counting_matrix(built.diagram, built.phi)
+    mat = level_counting_matrix(built.floor)
     ones = (1.0,) * built.phi.m
     evaluated = mat.evaluate(ones)
     for i in range(built.tower.d):
@@ -77,7 +77,7 @@ def test_level_counting_matrix_at_one_is_incidence(built):
 
 
 def test_matrix_power_counts_paths_exhaustively(built):
-    mat = level_counting_matrix(built.diagram, built.phi)
+    mat = level_counting_matrix(built.floor)
     kmax = 4 if built.name == "golden_triple" else 3
     for k in range(1, kmax + 1):
         oracle = path_count_coefficients(built.diagram, built.phi, k)
@@ -97,7 +97,7 @@ def test_matrix_power_counts_paths_exhaustively(built):
 
 
 def test_b_counts_edge_weights(built):
-    mat = level_counting_matrix(built.diagram, built.phi)
+    mat = level_counting_matrix(built.floor)
     fl = FloorCocycle(built.diagram, built.phi)
     # (source, target) of each edge id from the return words, with its f-value
     cells = [(w[l], j) for j, w in enumerate(built.diagram.words, 1) for l in range(len(w))]
@@ -149,13 +149,13 @@ def test_cylinder_measure_deep_levels_underflow_to_zero(golden):
 def stack(built, psis):
     """M(lambda) and Perron data of a psi stack."""
     psis = np.array(psis, dtype=float).reshape(-1, built.phi.m)
-    matrices = level_matrices(FloorCocycle.of(built.diagram, built.phi), psis)
+    matrices = level_matrices(built.floor, psis)
     return psis, matrices, perron(matrices)
 
 
 def test_invariance_recurrence(built):
     rng = random.Random(10)
-    mat = level_counting_matrix(built.diagram, built.phi)
+    mat = level_counting_matrix(built.floor)
     powers = {k: laurent_matrix_pow(mat, k) for k in (1, 2, 3)}
     psis, matrices, pf = stack(
         built,
@@ -169,7 +169,7 @@ def test_invariance_recurrence(built):
 
 def test_invariance_recurrence_matches_scalar_masses(built):
     # the counting sum from per-measure base masses, one psi at a time
-    power = laurent_matrix_pow(level_counting_matrix(built.diagram, built.phi), 2)
+    power = laurent_matrix_pow(level_counting_matrix(built.floor), 2)
     psis, matrices, pf = stack(built, [(0.3,) * built.phi.m, (-0.7,) * built.phi.m])
     for t, psi in enumerate(psis):
         measure = MaharamMeasure(built.diagram, built.phi, psi)
@@ -191,7 +191,7 @@ def test_invariance_recurrence_matches_scalar_masses(built):
 def test_invariance_step_and_quasi_invariance(built):
     rng = random.Random(11)
     psis, _, pf = stack(built, [tuple(rng.uniform(-1, 1) for _ in range(built.phi.m)) for _ in range(3)])
-    floor = FloorCocycle.of(built.diagram, built.phi)
+    floor = built.floor
     result = invariance_step_check(floor, psis, pf, seeds=[5, 6, 7], samples=300, level=4)
     assert result.invariance_residual.shape == result.quasi_invariance_residual.shape == (3,)
     assert (result.invariance_residual <= 1e-10).all()
@@ -255,7 +255,7 @@ def test_step_check_matches_per_sample_cylinder_measures(built):
     # the per-sample loop over MaharamMeasure.cylinder_measure, on the same draws
     rng = random.Random(21)
     psis, _, pf = stack(built, [tuple(rng.uniform(-1, 1) for _ in range(built.phi.m)) for _ in range(2)])
-    floor = FloorCocycle.of(built.diagram, built.phi)
+    floor = built.floor
     result = invariance_step_check(floor, psis, pf, seeds=[99, 100], samples=400, level=5)
     for t, seed in enumerate((99, 100)):
         measure = MaharamMeasure(built.diagram, built.phi, psis[t])
@@ -273,7 +273,7 @@ def test_step_check_matches_per_sample_cylinder_measures(built):
 
 
 def test_level_matrices_name_a_psi_out_of_float_range(rank2):
-    floor = FloorCocycle.of(rank2.diagram, rank2.phi)
+    floor = rank2.floor
     assert np.isfinite(level_matrices(floor, np.array([[0.0, 200.0]]))).all()
     for bad in ((0.0, 300.0), (0.0, -300.0)):
         with pytest.raises(ValueError, match=rf"psi \({bad[0]}, {bad[1]}\) is out of float range"):
@@ -283,7 +283,7 @@ def test_level_matrices_name_a_psi_out_of_float_range(rank2):
 def test_continuity_profile_modulus_decreases(built):
     grids = dyadic_grids(built.phi.m)
     cylinders = default_cylinder_family(built.diagram, built.phi.m, level=3)
-    profiles = continuity_profile(built.diagram, built.phi, cylinders, grids)
+    profiles = continuity_profile(built.floor, cylinders, grids)
     moduli = [p.modulus for p in profiles]
     assert moduli[0] > moduli[1] > moduli[2] > 0
     steps = [p.step for p in profiles]
@@ -293,7 +293,7 @@ def test_continuity_profile_modulus_decreases(built):
 def test_continuity_profile_identical_points_zero_delta(built):
     grids = [((0.3,) * 1,) * built.phi.m]  # single point per axis
     cylinders = default_cylinder_family(built.diagram, built.phi.m, level=2)
-    profiles = continuity_profile(built.diagram, built.phi, cylinders, grids)
+    profiles = continuity_profile(built.floor, cylinders, grids)
     assert profiles[0].modulus == 0.0
 
 
@@ -316,10 +316,10 @@ def eigen_reference_masses(diagram, phi, level_matrix, cylinders, psi):
 
 def test_continuity_profile_matches_eigen_reference(built):
     m = built.phi.m
-    level_matrix = level_counting_matrix(built.diagram, built.phi)
+    level_matrix = level_counting_matrix(built.floor)
     cylinders = default_cylinder_family(built.diagram, m, level=4)
     grids = dyadic_grids(m) + [((0.3,),) * m]  # last: one point per axis
-    profiles = continuity_profile(built.diagram, built.phi, cylinders, grids)
+    profiles = continuity_profile(built.floor, cylinders, grids)
     for axes, profile in zip(grids, profiles):
         points = list(product(*axes))
         # (psi, cylinder) -> (measure, adjacent delta), row i of the arrays at points[i]
@@ -364,13 +364,13 @@ def test_continuity_profile_one_perron_call_per_grid(rank2, monkeypatch):
     )
     axis = tuple(-1.0 + i / 8 for i in range(17))
     cylinders = default_cylinder_family(rank2.diagram, 2, level=4)
-    (profile,) = continuity_profile(rank2.diagram, rank2.phi, cylinders, [(axis, axis)])
+    (profile,) = continuity_profile(rank2.floor, cylinders, [(axis, axis)])
     assert profile.masses.shape == profile.deltas.shape == (17 * 17, len(cylinders))
     assert calls == Counter(perron=1)
 
 
 def test_measure_table(golden):
-    table = build_measure_table(golden.diagram, golden.phi, (0.2,), level=2)
+    table = build_measure_table(golden.floor, (0.2,), level=2)
     assert table.level == 2
     # every level-2 path appears with the full fiber box
     n_paths = sum(1 for _ in golden.diagram.enumerate_paths(2))
@@ -388,14 +388,14 @@ def test_measure_table(golden):
 
 
 def test_path_sum_bound_is_the_largest_path_sum(built):
-    fl = FloorCocycle.of(built.diagram, built.phi)
+    fl = built.floor
     for level in (1, 2, 3):
         ids = np.concatenate(list(built.diagram.path_blocks(level)))
         assert path_sum_bound(fl, level) == np.abs(fl.f[ids].sum(axis=1)).max()
 
 
 def test_measure_table_rank_one_factors_give_the_masses(golden):
-    table = build_measure_table(golden.diagram, golden.phi, (0.2,), level=3)
+    table = build_measure_table(golden.floor, (0.2,), level=3)
     measure = MaharamMeasure(golden.diagram, golden.phi, (0.2,))
     paths = list(golden.diagram.enumerate_paths(3))
     assert table.masses.shape == (len(paths), len(table.fibers))
@@ -405,6 +405,6 @@ def test_measure_table_rank_one_factors_give_the_masses(golden):
 
 
 def test_measure_table_respects_explicit_bound(golden):
-    table = build_measure_table(golden.diagram, golden.phi, (0.0,), level=1, fiber_bound=1)
+    table = build_measure_table(golden.floor, (0.0,), level=1, fiber_bound=1)
     fibers = set(table.fibers)
     assert fibers == {(-1,), (0,), (1,)}

@@ -3,6 +3,7 @@ import inspect
 import json
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from ietskew import cocycles, maharam
 from ietskew import verification as V
 from ietskew.algebra import LaurentMatrix, LaurentPolynomial
 from ietskew.bratteli import BratteliDiagram
-from ietskew.cocycles import FloorCocycle, SkewedPathState
+from ietskew.cocycles import SkewedPathState
 from ietskew.instances import build_instance, load_instance
 
 
@@ -92,7 +93,7 @@ def test_level_counting_fails_at_k1_on_a_monomial_outside_the_path_range(built, 
     # array has no cell for it, and it must still count as a mismatch
     def with_outlier(mat):
         rows = [list(row) for row in mat.entries]
-        f = FloorCocycle.of(built.diagram, built.phi).f
+        f = built.floor.f
         far = f.min(axis=0) - 1 if shift < 0 else f.max(axis=0) + 1
         rows[0][0] = rows[0][0] + LaurentPolynomial.monomial(far.tolist())
         return LaurentMatrix(rows)
@@ -203,13 +204,14 @@ def test_maharam_is_one_perron_call_and_no_scalar_masses(built, monkeypatch):
 
 
 def test_maharam_fails_on_a_shifted_f_value(built, monkeypatch):
-    damaged = copy.copy(FloorCocycle.of(built.diagram, built.phi))
+    damaged = copy.copy(built.floor)
     damaged.f = damaged.f.copy()
     damaged.f[1, 0] += 1
-    monkeypatch.setattr(FloorCocycle, "of", classmethod(lambda cls, diagram, phi: damaged))
+    injured = replace(built)  # its own cached floor, the damaged copy
+    injured.__dict__["floor"] = damaged
     monkeypatch.setattr(V, "MAHARAM_PSIS", 5)
     monkeypatch.setattr(V, "MAHARAM_CYLINDERS", 200)
-    result = V.check_maharam(built, seed=4)
+    result = V.check_maharam(injured, seed=4)
     assert result.status == "fail"
     assert result.residual > 1e-10
     assert result.detail.startswith("residual above 1e-10 at psi #0; step ")
@@ -339,8 +341,8 @@ def test_tail_cocycle_fails_on_a_telescoped_sum_off_by_one(golden, monkeypatch):
     # exact on the 2-4 edge paths, one too high on every level-9 row
     exact = V.tail_cocycle
 
-    def one_high_at_level_9(diagram, ids, phi):
-        return exact(diagram, ids, phi) + (ids.shape[1] == 9)
+    def one_high_at_level_9(fl, ids):
+        return exact(fl, ids) + (ids.shape[1] == 9)
 
     monkeypatch.setattr(V, "tail_cocycle", one_high_at_level_9)
     result = V.check_tail_cocycle(golden, seed=0)
@@ -358,8 +360,8 @@ def test_tail_orbit_fails_on_a_chain_with_one_shifted_fiber(golden, monkeypatch)
     # one step's fiber one high and the next one low move chain[4] alone
     exact_step = V.skewed_adic_step
 
-    def shifted_step(diagram, state, phi):
-        out = exact_step(diagram, state, phi)
+    def shifted_step(fl, state):
+        out = exact_step(fl, state)
         out.fiber[3, 0] += 1
         out.fiber[4, 0] -= 1
         return out
@@ -378,10 +380,10 @@ def test_tail_orbit_fails_on_one_moved_fiber_in_a_witness_batch(built, monkeypat
     # moved by one must fail that tower, the first
     exact = V.tail_orbit_witness
 
-    def moved(diagram, s1, s2, phi, depth):
+    def moved(fl, s1, s2, depth):
         fiber = s2.fiber.copy()
         fiber[len(fiber) // 2, 0] += 1
-        return exact(diagram, s1, SkewedPathState(s2.ids, fiber), phi, depth)
+        return exact(fl, s1, SkewedPathState(s2.ids, fiber), depth)
 
     monkeypatch.setattr(V, "tail_orbit_witness", moved)
     result = V.check_tail_orbit(built, seed=0)
@@ -400,10 +402,10 @@ def test_tail_orbit_fails_when_the_rows_leave_the_floor_order(golden, monkeypatc
             ids[[0, 1]] = ids[[1, 0]]
         return ids
 
-    def step(diagram, state, phi):
-        out = exact_step(diagram, state, phi)
+    def step(fl, state):
+        out = exact_step(fl, state)
         if damage == "step":  # row 2 stepped twice
-            out.ids[2] = diagram.adic_successors(out.ids[2:3])[0]
+            out.ids[2] = fl.diagram.adic_successors(out.ids[2:3])[0]
         return out
 
     monkeypatch.setattr(BratteliDiagram, "floors_to_paths", paths)
