@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -21,7 +22,6 @@ from itertools import chain, product
 
 import numpy as np
 
-from . import bratteli
 from .algebra import is_positive, zero_vector
 from .cocycles import CertificateInconclusive, amplify_for_common_prefix
 from .instances import BuiltInstance, InstanceError, build_instance, load_instance
@@ -253,17 +253,127 @@ def cmd_certify(built: BuiltInstance, args) -> int:
     return EXIT_OK if cert.verdict else EXIT_CHECK_FAILURE
 
 
+CSV_ROWS = 4_096  # most rows in one % call of the CSV block writer
+
+# '%.15g' % x, byte for byte, for the measure cells, as array code.  A
+# positive x in [1e-250, 1e250] with e = floor(log10 x) is scaled to
+# y = x * 10**(14 - e) as a double-double: Dekker products of x with
+# 10**(14 - e) held as hi + lo, so y is off by less than 1e-15.  Then y
+# rounded is the 15-digit mantissa n when it lies in [1e14, 1e15).  The
+# digits of n, each followed by a '.', the "0.000" of 0.000ddd and the
+# exponent go into one 48-byte row, and a keep-mask per (layout, kept
+# digits) picks the value's characters.  Every other x goes to '%.15g'
+# itself: not finite, <= 0, out of the range, a log10 off by one (y's
+# integer part below 1e14, or n at or above 1e15), or y within 1e-6 of a
+# rounding tie, where the error bound could not decide the last digit.
+G15_EXPONENTS = range(-251, 251)  # the exponents e the array code handles
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two halves
+
+
+def _split(x):
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _g15_tables():
+    """The tables of ``_format_g15``, built on first use from exact integers.
+
+    For each e of G15_EXPONENTS: 10**(14 - e) as scale + rest, the row's
+    last 8 bytes ("e", sign, 3 digits, "\\n") and 16 * its layout.  For each
+    q in 0 .. 9999: its 4 digits, each followed by a '.', as 8 row bytes,
+    and its count of trailing zeros (4 for 0).  The row bytes kept, per
+    16 * layout + kept digits.
+    """
+    scale, scale_rest = [], []
+    for e in G15_EXPONENTS:
+        num, den = (10 ** (14 - e), 1) if e <= 14 else (1, 10 ** (e - 14))
+        hi = num / den  # int / int is correctly rounded
+        a, b = hi.as_integer_ratio()
+        scale.append(hi)
+        scale_rest.append((num * b - a * den) / (den * b))
+    tail = b"".join(b"e%c%03d\n\0\0" % (b"-+"[e >= 0], abs(e)) for e in G15_EXPONENTS)
+    # layouts 0 .. 18: fixed, e = -4 .. 14; 19 and 20: scientific with two
+    # and with three exponent digits
+    layout = [e + 4 if -4 <= e < 15 else 19 + (abs(e) >= 100) for e in G15_EXPONENTS]
+    q = np.arange(10_000)
+    quad = np.full((10_000, 8), ord("."), np.uint8)
+    quad[:, ::2] = q[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    trailing_zeros = sum((q % p == 0).astype(np.intp) for p in (10, 100, 1000, 10_000))
+    # a row: "0.000" at bytes 0 .. 4; "0", then the digits d0 .. d14 of n
+    # at 10 + 2j, each followed by a '.', at 8 .. 39; the tail at 40 .. 47
+    keep = np.zeros((21, 16, 48), bool)
+    for kind, digits in product(range(21), range(1, 16)):
+        row, e = keep[kind, digits], kind - 4
+        row[10:10 + 2 * digits:2] = True
+        if kind >= 19:  # d.ddde-05, d.ddde+105
+            row[11] = digits > 1
+            row[40:42] = True
+            row[42 + (kind == 19):45] = True
+        elif e >= 0:  # ddd.ddd: the integer digits stay
+            row[10:12 + 2 * e:2] = True
+            row[11 + 2 * e] = digits > e + 1
+        else:  # 0.000ddd
+            row[:1 - e] = True
+        row[45] = True
+    return (
+        np.array(scale), np.array(scale_rest), np.frombuffer(tail, np.uint64), 16 * np.array(layout),
+        quad.view(np.uint64).ravel(), trailing_zeros, keep.reshape(-1, 48),
+    )
+
+
+def _format_g15(x: np.ndarray) -> list[str]:
+    """``['%.15g' % v for v in x]`` for a float array."""
+    scales, scale_rests, tails, layouts, quad, trailing_zeros, keep = _g15_tables()
+    ok = (x >= 1e-250) & (x <= 1e250)  # False for nan
+    xs = np.where(ok, x, 1.0)
+    k = np.floor(np.log10(xs)).astype(np.intp) - G15_EXPONENTS.start  # e's index in the tables
+    scale = scales.take(k)
+    (x_hi, x_lo), (s_hi, s_lo) = _split(xs), _split(scale)
+    p = xs * scale
+    r = ((x_hi * s_hi - p) + x_hi * s_lo + x_lo * s_hi + x_lo * s_lo) + xs * scale_rests.take(k)
+    y_hi = p + r  # y = x * 10**(14 - e) = y_hi + y_lo
+    y_lo = r - (y_hi - p)
+    n = np.floor(y_hi)
+    frac = (y_hi - n) + y_lo
+    # the low end is checked before rounding: a log10 one too high puts y
+    # in [1e14 - 0.5, 1e14), which would round up to 1e14
+    ok &= (n >= 1e14) & (np.abs(frac - 0.5) >= 1e-6)
+    n += frac > 0.5
+    ok &= n < 1e15
+    n = np.where(ok, n, 1e14).astype(np.int64)
+    k = np.where(ok, k, -G15_EXPONENTS.start)
+    hi = n // 10**8
+    lo = n - hi * 10**8
+    quads = (hi // 10_000, hi % 10_000, lo // 10_000, lo % 10_000)
+    rows = np.empty((len(x), 6), np.uint64)
+    rows[:, 0] = int.from_bytes(b"0.000\0\0\0", sys.byteorder)
+    for j, q in enumerate(quads):
+        rows[:, j + 1] = quad.take(q)
+    rows[:, 5] = tails.take(k)
+    zeros = trailing_zeros.take(quads[3])
+    for j in (2, 1, 0):  # past a quad of zeros, the next quad's count
+        zeros += (zeros == 4 * (3 - j)) * trailing_zeros.take(quads[j])
+    mask = keep.take(layouts.take(k) + 15 - zeros, axis=0).ravel()
+    cells = np.compress(mask, rows.view(np.uint8)).tobytes().decode("ascii").split("\n")
+    fallback = np.flatnonzero(~ok)
+    for i, v in zip(fallback.tolist(), x[fallback].tolist()):
+        cells[i] = "%.15g" % v
+    return cells[:-1]
+
+
 def _csv_blocks(n_rows: int, block):
     """CSV text of rows 0 .. n_rows - 1, one string per block of at most
-    PATH_BLOCK rows.
+    CSV_ROWS rows.
 
     ``block(rows)`` takes an index array of consecutive rows and returns a
     list of their %-templates, then one list per template field holding its
     value in each row; a block is one % call on the joined templates with
     the fields interleaved row by row.
     """
-    for start in range(0, n_rows, bratteli.PATH_BLOCK):
-        templates, *fields = block(np.arange(start, min(start + bratteli.PATH_BLOCK, n_rows)))
+    for start in range(0, n_rows, CSV_ROWS):
+        templates, *fields = block(np.arange(start, min(start + CSV_ROWS, n_rows)))
         args = [None] * (len(templates) * len(fields))
         for k, field in enumerate(fields):
             args[k::len(fields)] = field
@@ -295,7 +405,7 @@ def _table_blocks(built: BuiltInstance, psi, table: MeasureTable):
     fiber_logs = table.fiber_logs[fiber_order]
     prefix = ",".join(_csv_cells(list(psi) + [table.level]))
     templates = np.array(
-        [f'{prefix},"%s",{cell},%.15g\r\n' for cell in _csv_cells(fiber_strs[j] for j in fiber_order)],
+        [f'{prefix},"%s",{cell},%s\r\n' for cell in _csv_cells(fiber_strs[j] for j in fiber_order)],
         dtype=object,
     )
     rank, edge_objs = np.argsort(np.argsort(edge_strs)), np.array(edge_strs, dtype=object)
@@ -306,7 +416,7 @@ def _table_blocks(built: BuiltInstance, psi, table: MeasureTable):
         def block(rows):
             p, f = np.divmod(rows, len(templates))
             masses = np.exp(path_logs[p] + fiber_logs[f])
-            return templates[f].tolist(), paths[p].tolist(), masses.tolist()
+            return templates[f].tolist(), paths[p].tolist(), _format_g15(masses)
 
         yield from _csv_blocks(len(ids) * len(templates), block)
 
@@ -331,12 +441,14 @@ def _profile_blocks(profile: GridProfile):
     """Rows of one continuity grid, cylinder-major, points in product(*axes) order."""
     psi_strs = np.array([",".join(map(str, point)) for point in product(*profile.axes)], dtype=object)
     n_cyl = profile.masses.shape[1]
-    templates = np.array([f"{profile.step},{c},%s,%.15g,%.15g\r\n" for c in range(n_cyl)], dtype=object)
+    templates = np.array([f"{profile.step},{c},%s,%s,%s\r\n" for c in range(n_cyl)], dtype=object)
     masses, deltas = profile.masses.T.ravel(), profile.deltas.T.ravel()
 
     def block(rows):
         c, i = np.divmod(rows, len(psi_strs))
-        return templates[c].tolist(), psi_strs[i].tolist(), masses[rows].tolist(), deltas[rows].tolist()
+        return (
+            templates[c].tolist(), psi_strs[i].tolist(), _format_g15(masses[rows]), _format_g15(deltas[rows])
+        )
 
     return _csv_blocks(masses.size, block)
 

@@ -63,7 +63,8 @@ def _shown(value) -> str:
 
 def _typed(value, kind: str, field: str, name: str):
     """``value`` when its JSON type is ``kind``; true and false are no number."""
-    if type(value) not in {"a list": (list,), "an integer": (int,), "a number": (int, float)}[kind]:
+    types = {"a list": (list,), "an integer": (int,), "a number": (int, float), "a string": (str,)}
+    if type(value) not in types[kind]:
         raise InstanceError(f"{field} must be {kind}, not {_shown(value)}, in instance {name!r}")
     return value
 
@@ -100,7 +101,7 @@ def _parse(data, name: str) -> InstanceSpec:
         rows = enumerate(_entries(psi, "a list", "psi", name))
         psi = tuple(tuple(map(float, _entries(row, "a number", f"psi[{i}]", name))) for i, row in rows)
     return InstanceSpec(
-        name=str(data.get("name", name)),
+        name=_typed(data.get("name", name), "a string", "name", name),
         top=top,
         bottom=bottom,
         loop=loop,

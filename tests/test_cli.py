@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ietskew import bratteli, cli, verification
 from ietskew.cli import main
@@ -565,12 +568,25 @@ def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, capsys
     whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
     assert run_cli(*argv, "--out", str(whole)) == 0
     monkeypatch.setattr(bratteli, "PATH_BLOCK", 7)
+    monkeypatch.setattr(cli, "CSV_ROWS", 7)
     assert run_cli(*argv, "--out", str(split)) == 0
     assert split.read_bytes() == whole.read_bytes()
     capsys.readouterr()
     assert run_cli(*argv) == 0
     assert capsys.readouterr().out.encode() == whole.read_bytes()
 
+
+CSV_DIGESTS = json.loads((ROOT / "tests" / "data" / "csv_digests.json").read_text())
+
+
+@pytest.mark.parametrize("golden", CSV_DIGESTS, ids=lambda g: "-".join(g["argv"][:5:2] + g["argv"][5:]))
+def test_csv_bytes_match_their_golden_digest(tmp_path, golden):
+    # written by an earlier build: a digit that changes on both sides of a
+    # split-vs-whole comparison still shows here
+    out = tmp_path / "out.csv"
+    assert run_cli(*golden["argv"], "--out", str(out)) == 0
+    data = out.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (golden["bytes"], golden["sha256"])
 
 
 def test_verify_reports_a_check_out_of_memory_and_runs_the_rest(tmp_path, monkeypatch, capsys):
@@ -622,3 +638,73 @@ def test_a_run_that_stops_early_leaves_an_old_out_as_it_was(error, code, tmp_pat
     capsys.readouterr()
     assert run_cli("eigencocycles", "--instance", "golden_triple", "--out", str(out)) == 0
     assert json.loads(out.read_text())["name"] == "golden_triple"
+
+
+def assert_formats_as_g15(values):
+    values = np.asarray(values, dtype=float)
+    assert cli._format_g15(values) == ["%.15g" % v for v in values.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=40))
+def test_the_measure_cells_format_as_g15_for_any_float(values):
+    assert_formats_as_g15(values)
+
+
+def exact_ties(rng, count):
+    """Doubles whose 16th significant digit is an exact 5: ties of %.15g."""
+    return (rng.integers(10**14, 9 * 10**14, count) * 10 + 5).astype(float)  # below 2**53, exact
+
+
+def test_the_measure_cells_format_as_g15_over_random_bit_patterns():
+    # every exponent and sign, each pattern with its neighbours one ulp away
+    rng = np.random.default_rng(20240615)
+    bits = rng.integers(0, 2**64, 70_000, dtype=np.uint64).view(float)
+    with np.errstate(invalid="ignore"):  # nextafter of a nan
+        values = np.concatenate([bits, np.nextafter(bits, np.inf), np.nextafter(bits, -np.inf)])
+    masses = np.exp(rng.uniform(-40.0, 5.0, 20_000))  # the range of table and profile cells
+    for chunk in np.array_split(np.concatenate([values, masses, exact_ties(rng, 10_000)]), 60):
+        assert_formats_as_g15(chunk)
+
+
+def test_the_measure_cells_format_as_g15_just_below_each_power_of_ten():
+    # where log10 may round up to the next decade: 10**e and the 48 doubles below it
+    values = [10.0 ** np.arange(-249, 251)]
+    for _ in range(48):
+        values.append(np.nextafter(values[-1], 0.0))
+    assert_formats_as_g15(np.concatenate(values))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        0.0, -0.0, 5e-324, -5e-324, 1e-250, 1e250,
+        np.nextafter(1e-250, 0.0), np.nextafter(1e250, np.inf), 1e-251, 1e251,
+        99999999999999.95, 999999999999999.5, 1e15, 1e14, 123456789012345.0,
+        1000000000000005.0, 1000000000000015.0, 2.0**-22,  # exact ties, to even below and above
+        9.999999999999995e-05, 9.9999999999999995e-05, 0.9999999999999996,  # a carry into the exponent
+        9.99999999999997e-18, 9.99999999999997e19, 9.99999999999996e249,  # log10 rounds up to the decade
+        0.0001, 0.00001, 0.000123456789012345, 1.2345678901234e-05,  # fixed / scientific
+        1e100, 1e-100, 1.5e-99, 2.5e99, 123.456, 1.0, 5.0, 0.1, 1 / 3,
+    ],
+)
+def test_the_measure_cells_format_as_g15_on_the_edges(value):
+    assert_formats_as_g15([value, value * 3.0, value])
+
+
+def test_importing_the_cli_builds_no_format_tables():
+    # the benchmark's set-up probe imports the cli: the tables wait for a cell
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ietskew import cli\n"
+        "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules\n"
+        "assert cli._g15_tables.cache_info().currsize == 0\n"
+        "assert not [k for k, v in vars(cli).items() if isinstance(v, np.ndarray)]\n"
+        "cli._format_g15(np.array([0.5]))\n"
+        "assert cli._g15_tables.cache_info().currsize == 1\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -127,6 +127,9 @@ GOLDEN = {"d": 3, "top": [1, 2, 3], "bottom": [3, 2, 1], "loop": list("btbtbt")}
         (dict(GOLDEN, psi=[[False]]), "psi[0][0] must be a number, not false"),
         (dict(GOLDEN, seed=None), "seed must be an integer, not null"),
         (dict(GOLDEN, seed=0.0), "seed must be an integer, not 0.0"),
+        (dict(GOLDEN, name=None), "name must be a string, not null"),
+        (dict(GOLDEN, name=["x"]), "name must be a string, not a list"),
+        (dict(GOLDEN, name=7), "name must be a string, not 7"),
     ],
 )
 def test_a_wrong_json_type_is_one_error_line_naming_the_field(tmp_path, capsys, data, message):
