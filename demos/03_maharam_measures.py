@@ -33,7 +33,7 @@ print()
 
 psi = (0.4, -0.3)
 measure = MaharamMeasure(built.diagram, phi, psi)
-print(f"psi = {psi}, lambda = {tuple(round(x, 6) for x in measure.parameter.lam)}")
+print(f"psi = {psi}, lambda = {tuple(round(x, 6) for x in map(math.exp, measure.psi))}")
 print(f"Perron eigenvalue of M(lambda): {measure.perron.eigenvalue:.10f}")
 print(f"Perron vector (unit mass):      {[round(x, 8) for x in measure.perron.vector]}")
 print()

@@ -3,8 +3,11 @@
 Everything in this module is exact: matrices and vectors are plain Python
 ints (arbitrary precision, since tower counts grow geometrically), Laurent
 polynomials store integer coefficients keyed by integer exponent vectors.
-Group elements of Z^m are represented throughout the package as plain
-tuples of ints; ``vec_add`` adds two of them.
+A group element of Z^m is a plain tuple of ints in the exact layers
+(cocycle values, Laurent exponents, ``FloorCocycle.path_sum``, the
+certificate), where ``vec_add`` adds two of them; the array layers of
+``cocycles`` and ``maharam`` hold many at once as a (rows, m) int array
+(f-values, fibers, cylinder exponents).
 
 All values are immutable after construction and all operations are pure,
 so concurrent reads are safe.
@@ -264,9 +267,6 @@ class LaurentPolynomial:
 
     # -- queries -----------------------------------------------------------
 
-    def coefficient(self, exponent: Sequence[int]) -> int:
-        return self.terms.get(tuple(exponent), 0)
-
     def evaluate(self, lam: Sequence[float]) -> float:
         """Evaluate at a strictly positive point of R^m."""
         if len(lam) != self.m:
@@ -280,18 +280,6 @@ class LaurentPolynomial:
                 value *= base ** e
             total += value
         return total
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for expo in sorted(self.terms):
-            coeff = self.terms[expo]
-            mono = "*".join(
-                f"t{i + 1}^{e}" for i, e in enumerate(expo) if e != 0
-            )
-            bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
-        return " + ".join(bits)
 
 
 class LaurentMatrix:
@@ -338,11 +326,6 @@ class LaurentMatrix:
     def evaluate(self, lam: Sequence[float]):
         """Entrywise evaluation at a positive point; returns a nested list."""
         return [[p.evaluate(lam) for p in row] for row in self.entries]
-
-    def __repr__(self):
-        return "\n".join(
-            "[" + ", ".join(repr(p) for p in row) + "]" for row in self.entries
-        )
 
 
 def laurent_matrix_pow(mat: LaurentMatrix, k: int) -> LaurentMatrix:

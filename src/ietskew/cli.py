@@ -212,23 +212,17 @@ def cmd_inspect(built: BuiltInstance, args) -> int:
 def cmd_eigencocycles(built: BuiltInstance, args) -> int:
     m, basis = eigencocycles(built.tower.matrix)
     payload = {"name": built.name, "m": m, "basis": [list(v) for v in basis]}
-    if m == 0:
-        print(f"instance {built.name}: m = 0 "
-              "(no periodic-type skew-product on this loop)")
-        _maybe_json(payload, args)
-        return EXIT_OK
-    print(f"instance {built.name}: m = {m}")
+    note = "" if m else " (no periodic-type skew-product on this loop)"
+    print(f"instance {built.name}: m = {m}{note}")
     for vec in basis:
         print(f"  eigenvector {list(vec)}")
+    ok = True
     if built.spec.phi is not None:
         ok = check_periodic_type(built.tower.matrix, built.phi)
         payload["explicit_phi_periodic"] = ok
         print(f"  explicit phi fixed by A^T: {ok}")
-        if not ok:
-            _maybe_json(payload, args)
-            return EXIT_CHECK_FAILURE
     _maybe_json(payload, args)
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_CHECK_FAILURE
 
 
 def _maybe_json(payload, args) -> None:

@@ -50,9 +50,9 @@ class FloorCocycle:
         self.f = below[np.array(diagram.first_ids)[diagram.target]] - below
         self.cell = diagram.source * diagram.d + diagram.target
 
-    def path_sum(self, p: tuple[int, ...], k: int | None = None) -> tuple[int, ...]:
-        """Birkhoff sum of f along the first k shifts of the path: its first k edge ids."""
-        return tuple(self.f[list(p[:k])].sum(axis=0).tolist())
+    def path_sum(self, p: tuple[int, ...]) -> tuple[int, ...]:
+        """Birkhoff sum of f along the path, its edge ids."""
+        return tuple(self.f[list(p)].sum(axis=0).tolist())
 
 
 def tail_cocycle(fl: FloorCocycle, ids: np.ndarray) -> np.ndarray:

@@ -85,7 +85,6 @@ class IetCombinatorics:
 class RauzyRule:
     """Effect of one induction step: combinatorics plus word update."""
 
-    move: str
     winner: int
     loser: int
     words: tuple[tuple[int, ...], ...]  # one-step word per label, 1-based by index+1
@@ -115,7 +114,7 @@ def rauzy_step(comb: IetCombinatorics, move: str) -> tuple[IetCombinatorics, Rau
     words = tuple(
         (alpha_b, alpha_t) if j == loser else (j,) for j in range(1, comb.d + 1)
     )
-    return new_comb, RauzyRule(move, winner, loser, words)
+    return new_comb, RauzyRule(winner, loser, words)
 
 
 class RauzyLoop:

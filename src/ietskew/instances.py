@@ -28,10 +28,11 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
+from .algebra import transpose
 from .bratteli import BratteliDiagram
 from .cocycles import FloorCocycle
 from .iet import IetCombinatorics, LengthData, RauzyLoop, TowerSystem, compose_loop, pf_lengths
-from .skew import SkewCocycle, eigencocycles, skew_from_basis
+from .skew import SkewCocycle, eigencocycles
 
 
 class InstanceError(ValueError):
@@ -184,7 +185,7 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
         except ValueError as exc:
             raise InstanceError(f"instance {spec.name!r}: {exc}") from None
     elif rank > 0:
-        phi = skew_from_basis(basis)
+        phi = SkewCocycle(transpose(basis))
     else:
         phi = None
     return BuiltInstance(spec, loop, tower, diagram, phi, lengths, rank)

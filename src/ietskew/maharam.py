@@ -42,17 +42,6 @@ TABLE_LEVEL = 5  # level of a ``maharam`` table without --level
 
 
 @dataclass(frozen=True)
-class MaharamParameter:
-    """Homomorphism Z^m -> R, stored by its values on the standard basis."""
-
-    psi: tuple[float, ...]
-
-    @property
-    def lam(self) -> tuple[float, ...]:
-        return tuple(math.exp(x) for x in self.psi)
-
-
-@dataclass(frozen=True)
 class PerronData:
     """Perron pair and power-iteration steps; arrays (one row per matrix) for a stack."""
 
@@ -66,7 +55,10 @@ def perron(matrix) -> PerronData:
 
     ``matrix`` is one (d, d) matrix or an (N, d, d) stack, iterated together
     from a uniform start with L1 normalisation.  Each matrix stops on its own
-    once |M v - r v|_1 <= PF_TOL * r, a bound that scales with M.
+    once |M v - r v|_1 <= PF_TOL * r, a bound that scales with M.  The
+    returned r is the L1 mass of M v for the previous iterate's v, not of the
+    returned v, so by rounding it can sit just outside the Collatz-Wielandt
+    bracket [min_i (Mv)_i / v_i, max_i (Mv)_i / v_i] of the returned v.
     """
     mats = np.asarray(matrix, dtype=float)
     single = mats.ndim == 2
@@ -140,16 +132,16 @@ class MaharamMeasure:
     def __init__(self, diagram: BratteliDiagram, phi: SkewCocycle, psi):
         self.diagram = diagram
         self.phi = phi
-        self.parameter = MaharamParameter(tuple(float(x) for x in psi))
+        self.psi = tuple(float(x) for x in psi)
         self.floor = FloorCocycle(diagram, phi)
-        self.matrix_at_lam = level_matrices(self.floor, np.array([self.parameter.psi]))[0]
+        self.matrix_at_lam = level_matrices(self.floor, np.array([self.psi]))[0]
         self.perron = perron(self.matrix_at_lam)
         self._log_v = tuple(math.log(x) for x in self.perron.vector)
         self._log_r = math.log(self.perron.eigenvalue)
 
     def _mass(self, exponent, target: int, k: int) -> float:  # lambda^exponent v_target / r^k, target 0-based
         log_mass = self._log_v[target] - k * self._log_r
-        for x, e in zip(self.parameter.psi, exponent):
+        for x, e in zip(self.psi, exponent):
             log_mass += x * e
         return math.exp(log_mass)
 

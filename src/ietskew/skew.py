@@ -8,6 +8,8 @@ integer arithmetic.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .algebra import (
     IntMatrix,
     integer_kernel,
@@ -19,13 +21,14 @@ from .algebra import (
 )
 
 
+@dataclass(frozen=True, slots=True)
 class SkewCocycle:
     """Fiber displacement per labelled interval; the values must generate Z^m."""
 
-    __slots__ = ("values",)
+    values: tuple[tuple[int, ...], ...]
 
-    def __init__(self, values):
-        values = tuple(tuple(int(x) for x in row) for row in values)
+    def __post_init__(self):
+        values = tuple(tuple(int(x) for x in row) for row in self.values)
         if not values:
             raise ValueError("empty cocycle")
         m = len(values[0])
@@ -36,18 +39,6 @@ class SkewCocycle:
         if invariant_factors(values) != (1,) * m:
             raise ValueError("cocycle values do not generate the full lattice Z^m")
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewCocycle is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, SkewCocycle) and self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return f"SkewCocycle({list(map(list, self.values))})"
 
     @property
     def d(self) -> int:
@@ -93,14 +84,6 @@ def eigencocycles(a: IntMatrix) -> tuple[int, list[tuple[int, ...]]]:
     if invariant_factors(new_rows) != (1,) * m:
         raise ArithmeticError("rotation failed to reach the full lattice")
     return m, list(transpose(new_rows))
-
-
-def skew_from_basis(basis: list[tuple[int, ...]]) -> SkewCocycle:
-    """Cocycle whose value on interval j collects the j-th basis coordinates."""
-    if not basis:
-        raise ValueError("no eigencocycle basis to build from")
-    d = len(basis[0])
-    return SkewCocycle(tuple(tuple(vec[j] for vec in basis) for j in range(d)))
 
 
 def check_periodic_type(a: IntMatrix, phi: SkewCocycle) -> bool:

@@ -83,10 +83,6 @@ class CheckResult:
     detail: str = ""
     runtime: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -225,8 +221,9 @@ def check_tail_cocycle(built: BuiltInstance, seed: int = 0) -> CheckResult:
     if wrong:
         first = "".join(diagram.labels[i] for i in paths[min(wrong)])
         return CheckResult("", "fail", detail=f"tail cocycle != phi at {first}")
-    # telescoped form: over n successor steps the tail-cocycle sums match
-    # shift sums of f once the shifted paths agree
+    # telescoped form, the coboundary identity between f and phi: over n
+    # skewed adic steps p -> q the fiber gains the phi-Birkhoff sum of the
+    # orbit, which must equal the f-sum difference of p and q
     p = np.array([ids for ids, _ in starts], dtype=np.intp).reshape(-1, TELESCOPE_LEVEL)
     n = np.array([n for _, n in starts], dtype=int)
     q, total = p.copy(), np.zeros((len(p), phi.m), dtype=fl.f.dtype)
@@ -235,8 +232,8 @@ def check_tail_cocycle(built: BuiltInstance, seed: int = 0) -> CheckResult:
         step = whole & (t < n)
         whole &= ~(step & diagram.is_top[q].all(axis=1))  # no step from a maximal iterate
         step &= whole
-        total[step] += tail_cocycle(fl, q[step])
-        q[step] = diagram.adic_successors(q[step])
+        moved = skewed_adic_step(fl, SkewedPathState(q[step], total[step]))
+        q[step], total[step] = moved.ids, moved.fiber
     # summed over the edges where p and q differ: f[p] - f[q] is 0 on the others
     broken = whole & (total != (fl.f[p] - fl.f[q]).sum(axis=1)).any(axis=1)
     if broken.any():

@@ -10,7 +10,8 @@ one-line pass report; run with ``pytest -s`` to see them live.
 import pytest
 
 from ietskew.instances import build_instance, load_instance, packaged_names
-from ietskew.skew import check_periodic_type, eigencocycles, skew_from_basis
+from ietskew.algebra import transpose
+from ietskew.skew import SkewCocycle, check_periodic_type, eigencocycles
 from ietskew import maharam
 from ietskew import verification as V
 
@@ -27,7 +28,7 @@ def report(n, title, built, result):
     if result.residual is not None:
         line += f" (residual {result.residual:.2e})"
     print(line)
-    assert result.passed, f"{title} [{built.name}]: {result.detail}"
+    assert result.status == "pass", f"{title} [{built.name}]: {result.detail}"
 
 
 STATED = {
@@ -80,7 +81,7 @@ def test_criterion_02_cocycle_identities_exact(built):
     report(2, "cocycle identities (zero tolerance)", built, result)
     rank, basis = eigencocycles(built.tower.matrix)
     assert rank >= 1
-    assert check_periodic_type(built.tower.matrix, skew_from_basis(basis))
+    assert check_periodic_type(built.tower.matrix, SkewCocycle(transpose(basis)))
 
 
 def test_criterion_03_bratteli_dictionary(built):

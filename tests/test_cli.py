@@ -74,6 +74,15 @@ def test_eigencocycles_zero_rank(tmp_path, capsys):
     assert "no periodic-type skew-product on this loop" in out
 
 
+def test_eigencocycles_checks_an_explicit_phi_on_a_zero_rank_loop(tmp_path, capsys):
+    rot = tmp_path / "rot.json"
+    rot.write_text(json.dumps({"d": 2, "top": [1, 2], "bottom": [2, 1], "loop": ["t", "b"], "phi": [[1], [0]]}))
+    out = tmp_path / "eig.json"
+    assert run_cli("eigencocycles", "--instance", str(rot), "--out", str(out)) == 2
+    assert "explicit phi fixed by A^T: False" in capsys.readouterr().out
+    assert json.loads(out.read_text())["explicit_phi_periodic"] is False
+
+
 def test_eigencocycles_validates_explicit_phi(tmp_path, capsys):
     data = json.loads(
         (json.dumps({"d": 4, "top": [1, 2, 3, 4], "bottom": [4, 3, 2, 1],
@@ -200,7 +209,7 @@ def test_maharam_rows_match_path_enumeration_and_cylinder_measures(tmp_path, nam
     assert len(fibers) in (9, 11**2)
     cells = list(product(csv_cells(p for p, _ in paths), csv_cells(a for a, _ in fibers)))
     measures = [MaharamMeasure(diagram, built.phi, tuple(map(float, psi.split(",")))) for psi in psis]
-    prefixes = [",".join(csv_cells(list(mu.parameter.psi) + [level])) for mu in measures]
+    prefixes = [",".join(csv_cells(list(mu.psi) + [level])) for mu in measures]
     out = tmp_path / "t.csv"
     argv = ["maharam", "--instance", name, "--level", str(level), "--out", str(out)]
     assert run_cli(*argv, *(f"--psi={psi}" for psi in psis)) == 0
@@ -219,7 +228,7 @@ def test_maharam_rows_match_path_enumeration_and_cylinder_measures(tmp_path, nam
     assert set(picked % len(fibers)) == set(range(len(fibers)))
     for measure, got in zip(measures, np.array(values, dtype=float).reshape(len(psis), -1)):
         pf = measure.perron
-        logs = exponents @ measure.parameter.psi + np.log(pf.vector)[targets][:, None]
+        logs = exponents @ measure.psi + np.log(pf.vector)[targets][:, None]
         expected = np.exp(logs - level * np.log(pf.eigenvalue)).ravel()
         assert np.abs(got / expected - 1).max() <= 1e-12
         worst = max(

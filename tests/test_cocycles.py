@@ -224,7 +224,7 @@ def test_birkhoff_telescoping_identity(built):
         )
         assert k is not None
         lhs = sum_tail
-        rhs = vec_sub(fl.path_sum(p, k), fl.path_sum(q, k))
+        rhs = vec_sub(fl.path_sum(p[:k]), fl.path_sum(q[:k]))
         assert lhs == rhs
 
 
@@ -269,7 +269,7 @@ def test_skewed_iteration_accumulates_birkhoff_sums(built):
     p = tuple(diagram.random_path_ids(4, rng))
     state = states([p], [zero_vector(phi.m)])
     for k in range(1, 4):
-        assert rows(shift_image(fl, state, k)) == ([list(p[k:])], [list(fl.path_sum(p, k))])
+        assert rows(shift_image(fl, state, k)) == ([list(p[k:])], [list(fl.path_sum(p[:k]))])
         state_k = shift_image(fl, state, k)
         assert rows(shift_image(fl, state_k, 1)) == rows(shift_image(fl, state, k + 1))
 
@@ -279,7 +279,7 @@ def test_path_sum_of_no_shifts_is_zero(built):
     rng = random.Random(39)
     for level in (1, 3):
         p = tuple(built.diagram.random_path_ids(level, rng))
-        assert fl.path_sum(p, 0) == zero_vector(built.phi.m)
+        assert fl.path_sum(p[:0]) == zero_vector(built.phi.m)
 
 
 def test_path_sum_matches_path_block_sums(built):
@@ -294,7 +294,7 @@ def test_path_sum_matches_path_block_sums(built):
         for c in range(k):
             by_edge += fl.f[ids[:, c]]
         assert (sums == by_edge).all()
-        strided = [fl.path_sum(tuple(row), k) for row in ids[::stride].tolist()]
+        strided = [fl.path_sum(tuple(row)[:k]) for row in ids[::stride].tolist()]
         assert [tuple(s) for s in sums[::stride].tolist()] == strided
 
 

@@ -2,13 +2,8 @@ import random
 
 import pytest
 
-from ietskew.algebra import identity_matrix, invariant_factors, mat_pow
-from ietskew.skew import (
-    SkewCocycle,
-    check_periodic_type,
-    eigencocycles,
-    skew_from_basis,
-)
+from ietskew.algebra import identity_matrix, invariant_factors, mat_pow, transpose
+from ietskew.skew import SkewCocycle, check_periodic_type, eigencocycles
 
 
 def test_eigencocycles_identity_matrix():
@@ -32,7 +27,7 @@ def test_eigencocycles_on_instances(built):
             sum(a[i][j] * vec[i] for i in range(len(vec))) for j in range(len(vec))
         )
         assert image == vec
-    phi = skew_from_basis(basis)
+    phi = SkewCocycle(transpose(basis))
     assert invariant_factors(phi.values) == (1,) * m
     assert phi == SkewCocycle(phi.values)  # strict constructor accepts it
     assert built.phi.m == m
@@ -89,3 +84,15 @@ def test_generation_invariant_enforced():
 def test_zero_cocycle_is_fixed_but_rejected():
     with pytest.raises(ValueError):
         SkewCocycle(((0,), (0,)))
+
+
+def test_skew_cocycle_is_an_immutable_value():
+    phi = SkewCocycle(((1, 0), (0, 1), (1, 1)))
+    with pytest.raises(AttributeError):
+        phi.values = ((1,), (0,), (0,))
+    twin = SkewCocycle([[1, 0], [0, 1], [1, 1]])
+    assert phi == twin and hash(phi) == hash(twin)
+    assert {phi: "a", twin: "b"} == {phi: "b"}
+    assert phi != SkewCocycle(((1, 0), (0, 1), (1, 2)))
+    with pytest.raises(ValueError, match="do not generate the full lattice"):
+        SkewCocycle(((2, 0), (0, 1), (2, 1)))

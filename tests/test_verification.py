@@ -172,7 +172,7 @@ def test_maharam_draws_psi_then_seed_from_one_rng(built, monkeypatch):
     monkeypatch.setattr(V, "invariance_step_check", spy)
     monkeypatch.setattr(V, "MAHARAM_PSIS", 6)
     monkeypatch.setattr(V, "MAHARAM_CYLINDERS", 50)
-    assert V.check_maharam(built, seed=31).passed
+    assert V.check_maharam(built, seed=31).status == "pass"
     rng = random.Random(31)
     psis, seeds = [], []
     for _ in range(6):
@@ -194,7 +194,7 @@ def test_maharam_is_one_perron_call_and_no_scalar_masses(built, monkeypatch):
     monkeypatch.setattr(V, "MAHARAM_PSIS", 7)
     monkeypatch.setattr(V, "MAHARAM_CYLINDERS", 40)
     result = V.check_maharam(built, seed=2)
-    assert result.passed, result.detail
+    assert result.status == "pass", result.detail
     assert calls == [(7, built.diagram.d, built.diagram.d)]
     assert re.fullmatch(
         r"7 psi x 40 cylinders, seed 2; step \S+, quasi \S+, recurrence \S+, "
@@ -338,15 +338,29 @@ def test_tail_draws_leave_the_rng_as_randrange_does(built):
 
 
 def test_tail_cocycle_fails_on_a_telescoped_sum_off_by_one(golden, monkeypatch):
-    # exact on the 2-4 edge paths, one too high on every level-9 row
-    exact = V.tail_cocycle
+    # every skewed adic step of a level-9 row moves the fiber one too high
+    exact = V.skewed_adic_step
 
-    def one_high_at_level_9(fl, ids):
-        return exact(fl, ids) + (ids.shape[1] == 9)
+    def one_high_at_level_9(fl, state):
+        moved = exact(fl, state)
+        return SkewedPathState(moved.ids, moved.fiber + (state.ids.shape[1] == 9))
 
-    monkeypatch.setattr(V, "tail_cocycle", one_high_at_level_9)
+    monkeypatch.setattr(V, "skewed_adic_step", one_high_at_level_9)
     result = V.check_tail_cocycle(golden, seed=0)
     assert (result.status, result.detail) == ("fail", "telescoped sum identity broken (n=6)")
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_tail_cocycle_fails_on_an_f_value_off_by_one_at_depth_4(built, seed, monkeypatch):
+    # f one too high on one edge: the telescoped identity between f and phi
+    # breaks, while any sum of f-discrepancies still telescopes
+    monkeypatch.setattr(V, "TAIL_PATHS", 0)
+    _, starts = V.tail_draws(built.diagram, random.Random(seed), 0)
+    damaged = replace(built)
+    damaged.floor.f[starts[0][0][3]] += 1
+    result = V.check_tail_cocycle(damaged, seed=seed)
+    assert result.status == "fail"
+    assert result.detail.startswith("telescoped sum identity broken")
 
 
 def tails_only(fl, state, depth):
@@ -439,7 +453,7 @@ def test_psi_zero_builds_no_maharam_measure(golden, monkeypatch):
 
     monkeypatch.setattr(maharam.MaharamMeasure, "__init__", refuse)
     result = V.check_psi_zero(golden)
-    assert result.passed, result.detail
+    assert result.status == "pass", result.detail
 
 
 @pytest.mark.parametrize(
