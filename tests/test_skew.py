@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ietskew.algebra import identity_matrix, invariant_factors, mat_pow, transpose
+from ietskew.algebra import identity_matrix, invariant_factors, transpose
 from ietskew.skew import SkewCocycle, check_periodic_type, eigencocycles
 
 
