@@ -9,6 +9,7 @@ and prints a slice of the measure table.
 
 import math
 import random
+from itertools import product
 
 import numpy as np
 
@@ -61,12 +62,15 @@ for k in (1, 2, 3):
     )
 print()
 
-table = build_measure_table(built.floor, psi, level=2, fiber_bound=1)
+table = build_measure_table(built.floor, psi, level=2)
+fibers = list(product(range(-1, 2), repeat=phi.m))  # a slice of the table's fiber box
+paths = np.concatenate(list(built.diagram.path_blocks(table.level)))
+masses = np.exp(table.path_logs(paths)[:, None] + np.array(fibers) @ np.array(psi))
 edge_strs = built.diagram.labels
 cells = sorted(
     ("".join(edge_strs[i] for i in row), fiber, mass)
-    for row, masses in zip(table.path_ids.tolist(), table.masses.tolist())
-    for fiber, mass in zip(table.fibers, masses)
+    for row, row_masses in zip(paths.tolist(), masses.tolist())
+    for fiber, mass in zip(fibers, row_masses)
 )
 rng = random.Random(3)
 print("measure table sample (level 2, fibers in [-1,1]^2):")

@@ -1,8 +1,10 @@
-"""Exact integer lattice arithmetic and sparse multivariate Laurent polynomials.
+"""Exact integer lattice arithmetic and the product of Laurent-polynomial matrices.
 
 Everything in this module is exact: matrices and vectors are plain Python
 ints (arbitrary precision, since tower counts grow geometrically), Laurent
 polynomials store integer coefficients keyed by integer exponent vectors.
+They carry one operation, the matrix product behind ``laurent_matrix_pow``,
+which is all the level-counting powers of criteria 7 and 8 need.
 A group element of Z^m is a plain tuple of ints in the exact layers
 (cocycle values, Laurent exponents, ``FloorCocycle.path_sum``, the
 certificate), where ``vec_add`` adds two of them; the array layers of
@@ -195,7 +197,7 @@ def solve_in_row_lattice(h: Sequence[Sequence[int]], target: Sequence[int]) -> l
 
 
 # ---------------------------------------------------------------------------
-# Sparse multivariate Laurent polynomials over Z
+# Sparse multivariate Laurent polynomials over Z: only their matrix product
 
 class LaurentPolynomial:
     """Integer Laurent polynomial in m variables, stored sparsely.
@@ -218,38 +220,6 @@ class LaurentPolynomial:
             clean[expo] = clean.get(expo, 0) + int(coeff)
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, m: int) -> "LaurentPolynomial":
-        return cls(m, {})
-
-    @classmethod
-    def one(cls, m: int) -> "LaurentPolynomial":
-        return cls(m, {zero_vector(m): 1})
-
-    @classmethod
-    def monomial(cls, exponent: Sequence[int], coeff: int = 1) -> "LaurentPolynomial":
-        expo = tuple(int(e) for e in exponent)
-        return cls(len(expo), {expo: coeff})
-
-    # -- ring structure ----------------------------------------------------
-
-    def _check(self, other: "LaurentPolynomial") -> None:
-        if self.m != other.m:
-            raise ValueError(f"dimension mismatch: {self.m} vs {other.m}")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return LaurentPolynomial(self.m, terms)
-
-    def __mul__(self, other):
-        self._check(other)
-        return LaurentPolynomial(self.m, self._times(other, {}))
-
     def _times(self, other, into: dict) -> dict:
         """The terms of self * other added into ``into``."""
         for e1, c1 in self.terms.items():
@@ -257,29 +227,6 @@ class LaurentPolynomial:
                 e = tuple(map(add, e1, e2))
                 into[e] = into.get(e, 0) + c1 * c2
         return into
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPolynomial)
-            and self.m == other.m
-            and self.terms == other.terms
-        )
-
-    # -- queries -----------------------------------------------------------
-
-    def evaluate(self, lam: Sequence[float]) -> float:
-        """Evaluate at a strictly positive point of R^m."""
-        if len(lam) != self.m:
-            raise ValueError("evaluation point has wrong dimension")
-        if any(x <= 0 for x in lam):
-            raise ValueError("evaluation point must be strictly positive")
-        total = 0.0
-        for expo, coeff in self.terms.items():
-            value = float(coeff)
-            for base, e in zip(lam, expo):
-                value *= base ** e
-            total += value
-        return total
 
 
 class LaurentMatrix:
@@ -299,8 +246,7 @@ class LaurentMatrix:
 
     @classmethod
     def identity(cls, d: int, m: int) -> "LaurentMatrix":
-        one, zero = LaurentPolynomial.one(m), LaurentPolynomial.zero(m)
-        return cls([[one if i == j else zero for j in range(d)] for i in range(d)])
+        return cls([[LaurentPolynomial(m, {zero_vector(m): int(i == j)}) for j in range(d)] for i in range(d)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -319,13 +265,6 @@ class LaurentMatrix:
                 row.append(LaurentPolynomial(self.m, acc))
             rows.append(row)
         return LaurentMatrix(rows)
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentMatrix) and self.entries == other.entries
-
-    def evaluate(self, lam: Sequence[float]):
-        """Entrywise evaluation at a positive point; returns a nested list."""
-        return [[p.evaluate(lam) for p in row] for row in self.entries]
 
 
 def laurent_matrix_pow(mat: LaurentMatrix, k: int) -> LaurentMatrix:

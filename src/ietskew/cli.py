@@ -35,7 +35,7 @@ from .maharam import (
     default_cylinder_family,
     dyadic_grids,
 )
-from .skew import check_periodic_type, eigencocycles, require_periodic_type
+from .skew import check_periodic_type, require_periodic_type
 from .verification import run_verification
 
 EXIT_OK = 0
@@ -193,7 +193,7 @@ def cmd_inspect(built: BuiltInstance, args) -> int:
         "positive": is_positive(tower.matrix),
         "pf_eigenvalue": lengths.alpha,
         "pf_lengths": list(lengths.lengths),
-        "eigenrank": built.eigenrank,
+        "eigenrank": len(built.eigenbasis),
     }
     lines = [
         f"instance {built.name}: {tower.d} intervals, loop length {len(built.loop.steps)}"
@@ -202,25 +202,27 @@ def cmd_inspect(built: BuiltInstance, args) -> int:
         f"  matrix rows    = {list(map(list, tower.matrix))}",
         f"  PF eigenvalue  = {lengths.alpha:.12f}",
         f"  PF lengths     = {[round(x, 12) for x in lengths.lengths]}",
-        f"  1-eigenspace rank of A^T = {built.eigenrank}",
+        f"  1-eigenspace rank of A^T = {len(built.eigenbasis)}",
     ]
-    print("\n".join(lines))
+    print("\n".join(lines), file=_text_out(args))
     _maybe_json(payload, args)
     return EXIT_OK
 
 
 def cmd_eigencocycles(built: BuiltInstance, args) -> int:
-    m, basis = eigencocycles(built.tower.matrix)
+    basis = built.eigenbasis
+    m = len(basis)
     payload = {"name": built.name, "m": m, "basis": [list(v) for v in basis]}
     note = "" if m else " (no periodic-type skew-product on this loop)"
-    print(f"instance {built.name}: m = {m}{note}")
+    text = _text_out(args)
+    print(f"instance {built.name}: m = {m}{note}", file=text)
     for vec in basis:
-        print(f"  eigenvector {list(vec)}")
+        print(f"  eigenvector {list(vec)}", file=text)
     ok = True
     if built.spec.phi is not None:
         ok = check_periodic_type(built.tower.matrix, built.phi)
         payload["explicit_phi_periodic"] = ok
-        print(f"  explicit phi fixed by A^T: {ok}")
+        print(f"  explicit phi fixed by A^T: {ok}", file=text)
     _maybe_json(payload, args)
     return EXIT_OK if ok else EXIT_CHECK_FAILURE
 
@@ -230,18 +232,24 @@ def _maybe_json(payload, args) -> None:
         _emit(json.dumps(payload, indent=2), args.out)
 
 
+def _text_out(args):
+    """Where the text lines go: stderr when stdout carries the JSON."""
+    return sys.stderr if args.format == "json" and not args.out else sys.stdout
+
+
 def cmd_certify(built: BuiltInstance, args) -> int:
     _require_phi(built)
     try:
         cert = amplify_for_common_prefix(built.loop, built.phi)
     except CertificateInconclusive as exc:
-        print(f"instance {built.name}: certificate inconclusive: {exc}")
+        print(f"instance {built.name}: certificate inconclusive: {exc}", file=_text_out(args))
         return EXIT_INCONCLUSIVE
     payload = dict(cert.to_dict(), name=built.name)
     verdict = "aperiodic (full lattice)" if cert.verdict else "lattice test FAILED"
     print(
         f"instance {built.name}: {verdict}; exponent {cert.exponent}, "
-        f"prefix length {cert.prefix_length}, q_min {cert.q_min}"
+        f"prefix length {cert.prefix_length}, q_min {cert.q_min}",
+        file=_text_out(args),
     )
     _maybe_json(payload, args)
     return EXIT_OK if cert.verdict else EXIT_CHECK_FAILURE
@@ -477,10 +485,10 @@ def cmd_continuity(built: BuiltInstance, args) -> int:
 def cmd_verify(built: BuiltInstance, args) -> int:
     _require_phi(built)
     seed = args.seed if args.seed is not None else built.spec.seed
-    report = []
+    report, text = [], _text_out(args)
     for result in run_verification(built, seed=seed):  # each line as its check ends
         residual = "" if result.residual is None else f" residual={result.residual:.3e}"
-        print(f"{result.status.upper():6s} {result.name}{residual} ({result.runtime:.2f}s)", flush=True)
+        print(f"{result.status.upper():6s} {result.name}{residual} ({result.runtime:.2f}s)", file=text, flush=True)
         report.append(result)
     payload = {
         "instance": built.name,

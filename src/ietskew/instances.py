@@ -147,7 +147,7 @@ class BuiltInstance:
     diagram: BratteliDiagram
     phi: SkewCocycle | None
     lengths: LengthData
-    eigenrank: int
+    eigenbasis: tuple[tuple[int, ...], ...]  # of ker(A^T - I), as ``eigencocycles`` returns it
 
     @property
     def name(self) -> str:
@@ -178,14 +178,14 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
     tower = compose_loop(loop, 1)
     diagram = BratteliDiagram(tower)
     lengths = pf_lengths(tower.matrix)
-    rank, basis = eigencocycles(tower.matrix)
+    _, basis = eigencocycles(tower.matrix)
     if spec.phi is not None:
         try:
             phi = SkewCocycle(spec.phi)
         except ValueError as exc:
             raise InstanceError(f"instance {spec.name!r}: {exc}") from None
-    elif rank > 0:
+    elif basis:
         phi = SkewCocycle(transpose(basis))
     else:
         phi = None
-    return BuiltInstance(spec, loop, tower, diagram, phi, lengths, rank)
+    return BuiltInstance(spec, loop, tower, diagram, phi, lengths, tuple(basis))

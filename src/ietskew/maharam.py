@@ -115,11 +115,11 @@ def log_masses(psis, pf: PerronData, exponents, targets, lengths) -> np.ndarray:
 
 def level_counting_matrix(fl: FloorCocycle) -> LaurentMatrix:
     """Matrix of monomial sums t^{f(e)} over edges grouped by source/target."""
-    diagram, d = fl.diagram, fl.diagram.d
-    rows = [[LaurentPolynomial.zero(fl.m) for _ in range(d)] for _ in range(d)]
-    for s, t, a in zip(diagram.source.tolist(), diagram.target.tolist(), fl.f.tolist()):
-        rows[s][t] = rows[s][t] + LaurentPolynomial.monomial(a)
-    return LaurentMatrix(rows)
+    d = fl.diagram.d
+    cells = [{} for _ in range(d * d)]  # by flat cell source * d + target
+    for c, a in zip(fl.cell.tolist(), map(tuple, fl.f.tolist())):
+        cells[c][a] = cells[c].get(a, 0) + 1
+    return LaurentMatrix([[LaurentPolynomial(fl.m, cells[i * d + j]) for j in range(d)] for i in range(d)])
 
 
 class MaharamMeasure:
@@ -296,8 +296,7 @@ class MeasureTable:
     path_logs(p) the logarithm of lambda^{S_k f(p)} v_t / r^k.
 
     The per-path factor is computed for any block of paths, so a table holds
-    nothing that grows with the number of paths until ``path_ids`` or
-    ``masses`` asks for all of them.
+    nothing that grows with the number of paths.
     """
 
     psi: tuple[float, ...]
@@ -317,17 +316,6 @@ class MeasureTable:
         """<psi, a> for each fiber a."""
         return np.array(self.fibers) @ np.array(self.psi)
 
-    @property
-    def path_ids(self) -> np.ndarray:
-        """Every level-k path as its edge ids, in ``enumerate_paths`` order."""
-        return np.concatenate(list(self.floor.diagram.path_blocks(self.level)))
-
-    @property
-    def masses(self) -> np.ndarray:
-        """The (paths, fibers) array of masses, paths in ``path_ids`` order,
-        formed on each call."""
-        return np.exp(self.path_logs(self.path_ids)[:, None] + self.fiber_logs)
-
 
 def path_sum_bound(floor: FloorCocycle, level: int) -> int:
     """Largest |S_k f(p)| over the level-k paths p and the coordinates.
@@ -345,11 +333,11 @@ def path_sum_bound(floor: FloorCocycle, level: int) -> int:
     return int(max(hi.max(), -lo.min()))
 
 
-def build_measure_table(fl: FloorCocycle, psi, level: int, fiber_bound: int | None = None) -> MeasureTable:
+def build_measure_table(fl: FloorCocycle, psi, level: int) -> MeasureTable:
     """Cylinder masses for every level-k path and a fiber box.
 
-    The default fiber box spans the attainable f-sums at this level, which
-    is the finite set of fibers a level-k tower can reach from fiber zero.
+    The fiber box spans the attainable f-sums at this level, which is the
+    finite set of fibers a level-k tower can reach from fiber zero.
     A mass is lambda^a times a per-path factor lambda^{S_k f(p)} v_t / r^k;
     the table keeps the two factors apart, as logarithms like every mass.
     """
@@ -357,7 +345,6 @@ def build_measure_table(fl: FloorCocycle, psi, level: int, fiber_bound: int | No
         raise ValueError("level must be at least 1")
     psis = np.array([psi], dtype=float)
     pf = perron(level_matrices(fl, psis))
-    if fiber_bound is None:
-        fiber_bound = path_sum_bound(fl, level)
-    fibers = tuple(product(range(-fiber_bound, fiber_bound + 1), repeat=fl.m))
+    bound = path_sum_bound(fl, level)
+    fibers = tuple(product(range(-bound, bound + 1), repeat=fl.m))
     return MeasureTable(tuple(psis[0].tolist()), level, fibers, fl, pf)

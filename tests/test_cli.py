@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ietskew import bratteli, cli, verification
+from ietskew import bratteli, cli, skew, verification
 from ietskew.cli import main
 from ietskew.instances import build_instance, load_instance
 from ietskew.maharam import MaharamMeasure, continuity_profile, default_cylinder_family
@@ -25,6 +25,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def child_env(*drop):
+    """The environment of a child python, with src on its PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def test_inspect_packaged(capsys):
@@ -81,6 +88,37 @@ def test_eigencocycles_checks_an_explicit_phi_on_a_zero_rank_loop(tmp_path, caps
     assert run_cli("eigencocycles", "--instance", str(rot), "--out", str(out)) == 2
     assert "explicit phi fixed by A^T: False" in capsys.readouterr().out
     assert json.loads(out.read_text())["explicit_phi_periodic"] is False
+
+
+def test_eigencocycles_computes_the_basis_once(monkeypatch, capsys):
+    # every module attribute bound to skew.eigencocycles counts its calls
+    calls = []
+    real = skew.eigencocycles
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    for module in [m for k, m in sys.modules.items() if k.startswith("ietskew")]:
+        for key, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, key, counted)
+    assert run_cli("eigencocycles", "--instance", "genus2_rank2") == 0
+    assert len(calls) == 1
+    assert "eigenvector" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["inspect"], ["eigencocycles"], ["certify"], ["continuity", "--level", "2"], ["verify"]],
+    ids=lambda argv: argv[0],
+)
+def test_format_json_alone_prints_only_json(argv, capsys):
+    # the text lines go to stderr, so stdout parses as one JSON document
+    assert run_cli(*argv, "--instance", "golden_triple", "--format", "json") == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)
+    assert captured.err
 
 
 def test_eigencocycles_validates_explicit_phi(tmp_path, capsys):
@@ -423,7 +461,7 @@ def test_verify_flushes_each_line():
         "verification.float_orbit_frequencies = lambda *args: os._exit(7)\n"
         "cli.main(['verify', '--instance', 'golden_triple'])\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = child_env("PYTHONUNBUFFERED")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 7
     names = [check.check_name for check in verification.ALL_CHECKS[:8]]
@@ -444,26 +482,27 @@ def test_console_entry_point():
         [sys.executable, "-m", "ietskew.cli", "inspect", "--instance", "golden_triple"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "PF eigenvalue" in proc.stdout
 
 
-def test_a_closed_stdout_ends_the_run_quietly():
-    # the reader is gone before the first write, as with `inspect | head -1`
+def test_a_closed_stdout_ends_the_run_quietly(capsys):
+    # the reader is gone before the first write, as with `inspect | head -1`;
+    # stderr holds the text lines that --format json sends there, nothing else
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "ietskew.cli", "inspect", "--instance", "genus2_rank2",
              "--format", "json"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=child_env(), timeout=60,
         )
     finally:
         os.close(write_end)
-    assert proc.stderr == ""
+    assert run_cli("inspect", "--instance", "genus2_rank2") == 0
+    assert proc.stderr == capsys.readouterr().out
     assert proc.returncode == 0
 
 
@@ -713,7 +752,6 @@ def test_importing_the_cli_builds_no_format_tables():
         "cli._format_g15(np.array([0.5]))\n"
         "assert cli._g15_tables.cache_info().currsize == 1\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env = child_env()
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

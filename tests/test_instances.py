@@ -22,7 +22,7 @@ def test_load_and_build_packaged():
         built = build_instance(load_instance(name))
         assert built.phi is not None
         assert built.tower.d == len(built.spec.top)
-        assert built.m == built.eigenrank or built.spec.phi is not None
+        assert built.m == len(built.eigenbasis) or built.spec.phi is not None
 
 
 def test_explicit_phi_is_used():
@@ -92,7 +92,7 @@ def test_loop_without_unit_eigenvalue_gives_no_phi(tmp_path):
         json.dumps({"d": 2, "top": [1, 2], "bottom": [2, 1], "loop": ["t", "b"]})
     )
     built = build_instance(load_instance(path))
-    assert built.eigenrank == 0
+    assert built.eigenbasis == ()
     assert built.phi is None
 
 

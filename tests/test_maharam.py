@@ -28,6 +28,7 @@ from ietskew.maharam import (
     recurrence_vector_residual,
     step_samples,
 )
+from laurent_reference import evaluate_matrix
 
 
 def path_count_coefficients(diagram, phi, k):
@@ -68,12 +69,10 @@ def test_perron_stop_is_relative_to_the_eigenvalue(golden):
 
 
 def test_level_counting_matrix_at_one_is_incidence(built):
+    # M(1, ..., 1) is each cell's coefficient total, exactly
     mat = level_counting_matrix(built.floor)
-    ones = (1.0,) * built.phi.m
-    evaluated = mat.evaluate(ones)
-    for i in range(built.tower.d):
-        for j in range(built.tower.d):
-            assert evaluated[i][j] == pytest.approx(built.tower.matrix[i][j], abs=0)
+    totals = [[sum(p.terms.values()) for p in row] for row in mat.entries]
+    assert totals == [list(row) for row in built.tower.matrix]
 
 
 def test_matrix_power_counts_paths_exhaustively(built):
@@ -301,7 +300,7 @@ def eigen_reference_masses(diagram, phi, level_matrix, cylinders, psi):
     """Masses at one psi from LAPACK's Perron pair of M(lambda) and the
     closed form lambda^(a + S_k f(p)) v_t / r^k, without the batched core."""
     lam = [math.exp(x) for x in psi]
-    values, vectors = np.linalg.eig(np.array(level_matrix.evaluate(lam)))
+    values, vectors = np.linalg.eig(np.array(evaluate_matrix(level_matrix, lam)))
     top = np.argmax(values.real)
     r, v = values[top].real, np.abs(vectors[:, top].real)
     v = v / v.sum()
@@ -369,6 +368,13 @@ def test_continuity_profile_one_perron_call_per_grid(rank2, monkeypatch):
     assert calls == Counter(perron=1)
 
 
+def table_masses(table):
+    """Every level-k path of a table as its edge ids, and the (paths, fibers)
+    array of its masses, from the rank-one factors."""
+    ids = np.concatenate(list(table.floor.diagram.path_blocks(table.level)))
+    return ids, np.exp(table.path_logs(ids)[:, None] + table.fiber_logs)
+
+
 def test_measure_table(golden):
     table = build_measure_table(golden.floor, (0.2,), level=2)
     assert table.level == 2
@@ -376,9 +382,10 @@ def test_measure_table(golden):
     n_paths = sum(1 for _ in golden.diagram.enumerate_paths(2))
     fibers = set(table.fibers)
     assert len(fibers) == len(table.fibers)
-    assert table.path_ids.shape == (n_paths, 2)
-    assert table.masses.shape == (n_paths, len(fibers))
-    assert (table.masses >= 0).all()
+    ids, masses = table_masses(table)
+    assert ids.shape == (n_paths, 2)
+    assert masses.shape == (n_paths, len(fibers))
+    assert (masses >= 0).all()
     bound = max(abs(a[0]) for a in fibers)
     fl = FloorCocycle(golden.diagram, golden.phi)
     max_sum = max(
@@ -398,13 +405,18 @@ def test_measure_table_rank_one_factors_give_the_masses(golden):
     table = build_measure_table(golden.floor, (0.2,), level=3)
     measure = MaharamMeasure(golden.diagram, golden.phi, (0.2,))
     paths = list(golden.diagram.enumerate_paths(3))
-    assert table.masses.shape == (len(paths), len(table.fibers))
-    for path, masses in zip(paths[::7], table.masses[::7].tolist()):
+    ids, table_mass = table_masses(table)
+    assert ids.tolist() == [list(p) for p in paths]
+    assert table_mass.shape == (len(paths), len(table.fibers))
+    for path, masses in zip(paths[::7], table_mass[::7].tolist()):
         for fiber, mass in zip(table.fibers, masses):
             assert mass == pytest.approx(measure.cylinder_measure(path, fiber), rel=1e-12)
 
 
-def test_measure_table_respects_explicit_bound(golden):
-    table = build_measure_table(golden.floor, (0.0,), level=1, fiber_bound=1)
-    fibers = set(table.fibers)
-    assert fibers == {(-1,), (0,), (1,)}
+def test_measure_table_slice_matches_its_fiber_box(golden):
+    # demo 03 prints the [-1, 1] slice of a table, with fiber logs of its own
+    table = build_measure_table(golden.floor, (0.3,), level=1)
+    assert table.fibers == ((-2,), (-1,), (0,), (1,), (2,))
+    ids, masses = table_masses(table)
+    own = np.exp(table.path_logs(ids)[:, None] + np.array([[-1], [0], [1]]) @ np.array([0.3]))
+    assert np.array_equal(masses[:, 1:4], own)

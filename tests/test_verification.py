@@ -67,15 +67,13 @@ def moved_cell(mat: LaurentMatrix) -> LaurentMatrix:
     The coefficient total of the matrix is unchanged; those of the two
     cells, and so the matrix at t = 1, are not.
     """
-    rows = [list(row) for row in mat.entries]
-    i, j = next((i, j) for i in range(mat.d) for j in range(mat.d) if rows[i][j].terms)
-    terms = dict(rows[i][j].terms)
-    a = next(iter(terms))
-    terms[a] -= 1
-    rows[i][j] = LaurentPolynomial(mat.m, terms)
+    cells = [[dict(p.terms) for p in row] for row in mat.entries]
+    i, j = next((i, j) for i in range(mat.d) for j in range(mat.d) if cells[i][j])
+    a = next(iter(cells[i][j]))
+    cells[i][j][a] -= 1
     k = (j + 1) % mat.d
-    rows[i][k] = rows[i][k] + LaurentPolynomial.monomial(a)
-    return LaurentMatrix(rows)
+    cells[i][k][a] = cells[i][k].get(a, 0) + 1
+    return LaurentMatrix([[LaurentPolynomial(mat.m, terms) for terms in row] for row in cells])
 
 
 def test_level_counting_fails_at_k1_on_a_monomial_in_another_cell(built, monkeypatch):
@@ -94,8 +92,8 @@ def test_level_counting_fails_at_k1_on_a_monomial_outside_the_path_range(built, 
     def with_outlier(mat):
         rows = [list(row) for row in mat.entries]
         f = built.floor.f
-        far = f.min(axis=0) - 1 if shift < 0 else f.max(axis=0) + 1
-        rows[0][0] = rows[0][0] + LaurentPolynomial.monomial(far.tolist())
+        far = tuple((f.min(axis=0) - 1 if shift < 0 else f.max(axis=0) + 1).tolist())
+        rows[0][0] = LaurentPolynomial(mat.m, {**rows[0][0].terms, far: 1})
         return LaurentMatrix(rows)
 
     exact = V.level_counting_matrix
