@@ -14,8 +14,8 @@ from ietskew.skew import check_periodic_type, eigencocycles
 for name in packaged_names():
     built = build_instance(load_instance(name))
     a = built.tower.matrix
-    rank, basis = eigencocycles(a)
-    print(f"== {name}: d = {built.tower.d}, fixed-vector rank m = {rank}")
+    basis = eigencocycles(a)
+    print(f"== {name}: d = {built.tower.d}, fixed-vector rank m = {len(basis)}")
     for vec in basis:
         print(f"   A^T-fixed vector {list(vec)}")
     phi = built.phi

@@ -50,9 +50,9 @@ print("invariance checks (worst residuals), on a psi stack of one:")
 psis = np.array([psi])
 matrices = level_matrices(measure.floor, psis)
 pf = perron(matrices)
-step = invariance_step_check(measure.floor, psis, pf, seeds=[7], samples=500, level=4)
-print(f"  skewed-step invariance : {step.invariance_residual[0]:.2e}")
-print(f"  quasi-invariance ratio : {step.quasi_invariance_residual[0]:.2e}")
+invariance, quasi = invariance_step_check(measure.floor, psis, pf, seeds=[7], samples=500, level=4)
+print(f"  skewed-step invariance : {invariance[0]:.2e}")
+print(f"  quasi-invariance ratio : {quasi[0]:.2e}")
 level_matrix = level_counting_matrix(built.floor)
 for k in (1, 2, 3):
     counting = invariance_recurrence_check(psis, pf, k, laurent_matrix_pow(level_matrix, k))[0]

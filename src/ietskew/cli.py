@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from itertools import chain, product
 
 import numpy as np
@@ -493,7 +494,7 @@ def cmd_verify(built: BuiltInstance, args) -> int:
     payload = {
         "instance": built.name,
         "seed": seed,
-        "checks": [r.to_dict() for r in report],
+        "checks": [dict(asdict(r), runtime=round(r.runtime, 3)) for r in report],
     }
     _maybe_json(payload, args)
     statuses = {r.status for r in report}

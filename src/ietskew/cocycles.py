@@ -6,6 +6,9 @@ its value on a path is its value on the first edge.  The tail cocycle
 telescopes the f-discrepancy between a path and its adic successor; in the
 periodic-type setting it reproduces the skewing cocycle itself, which is
 what lets the shift-with-f skew-product renormalise the adic skew-product.
+Skewed rows travel as a plain pair of arrays, (rows, k) edge ids and
+(rows, m) fibers; ``skewed_adic_step`` is the one implementation of the
+skew-product T_phi(x, a) = (Tx, a + phi(x)) on them.
 
 Aperiodicity of f is certified through the subgroup of differences of
 equal-length Birkhoff sums of f over shift-periodic paths: once the tower
@@ -69,53 +72,44 @@ def tail_cocycle(fl: FloorCocycle, ids: np.ndarray) -> np.ndarray:
     return ((fl.f[ids] - fl.f[succ]) * shifts[:, :, None]).sum(axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class SkewedPathState:
-    """Rows of paths, a (rows, k) edge-id array, each with a fiber coordinate
-    in Z^m, a (rows, m) array."""
-
-    ids: np.ndarray
-    fiber: np.ndarray
+def skewed_adic_step(fl: FloorCocycle, ids: np.ndarray, fiber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row (p, a) of (rows, k) edge ids and (rows, m) fibers in Z^m ->
+    (successor of p, a + phi at the source of edge one)."""
+    move = np.array(fl.phi.values)[fl.diagram.source[ids[:, 0]]]
+    return fl.diagram.adic_successors(ids), fiber + move
 
 
-def skewed_adic_step(fl: FloorCocycle, state: SkewedPathState) -> SkewedPathState:
-    """Each row (p, a) -> (successor of p, a + phi at the source of edge one)."""
-    move = np.array(fl.phi.values)[fl.diagram.source[state.ids[:, 0]]]
-    return SkewedPathState(fl.diagram.adic_successors(state.ids), state.fiber + move)
-
-
-def shift_image(fl: FloorCocycle, state: SkewedPathState, depth: int) -> SkewedPathState:
+def shift_image(fl: FloorCocycle, ids: np.ndarray, fiber: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Remaining edge ids and fiber of each row after ``depth`` skewed shift steps."""
-    if state.ids.shape[1] < depth:
+    if ids.shape[1] < depth:
         raise ValueError("depth exceeds path length")
-    return SkewedPathState(state.ids[:, depth:], state.fiber + fl.f[state.ids[:, :depth]].sum(axis=1))
+    return ids[:, depth:], fiber + fl.f[ids[:, :depth]].sum(axis=1)
 
 
-def tail_orbit_witness(
-    fl: FloorCocycle, s1: SkewedPathState, s2: SkewedPathState, depth: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit witnesses for pairs of states with the same depth-k shift image,
-    row i of s1 with row i of s2.
+def tail_orbit_witness(fl: FloorCocycle, first, second, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit witnesses for two (ids, fiber) pairs of skewed rows with the same
+    depth-k shift image, row i of ``first`` with row i of ``second``.
 
-    Returns (n, found): where found, the n-th skewed adic image of the s1
-    row is the s2 row (n may be negative); found is False where there is
+    Returns (n, found): where found, the n-th skewed adic image of the first
+    row is the second (n may be negative); found is False where there is
     none inside one level-``depth`` skew tower, as when the shift images
     differ.  The paths must share their edges beyond ``depth`` and their
     level-``depth`` tower; n is their floor difference, a witness only when
     the fibers differ by phi summed over the labels of the floors passed:
     exactly what n adic steps add.
     """
-    if not 1 <= depth <= min(s1.ids.shape[1], s2.ids.shape[1]):
+    (ids1, fiber1), (ids2, fiber2) = first, second
+    if not 1 <= depth <= min(ids1.shape[1], ids2.shape[1]):
         raise ValueError("depth must be between 1 and the path length")
-    (t1, h1), (t2, h2) = (fl.diagram.paths_to_floors(s.ids[:, :depth]) for s in (s1, s2))
-    same_tail = s1.ids.shape == s2.ids.shape and (s1.ids[:, depth:] == s2.ids[:, depth:]).all(axis=1)
+    (t1, h1), (t2, h2) = (fl.diagram.paths_to_floors(ids[:, :depth]) for ids in (ids1, ids2))
+    same_tail = ids1.shape == ids2.shape and (ids1[:, depth:] == ids2[:, depth:]).all(axis=1)
     # per tower, phi summed over the floors under each height 0..h; towers stacked
     values, zero = np.array(fl.phi.values), np.zeros((1, fl.m), dtype=np.int64)
     under = [np.cumsum(np.vstack((zero, values[s])), axis=0) for s in fl.diagram.floor_sources(depth)]
     start = np.cumsum([0, *map(len, under[:-1])])
     under = np.concatenate(under)
     passed = under[start[t2] + h2] - under[start[t1] + h1]
-    return h2 - h1, (t1 == t2) & same_tail & (s2.fiber - s1.fiber == passed).all(axis=1)
+    return h2 - h1, (t1 == t2) & same_tail & (fiber2 - fiber1 == passed).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -170,10 +164,12 @@ def amplify_for_common_prefix(
     Doubling schedule on the repetition count.  The total word length of a
     repetition is read off A^rep before its words are built, so words that
     would outgrow MAX_TOTAL_WORD_LENGTH end the search as inconclusive
-    without being built.  At a qualifying repetition,
-    the covering prefix supplies shift-fixed self-loop paths whose f-sum
-    differences recover every value of the skewing cocycle; the Smith
-    invariant factors of those generators decide the verdict.
+    without being built.  When the shortest word of repetition 1 is a prefix
+    of every word, so are its images at every repetition: q_min = M + 1
+    stays, and the search ends as inconclusive at once.  At a qualifying
+    repetition, the covering prefix supplies shift-fixed self-loop paths
+    whose f-sum differences recover every value of the skewing cocycle; the
+    Smith invariant factors of those generators decide the verdict.
     """
     require_periodic_type(loop.period_matrix, phi)
     d = loop.d
@@ -197,6 +193,11 @@ def amplify_for_common_prefix(
         covers = covered == set(range(1, d + 1))
         tall_enough = q_min > m_len + 1
         last_diag = f"rep={rep} M={m_len} q_min={q_min} covers={covers}"
+        if not exp and prefix_len == q_min:  # sigma^n(j) is then a prefix of every sigma^n(i)
+            raise CertificateInconclusive(
+                f"the shortest return word is a prefix of every return word, so q_min = M + 1 "
+                f"at every repetition; last state: {last_diag}"
+            )
         if not (covers and tall_enough):
             continue
         diagram = BratteliDiagram(tower)

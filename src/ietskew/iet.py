@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -244,19 +244,21 @@ def pf_lengths(a: IntMatrix) -> LengthData:
     return LengthData(lengths, alpha_scaled / SCALE, tuple(v), alpha_scaled)
 
 
-def _positions(comb: IetCombinatorics, scaled: tuple[int, ...]):
-    """Domain/image left endpoints per label plus sorted domain breakpoints."""
-    start: dict[int, int] = {}
+def _positions(comb: IetCombinatorics, lengths: tuple[int, ...] | tuple[float, ...]):
+    """Domain/image left endpoints per label plus sorted domain breakpoints, each
+    a left fold of the lengths before it: scaled ints (the exact oracle) or
+    floats (the float orbit), added in int or IEEE arithmetic as they are."""
+    start: dict[int, int | float] = {}
     pos = 0
     for label in comb.top:
         start[label] = pos
-        pos += scaled[label - 1]
+        pos += lengths[label - 1]
     total = pos
-    image: dict[int, int] = {}
+    image: dict[int, int | float] = {}
     pos = 0
     for label in comb.bottom:
         image[label] = pos
-        pos += scaled[label - 1]
+        pos += lengths[label - 1]
     breaks = sorted(start.values()) + [total]
     by_position = sorted(start, key=start.get)
     return start, image, breaks, by_position, total
@@ -362,10 +364,9 @@ def float_orbit_frequencies(
     step-by-step loop, bit for bit, whatever ``towers`` holds.
     """
     d = comb.d
-    breaks = list(accumulate((lengths.lengths[t - 1] for t in comb.top), initial=0.0))
-    image = dict(zip(comb.bottom, accumulate((lengths.lengths[b - 1] for b in comb.bottom), initial=0.0)))
-    shift = np.array([image[label] - start for label, start in zip(comb.top, breaks)])  # by domain position
-    interior, end = np.array(breaks[1:-1]), breaks[-1]
+    start, image, breaks, _, end = _positions(comb, lengths.lengths)
+    shift = np.array([image[label] - start[label] for label in comb.top])  # by domain position
+    interior = np.array(breaks[1:-1])
     position = np.argsort(np.array(comb.top) - 1)  # domain position of each 0-based label
 
     # every floor in tower order: its domain position, the end of its tower,

@@ -23,7 +23,7 @@ skew-product on this loop".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -162,12 +162,6 @@ class BuiltInstance:
         """The floor cocycle of (diagram, phi), built on first use; phi must be set."""
         return FloorCocycle(self.diagram, self.phi)
 
-    def with_phi(self, phi: SkewCocycle) -> "BuiltInstance":
-        return replace(self, phi=phi)
-
-    def with_diagram(self, diagram: BratteliDiagram) -> "BuiltInstance":
-        return replace(self, diagram=diagram)
-
 
 def build_instance(spec: InstanceSpec) -> BuiltInstance:
     try:
@@ -178,7 +172,7 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
     tower = compose_loop(loop, 1)
     diagram = BratteliDiagram(tower)
     lengths = pf_lengths(tower.matrix)
-    _, basis = eigencocycles(tower.matrix)
+    basis = eigencocycles(tower.matrix)
     if spec.phi is not None:
         try:
             phi = SkewCocycle(spec.phi)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import LaurentMatrix, LaurentPolynomial, vec_add, zero_vector
 from .bratteli import BratteliDiagram, _draw_chain
-from .cocycles import FloorCocycle
+from .cocycles import FloorCocycle, skewed_adic_step
 from .skew import SkewCocycle
 
 PF_TOL = 1e-14
@@ -172,12 +172,6 @@ def recurrence_vector_residual(matrices: np.ndarray, pf: PerronData, k: int) -> 
     return np.abs(pf.vector - (np.linalg.matrix_power(matrices, k) @ wk[:, :, None])[:, :, 0]).max(axis=1)
 
 
-@dataclass(frozen=True)
-class StepCheckResult:  # worst residuals, one per psi of the stack
-    invariance_residual: np.ndarray
-    quasi_invariance_residual: np.ndarray
-
-
 def step_samples(diagram: BratteliDiagram, level: int, samples: int, m: int, seed: int):
     """(samples, k) edge ids of ``random_path_ids`` draws, again while maximal, each
     then given a fiber offset in [-2, 2]^m, (samples, m), by random.Random(seed);
@@ -195,30 +189,30 @@ def step_samples(diagram: BratteliDiagram, level: int, samples: int, m: int, see
 
 def invariance_step_check(
     floor: FloorCocycle, psis, pf: PerronData, seeds, samples: int, level: int
-) -> StepCheckResult:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sampled invariance of cylinder masses under the skewed exchange.
 
     For each psi of the stack that ``pf`` solved and the ``step_samples``
-    (p, a) drawn from its seed:
-      - mu(successor floor, a + phi(p)) must equal mu(p's floor, a);
-      - the base marginal must scale by exp(-psi(phi(p))) across the step.
-    Returns the worst absolute and relative residuals of each psi.
+    (p, a) drawn from its seed, stepped by ``skewed_adic_step`` to (p', a'):
+      - mu(p' floor, a') must equal mu(p's floor, a);
+      - the base marginal must scale by exp(-<psi, a' - a>) across the step.
+    Returns (invariance, quasi_invariance): the worst absolute and relative
+    residuals, one per psi.
     """
-    diagram, phi = floor.diagram, np.array(floor.phi.values)
-    source, target = diagram.source, diagram.target
+    target = floor.diagram.target
     worst = []
     for t, seed in enumerate(seeds):
-        ids, a = step_samples(diagram, level, samples, floor.m, seed)
-        succ = diagram.adic_successors(ids)
-        move, sums, succ_sums = phi[source[ids[:, 0]]], floor.f[ids].sum(1), floor.f[succ].sum(1)
-        exponents = np.concatenate((succ_sums + a + move, sums + a, sums, succ_sums))
+        ids, a = step_samples(floor.diagram, level, samples, floor.m, seed)
+        succ, moved = skewed_adic_step(floor, ids, a)
+        sums, succ_sums = floor.f[ids].sum(1), floor.f[succ].sum(1)
+        exponents = np.concatenate((succ_sums + moved, sums + a, sums, succ_sums))
         targets = np.tile(np.concatenate((target[succ[:, -1]], target[ids[:, -1]])), 2)
         one = PerronData(pf.eigenvalue[t:t + 1], pf.vector[t:t + 1], pf.iterations[t:t + 1])
         masses = np.exp(log_masses(psis[t:t + 1], one, exponents, targets, [level] * len(targets)))
         lhs, rhs, before, after = masses.reshape(4, samples)
-        expected = np.exp(-move @ psis[t])
+        expected = np.exp(-(moved - a) @ psis[t])
         worst.append((np.abs(lhs - rhs).max(), (np.abs(after / before - expected) / expected).max()))
-    return StepCheckResult(*np.array(worst).reshape(-1, 2).T)
+    return tuple(np.array(worst).reshape(-1, 2).T)
 
 
 # -- weak-* continuity profiling ----------------------------------------------

@@ -52,15 +52,14 @@ class SkewCocycle:
         return self.values[label - 1]
 
 
-def eigencocycles(a: IntMatrix) -> tuple[int, list[tuple[int, ...]]]:
+def eigencocycles(a: IntMatrix) -> list[tuple[int, ...]]:
     """Integer basis of ker(A^T - I), re-coordinatised to generate Z^m.
 
-    Returns (m, basis) where m is the kernel rank and basis lists m vectors
-    of length d.  Reading the basis columnwise gives the cocycle values
-    phi_j in Z^m; the change of coordinates identifies the lattice they
-    span with Z^m itself, so the generation requirement holds by
-    construction.  m = 0 means the loop supports no periodic-type
-    skew-product.
+    The basis lists m vectors of length d, m the kernel rank (its length).
+    Reading the basis columnwise gives the cocycle values phi_j in Z^m; the
+    change of coordinates identifies the lattice they span with Z^m itself,
+    so the generation requirement holds by construction.  An empty basis
+    means the loop supports no periodic-type skew-product.
     """
     d = len(a)
     at_minus_i = [
@@ -69,7 +68,7 @@ def eigencocycles(a: IntMatrix) -> tuple[int, list[tuple[int, ...]]]:
     kernel = integer_kernel(at_minus_i)
     m = len(kernel)
     if m == 0:
-        return 0, []
+        return []
     # value matrix: row j is phi_j, column c is the c-th kernel vector
     value_rows = transpose(kernel)
     basis_of_lattice = row_hnf(value_rows)
@@ -83,7 +82,7 @@ def eigencocycles(a: IntMatrix) -> tuple[int, list[tuple[int, ...]]]:
         raise ArithmeticError("rotated basis left the 1-eigenspace")
     if invariant_factors(new_rows) != (1,) * m:
         raise ArithmeticError("rotation failed to reach the full lattice")
-    return m, list(transpose(new_rows))
+    return list(transpose(new_rows))
 
 
 def check_periodic_type(a: IntMatrix, phi: SkewCocycle) -> bool:

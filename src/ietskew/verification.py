@@ -18,7 +18,7 @@ import functools
 import random
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations, product
 
 import numpy as np
@@ -26,7 +26,6 @@ import numpy as np
 from .algebra import laurent_matrix_pow, mat_mul
 from .bratteli import BratteliDiagram
 from .cocycles import (
-    SkewedPathState,
     amplify_for_common_prefix,
     delta_closure_probe,
     recheck_certificate,
@@ -82,15 +81,6 @@ class CheckResult:
     residual: float | None = None
     detail: str = ""
     runtime: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "residual": self.residual,
-            "detail": self.detail,
-            "runtime": round(self.runtime, 3),
-        }
 
 
 def _timed(name):
@@ -232,8 +222,7 @@ def check_tail_cocycle(built: BuiltInstance, seed: int = 0) -> CheckResult:
         step = whole & (t < n)
         whole &= ~(step & diagram.is_top[q].all(axis=1))  # no step from a maximal iterate
         step &= whole
-        moved = skewed_adic_step(fl, SkewedPathState(q[step], total[step]))
-        q[step], total[step] = moved.ids, moved.fiber
+        q[step], total[step] = skewed_adic_step(fl, q[step], total[step])
     # summed over the edges where p and q differ: f[p] - f[q] is 0 on the others
     broken = whole & (total != (fl.f[p] - fl.f[q]).sum(axis=1)).any(axis=1)
     if broken.any():
@@ -255,13 +244,12 @@ def check_tail_orbit(built: BuiltInstance, seed: int = 0) -> CheckResult:
         # fibers the running sum of what one skewed adic step adds to each
         ids = diagram.floors_to_paths(depth, np.full(height, j - 1), np.arange(height))
         zero = np.zeros((height, fl.m), dtype=np.int64)
-        step = skewed_adic_step(fl, SkewedPathState(ids[:-1], zero[1:]))
-        tower = SkewedPathState(ids, np.cumsum(np.vstack((zero[:1], step.fiber)), axis=0))
-        image = shift_image(fl, tower, depth)
-        image = np.column_stack((image.ids, image.fiber))
+        above, moved = skewed_adic_step(fl, ids[:-1], zero[1:])
+        fiber = np.cumsum(np.vstack((zero[:1], moved)), axis=0)
+        image = np.column_stack(shift_image(fl, ids, fiber, depth))
         if (image != image[0]).any():
             return CheckResult("", "fail", detail=f"orbit left its shift class in tower {j}")
-        if (ids[0] != diagram.min_path(depth, j)).any() or (step.ids != ids[1:]).any():
+        if (ids[0] != diagram.min_path(depth, j)).any() or (above != ids[1:]).any():
             return CheckResult("", "fail", detail=f"tower {j} orbit left the floor order")
         if not diagram.is_maximal(ids[-1]):
             return CheckResult("", "fail", detail=f"tower {j} orbit ended early")
@@ -271,9 +259,7 @@ def check_tail_orbit(built: BuiltInstance, seed: int = 0) -> CheckResult:
             a, b = np.divmod(np.arange(height * height), height)
         else:
             a, b = np.array([(rng.randrange(height), rng.randrange(height)) for _ in range(WITNESS_SAMPLES)]).T
-        n, found = tail_orbit_witness(
-            fl, SkewedPathState(ids[a], tower.fiber[a]), SkewedPathState(ids[b], tower.fiber[b]), depth
-        )
+        n, found = tail_orbit_witness(fl, (ids[a], fiber[a]), (ids[b], fiber[b]), depth)
         if not (found & (n == b - a)).all():
             return CheckResult("", "fail", detail=f"witness failed in tower {j}")
     return CheckResult("", "pass", residual=0.0, detail=f"level-{depth} towers exhausted")
@@ -348,11 +334,11 @@ def check_maharam(built: BuiltInstance, seed: int = 0) -> CheckResult:
     matrices = level_matrices(fl, psis)
     pf = perron(matrices)
     seeds = [s for _, s in draws]
-    step = invariance_step_check(fl, psis, pf, seeds, samples=MAHARAM_CYLINDERS, level=MAHARAM_LEVEL)
+    invariance, quasi = invariance_step_check(fl, psis, pf, seeds, samples=MAHARAM_CYLINDERS, level=MAHARAM_LEVEL)
     power = laurent_matrix_pow(level_counting_matrix(fl), RECURRENCE_POWER)
     recurrence = [recurrence_vector_residual(matrices, pf, k) for k in range(1, MAHARAM_LEVEL + 1)]
     recurrence.append(invariance_recurrence_check(psis, pf, RECURRENCE_POWER, power))
-    residuals = np.array([step.invariance_residual, step.quasi_invariance_residual, np.max(recurrence, 0)])
+    residuals = np.array([invariance, quasi, np.max(recurrence, 0)])
     worst = np.maximum.accumulate(residuals.max(axis=0))  # running worst over psi; NaN stays NaN
     detail = "step {:.2e}, quasi {:.2e}, recurrence {:.2e}".format(*residuals.max(axis=1))
     detail += f", Perron <= {pf.iterations.max()} iterations"
@@ -455,7 +441,7 @@ def _phi_fault(built: BuiltInstance) -> SkewCocycle:
 def check_fault_injection(built: BuiltInstance, seed: int = 0) -> CheckResult:
     """Perturbations must surface at their own layer, gating the rest."""
     report = run_layers(
-        built.with_phi(_phi_fault(built)),
+        replace(built, phi=_phi_fault(built)),
         [check_cocycle_identities, check_bratteli_dictionary, check_tail_cocycle],
         seed,
     )
@@ -463,7 +449,7 @@ def check_fault_injection(built: BuiltInstance, seed: int = 0) -> CheckResult:
     if statuses != ["fail", "skipped", "skipped"]:
         return CheckResult("", "fail", detail=f"phi fault gave {statuses}")
     corrupt = _tower_with_swapped_letters(built.tower)
-    corrupted = built.with_diagram(BratteliDiagram(corrupt))
+    corrupted = replace(built, diagram=BratteliDiagram(corrupt))
     report = run_layers(corrupted, [check_bratteli_dictionary, check_tail_orbit], seed)
     statuses = [r.status for r in report]
     if statuses != ["fail", "skipped"]:

@@ -79,8 +79,8 @@ def test_criterion_02_cocycle_identities_exact(built):
     # k <= 4; all exact integer identities
     result = V.check_cocycle_identities(built)
     report(2, "cocycle identities (zero tolerance)", built, result)
-    rank, basis = eigencocycles(built.tower.matrix)
-    assert rank >= 1
+    basis = eigencocycles(built.tower.matrix)
+    assert len(basis) >= 1
     assert check_periodic_type(built.tower.matrix, SkewCocycle(transpose(basis)))
 
 

@@ -179,7 +179,8 @@ def test_an_unwritable_out_exits_1_with_one_line(command, tmp_path, capsys):
 
 
 def test_certify_is_inconclusive_before_the_words_blow_up(tmp_path, capsys):
-    # repetition 8 of this loop would build words of 1,037,504,259 letters
+    # repetition 8 of this loop would build words of 1,037,504,259 letters;
+    # its shortest return word begins every return word, so it stops at 1
     data = {
         "d": 3,
         "top": [1, 2, 3],
@@ -191,7 +192,7 @@ def test_certify_is_inconclusive_before_the_words_blow_up(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert run_cli("certify", "--instance", str(path)) == 3
     out = capsys.readouterr().out
-    assert "inconclusive" in out and "repetition 8: sum q = 1037504259" in out
+    assert "inconclusive" in out and "prefix of every return word" in out and "rep=1 M=6 q_min=7" in out
 
 
 def test_maharam_table_schema_and_determinism(tmp_path):

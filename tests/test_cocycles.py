@@ -1,16 +1,17 @@
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ietskew import cocycles
 from ietskew.algebra import vec_add, zero_vector
 from ietskew.bratteli import BratteliDiagram, MaximalPathError
 from ietskew.cocycles import (
     AperiodicityCertificate,
     CertificateInconclusive,
     FloorCocycle,
-    SkewedPathState,
     amplify_for_common_prefix,
     delta_closure_probe,
     recheck_certificate,
@@ -66,13 +67,15 @@ def tail_of(fl, p):
 
 
 def states(ids, fibers):
-    """Rows of skewed states from lists of edge-id rows and fiber rows."""
-    return SkewedPathState(np.array(ids), np.array(fibers).reshape(len(ids), -1))
+    """Rows of skewed states, an (ids, fiber) pair of arrays, from lists of
+    edge-id rows and fiber rows."""
+    return np.array(ids), np.array(fibers).reshape(len(ids), -1)
 
 
 def rows(state):
-    """A SkewedPathState as (ids, fiber) lists of rows, for comparison."""
-    return state.ids.tolist(), state.fiber.tolist()
+    """An (ids, fiber) pair of arrays as lists of rows, for comparison."""
+    ids, fiber = state
+    return ids.tolist(), fiber.tolist()
 
 
 def witnesses(fl, s1, s2, depth):
@@ -118,11 +121,11 @@ def test_floor_cocycle_arrays_match_the_words(built):
 def test_built_floor_is_one_per_built_instance(built):
     assert built.floor is built.floor
     negated = SkewCocycle([[-x for x in v] for v in built.phi.values])
-    flipped = built.with_phi(negated).floor
+    flipped = replace(built, phi=negated).floor
     assert flipped.phi == negated
     assert np.array_equal(flipped.f, FloorCocycle(built.diagram, negated).f)
     other = BratteliDiagram(built.tower)
-    assert built.with_diagram(other).floor.diagram is other
+    assert replace(built, diagram=other).floor.diagram is other
 
 
 # -- tail cocycle and its recurrences ----------------------------------------
@@ -235,8 +238,8 @@ def test_skewed_adic_step_and_inverse(built):
     fl, diagram, phi = built.floor, built.diagram, built.phi
     rng = random.Random(35)
     paths = [random_nonmax_path(diagram, 3, rng) for _ in range(200)]
-    stepped = skewed_adic_step(fl, states(paths, [zero_vector(phi.m)] * 200))
-    assert stepped.fiber.tolist() == [list(phi.of_label(source(diagram, p))) for p in paths]
+    stepped = skewed_adic_step(fl, *states(paths, [zero_vector(phi.m)] * 200))
+    assert stepped[1].tolist() == [list(phi.of_label(source(diagram, p))) for p in paths]
     for p, ids, fiber in zip(paths, *rows(stepped)):
         # the inverse: one floor down in the dictionary, minus phi under it
         floor = diagram.path_to_floor(tuple(ids))
@@ -252,14 +255,14 @@ def test_skewed_shift_step(built):
     rng = random.Random(36)
     paths = [tuple(diagram.random_path_ids(3, rng)) for _ in range(100)]
     state = states(paths, [(7,) * phi.m] * 100)
-    for p, ids, fiber in zip(paths, *rows(shift_image(fl, state, 1))):
+    for p, ids, fiber in zip(paths, *rows(shift_image(fl, *state, 1))):
         assert tuple(ids) == p[1:]
         assert tuple(fiber) == vec_add((7,) * phi.m, f_of(fl, p[0]))
         # bottom floors leave the fiber unchanged
         if p[0] in diagram.first_ids:
             assert tuple(fiber) == (7,) * phi.m
     with pytest.raises(ValueError):
-        shift_image(fl, state, 4)
+        shift_image(fl, *state, 4)
 
 
 def test_skewed_iteration_accumulates_birkhoff_sums(built):
@@ -269,9 +272,9 @@ def test_skewed_iteration_accumulates_birkhoff_sums(built):
     p = tuple(diagram.random_path_ids(4, rng))
     state = states([p], [zero_vector(phi.m)])
     for k in range(1, 4):
-        assert rows(shift_image(fl, state, k)) == ([list(p[k:])], [list(fl.path_sum(p[:k]))])
-        state_k = shift_image(fl, state, k)
-        assert rows(shift_image(fl, state_k, 1)) == rows(shift_image(fl, state, k + 1))
+        assert rows(shift_image(fl, *state, k)) == ([list(p[k:])], [list(fl.path_sum(p[:k]))])
+        state_k = shift_image(fl, *state, k)
+        assert rows(shift_image(fl, *state_k, 1)) == rows(shift_image(fl, *state, k + 1))
 
 
 def test_path_sum_of_no_shifts_is_zero(built):
@@ -306,7 +309,7 @@ def test_witness_trivial_and_single_step(built):
     rng = random.Random(38)
     s1 = states([random_nonmax_path(diagram, 3, rng) for _ in range(50)], [zero_vector(phi.m)] * 50)
     assert witnesses(fl, s1, s1, 3) == [0] * 50
-    s2 = skewed_adic_step(fl, s1)
+    s2 = skewed_adic_step(fl, *s1)
     assert witnesses(fl, s1, s2, 3) == [1] * 50
     assert witnesses(fl, s2, s1, 3) == [-1] * 50
 
@@ -321,15 +324,15 @@ def test_witness_exhaustive_level2(built):
     for j in range(1, diagram.d + 1):
         base = diagram.min_path(depth, j)
         state = states([base], [zero_vector(phi.m)])
-        img0 = rows(shift_image(fl, state, depth))
+        img0 = rows(shift_image(fl, *state, depth))
         height = diagram.heights(depth)[j - 1]
         chain = [state]
         for _ in range(height - 1):
-            state = skewed_adic_step(fl, state)
-            assert rows(shift_image(fl, state, depth)) == img0
+            state = skewed_adic_step(fl, *state)
+            assert rows(shift_image(fl, *state, depth)) == img0
             chain.append(state)
-        assert diagram.is_maximal(chain[-1].ids[0])
-        ids, fibers = (np.concatenate([getattr(s, name) for s in chain]) for name in ("ids", "fiber"))
+        ids, fibers = (np.concatenate(part) for part in zip(*chain))
+        assert diagram.is_maximal(ids[-1])
         # spot-validate the witness search against the enumerated chain
         rng = random.Random(39 + j)
         pairs = (
@@ -340,7 +343,7 @@ def test_witness_exhaustive_level2(built):
             ]
         )
         a, b = np.array(pairs).T
-        n = witnesses(fl, SkewedPathState(ids[a], fibers[a]), SkewedPathState(ids[b], fibers[b]), depth)
+        n = witnesses(fl, (ids[a], fibers[a]), (ids[b], fibers[b]), depth)
         assert n == (b - a).tolist()
 
 
@@ -358,7 +361,7 @@ def test_witness_none_for_empty_tails_in_different_towers(built):
     fl, diagram, phi = built.floor, built.diagram, built.phi
     s1 = states([diagram.min_path(2, 1)], [zero_vector(phi.m)])
     s2 = states([diagram.min_path(2, 2)], [zero_vector(phi.m)])
-    assert rows(shift_image(fl, s1, 2))[1] == rows(shift_image(fl, s2, 2))[1]
+    assert rows(shift_image(fl, *s1, 2))[1] == rows(shift_image(fl, *s2, 2))[1]
     assert witnesses(fl, s1, s2, 2) == [None]
     assert witnesses(fl, s2, s1, 2) == [None]
 
@@ -367,8 +370,8 @@ def test_witness_none_when_the_fiber_identity_fails(built):
     fl, diagram, phi = built.floor, built.diagram, built.phi
     rng = random.Random(40)
     s1 = states([random_nonmax_path(diagram, 3, rng) for _ in range(50)], [zero_vector(phi.m)] * 50)
-    s2 = skewed_adic_step(fl, s1)
-    off = SkewedPathState(s2.ids, s2.fiber + ((0,) * (phi.m - 1) + (1,)))
+    ids, fiber = skewed_adic_step(fl, *s1)
+    off = (ids, fiber + ((0,) * (phi.m - 1) + (1,)))
     assert witnesses(fl, s1, off, 3) == [None] * 50
     assert witnesses(fl, off, s1, 3) == [None] * 50
 
@@ -382,15 +385,15 @@ def test_witness_below_a_shared_tail(built):
         s1 = states([diagram.random_path_ids(5, rng)], [(3,) * phi.m])
         s2, n = s1, 0
         for _ in range(rng.randint(1, 8)):
-            if diagram.is_maximal(s2.ids[0, :2]):
+            if diagram.is_maximal(s2[0][0, :2]):
                 break
-            s2, n = skewed_adic_step(fl, s2), n + 1
-        assert s2.ids[0, 2:].tolist() == s1.ids[0, 2:].tolist()
+            s2, n = skewed_adic_step(fl, *s2), n + 1
+        assert s2[0][0, 2:].tolist() == s1[0][0, 2:].tolist()
         assert witnesses(fl, s1, s2, 2) == [n]
         assert witnesses(fl, s2, s1, 2) == [-n]
         other_tail = diagram.random_path_ids(5, rng)
-        if other_tail[2:] != s1.ids[0, 2:].tolist():
-            s3 = states([other_tail], s1.fiber)
+        if other_tail[2:] != s1[0][0, 2:].tolist():
+            s3 = states([other_tail], s1[1])
             assert witnesses(fl, s1, s3, 2) == [None]
     for depth in (0, 6):
         with pytest.raises(ValueError):
@@ -402,14 +405,15 @@ def test_witness_answers_every_pair_of_a_batch(built):
     fl, diagram, phi = built.floor, built.diagram, built.phi
     rng = random.Random(42)
     s1 = states([random_nonmax_path(diagram, 3, rng) for _ in range(40)], [zero_vector(phi.m)] * 40)
-    s2 = skewed_adic_step(fl, s1)
+    s2 = skewed_adic_step(fl, *s1)
     pick = np.arange(40) % 2 == 0  # even pairs step, odd pairs stay; pair 3 is moved off
-    mixed = SkewedPathState(np.where(pick[:, None], s2.ids, s1.ids), np.where(pick[:, None], s2.fiber, s1.fiber))
-    mixed.fiber[3] += 1
+    mixed = tuple(np.where(pick[:, None], b, a) for a, b in zip(s1, s2))
+    mixed[1][3] += 1
     expected = [None if i == 3 else int(pick[i]) for i in range(40)]
     assert witnesses(fl, s1, mixed, 3) == expected
     # paths of another length share no tail
-    assert witnesses(fl, s1, states(s1.ids[:, :2], s1.fiber), 2) == [None] * 40
+    ids, fiber = s1
+    assert witnesses(fl, s1, (ids[:, :2], fiber), 2) == [None] * 40
 
 
 # -- aperiodicity certificate -------------------------------------------------
@@ -439,16 +443,43 @@ def test_certificate_rejects_non_periodic(built):
         amplify_for_common_prefix(built.loop, SkewCocycle(values))
 
 
-def test_certificate_stops_before_building_words_past_the_cap():
-    # repetitions 1, 2, 4 have 31, 363 and 51,459 letters; repetition 8
-    # would have 1,037,504,259, past MAX_TOTAL_WORD_LENGTH
+def composed_repetitions(monkeypatch):
+    """The repetitions the certificate composes the loop at, in call order."""
+    reps, exact = [], cocycles.compose_loop
+
+    def counting(loop, rep):
+        reps.append(rep)
+        return exact(loop, rep)
+
+    monkeypatch.setattr(cocycles, "compose_loop", counting)
+    return reps
+
+
+def test_certificate_stops_before_building_words_past_the_cap(golden, monkeypatch):
+    # golden_triple's repetitions 1 and 2 have 17 and 99 letters; with the
+    # cap between them, repetition 1 is built and undecided, and repetition
+    # 2 ends the search before its words are built
+    assert [sum(compose_loop(golden.loop, rep).q) for rep in (1, 2)] == [17, 99]
+    monkeypatch.setattr(cocycles, "MAX_TOTAL_WORD_LENGTH", 50)
+    reps = composed_repetitions(monkeypatch)
+    with pytest.raises(CertificateInconclusive, match=r"repetition 2: sum q = 99 > 50; last state: rep=1 "):
+        amplify_for_common_prefix(golden.loop, golden.phi)
+    assert reps == [1]
+
+
+def test_certificate_stops_at_once_when_the_shortest_word_is_a_common_prefix(monkeypatch):
+    # the shortest of this loop's return words (7 letters) begins all three,
+    # so q_min = M + 1 at every repetition; the words of repetition 8 would
+    # have 1,037,504,259 letters, and no repetition after the first is built
     loop = RauzyLoop(IetCombinatorics((1, 2, 3), (3, 2, 1)), "bttttbttbb")
     phi = SkewCocycle([[0], [1], [-4]])
-    assert [sum(compose_loop(loop, rep).q) for rep in (1, 2, 4)] == [31, 363, 51459]
+    reps = composed_repetitions(monkeypatch)
     start = time.perf_counter()
-    with pytest.raises(CertificateInconclusive, match=r"repetition 8: sum q = 1037504259 > 10000000"):
+    reason = r"prefix of every return word, so q_min = M \+ 1 at every repetition; last state: rep=1 M=6 q_min=7 "
+    with pytest.raises(CertificateInconclusive, match=reason):
         amplify_for_common_prefix(loop, phi)
     assert time.perf_counter() - start < 1.0
+    assert reps == [1]
 
 
 def test_closure_probe(built):

@@ -3,7 +3,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from ietskew.algebra import column_sums, mat_pow, mat_vec
+from ietskew.algebra import column_sums, mat_pow
 from ietskew.iet import (
     IetCombinatorics,
     LengthData,

@@ -7,20 +7,20 @@ from ietskew.skew import SkewCocycle, check_periodic_type, eigencocycles
 
 
 def test_eigencocycles_identity_matrix():
-    m, basis = eigencocycles(identity_matrix(3))
-    assert m == 3
+    basis = eigencocycles(identity_matrix(3))
+    assert len(basis) == 3
     assert sorted(basis) == sorted(identity_matrix(3))
 
 
 def test_eigencocycles_no_unit_eigenvalue():
     # characteristic polynomial x^2 - 3x + 1 has no root 1
-    m, basis = eigencocycles(((2, 1), (1, 1)))
-    assert m == 0 and basis == []
+    assert eigencocycles(((2, 1), (1, 1))) == []
 
 
 def test_eigencocycles_on_instances(built):
     a = built.tower.matrix
-    m, basis = eigencocycles(a)
+    basis = eigencocycles(a)
+    m = len(basis)
     assert m >= 1
     for vec in basis:
         image = tuple(

@@ -12,7 +12,6 @@ from ietskew import cocycles, maharam
 from ietskew import verification as V
 from ietskew.algebra import LaurentMatrix, LaurentPolynomial
 from ietskew.bratteli import BratteliDiagram
-from ietskew.cocycles import SkewedPathState
 from ietskew.instances import build_instance, load_instance
 
 
@@ -117,7 +116,7 @@ def test_level_counting_fails_at_the_damaged_power(built, monkeypatch):
 def with_fault_tower(built):
     """built on the diagram of a tower whose words disagree with its matrix."""
     corrupt = V._tower_with_swapped_letters(built.tower)  # built past TowerSystem's validation
-    return built.with_diagram(BratteliDiagram(corrupt))
+    return replace(built, diagram=BratteliDiagram(corrupt))
 
 
 def test_bratteli_dictionary_counts_the_letters_of_a_fault_tower(built):
@@ -177,6 +176,24 @@ def test_maharam_draws_psi_then_seed_from_one_rng(built, monkeypatch):
         psis.append([rng.uniform(-1.0, 1.0) for _ in range(built.phi.m)])
         seeds.append(rng.randrange(2 ** 30))
     assert seen == {"psis": psis, "seeds": seeds, "kwargs": {"samples": 50, "level": 5}}
+
+
+def test_maharam_fails_when_the_skewed_step_moves_each_fiber_one_step_too_far(built, monkeypatch):
+    # criterion 8 steps its samples through skewed_adic_step; a step that
+    # adds phi twice breaks both invariance and quasi-invariance
+    exact = maharam.skewed_adic_step
+
+    def too_far(fl, ids, fiber):
+        succ, moved = exact(fl, ids, fiber)
+        return succ, moved + (moved - fiber)
+
+    monkeypatch.setattr(maharam, "skewed_adic_step", too_far)
+    monkeypatch.setattr(V, "MAHARAM_PSIS", 2)
+    result = V.check_maharam(built, seed=0)
+    assert result.status == "fail"
+    assert result.detail.startswith("residual above 1e-10 at psi #0; step ")
+    step, quasi = re.search(r"step (\S+), quasi (\S+),", result.detail).groups()
+    assert float(step) > 1e-10 and float(quasi) > 1e-10
 
 
 def test_maharam_is_one_perron_call_and_no_scalar_masses(built, monkeypatch):
@@ -256,7 +273,7 @@ def test_dictionary_fails_on_a_wrong_offset(built, level, damage, detail):
     else:
         off[1], off[2] = off[2], off[1]
     diagram._offsets[level] = off
-    result = V.check_bratteli_dictionary(built.with_diagram(diagram))
+    result = V.check_bratteli_dictionary(replace(built, diagram=diagram))
     assert (result.status, result.detail) == ("fail", detail)
 
 
@@ -271,7 +288,7 @@ def test_dictionary_fails_on_a_wrong_offset(built, level, damage, detail):
 def test_tail_cocycle_fails_on_the_injected_phi_fault(name, path):
     # the first drawn path whose tail cocycle misses the changed phi
     built = build_instance(load_instance(name))
-    result = V.check_tail_cocycle(built.with_phi(V._phi_fault(built)), seed=0)
+    result = V.check_tail_cocycle(replace(built, phi=V._phi_fault(built)), seed=0)
     assert (result.status, result.detail) == ("fail", f"tail cocycle != phi at {path}")
 
 
@@ -339,9 +356,9 @@ def test_tail_cocycle_fails_on_a_telescoped_sum_off_by_one(golden, monkeypatch):
     # every skewed adic step of a level-9 row moves the fiber one too high
     exact = V.skewed_adic_step
 
-    def one_high_at_level_9(fl, state):
-        moved = exact(fl, state)
-        return SkewedPathState(moved.ids, moved.fiber + (state.ids.shape[1] == 9))
+    def one_high_at_level_9(fl, ids, fiber):
+        succ, moved = exact(fl, ids, fiber)
+        return succ, moved + (ids.shape[1] == 9)
 
     monkeypatch.setattr(V, "skewed_adic_step", one_high_at_level_9)
     result = V.check_tail_cocycle(golden, seed=0)
@@ -361,9 +378,9 @@ def test_tail_cocycle_fails_on_an_f_value_off_by_one_at_depth_4(built, seed, mon
     assert result.detail.startswith("telescoped sum identity broken")
 
 
-def tails_only(fl, state, depth):
+def tails_only(fl, ids, fiber, depth):
     """shift_image reduced to the tails: the shift-class test sees no fiber."""
-    return SkewedPathState(state.ids[:, depth:], state.fiber[:, :0])
+    return ids[:, depth:], fiber[:, :0]
 
 
 def test_tail_orbit_fails_on_a_chain_with_one_shifted_fiber(golden, monkeypatch):
@@ -372,11 +389,11 @@ def test_tail_orbit_fails_on_a_chain_with_one_shifted_fiber(golden, monkeypatch)
     # one step's fiber one high and the next one low move chain[4] alone
     exact_step = V.skewed_adic_step
 
-    def shifted_step(fl, state):
-        out = exact_step(fl, state)
-        out.fiber[3, 0] += 1
-        out.fiber[4, 0] -= 1
-        return out
+    def shifted_step(fl, ids, fiber):
+        succ, moved = exact_step(fl, ids, fiber)
+        moved[3, 0] += 1
+        moved[4, 0] -= 1
+        return succ, moved
 
     monkeypatch.setattr(V, "skewed_adic_step", shifted_step)
     result = V.check_tail_orbit(golden, seed=0)
@@ -392,10 +409,10 @@ def test_tail_orbit_fails_on_one_moved_fiber_in_a_witness_batch(built, monkeypat
     # moved by one must fail that tower, the first
     exact = V.tail_orbit_witness
 
-    def moved(fl, s1, s2, depth):
-        fiber = s2.fiber.copy()
+    def moved(fl, first, second, depth):
+        ids, fiber = second[0], second[1].copy()
         fiber[len(fiber) // 2, 0] += 1
-        return exact(fl, s1, SkewedPathState(s2.ids, fiber), depth)
+        return exact(fl, first, (ids, fiber), depth)
 
     monkeypatch.setattr(V, "tail_orbit_witness", moved)
     result = V.check_tail_orbit(built, seed=0)
@@ -414,11 +431,11 @@ def test_tail_orbit_fails_when_the_rows_leave_the_floor_order(golden, monkeypatc
             ids[[0, 1]] = ids[[1, 0]]
         return ids
 
-    def step(fl, state):
-        out = exact_step(fl, state)
+    def step(fl, ids, fiber):
+        succ, moved = exact_step(fl, ids, fiber)
         if damage == "step":  # row 2 stepped twice
-            out.ids[2] = fl.diagram.adic_successors(out.ids[2:3])[0]
-        return out
+            succ[2] = fl.diagram.adic_successors(succ[2:3])[0]
+        return succ, moved
 
     monkeypatch.setattr(BratteliDiagram, "floors_to_paths", paths)
     monkeypatch.setattr(V, "skewed_adic_step", step)
@@ -434,7 +451,7 @@ def test_tail_orbit_fails_on_a_tower_one_floor_short(golden, monkeypatch):
     heights = diagram.heights(2)
     diagram._heights[2] = (heights[0] - 1, *heights[1:])
     monkeypatch.setattr(V, "shift_image", tails_only)
-    result = V.check_tail_orbit(golden.with_diagram(diagram), seed=0)
+    result = V.check_tail_orbit(replace(golden, diagram=diagram), seed=0)
     assert (result.status, result.detail) == ("fail", "tower 1 orbit ended early")
 
 
