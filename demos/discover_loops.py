@@ -23,7 +23,7 @@ def search(top, bottom, maxlen):
         for seq in product("tb", repeat=length):
             comb = start
             for move in seq:
-                comb, _ = rauzy_step(comb, move)
+                comb, *_ = rauzy_step(comb, move)
             if comb != start:
                 continue
             try:

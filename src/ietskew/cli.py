@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -154,8 +155,8 @@ def _parse_grid_args(args, m: int):
             lo, hi, steps = float(lo), float(hi), int(steps)
         except ValueError:
             raise InstanceError(f"bad --grid spec {raw!r}; want min:max:steps") from None
-        if steps < 1 or hi <= lo:
-            raise InstanceError(f"bad --grid spec {raw!r}")
+        if steps < 1 or not 0 < hi - lo < math.inf:  # false for a nan, an inf or a span past float range
+            raise InstanceError(f"bad --grid spec {raw!r}; want min < max, max - min finite and steps >= 1")
         axes.append(tuple(lo + (hi - lo) * i / steps for i in range(steps + 1)))
     return (tuple(axes),)
 
@@ -256,7 +257,7 @@ def cmd_certify(built: BuiltInstance, args) -> int:
     return EXIT_OK if cert.verdict else EXIT_CHECK_FAILURE
 
 
-CSV_ROWS = 4_096  # most rows in one % call of the CSV block writer
+CSV_ROWS = 4_096  # most rows in one written string of a CSV table
 
 # '%.15g' % x, byte for byte, for the measure cells, as array code.  A
 # positive x in [1e-250, 1e250] with e = floor(log10 x) is scaled to
@@ -366,23 +367,6 @@ def _format_g15(x: np.ndarray) -> list[str]:
     return cells[:-1]
 
 
-def _csv_blocks(n_rows: int, block):
-    """CSV text of rows 0 .. n_rows - 1, one string per block of at most
-    CSV_ROWS rows.
-
-    ``block(rows)`` takes an index array of consecutive rows and returns a
-    list of their %-templates, then one list per template field holding its
-    value in each row; a block is one % call on the joined templates with
-    the fields interleaved row by row.
-    """
-    for start in range(0, n_rows, CSV_ROWS):
-        templates, *fields = block(np.arange(start, min(start + CSV_ROWS, n_rows)))
-        args = [None] * (len(templates) * len(fields))
-        for k, field in enumerate(fields):
-            args[k::len(fields)] = field
-        yield "".join(templates) % tuple(args)
-
-
 def _write_csv(header: list[str], row_blocks, out) -> None:
     """Write the header row, then each string of ``row_blocks`` as it comes,
     to the open file ``out`` or to stdout."""
@@ -393,8 +377,8 @@ def _write_csv(header: list[str], row_blocks, out) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _table_blocks(built: BuiltInstance, psi, table: MeasureTable):
-    """Rows of one maharam table, psi as given, sorted by (path string, fiber string).
+def _table_blocks(built: BuiltInstance, table: MeasureTable):
+    """Rows of one maharam table, sorted by (path string, fiber string).
 
     Edge strings (j,l) are prefix-free, so path strings sort as the tuples
     of their edges' string ranks: the paths come in that order from
@@ -406,22 +390,20 @@ def _table_blocks(built: BuiltInstance, psi, table: MeasureTable):
     fiber_strs = [_fiber_str(a) for a in table.fibers]
     fiber_order = np.argsort(fiber_strs)
     fiber_logs = table.fiber_logs[fiber_order]
-    prefix = ",".join(_csv_cells(list(psi) + [table.level]))
-    templates = np.array(
-        [f'{prefix},"%s",{cell},%s\r\n' for cell in _csv_cells(fiber_strs[j] for j in fiber_order)],
-        dtype=object,
-    )
+    prefix = ",".join(_csv_cells(list(table.psi) + [table.level]))
+    fiber_cells = np.array(_csv_cells(fiber_strs[j] for j in fiber_order), dtype=object)
     rank, edge_objs = np.argsort(np.argsort(edge_strs)), np.array(edge_strs, dtype=object)
     for ids in built.diagram.path_blocks(table.level, rank=rank):
         paths = edge_objs[ids].sum(axis=1)  # the edge strings of each row, concatenated
         path_logs = table.path_logs(ids)
-
-        def block(rows):
-            p, f = np.divmod(rows, len(templates))
-            masses = np.exp(path_logs[p] + fiber_logs[f])
-            return templates[f].tolist(), paths[p].tolist(), _format_g15(masses)
-
-        yield from _csv_blocks(len(ids) * len(templates), block)
+        n_rows = len(ids) * len(fiber_cells)
+        for start in range(0, n_rows, CSV_ROWS):
+            p, f = np.divmod(np.arange(start, min(start + CSV_ROWS, n_rows)), len(fiber_cells))
+            # the cells before the fiber, once per path: fewer fields per row
+            heads = np.array([f'{prefix},"{path}",' for path in paths[p[0]:p[-1] + 1].tolist()], dtype=object)
+            masses = _format_g15(np.exp(path_logs[p] + fiber_logs[f]))
+            fields = zip(heads[p - p[0]].tolist(), fiber_cells[f].tolist(), masses)
+            yield "".join([f"{head}{cell},{mass}\r\n" for head, cell, mass in fields])
 
 
 def cmd_maharam(built: BuiltInstance, args) -> int:
@@ -431,11 +413,10 @@ def cmd_maharam(built: BuiltInstance, args) -> int:
     level = args.level if args.level is not None else TABLE_LEVEL
     # every table, so every psi, is checked before the first row is written
     tables = [
-        (psi, build_measure_table(built.floor, psi, level=level))
-        for psi in _parse_psi_args(args, m, built)
+        build_measure_table(built.floor, psi, level=level) for psi in _parse_psi_args(args, m, built)
     ]
     header = [f"psi_{i + 1}" for i in range(m)] + ["level", "path", "fiber", "measure"]
-    rows = (block for psi, table in tables for block in _table_blocks(built, psi, table))
+    rows = (block for table in tables for block in _table_blocks(built, table))
     _write_csv(header, rows, args.out)
     return EXIT_OK
 
@@ -444,16 +425,15 @@ def _profile_blocks(profile: GridProfile):
     """Rows of one continuity grid, cylinder-major, points in product(*axes) order."""
     psi_strs = np.array([",".join(map(str, point)) for point in product(*profile.axes)], dtype=object)
     n_cyl = profile.masses.shape[1]
-    templates = np.array([f"{profile.step},{c},%s,%s,%s\r\n" for c in range(n_cyl)], dtype=object)
+    heads = np.array([f"{profile.step},{c}" for c in range(n_cyl)], dtype=object)  # str once per cylinder
     masses, deltas = profile.masses.T.ravel(), profile.deltas.T.ravel()
-
-    def block(rows):
+    for start in range(0, masses.size, CSV_ROWS):
+        rows = np.arange(start, min(start + CSV_ROWS, masses.size))
         c, i = np.divmod(rows, len(psi_strs))
-        return (
-            templates[c].tolist(), psi_strs[i].tolist(), _format_g15(masses[rows]), _format_g15(deltas[rows])
+        fields = zip(
+            heads[c].tolist(), psi_strs[i].tolist(), _format_g15(masses[rows]), _format_g15(deltas[rows])
         )
-
-    return _csv_blocks(masses.size, block)
+        yield "".join([f"{head},{psi},{mass},{delta}\r\n" for head, psi, mass, delta in fields])
 
 
 def cmd_continuity(built: BuiltInstance, args) -> int:

@@ -27,19 +27,19 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .algebra import (
     IntMatrix,
-    as_matrix,
     column_sums,
     identity_matrix,
     is_positive,
     mat_mul,
     mat_pow,
     mat_vec,
+    transpose,
+    vec_add,
 )
 
 SCALE_DIGITS = 48
@@ -81,22 +81,14 @@ class IetCombinatorics:
         return len(self.top)
 
 
-@dataclass(frozen=True)
-class RauzyRule:
-    """Effect of one induction step: combinatorics plus word update."""
+def rauzy_step(comb: IetCombinatorics, move: str) -> tuple[IetCombinatorics, int, tuple[int, int]]:
+    """Apply one Rauzy induction step ("t" = top wins, "b" = bottom wins).
 
-    winner: int
-    loser: int
-    words: tuple[tuple[int, ...], ...]  # one-step word per label, 1-based by index+1
-
-    def matrix(self, d: int) -> IntMatrix:
-        rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        rows[self.winner - 1][self.loser - 1] += 1
-        return as_matrix(rows)
-
-
-def rauzy_step(comb: IetCombinatorics, move: str) -> tuple[IetCombinatorics, RauzyRule]:
-    """Apply one Rauzy induction step ("t" = top wins, "b" = bottom wins)."""
+    Returns the new combinatorics, the loser and its one-step pair
+    (bottom-last, top-last): the loser's new word is the concatenation of
+    the pair's two words, so its column of letter counts is the sum of
+    their two columns, and every other word stays as it is.
+    """
     if move not in ("t", "b"):
         raise ValueError(f"move must be 't' or 'b', got {move!r}")
     top, bottom = comb.top, comb.bottom
@@ -111,10 +103,7 @@ def rauzy_step(comb: IetCombinatorics, move: str) -> tuple[IetCombinatorics, Rau
         new_top = list(top[:-1])
         new_top.insert(new_top.index(winner) + 1, loser)
         new_comb = IetCombinatorics(tuple(new_top), bottom)
-    words = tuple(
-        (alpha_b, alpha_t) if j == loser else (j,) for j in range(1, comb.d + 1)
-    )
-    return new_comb, RauzyRule(winner, loser, words)
+    return new_comb, loser, (alpha_b, alpha_t)
 
 
 class RauzyLoop:
@@ -132,13 +121,13 @@ class RauzyLoop:
         if not self.steps:
             raise ValueError("empty move sequence is not a loop")
         comb = start
-        mat = identity_matrix(start.d)
+        cols = list(identity_matrix(start.d))  # letter counts of each word, by column
         for move in self.steps:
-            comb, rule = rauzy_step(comb, move)
-            mat = mat_mul(mat, rule.matrix(start.d))
+            comb, loser, (b, t) = rauzy_step(comb, move)
+            cols[loser - 1] = vec_add(cols[b - 1], cols[t - 1])
         if comb != start:
             raise ValueError("move sequence does not return to its starting combinatorics")
-        power = mat
+        power = mat = transpose(cols)
         amp = 1
         cap = 2 * start.d * start.d
         while not is_positive(power):
@@ -183,10 +172,11 @@ def letter_counts(words) -> IntMatrix:
 def compose_loop(loop: RauzyLoop, repeat: int = 1) -> TowerSystem:
     """Tower system for the (amplified) loop traversed ``repeat`` times.
 
-    ``repeat = 0`` gives the identity system (w_j = (j), A = I).  Words
-    compose by substitution, so their letter counts must equal the
-    ``repeat``-th power of the one-period matrix, which ``TowerSystem``
-    checks.
+    ``repeat = 0`` gives the identity system (w_j = (j), A = I).  Each step
+    sets the loser's word to the concatenation of its pair's two words, the
+    same rule by which ``RauzyLoop`` sums two columns, so the letter counts
+    must equal the ``repeat``-th power of the one-period matrix, which
+    ``TowerSystem`` checks.
     """
     if repeat < 0:
         raise ValueError("repeat must be nonnegative")
@@ -194,11 +184,8 @@ def compose_loop(loop: RauzyLoop, repeat: int = 1) -> TowerSystem:
     words: list[tuple[int, ...]] = [(j,) for j in range(1, d + 1)]
     comb = loop.start
     for move in loop.period_steps * repeat:
-        comb, rule = rauzy_step(comb, move)
-        words = [
-            tuple(chain.from_iterable(words[x - 1] for x in rule.words[j]))
-            for j in range(d)
-        ]
+        comb, loser, (b, t) = rauzy_step(comb, move)
+        words[loser - 1] = words[b - 1] + words[t - 1]
     return TowerSystem(d, mat_pow(loop.period_matrix, repeat), tuple(words), tuple(map(len, words)))
 
 

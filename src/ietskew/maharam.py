@@ -96,6 +96,9 @@ def level_matrices(floor: FloorCocycle, psis: np.ndarray) -> np.ndarray:
     every edge e adds exp(<psi, f(e)>) to its (source, target) cell."""
     if psis.shape[1:] != (floor.m,):
         raise ValueError(f"psi must have dimension {floor.m}")
+    if not np.isfinite(psis).all():
+        bad = tuple(psis[np.argmin(np.isfinite(psis).all(axis=1))].tolist())
+        raise ValueError(f"psi {bad} is not finite")
     d = floor.diagram.d
     with np.errstate(over="ignore", invalid="ignore"):
         mats = (np.exp(psis @ floor.f.T) @ np.eye(d * d)[floor.cell]).reshape(len(psis), d, d)
@@ -293,7 +296,7 @@ class MeasureTable:
     nothing that grows with the number of paths.
     """
 
-    psi: tuple[float, ...]
+    psi: tuple[float, ...]  # as given: the CSV prints the default zero vector of ints as 0
     level: int
     fibers: tuple[tuple[int, ...], ...]
     floor: FloorCocycle
@@ -341,4 +344,4 @@ def build_measure_table(fl: FloorCocycle, psi, level: int) -> MeasureTable:
     pf = perron(level_matrices(fl, psis))
     bound = path_sum_bound(fl, level)
     fibers = tuple(product(range(-bound, bound + 1), repeat=fl.m))
-    return MeasureTable(tuple(psis[0].tolist()), level, fibers, fl, pf)
+    return MeasureTable(tuple(psi), level, fibers, fl, pf)

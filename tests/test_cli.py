@@ -590,6 +590,40 @@ def test_maharam_names_a_psi_out_of_float_range(psi, capsys):
     )
 
 
+@pytest.mark.parametrize("name, prefix", [("golden_triple", "0,1,"), ("genus2_rank2", "0,0,1,")])
+def test_maharam_prints_the_default_psi_as_given(name, prefix, capsys):
+    # with no --psi and no preset the table is at the zero vector of ints, printed as 0
+    assert run_cli("maharam", "--instance", name, "--level", "1") == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows and all(row.startswith(prefix + '"') for row in rows)
+
+
+GRID_WANT = "want min < max, max - min finite and steps >= 1"
+NON_FINITE = {
+    "psi": (["maharam", "--psi=nan"], "error: psi (nan,) is not finite\n"),
+    "grid-nan": (["continuity", "--grid=nan:1:4"], f"error: bad --grid spec 'nan:1:4'; {GRID_WANT}\n"),
+    "grid-inf": (["continuity", "--grid=-1:inf:4"], f"error: bad --grid spec '-1:inf:4'; {GRID_WANT}\n"),
+    "grid-span": (  # both bounds finite, but max - min overflows
+        ["continuity", "--grid=-1e308:1e308:4"], f"error: bad --grid spec '-1e308:1e308:4'; {GRID_WANT}\n"
+    ),
+    "preset": (["maharam"], "error: psi (nan,) is not finite\n"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_a_non_finite_psi_is_named_as_such(case, tmp_path, capsys):
+    # json.loads reads NaN, so an instance preset can hold one as well as a flag
+    data = json.loads((ROOT / "src" / "ietskew" / "instances" / "golden_triple.json").read_text())
+    path = tmp_path / "nan_preset.json"
+    path.write_text(json.dumps(dict(data, psi=[[float("nan")]])))
+    argv, err = NON_FINITE[case]
+    instance = str(path) if case == "preset" else "golden_triple"
+    assert run_cli(*argv, "--instance", instance) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_maharam_checks_every_psi_before_writing(tmp_path, capsys):
     # the second psi overflows: no row of the first table may be written
     argv = ["maharam", "--instance", "genus2_rank2", "--level", "2", "--psi", "0,0", "--psi", "0,300"]

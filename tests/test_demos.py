@@ -1,5 +1,6 @@
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+LOOP_SEARCH = ROOT / "demos" / "discover_loops.py"
 
 
 def test_demos_are_found():
     assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04"]
+    assert sorted((ROOT / "demos").glob("*.py")) == [*DEMOS, LOOP_SEARCH]
 
 
 def run_python(args):
@@ -27,6 +30,13 @@ def test_demo_runs(demo):
     # the demos are deterministic: a change to what one prints updates its golden file on purpose
     golden = ROOT / "tests" / "data" / f"demo_{demo.stem}.txt"
     assert run_python([str(demo)]) == golden.read_text()
+
+
+def test_loop_search_demo_runs(monkeypatch, capsys):
+    # in-process and short: 82 loops of length <= 8, in about 0.1 s
+    monkeypatch.setattr(sys, "argv", [str(LOOP_SEARCH), "--maxlen", "8", "--keep", "100"])
+    runpy.run_path(str(LOOP_SEARCH), run_name="__main__")
+    assert capsys.readouterr().out == (ROOT / "tests" / "data" / "demo_discover_loops.txt").read_text()
 
 
 def test_readme_quick_start_prints_a_path_as_labels_and_ids():

@@ -29,25 +29,34 @@ def test_combinatorics_validation():
         IetCombinatorics((1, 2, 2), (2, 2, 1))
 
 
+def after_step(words, loser, pair):
+    """The words after one step: the loser's is its pair's two words, concatenated."""
+    words = list(words)
+    words[loser - 1] = words[pair[0] - 1] + words[pair[1] - 1]
+    return tuple(words)
+
+
 def test_rauzy_step_top_bottom():
     c = IetCombinatorics((1, 2, 3), (3, 2, 1))
-    ct, rule_t = rauzy_step(c, "t")
-    assert rule_t.winner == 3 and rule_t.loser == 1
+    singletons = ((1,), (2,), (3,))
+    ct, loser_t, pair_t = rauzy_step(c, "t")
+    assert loser_t == 1 and set(pair_t) - {loser_t} == {3}  # the winner is the pair's other label
     assert ct.top == (1, 2, 3) and ct.bottom == (3, 1, 2)
-    assert rule_t.words == ((1, 3), (2,), (3,))
-    cb, rule_b = rauzy_step(c, "b")
-    assert rule_b.winner == 1 and rule_b.loser == 3
+    assert after_step(singletons, loser_t, pair_t) == ((1, 3), (2,), (3,))
+    cb, loser_b, pair_b = rauzy_step(c, "b")
+    assert loser_b == 3 and set(pair_b) - {loser_b} == {1}
     assert cb.top == (1, 3, 2) and cb.bottom == (3, 2, 1)
-    assert rule_b.words == ((1,), (2,), (1, 3))
+    assert after_step(singletons, loser_b, pair_b) == ((1,), (2,), (1, 3))
 
 
 def test_elementary_matrices_unimodular():
     c = IetCombinatorics((1, 2, 3, 4), (4, 3, 2, 1))
     for move in ("t", "b"):
-        _, rule = rauzy_step(c, move)
-        mat = rule.matrix(4)
-        # triangular with unit diagonal up to permutation: determinant 1
-        det = _det(mat)
+        _, loser, (b, t) = rauzy_step(c, move)
+        cols = [[int(i == j) for i in range(4)] for j in range(4)]
+        cols[loser - 1] = [x + y for x, y in zip(cols[b - 1], cols[t - 1])]
+        # the identity plus one off-diagonal 1: determinant 1
+        det = _det(cols)
         assert det in (1, -1)
 
 
