@@ -153,9 +153,11 @@ def _parse_grid_args(args, m: int):
         try:
             lo, hi, steps = raw.split(":")
             lo, hi, steps = float(lo), float(hi), int(steps)
-        except ValueError:
+            span = (hi - lo) * steps  # the largest (hi - lo) * i of the grid points
+        except (ValueError, OverflowError):  # OverflowError: steps past float range
             raise InstanceError(f"bad --grid spec {raw!r}; want min:max:steps") from None
-        if steps < 1 or not 0 < hi - lo < math.inf:  # false for a nan, an inf or a span past float range
+        # refuses a nan, an inf and a span or a grid point past float range
+        if steps < 1 or not 0 < hi - lo or not span < math.inf:
             raise InstanceError(f"bad --grid spec {raw!r}; want min < max, max - min finite and steps >= 1")
         axes.append(tuple(lo + (hi - lo) * i / steps for i in range(steps + 1)))
     return (tuple(axes),)
@@ -385,25 +387,36 @@ def _table_blocks(built: BuiltInstance, table: MeasureTable):
     ``path_blocks``, and each block of paths gets its strings as it is
     written.  A path string always holds a comma and never a quote, so its
     CSV cell is the string in quotes.
+
+    A mass depends on its path only through the path's log factor, and a
+    block holds few distinct factors: the row tails (fiber cell and mass)
+    of each are formatted once, and a path's rows are its head joined with
+    its factor's tails.  Equal doubles go through the same add and ``exp``,
+    so each mass has the bits a row-by-row writer gives it.  A call to
+    ``_format_g15`` gets at most CSV_ROWS values, or one factor's fibers if
+    there are more: its scratch arrays grow with the values.
     """
     edge_strs = built.diagram.labels
     fiber_strs = [_fiber_str(a) for a in table.fibers]
     fiber_order = np.argsort(fiber_strs)
     fiber_logs = table.fiber_logs[fiber_order]
     prefix = ",".join(_csv_cells(list(table.psi) + [table.level]))
-    fiber_cells = np.array(_csv_cells(fiber_strs[j] for j in fiber_order), dtype=object)
+    fiber_cells = _csv_cells(fiber_strs[j] for j in fiber_order)
+    n_fibers = len(fiber_cells)
+    step = max(1, CSV_ROWS // n_fibers)  # paths per written string, and factors per _format_g15 call
     rank, edge_objs = np.argsort(np.argsort(edge_strs)), np.array(edge_strs, dtype=object)
     for ids in built.diagram.path_blocks(table.level, rank=rank):
+        logs, log_index = np.unique(table.path_logs(ids), return_inverse=True)
+        tails = []
+        for start in range(0, len(logs), step):
+            masses = _format_g15(np.exp(logs[start:start + step, None] + fiber_logs).ravel())
+            rows = [f"{cell},{mass}\r\n" for cell, mass in zip(fiber_cells * step, masses)]
+            tails += [rows[i:i + n_fibers] for i in range(0, len(rows), n_fibers)]
         paths = edge_objs[ids].sum(axis=1)  # the edge strings of each row, concatenated
-        path_logs = table.path_logs(ids)
-        n_rows = len(ids) * len(fiber_cells)
-        for start in range(0, n_rows, CSV_ROWS):
-            p, f = np.divmod(np.arange(start, min(start + CSV_ROWS, n_rows)), len(fiber_cells))
-            # the cells before the fiber, once per path: fewer fields per row
-            heads = np.array([f'{prefix},"{path}",' for path in paths[p[0]:p[-1] + 1].tolist()], dtype=object)
-            masses = _format_g15(np.exp(path_logs[p] + fiber_logs[f]))
-            fields = zip(heads[p - p[0]].tolist(), fiber_cells[f].tolist(), masses)
-            yield "".join([f"{head}{cell},{mass}\r\n" for head, cell, mass in fields])
+        for start in range(0, len(ids), step):
+            heads = [f'{prefix},"{path}",' for path in paths[start:start + step].tolist()]
+            indices = log_index[start:start + step].tolist()
+            yield "".join([head + head.join(tails[u]) for head, u in zip(heads, indices)])
 
 
 def cmd_maharam(built: BuiltInstance, args) -> int:

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -6,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from itertools import product
+from itertools import product, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,13 @@ from hypothesis import strategies as st
 from ietskew import bratteli, cli, skew, verification
 from ietskew.cli import main
 from ietskew.instances import build_instance, load_instance
-from ietskew.maharam import MaharamMeasure, continuity_profile, default_cylinder_family
+from ietskew.maharam import (
+    MaharamMeasure,
+    MeasureTable,
+    build_measure_table,
+    continuity_profile,
+    default_cylinder_family,
+)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -277,6 +284,106 @@ def test_maharam_rows_match_path_enumeration_and_cylinder_measures(tmp_path, nam
         assert worst <= 1e-12
 
 
+@functools.cache
+def packaged(name):
+    return build_instance(load_instance(name))
+
+
+def reference_csv(built, psis, level) -> str:
+    """The maharam CSV of each psi, row by row: '%.15g' % exp(path log +
+    fiber log) and csv.writer quoting, rows sorted by (path, fiber) string.
+
+    The path logs come from the blocks ``path_blocks`` gives the CLI: for
+    m = 2 the last bits of a log can depend on the block it is computed in.
+    """
+    labels, m = built.diagram.labels, built.phi.m
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow([f"psi_{i + 1}" for i in range(m)] + ["level", "path", "fiber", "measure"])
+    for psi in psis:
+        table = build_measure_table(built.floor, psi, level)
+        fibers = ["(" + ",".join(map(str, a)) + ")" for a in table.fibers]
+        rows = []
+        for ids in built.diagram.path_blocks(level, rank=np.argsort(np.argsort(labels))):
+            masses = np.exp(table.path_logs(ids)[:, None] + table.fiber_logs)
+            for p, row in zip(ids.tolist(), masses.tolist()):
+                path = "".join(labels[i] for i in p)
+                rows += [(path, fiber, "%.15g" % mass) for fiber, mass in zip(fibers, row)]
+        writer.writerows([*psi, level, *row] for row in sorted(rows))
+    return buffer.getvalue()
+
+
+def first_difference(got: str, want: str):
+    """None for equal texts, else the first line where they differ, from each:
+    a short message where a diff of two tables would take minutes."""
+    if got == want:
+        return None
+    lines = enumerate(zip_longest(got.splitlines(), want.splitlines()))
+    return next((i, a, b) for i, (a, b) in lines if a != b)
+
+
+def count_formatted(monkeypatch) -> list[int]:
+    """The number of values of each call to ``cli._format_g15`` from now on."""
+    sizes, format_g15 = [], cli._format_g15
+
+    def counted(x):
+        sizes.append(len(x))
+        return format_g15(x)
+
+    monkeypatch.setattr(cli, "_format_g15", counted)
+    return sizes
+
+
+# genus2_rank2 at level 3 is 4.5 M rows, too many for a row-by-row reference
+ORACLE_CASES = [
+    (name, level, psi)
+    for name, given in [("golden_triple", "-0.41"), ("genus2_rank1", "0.3127"), ("genus2_rank2", "0.4,-0.3")]
+    for level in (1, 2, 3)
+    if (name, level) != ("genus2_rank2", 3)
+    for psi in (None, given)
+]
+
+
+@pytest.mark.parametrize("name, level, psi", ORACLE_CASES)
+def test_maharam_matches_a_row_by_row_reference(name, level, psi, capsys):
+    built = packaged(name)
+    # no --psi: the packaged presets, else the zero vector of ints
+    psis = [tuple(map(float, psi.split(",")))] if psi else built.spec.psi or [(0,) * built.phi.m]
+    assert run_cli("maharam", "--instance", name, "--level", str(level), *([f"--psi={psi}"] if psi else [])) == 0
+    assert first_difference(capsys.readouterr().out, reference_csv(built, psis, level)) is None
+
+
+def test_maharam_matches_the_reference_when_no_two_paths_share_a_log(monkeypatch, capsys):
+    def distinct_logs(self, ids):
+        number = ids @ self.floor.diagram.num_edges ** np.arange(ids.shape[1])  # one per path
+        return path_logs(self, ids) + 1e-6 * number
+
+    path_logs = MeasureTable.path_logs
+    monkeypatch.setattr(MeasureTable, "path_logs", distinct_logs)
+    built = packaged("golden_triple")
+    table = build_measure_table(built.floor, (-0.41,), 3)
+    logs = np.concatenate([table.path_logs(ids) for ids in built.diagram.path_blocks(3)])
+    assert np.unique(logs).size == logs.size == 577
+    sizes = count_formatted(monkeypatch)
+    assert run_cli("maharam", "--instance", "golden_triple", "--level", "3", "--psi=-0.41") == 0
+    assert first_difference(capsys.readouterr().out, reference_csv(built, [(-0.41,)], 3)) is None
+    assert sum(sizes) == 577 * 9  # every row's mass formatted on its own
+    assert max(sizes) <= cli.CSV_ROWS  # the formatter's scratch arrays stay small
+
+
+def test_maharam_formats_each_distinct_path_log_once_per_fiber(tmp_path, monkeypatch):
+    built = packaged("golden_triple")
+    table = build_measure_table(built.floor, (0.3127,), 5)
+    blocks = list(built.diagram.path_blocks(5))
+    distinct = sum(np.unique(table.path_logs(ids)).size for ids in blocks)
+    assert (len(blocks), distinct, len(table.fibers)) == (1, 33, 13)
+    sizes = count_formatted(monkeypatch)
+    out = tmp_path / "t.csv"
+    assert run_cli("maharam", "--instance", "golden_triple", "--level", "5", "--psi=0.3127", "--out", str(out)) == 0
+    assert sum(sizes) == 33 * 13  # not one value per row: 19,601 paths x 13 fibers = 254,813
+    assert max(sizes) <= cli.CSV_ROWS
+
+
 def test_maharam_uses_instance_psi_presets(tmp_path):
     out = tmp_path / "t.csv"
     assert (
@@ -513,6 +620,11 @@ def test_a_closed_stdout_ends_the_run_quietly(capsys):
         (["inspect"], "the following arguments are required: --instance"),
         (["verify", "--instance", "golden_triple", "--level", "1"], "unrecognized arguments: --level 1"),
         (["inspect", "--instance", "golden_triple", "--psi", "9,9,9"], "unrecognized arguments: --psi 9,9,9"),
+        pytest.param(
+            ["continuity", "--instance", "golden_triple", f"--grid=0:1:1{'0' * 400}"],
+            f"bad --grid spec '0:1:1{'0' * 400}'; want min:max:steps",
+            id="grid-steps-past-float-range",
+        ),
     ],
 )
 def test_a_usage_error_exits_1_with_one_line(argv, message, capsys):
@@ -605,6 +717,9 @@ NON_FINITE = {
     "grid-inf": (["continuity", "--grid=-1:inf:4"], f"error: bad --grid spec '-1:inf:4'; {GRID_WANT}\n"),
     "grid-span": (  # both bounds finite, but max - min overflows
         ["continuity", "--grid=-1e308:1e308:4"], f"error: bad --grid spec '-1e308:1e308:4'; {GRID_WANT}\n"
+    ),
+    "grid-points": (  # max - min is finite, but (max - min) * steps overflows
+        ["continuity", "--grid=-5e307:5e307:4"], f"error: bad --grid spec '-5e307:5e307:4'; {GRID_WANT}\n"
     ),
     "preset": (["maharam"], "error: psi (nan,) is not finite\n"),
 }

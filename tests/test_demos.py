@@ -1,7 +1,5 @@
-import os
 import re
 import runpy
-import subprocess
 import sys
 from pathlib import Path
 
@@ -17,30 +15,32 @@ def test_demos_are_found():
     assert sorted((ROOT / "demos").glob("*.py")) == [*DEMOS, LOOP_SEARCH]
 
 
-def run_python(args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+def run_script(path, capsys, *args):
+    """What the script prints, run in this process as ``python path *args``."""
+    capsys.readouterr()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "argv", [str(path), *args])
+        runpy.run_path(str(path), run_name="__main__")
+    return capsys.readouterr().out
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo):
+def test_demo_runs(demo, capsys):
     # the demos are deterministic: a change to what one prints updates its golden file on purpose
     golden = ROOT / "tests" / "data" / f"demo_{demo.stem}.txt"
-    assert run_python([str(demo)]) == golden.read_text()
+    assert run_script(demo, capsys) == golden.read_text()
 
 
-def test_loop_search_demo_runs(monkeypatch, capsys):
-    # in-process and short: 82 loops of length <= 8, in about 0.1 s
-    monkeypatch.setattr(sys, "argv", [str(LOOP_SEARCH), "--maxlen", "8", "--keep", "100"])
-    runpy.run_path(str(LOOP_SEARCH), run_name="__main__")
-    assert capsys.readouterr().out == (ROOT / "tests" / "data" / "demo_discover_loops.txt").read_text()
+def test_loop_search_demo_runs(capsys):
+    # short: 82 loops of length <= 8, in about 0.1 s
+    out = run_script(LOOP_SEARCH, capsys, "--maxlen", "8", "--keep", "100")
+    assert out == (ROOT / "tests" / "data" / "demo_discover_loops.txt").read_text()
 
 
-def test_readme_quick_start_prints_a_path_as_labels_and_ids():
+def test_readme_quick_start_prints_a_path_as_labels_and_ids(tmp_path, capsys):
     readme = (ROOT / "README.md").read_text()
     (block,) = re.findall(r"## Quick start\n\n```python\n(.*?)```", readme, flags=re.S)
-    lines = run_python(["-c", block]).splitlines()
+    script = tmp_path / "quick_start.py"
+    script.write_text(block)
+    lines = run_script(script, capsys).splitlines()
     assert lines[2] == "(1,0)(1,0)(2,0) (0, 0, 6)"
