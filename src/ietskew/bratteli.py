@@ -254,9 +254,12 @@ class BratteliDiagram:
 
     @cached_property
     def draw_rows(self) -> tuple:
-        """The ``_draw_chain`` table of ``random_path_ids``: per 0-based tower
-        j, (q_j, its bit width, the edge id of floor 0, the 0-based label
-        under each floor); then a last row that draws the tower."""
+        """The draw table: per 0-based tower j, (q_j, its bit width, the edge
+        id of floor 0, the 0-based label under each floor); then a last row
+        that draws the tower.  Two loops read it: ``_draw_chain``, for
+        ``random_path_ids``, and ``maharam.step_samples``, which writes the
+        same walk out inline because a call per sample was most of its time
+        on criterion 8's 60 k samples per ``verify``."""
         rows = [(n, n.bit_length(), first, tuple(c - 1 for c in w))
                 for n, first, w in zip(self.q, self.first_ids, self.words)]
         return (*rows, (self.d, self.d.bit_length(), 0, tuple(range(self.d))))

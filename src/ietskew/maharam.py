@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from .algebra import LaurentMatrix, LaurentPolynomial, vec_add, zero_vector
-from .bratteli import BratteliDiagram, _draw_chain
+from .bratteli import BratteliDiagram
 from .cocycles import FloorCocycle, skewed_adic_step
 from .skew import SkewCocycle
 
@@ -77,6 +77,8 @@ def perron(matrix) -> PerronData:
         mv = np.einsum("nij,nj->ni", mats, v_live)
         residual = np.abs(mv - r_live[:, None] * v_live).sum(axis=1)
         done = residual <= PF_TOL * r_live
+        if not done.any():  # nothing to record or cut: the stack stays as it is
+            continue
         r[live[done]], v[live[done]], iterations[live[done]] = r_live[done], v_live[done], step
         if done.all():
             break
@@ -177,17 +179,45 @@ def recurrence_vector_residual(matrices: np.ndarray, pf: PerronData, k: int) -> 
 
 def step_samples(diagram: BratteliDiagram, level: int, samples: int, m: int, seed: int):
     """(samples, k) edge ids of ``random_path_ids`` draws, again while maximal, each
-    then given a fiber offset in [-2, 2]^m, (samples, m), by random.Random(seed);
-    the m coordinates are one ``_draw_chain`` from range(5), less 2, as
-    rng.randint(-2, 2) draws them."""
-    rng, rows, fibers = random.Random(seed), [], []
-    fiber_row = ((5, 3, -2, (0,) * 5),)  # range(5) by 3 bits, less 2, then again
-    while len(rows) < samples:
-        ids = diagram.random_path_ids(level, rng)
-        if not diagram.is_maximal(ids):
-            rows.append(ids)
-            fibers.append(_draw_chain(rng.getrandbits, fiber_row, 0, m))
-    return np.array(rows).reshape(samples, level), np.array(fibers).reshape(samples, m)
+    then given a fiber offset in [-2, 2]^m, (samples, m), by random.Random(seed).
+
+    Each sample is drawn inline on the diagram's ``draw_rows``, whose other
+    reader is ``bratteli._draw_chain``: a tower, then ``level`` floors down
+    from it, each r of range(n) by ``width`` bits, drawn again while r >= n,
+    as rng.randrange draws; a maximal path is drawn again; a kept path then
+    gets m fiber coordinates, each r of range(5) by 3 bits, less 2, as
+    rng.randint(-2, 2) draws them.  So the values, and the rng state after
+    them, are those of ``random_path_ids`` and ``randint``.  The rejection
+    rule is written here and in ``_draw_chain`` apart: criterion 8 draws
+    about 60 k samples per ``verify``, and a shared loop costs a call per
+    sample, which was most of this function's time.
+    """
+    rng = random.Random(seed)
+    bits, rows, tops = rng.getrandbits, diagram.draw_rows, frozenset(diagram.top_ids)
+    d, tower_width = diagram.d, diagram.d.bit_length()
+    paths, fibers = [], []
+    while len(paths) < samples:
+        j = bits(tower_width)
+        while j >= d:
+            j = bits(tower_width)
+        path = []
+        for _ in range(level):
+            n, width, first, under = rows[j]
+            r = bits(width)
+            while r >= n:
+                r = bits(width)
+            path.append(first + r)
+            j = under[r]
+        if tops.issuperset(path):
+            continue
+        path.reverse()
+        paths.append(path)
+        for _ in range(m):
+            r = bits(3)
+            while r >= 5:
+                r = bits(3)
+            fibers.append(r - 2)
+    return np.array(paths).reshape(samples, level), np.array(fibers).reshape(samples, m)
 
 
 def invariance_step_check(

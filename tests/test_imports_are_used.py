@@ -38,3 +38,23 @@ def test_every_imported_name_is_used():
         names = used(tree)
         unused += [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in imported(tree) if name not in names]
     assert unused == []
+
+
+def package_imports(tree):
+    """(name, line) of each name a module imports from another ``ietskew`` module."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level or (node.module or "").split(".")[0] == "ietskew":
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    paths = sorted(ROOT.glob("src/ietskew/*.py"))
+    assert len(paths) >= 10
+    private = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = package_imports(tree)
+        private += [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in names if name.startswith("_")]
+    assert private == []

@@ -58,6 +58,19 @@ def test_perron_basic():
     assert stack.iterations[0] == data.iterations < stack.iterations[1]
 
 
+def test_perron_stack_equals_each_matrix_alone(rank2):
+    # on a 5x5 psi grid the matrices stop after 9 to 12 steps, so the stack shrinks mid-run
+    axis = np.linspace(-1.0, 1.0, 5)
+    matrices = level_matrices(rank2.floor, np.array(list(product(axis, axis))))
+    stacked = perron(matrices)
+    assert len(set(stacked.iterations.tolist())) > 2
+    for t, matrix in enumerate(matrices):
+        alone = perron(matrix)
+        assert np.array_equal(stacked.eigenvalue[t], alone.eigenvalue)
+        assert np.array_equal(stacked.vector[t], alone.vector)
+        assert np.array_equal(stacked.iterations[t], alone.iterations)
+
+
 def test_perron_stop_is_relative_to_the_eigenvalue(golden):
     # r is about 1e13 at psi=30, so an absolute 1e-13 residual is out of reach
     measure = MaharamMeasure(golden.diagram, golden.phi, (30.0,))
