@@ -22,7 +22,6 @@ from ietskew.maharam import (
     invariance_step_check,
     level_counting_matrix,
     level_matrices,
-    perron,
     recurrence_vector_residual,
 )
 
@@ -35,13 +34,14 @@ print()
 psi = (0.4, -0.3)
 measure = MaharamMeasure(built.diagram, phi, psi)
 print(f"psi = {psi}, lambda = {tuple(round(x, 6) for x in map(math.exp, measure.psi))}")
-print(f"Perron eigenvalue of M(lambda): {measure.perron.eigenvalue:.10f}")
-print(f"Perron vector (unit mass):      {[round(x, 8) for x in measure.perron.vector]}")
+vector = measure.perron.vector[0].tolist()  # a single measure is a stack of one
+print(f"Perron eigenvalue of M(lambda): {measure.perron.eigenvalue[0]:.10f}")
+print(f"Perron vector (unit mass):      {[round(x, 8) for x in vector]}")
 print()
 
 print("fiber-translation scaling: mass(K_i x {a}) = lambda^a * mass(K_i x {0})")
 for i in (1, 2):
-    log_v = math.log(measure.perron.vector[i - 1])  # K_i is a level-0 cylinder: mass lambda^a v_i
+    log_v = math.log(vector[i - 1])  # K_i is a level-0 cylinder: mass lambda^a v_i
     base, shifted = math.exp(log_v), math.exp(log_v + psi[0])  # fibers 0 and (1, 0)
     print(f"  i={i}: {base:.8f} -> {shifted:.8f} (ratio {shifted / base:.8f})")
 print()
@@ -49,7 +49,7 @@ print()
 print("invariance checks (worst residuals), on a psi stack of one:")
 psis = np.array([psi])
 matrices = level_matrices(measure.floor, psis)
-pf = perron(matrices)
+pf = measure.perron  # the Perron data of this same stack
 invariance, quasi = invariance_step_check(measure.floor, psis, pf, seeds=[7], samples=500, level=4)
 print(f"  skewed-step invariance : {invariance[0]:.2e}")
 print(f"  quasi-invariance ratio : {quasi[0]:.2e}")
@@ -81,4 +81,4 @@ print()
 zero = MaharamMeasure(built.diagram, phi, zero_vector(phi.m))
 print("psi = 0 reduces to the unskewed picture: Perron vector = interval lengths")
 print(f"  lengths: {[round(x, 8) for x in built.lengths.lengths]}")
-print(f"  vector : {[round(x, 8) for x in zero.perron.vector]}")
+print(f"  vector : {[round(x, 8) for x in zero.perron.vector[0].tolist()]}")

@@ -12,7 +12,7 @@ import argparse
 from itertools import product
 
 from ietskew.algebra import integer_kernel
-from ietskew.iet import IetCombinatorics, RauzyLoop, compose_loop, rauzy_step
+from ietskew.iet import IetCombinatorics, RauzyLoop, compose_loop
 
 
 def search(top, bottom, maxlen):
@@ -21,15 +21,10 @@ def search(top, bottom, maxlen):
     found = []
     for length in range(2, maxlen + 1):
         for seq in product("tb", repeat=length):
-            comb = start
-            for move in seq:
-                comb, *_ = rauzy_step(comb, move)
-            if comb != start:
-                continue
             try:
                 loop = RauzyLoop(start, seq)
             except ValueError:
-                continue  # matrix never becomes positive
+                continue  # not a loop, or its matrix never becomes positive
             a = loop.period_matrix
             kernel = integer_kernel(
                 [[a[j][i] - (1 if i == j else 0) for j in range(d)] for i in range(d)]

@@ -36,6 +36,7 @@ from .maharam import (
     continuity_profile,
     default_cylinder_family,
     dyadic_grids,
+    grid_axis,
 )
 from .skew import check_periodic_type, require_periodic_type
 from .verification import run_verification
@@ -159,7 +160,7 @@ def _parse_grid_args(args, m: int):
         # refuses a nan, an inf and a span or a grid point past float range
         if steps < 1 or not 0 < hi - lo or not span < math.inf:
             raise InstanceError(f"bad --grid spec {raw!r}; want min < max, max - min finite and steps >= 1")
-        axes.append(tuple(lo + (hi - lo) * i / steps for i in range(steps + 1)))
+        axes.append(grid_axis(lo, hi, steps))
     return (tuple(axes),)
 
 

@@ -37,8 +37,10 @@ class CertificateInconclusive(RuntimeError):
 class FloorCocycle:
     """The f-value of every edge of a diagram, plus path sums.
 
-    Arrays by edge id: ``f`` holds f(e), shape (E, m), minus the sum of phi
-    over the floors of its tower under it; ``cell`` holds the flat index
+    Arrays by edge id: ``under`` holds phi of the label under each edge's
+    floor, phi at its source, shape (E, m), which is what a skewed adic step
+    adds at edge one; ``f`` holds f(e), minus the sum of ``under`` over the
+    floors of its tower below it; ``cell`` holds the flat index
     source * d + target (0-based) of each edge's matrix cell.
     """
 
@@ -48,8 +50,8 @@ class FloorCocycle:
         self.diagram = diagram
         self.phi = phi
         self.m = phi.m
-        under = np.array(phi.values)[diagram.source]  # phi of the label under each floor
-        below = np.cumsum(under, axis=0) - under  # summed over the edge ids before each one
+        self.under = np.array(phi.values)[diagram.source]
+        below = np.cumsum(self.under, axis=0) - self.under  # summed over the edge ids before each one
         self.f = below[np.array(diagram.first_ids)[diagram.target]] - below
         self.cell = diagram.source * diagram.d + diagram.target
 
@@ -75,8 +77,7 @@ def tail_cocycle(fl: FloorCocycle, ids: np.ndarray) -> np.ndarray:
 def skewed_adic_step(fl: FloorCocycle, ids: np.ndarray, fiber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row (p, a) of (rows, k) edge ids and (rows, m) fibers in Z^m ->
     (successor of p, a + phi at the source of edge one)."""
-    move = np.array(fl.phi.values)[fl.diagram.source[ids[:, 0]]]
-    return fl.diagram.adic_successors(ids), fiber + move
+    return fl.diagram.adic_successors(ids), fiber + fl.under[ids[:, 0]]
 
 
 def shift_image(fl: FloorCocycle, ids: np.ndarray, fiber: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,13 +144,13 @@ class AperiodicityCertificate:
         }
 
 
-def _common_prefix_length(words) -> int:
-    shortest = min(len(w) for w in words)
-    for n in range(shortest):
-        letter = words[0][n]
-        if any(w[n] != letter for w in words):
-            return n
-    return shortest
+def _covering_prefix(words) -> tuple[int, int, tuple[int, ...]]:
+    """(M, q_min, (i_1, ..., i_{M-1})) of a tower's return words: M + 1 is the
+    length of their common prefix, q_min the shortest word's length and i_n
+    the letter at 0-based position n of the prefix, the covering candidates."""
+    q_min = min(map(len, words))
+    shared = next((n for n in range(q_min) if len({w[n] for w in words}) > 1), q_min)
+    return shared - 1, q_min, tuple(words[0][1:max(shared - 1, 1)])
 
 
 MAX_REPETITION_EXPONENT = 10
@@ -186,14 +187,11 @@ def amplify_for_common_prefix(
                 f"{MAX_TOTAL_WORD_LENGTH}; last state: {last_diag}"
             )
         tower = compose_loop(loop, rep)
-        prefix_len = _common_prefix_length(tower.words)
-        m_len = prefix_len - 1
-        covered = {tower.words[0][n] for n in range(1, max(m_len, 1))}
-        q_min = min(tower.q)
-        covers = covered == set(range(1, d + 1))
+        m_len, q_min, prefix_letters = _covering_prefix(tower.words)
+        covers = set(prefix_letters) == set(range(1, d + 1))
         tall_enough = q_min > m_len + 1
         last_diag = f"rep={rep} M={m_len} q_min={q_min} covers={covers}"
-        if not exp and prefix_len == q_min:  # sigma^n(j) is then a prefix of every sigma^n(i)
+        if not exp and m_len + 1 == q_min:  # sigma^n(j) is then a prefix of every sigma^n(i)
             raise CertificateInconclusive(
                 f"the shortest return word is a prefix of every return word, so q_min = M + 1 "
                 f"at every repetition; last state: {last_diag}"
@@ -202,7 +200,7 @@ def amplify_for_common_prefix(
             continue
         diagram = BratteliDiagram(tower)
         fl = FloorCocycle(diagram, phi)
-        letters = tower.words[0][1:m_len + 1]  # i_n for n = 1 .. M
+        letters = (*prefix_letters, tower.words[0][m_len])  # i_n for n = 1 .. M
         fixed = [diagram.first_ids[i - 1] + n for n, i in enumerate(letters, 1)]  # edge (i_n, n)
         if any(diagram.source[e] != i - 1 or diagram.floor[e] != n or diagram.is_top[e]
                for n, (e, i) in enumerate(zip(fixed, letters), 1)):
@@ -219,7 +217,7 @@ def amplify_for_common_prefix(
             exponent=loop.amplification * rep,
             repetition=rep,
             prefix_length=m_len,
-            prefix_letters=tuple(letters[:-1]),
+            prefix_letters=prefix_letters,
             generators=tuple(generators),
             factors=factors,
             verdict=verdict,
@@ -234,16 +232,10 @@ def recheck_certificate(
     loop: RauzyLoop, phi: SkewCocycle, cert: AperiodicityCertificate
 ) -> bool:
     """Re-derive every certificate field from the stored witness data."""
-    tower = compose_loop(loop, cert.repetition)
-    m_len = _common_prefix_length(tower.words) - 1
-    if m_len != cert.prefix_length or min(tower.q) != cert.q_min:
+    m_len, q_min, letters = _covering_prefix(compose_loop(loop, cert.repetition).words)
+    if (m_len, q_min, letters) != (cert.prefix_length, cert.q_min, cert.prefix_letters):
         return False
-    if not min(tower.q) > m_len + 1:
-        return False
-    letters = tuple(tower.words[0][n] for n in range(1, m_len))
-    if letters != cert.prefix_letters:
-        return False
-    if set(letters) != set(range(1, loop.d + 1)):
+    if not q_min > m_len + 1 or set(letters) != set(range(1, loop.d + 1)):
         return False
     expected = tuple(phi.of_label(i) for i in letters)
     if expected != cert.generators:

@@ -112,7 +112,9 @@ class RauzyLoop:
     ``steps`` is the raw move sequence; the working period is that sequence
     repeated ``amplification`` times, the smallest power making the composed
     matrix strictly positive (capped at 2*d*d, past which the loop is
-    rejected as unsuitable).
+    rejected as unsuitable).  The combinatorics are walked once, here:
+    ``period_moves`` holds each step of the period as (loser, b, t), the
+    loser and its one-step pair, which is all that ``compose_loop`` replays.
     """
 
     def __init__(self, start: IetCombinatorics, steps: tuple[str, ...] | list[str]):
@@ -122,9 +124,11 @@ class RauzyLoop:
             raise ValueError("empty move sequence is not a loop")
         comb = start
         cols = list(identity_matrix(start.d))  # letter counts of each word, by column
+        moves = []
         for move in self.steps:
             comb, loser, (b, t) = rauzy_step(comb, move)
             cols[loser - 1] = vec_add(cols[b - 1], cols[t - 1])
+            moves.append((loser, b, t))
         if comb != start:
             raise ValueError("move sequence does not return to its starting combinatorics")
         power = mat = transpose(cols)
@@ -138,7 +142,7 @@ class RauzyLoop:
                 )
             power = mat_mul(power, mat)
         self.amplification = amp
-        self.period_steps = self.steps * amp
+        self.period_moves = tuple(moves) * amp
         self.period_matrix = power
 
     @property
@@ -172,19 +176,18 @@ def letter_counts(words) -> IntMatrix:
 def compose_loop(loop: RauzyLoop, repeat: int = 1) -> TowerSystem:
     """Tower system for the (amplified) loop traversed ``repeat`` times.
 
-    ``repeat = 0`` gives the identity system (w_j = (j), A = I).  Each step
-    sets the loser's word to the concatenation of its pair's two words, the
-    same rule by which ``RauzyLoop`` sums two columns, so the letter counts
-    must equal the ``repeat``-th power of the one-period matrix, which
-    ``TowerSystem`` checks.
+    ``repeat = 0`` gives the identity system (w_j = (j), A = I).  Each
+    (loser, b, t) of ``loop.period_moves`` sets the loser's word to the
+    concatenation of words b and t, the same rule by which ``RauzyLoop``
+    summed two columns when it walked the steps, so the letter counts must
+    equal the ``repeat``-th power of the one-period matrix, which
+    ``TowerSystem`` checks.  No combinatorics are built here.
     """
     if repeat < 0:
         raise ValueError("repeat must be nonnegative")
     d = loop.d
     words: list[tuple[int, ...]] = [(j,) for j in range(1, d + 1)]
-    comb = loop.start
-    for move in loop.period_steps * repeat:
-        comb, loser, (b, t) = rauzy_step(comb, move)
+    for loser, b, t in loop.period_moves * repeat:
         words[loser - 1] = words[b - 1] + words[t - 1]
     return TowerSystem(d, mat_pow(loop.period_matrix, repeat), tuple(words), tuple(map(len, words)))
 

@@ -43,28 +43,28 @@ TABLE_LEVEL = 5  # level of a ``maharam`` table without --level
 
 @dataclass(frozen=True)
 class PerronData:
-    """Perron pair and power-iteration steps; arrays (one row per matrix) for a stack."""
+    """Perron pairs of an (N, d, d) stack, one row per matrix: eigenvalues
+    (N,), unit-L1 vectors (N, d) and power-iteration steps (N,)."""
 
-    eigenvalue: float
-    vector: tuple[float, ...]
-    iterations: int
+    eigenvalue: np.ndarray
+    vector: np.ndarray
+    iterations: np.ndarray
 
 
-def perron(matrix) -> PerronData:
-    """Leading eigenpair of a strictly positive matrix by power iteration.
+def perron(matrices: np.ndarray) -> PerronData:
+    """Leading eigenpairs of an (N, d, d) stack of strictly positive matrices
+    by power iteration; one matrix is a stack of one.
 
-    ``matrix`` is one (d, d) matrix or an (N, d, d) stack, iterated together
-    from a uniform start with L1 normalisation.  Each matrix stops on its own
-    once |M v - r v|_1 <= PF_TOL * r, a bound that scales with M.  The
-    returned r is the L1 mass of M v for the previous iterate's v, not of the
+    The stack is iterated together from a uniform start with L1
+    normalisation.  Each matrix stops on its own once
+    |M v - r v|_1 <= PF_TOL * r, a bound that scales with M.  The returned
+    r is the L1 mass of M v for the previous iterate's v, not of the
     returned v, so by rounding it can sit just outside the Collatz-Wielandt
     bracket [min_i (Mv)_i / v_i, max_i (Mv)_i / v_i] of the returned v.
     """
-    mats = np.asarray(matrix, dtype=float)
-    single = mats.ndim == 2
-    mats = mats[None] if single else mats
+    mats = np.asarray(matrices, dtype=float)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ValueError("perron needs a square matrix or a stack of them")
+        raise ValueError("perron needs a stack of square matrices, shape (N, d, d)")
     if not (np.isfinite(mats).all() and (mats > 0).all()):
         raise ValueError("perron needs a finite, strictly positive matrix")
     n, d, _ = mats.shape
@@ -88,8 +88,6 @@ def perron(matrix) -> PerronData:
             f"power iteration did not converge in {PF_MAX_ITER} steps "
             f"(relative residual {float((residual / r_live).max()):.3e})"
         )
-    if single:
-        return PerronData(float(r[0]), tuple(v[0].tolist()), int(iterations[0]))
     return PerronData(r, v, iterations)
 
 
@@ -128,7 +126,8 @@ def level_counting_matrix(fl: FloorCocycle) -> LaurentMatrix:
 
 
 class MaharamMeasure:
-    """Cylinder-measure evaluator for one psi, a stack of one for the core.
+    """Cylinder-measure evaluator for one psi, a stack of one for the core:
+    ``perron`` holds the Perron data of M(exp psi) in its row 0.
 
     Masses are exponentiated once from their logarithm, so no r^k is formed;
     a mass below the smallest positive float (about 4.9e-324) is 0.0.
@@ -139,10 +138,9 @@ class MaharamMeasure:
         self.phi = phi
         self.psi = tuple(float(x) for x in psi)
         self.floor = FloorCocycle(diagram, phi)
-        self.matrix_at_lam = level_matrices(self.floor, np.array([self.psi]))[0]
-        self.perron = perron(self.matrix_at_lam)
-        self._log_v = tuple(math.log(x) for x in self.perron.vector)
-        self._log_r = math.log(self.perron.eigenvalue)
+        self.perron = perron(level_matrices(self.floor, np.array([self.psi])))
+        self._log_v = tuple(math.log(x) for x in self.perron.vector[0].tolist())
+        self._log_r = math.log(self.perron.eigenvalue[0])
 
     def _mass(self, exponent, target: int, k: int) -> float:  # lambda^exponent v_target / r^k, target 0-based
         log_mass = self._log_v[target] - k * self._log_r
@@ -192,6 +190,8 @@ def step_samples(diagram: BratteliDiagram, level: int, samples: int, m: int, see
     about 60 k samples per ``verify``, and a shared loop costs a call per
     sample, which was most of this function's time.
     """
+    if level < 1:  # the empty path is maximal, so every draw would be drawn again
+        raise ValueError("level must be at least 1")
     rng = random.Random(seed)
     bits, rows, tops = rng.getrandbits, diagram.draw_rows, frozenset(diagram.top_ids)
     d, tower_width = diagram.d, diagram.d.bit_length()
@@ -267,15 +267,14 @@ class GridProfile:
     modulus: float
 
 
+def grid_axis(lo: float, hi: float, steps: int) -> tuple[float, ...]:
+    """The steps + 1 points lo + (hi - lo) * i / steps of one grid axis."""
+    return tuple(lo + (hi - lo) * i / steps for i in range(steps + 1))
+
+
 def dyadic_grids(m: int):
     """Axis lists for GRID_REFINEMENTS dyadic refinements of GRID_BOX^m."""
-    lo, hi = GRID_BOX
-    grids = []
-    for r in range(GRID_REFINEMENTS):
-        n = 2 ** (r + 1)  # n intervals per axis
-        axis = tuple(lo + (hi - lo) * i / n for i in range(n + 1))
-        grids.append(tuple(axis for _ in range(m)))
-    return grids
+    return [(grid_axis(*GRID_BOX, 2 ** (r + 1)),) * m for r in range(GRID_REFINEMENTS)]
 
 
 def continuity_profile(fl: FloorCocycle, cylinders, grids) -> list[GridProfile]:

@@ -206,7 +206,7 @@ def check_tail_cocycle(built: BuiltInstance, seed: int = 0) -> CheckResult:
     for k in (2, 3, 4):
         at = [i for i, ids in enumerate(paths) if len(ids) == k]
         ids = np.array([paths[i] for i in at], dtype=np.intp).reshape(-1, k)
-        missed = tail_cocycle(fl, ids) != np.array(phi.values)[diagram.source[ids[:, 0]]]
+        missed = tail_cocycle(fl, ids) != fl.under[ids[:, 0]]
         wrong += [at[i] for i in np.flatnonzero(missed.any(axis=1))]
     if wrong:
         first = "".join(diagram.labels[i] for i in paths[min(wrong)])

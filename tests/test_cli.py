@@ -273,9 +273,9 @@ def test_maharam_rows_match_path_enumeration_and_cylinder_measures(tmp_path, nam
     assert set(picked // len(fibers)) == set(range(len(paths)))
     assert set(picked % len(fibers)) == set(range(len(fibers)))
     for measure, got in zip(measures, np.array(values, dtype=float).reshape(len(psis), -1)):
-        pf = measure.perron
-        logs = exponents @ measure.psi + np.log(pf.vector)[targets][:, None]
-        expected = np.exp(logs - level * np.log(pf.eigenvalue)).ravel()
+        pf = measure.perron  # a stack of one
+        logs = exponents @ measure.psi + np.log(pf.vector[0])[targets][:, None]
+        expected = np.exp(logs - level * np.log(pf.eigenvalue[0])).ravel()
         assert np.abs(got / expected - 1).max() <= 1e-12
         worst = max(
             abs(got[i] / measure.cylinder_measure(paths[i // len(fibers)][1], fibers[i % len(fibers)][1]) - 1)

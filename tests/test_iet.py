@@ -3,6 +3,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from ietskew import iet
 from ietskew.algebra import column_sums, mat_pow
 from ietskew.iet import (
     IetCombinatorics,
@@ -112,6 +113,18 @@ def test_compose_loop_leaves_the_letter_counts_to_tower_system(golden):
     loop.period_matrix = mat_pow(loop.period_matrix, 2)  # no longer the matrix of its words
     with pytest.raises(ValueError, match="incidence matrix disagrees with word letter counts"):
         compose_loop(loop, 1)
+
+
+def test_compose_loop_replays_the_moves_without_stepping(built, monkeypatch):
+    # the loop walked its combinatorics once, when it was built
+    expected = compose_loop(built.loop, 2)
+    loop = RauzyLoop(built.loop.start, built.loop.steps)
+
+    def refuse(*args):
+        raise AssertionError("rauzy_step called by compose_loop")
+
+    monkeypatch.setattr(iet, "rauzy_step", refuse)
+    assert compose_loop(loop, 2) == expected
 
 
 def test_word_occurrence_counts(built):

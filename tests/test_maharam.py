@@ -46,16 +46,22 @@ def base_mass(measure, i, a=None):
 
 
 def test_perron_basic():
-    data = perron([[1.0, 1.0], [1.0, 1.0]])
-    assert data.eigenvalue == pytest.approx(2.0, abs=1e-12)
-    assert data.vector == pytest.approx((0.5, 0.5), abs=1e-12)
+    data = perron([[[1.0, 1.0], [1.0, 1.0]]])
+    assert data.eigenvalue[0] == pytest.approx(2.0, abs=1e-12)
+    assert data.vector[0] == pytest.approx((0.5, 0.5), abs=1e-12)
     with pytest.raises(ValueError):
-        perron([[1.0, 0.0], [0.0, 1.0]])
+        perron([[[1.0, 0.0], [0.0, 1.0]]])
     # a stack is solved matrix by matrix, each with its own iteration count
     stack = perron([[[1.0, 1.0], [1.0, 1.0]], [[3.0, 1.0], [1.0, 1.0]]])
     assert stack.eigenvalue == pytest.approx([2.0, 2.0 + math.sqrt(2)], abs=1e-12)
     assert stack.vector[1] == pytest.approx([0.5 ** 0.5, 1 - 0.5 ** 0.5], abs=1e-12)
-    assert stack.iterations[0] == data.iterations < stack.iterations[1]
+    assert stack.iterations[0] == data.iterations[0] < stack.iterations[1]
+
+
+def test_perron_refuses_a_single_matrix():
+    # one matrix is a stack of one, shape (1, d, d); there is no scalar form
+    with pytest.raises(ValueError, match=r"shape \(N, d, d\)"):
+        perron([[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_perron_stack_equals_each_matrix_alone(rank2):
@@ -65,20 +71,21 @@ def test_perron_stack_equals_each_matrix_alone(rank2):
     stacked = perron(matrices)
     assert len(set(stacked.iterations.tolist())) > 2
     for t, matrix in enumerate(matrices):
-        alone = perron(matrix)
-        assert np.array_equal(stacked.eigenvalue[t], alone.eigenvalue)
-        assert np.array_equal(stacked.vector[t], alone.vector)
-        assert np.array_equal(stacked.iterations[t], alone.iterations)
+        alone = perron(matrix[None])
+        assert np.array_equal(stacked.eigenvalue[t], alone.eigenvalue[0])
+        assert np.array_equal(stacked.vector[t], alone.vector[0])
+        assert np.array_equal(stacked.iterations[t], alone.iterations[0])
 
 
 def test_perron_stop_is_relative_to_the_eigenvalue(golden):
     # r is about 1e13 at psi=30, so an absolute 1e-13 residual is out of reach
     measure = MaharamMeasure(golden.diagram, golden.phi, (30.0,))
     pf = measure.perron
-    assert pf.eigenvalue > 1e12 and pf.iterations < PF_MAX_ITER
-    v = np.array(pf.vector)
-    residual = np.abs(measure.matrix_at_lam @ v - pf.eigenvalue * v).sum()
-    assert residual <= PF_TOL * pf.eigenvalue
+    r, v = pf.eigenvalue[0], pf.vector[0]
+    assert r > 1e12 and pf.iterations[0] < PF_MAX_ITER
+    matrix = level_matrices(measure.floor, np.array([measure.psi]))[0]
+    residual = np.abs(matrix @ v - r * v).sum()
+    assert residual <= PF_TOL * r
 
 
 def test_level_counting_matrix_at_one_is_incidence(built):
@@ -121,8 +128,8 @@ def test_b_counts_edge_weights(built):
 def test_psi_zero_reduces_to_incidence_pf(built):
     measure = MaharamMeasure(built.diagram, built.phi, zero_vector(built.phi.m))
     lengths = pf_lengths(built.tower.matrix)
-    assert measure.perron.eigenvalue == pytest.approx(lengths.alpha, abs=1e-10)
-    for a, b in zip(measure.perron.vector, lengths.lengths):
+    assert measure.perron.eigenvalue[0] == pytest.approx(lengths.alpha, abs=1e-10)
+    for a, b in zip(measure.perron.vector[0], lengths.lengths):
         assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -130,7 +137,7 @@ def test_cylinder_measure_base_cases(built):
     rng = random.Random(9)
     psi = tuple(rng.uniform(-1, 1) for _ in range(built.phi.m))
     measure = MaharamMeasure(built.diagram, built.phi, psi)
-    v = measure.perron.vector
+    v = measure.perron.vector[0]
     # level-0 normalisation: fiber-zero slice has unit mass
     assert sum(base_mass(measure, i) for i in range(1, built.tower.d + 1)) == pytest.approx(
         1.0, abs=1e-12
@@ -144,14 +151,14 @@ def test_cylinder_measure_base_cases(built):
     for j in range(1, built.tower.d + 1):
         p = built.diagram.min_path(3, j)
         assert measure.cylinder_measure(p) == pytest.approx(
-            v[j - 1] / measure.perron.eigenvalue ** 3, rel=1e-12
+            v[j - 1] / measure.perron.eigenvalue[0] ** 3, rel=1e-12
         )
 
 
 def test_cylinder_measure_deep_levels_underflow_to_zero(golden):
     # r is about 5.9 at psi=0.3, so r^400 overflows a float; the mass does not
     measure = MaharamMeasure(golden.diagram, golden.phi, (0.3,))
-    r = measure.perron.eigenvalue
+    r = measure.perron.eigenvalue[0]
     shallow = measure.cylinder_measure(golden.diagram.min_path(200, 1))
     deep = measure.cylinder_measure(golden.diagram.min_path(400, 1))
     assert 0.0 < deep == pytest.approx(shallow / r ** 200, rel=1e-9)
@@ -188,15 +195,15 @@ def test_invariance_recurrence_matches_scalar_masses(built):
         worst = 0.0
         for i in range(built.diagram.d):
             rhs = sum(
-                count * base_mass(measure, j + 1, a) / measure.perron.eigenvalue ** 2
+                count * base_mass(measure, j + 1, a) / measure.perron.eigenvalue[0] ** 2
                 for j in range(built.diagram.d)
                 for a, count in power[i, j].terms.items()
             )
             worst = max(worst, abs(base_mass(measure, i + 1) - rhs))
         assert invariance_recurrence_check(psis, pf, 2, power)[t] == pytest.approx(worst, abs=1e-15)
-        lam_k = np.linalg.matrix_power(measure.matrix_at_lam, 2)
-        v = np.array(measure.perron.vector)
-        expected = np.abs(v - lam_k @ (v / measure.perron.eigenvalue ** 2)).max()
+        lam_k = np.linalg.matrix_power(level_matrices(measure.floor, np.array([measure.psi]))[0], 2)
+        v, r = measure.perron.vector[0], measure.perron.eigenvalue[0]
+        expected = np.abs(v - lam_k @ (v / r ** 2)).max()
         assert recurrence_vector_residual(matrices, pf, 2)[t] == pytest.approx(expected, abs=1e-15)
 
 
@@ -230,6 +237,15 @@ def test_step_samples_repeat_the_random_path_draws(built):
         reference = reference_samples(diagram, level, 700, m, seed)
         assert ids.tolist() == [list(p) for p, _ in reference]
         assert [tuple(a) for a in fibers.tolist()] == [a for _, a in reference]
+
+
+def test_step_samples_refuse_level_zero(golden):
+    # the empty path is maximal, so a level-0 draw would be drawn again forever
+    with pytest.raises(ValueError, match="level must be at least 1"):
+        step_samples(golden.diagram, 0, 3, 1, 0)
+    psis = np.zeros((1, 1))
+    with pytest.raises(ValueError, match="level must be at least 1"):
+        invariance_step_check(golden.floor, psis, perron(level_matrices(golden.floor, psis)), [0], 3, 0)
 
 
 def randrange_step_samples(diagram, level, samples, m, rng):
