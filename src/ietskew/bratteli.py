@@ -83,7 +83,7 @@ class BratteliDiagram:
             raise ValueError("diagram needs more than one edge per level")
         self.first_ids = tuple(accumulate(self.q[:-1], initial=0))  # edge id of (j, 0) at j - 1
         self.top_ids = tuple(first + n - 1 for first, n in zip(self.first_ids, self.q))
-        self._tops = frozenset(self.top_ids)
+        self.tops = frozenset(self.top_ids)
         # 0-based source and target, and the floor, of each edge id
         self.source = np.array([letter - 1 for w in self.words for letter in w])
         self.target = np.repeat(np.arange(self.d), self.q)
@@ -118,7 +118,7 @@ class BratteliDiagram:
 
     def is_maximal(self, ids) -> bool:
         """Whether every edge id of the sequence is the top floor of its tower."""
-        return self._tops.issuperset(ids)
+        return self.tops.issuperset(ids)
 
     def adic_successor(self, p: tuple[int, ...]) -> tuple[int, ...]:
         """Smallest path above p in lexicographic order, same tail: ``adic_successors`` of one row."""

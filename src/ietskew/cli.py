@@ -47,7 +47,7 @@ EXIT_CHECK_FAILURE = 2
 EXIT_INCONCLUSIVE = 3
 
 
-# the options each command reads, besides --instance, and its --format choices
+# the options a command may read, besides --instance
 OPTIONS = {
     "--psi": dict(action="append", help="comma-separated parameter vector; repeatable"),
     "--grid": dict(action="append", help="min:max:steps grid axis; repeat per coordinate"),
@@ -55,16 +55,6 @@ OPTIONS = {
     "--seed": dict(type=int, help="sampling seed"),
     "--out": dict(help="write output to this path"),
 }
-SUBCOMMANDS = [
-    ("inspect", "tower data, positivity and Perron-Frobenius lengths", ["--out"], ["json"]),
-    ("eigencocycles", "integer 1-eigenvectors of the transposed loop matrix", ["--out"], ["json"]),
-    ("certify", "aperiodicity certificate via the common-prefix construction", ["--out"], ["json"]),
-    ("maharam", "cylinder measure table (CSV) for given parameters", ["--psi", "--level", "--out"], []),
-    ("continuity", "measure profile over a parameter grid", ["--grid", "--level", "--out"], ["json", "csv"]),
-    ("verify", "run the whole verification suite", ["--seed", "--out"], ["json"]),
-]
-
-
 class _Parser(argparse.ArgumentParser):
     """A usage error is a validation error: exit 1 with one stderr line."""
 
@@ -81,8 +71,9 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext, flags, formats in SUBCOMMANDS:
+    for name, (helptext, flags, formats, run) in SUBCOMMANDS.items():
         cmd = sub.add_parser(name, help=helptext)
+        cmd.set_defaults(run=run)
         cmd.add_argument("--instance", required=True, help="instance file or packaged name")
         for flag in flags:
             cmd.add_argument(flag, **OPTIONS[flag])
@@ -95,7 +86,7 @@ def _parser() -> argparse.ArgumentParser:
 def _open_out(path: str | None):
     """The --out file, opened before the command does its work, so that an
     unwritable path fails at once. It is emptied only when the command
-    writes (``_start``): a command that stops early leaves an old file as
+    writes (``_sink``): a command that stops early leaves an old file as
     it was, and a new file it never wrote is removed."""
     if not path:
         yield None
@@ -110,8 +101,10 @@ def _open_out(path: str | None):
             os.remove(path)
 
 
-def _start(out):
-    """The open --out file, emptied for the command's output."""
+def _sink(out):
+    """Where a command writes: the open --out file, emptied first, or stdout."""
+    if not out:
+        return sys.stdout
     if out.seekable():
         out.seek(0)
         out.truncate()
@@ -119,12 +112,9 @@ def _start(out):
 
 
 def _emit(text: str, out) -> None:
-    if out:
-        _start(out).write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    if not out and not text.endswith("\n"):
+        text += "\n"
+    _sink(out).write(text)
 
 
 def _parse_psi_args(args, m: int, built: BuiltInstance) -> list[tuple[float, ...]]:
@@ -371,13 +361,8 @@ def _format_g15(x: np.ndarray) -> list[str]:
 
 
 def _write_csv(header: list[str], row_blocks, out) -> None:
-    """Write the header row, then each string of ``row_blocks`` as it comes,
-    to the open file ``out`` or to stdout."""
-    chunks = chain([",".join(_csv_cells(header)) + "\r\n"], row_blocks)
-    if out:
-        _start(out).writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    """Write the header row, then each string of ``row_blocks`` as it comes."""
+    _sink(out).writelines(chain([",".join(_csv_cells(header)) + "\r\n"], row_blocks))
 
 
 def _table_blocks(built: BuiltInstance, table: MeasureTable):
@@ -499,13 +484,21 @@ def cmd_verify(built: BuiltInstance, args) -> int:
     return EXIT_OK
 
 
-COMMANDS = {
-    "inspect": cmd_inspect,
-    "eigencocycles": cmd_eigencocycles,
-    "certify": cmd_certify,
-    "maharam": cmd_maharam,
-    "continuity": cmd_continuity,
-    "verify": cmd_verify,
+SUBCOMMANDS = {  # name: (help, the options it reads besides --instance, its --format choices, handler)
+    "inspect": ("tower data, positivity and Perron-Frobenius lengths", ["--out"], ["json"], cmd_inspect),
+    "eigencocycles": (
+        "integer 1-eigenvectors of the transposed loop matrix", ["--out"], ["json"], cmd_eigencocycles
+    ),
+    "certify": (
+        "aperiodicity certificate via the common-prefix construction", ["--out"], ["json"], cmd_certify
+    ),
+    "maharam": (
+        "cylinder measure table (CSV) for given parameters", ["--psi", "--level", "--out"], [], cmd_maharam
+    ),
+    "continuity": (
+        "measure profile over a parameter grid", ["--grid", "--level", "--out"], ["json", "csv"], cmd_continuity
+    ),
+    "verify": ("run the whole verification suite", ["--seed", "--out"], ["json"], cmd_verify),
 }
 
 
@@ -514,9 +507,8 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         # the commands see args.out as the open file (or None)
         with _open_out(args.out) as args.out:
-            spec = load_instance(args.instance)
-            built = build_instance(spec)
-            code = COMMANDS[args.command](built, args)
+            built = build_instance(load_instance(args.instance))
+            code = args.run(built, args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:  # later writes, the one at exit too, go nowhere

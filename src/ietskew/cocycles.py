@@ -20,7 +20,7 @@ hence, by the generation assumption, the whole lattice.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -132,16 +132,8 @@ class AperiodicityCertificate:
     q_min: int
 
     def to_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "repetition": self.repetition,
-            "M": self.prefix_length,
-            "prefix_letters": list(self.prefix_letters),
-            "generators": [list(g) for g in self.generators],
-            "invariant_factors": list(self.factors),
-            "verdict": self.verdict,
-            "q_min": self.q_min,
-        }
+        renamed = {"prefix_length": "M", "factors": "invariant_factors"}
+        return {renamed.get(key, key): value for key, value in asdict(self).items()}
 
 
 def _covering_prefix(words) -> tuple[int, int, tuple[int, ...]]:

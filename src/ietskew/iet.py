@@ -353,6 +353,8 @@ def float_orbit_frequencies(
     predictor sets only the speed: the frequencies are those of the
     step-by-step loop, bit for bit, whatever ``towers`` holds.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, not {steps}")
     d = comb.d
     start, image, breaks, _, end = _positions(comb, lengths.lengths)
     shift = np.array([image[label] - start[label] for label in comb.top])  # by domain position

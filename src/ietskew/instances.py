@@ -101,28 +101,22 @@ def _parse(data, name: str) -> InstanceSpec:
     if psi is not None:
         rows = enumerate(_entries(psi, "a list", "psi", name))
         psi = tuple(tuple(map(float, _entries(row, "a number", f"psi[{i}]", name))) for i, row in rows)
-    return InstanceSpec(
-        name=_typed(data.get("name", name), "a string", "name", name),
-        top=top,
-        bottom=bottom,
-        loop=loop,
-        phi=phi,
-        psi=psi,
-        seed=_typed(data.get("seed", 0), "an integer", "seed", name),
-    )
+    spec_name = _typed(data.get("name", name), "a string", "name", name)
+    seed = _typed(data.get("seed", 0), "an integer", "seed", name)
+    return InstanceSpec(spec_name, top, bottom, loop, phi, psi, seed)
 
 
 def load_instance(source: str | Path) -> InstanceSpec:
     """Load an instance from a file path or a packaged instance name."""
     path = Path(source)
+    name = path.stem
     if not path.exists() and not str(source).endswith(".json"):
-        packaged = resources.files("ietskew") / "instances" / f"{source}.json"
-        if packaged.is_file():
-            return _parse(json.loads(packaged.read_text()), str(source))
-        raise InstanceError(
-            f"no such file and no packaged instance named {source!r} "
-            f"(packaged: {', '.join(packaged_names())})"
-        )
+        path, name = resources.files("ietskew") / "instances" / f"{source}.json", str(source)
+        if not path.is_file():
+            raise InstanceError(
+                f"no such file and no packaged instance named {source!r} "
+                f"(packaged: {', '.join(packaged_names())})"
+            )
     try:
         text = path.read_text()
     except OSError as exc:
@@ -134,7 +128,7 @@ def load_instance(source: str | Path) -> InstanceSpec:
             f"instance file {source} is not valid JSON "
             f"(line {exc.lineno}, column {exc.colno}: {exc.msg})"
         ) from None
-    return _parse(data, path.stem)
+    return _parse(data, name)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,8 @@ def perron(matrices: np.ndarray) -> PerronData:
         raise ValueError("perron needs a finite, strictly positive matrix")
     n, d, _ = mats.shape
     r, v, iterations = np.empty(n), np.empty((n, d)), np.zeros(n, dtype=int)
+    if not n:  # an empty stack: nothing to iterate
+        return PerronData(r, v, iterations)
     live = np.arange(n)  # matrices still iterating; mats is cut down with it
     mv = mats.sum(axis=2) / d  # M v for the uniform start
     for step in range(1, PF_MAX_ITER + 1):
@@ -193,7 +195,7 @@ def step_samples(diagram: BratteliDiagram, level: int, samples: int, m: int, see
     if level < 1:  # the empty path is maximal, so every draw would be drawn again
         raise ValueError("level must be at least 1")
     rng = random.Random(seed)
-    bits, rows, tops = rng.getrandbits, diagram.draw_rows, frozenset(diagram.top_ids)
+    bits, rows, tops = rng.getrandbits, diagram.draw_rows, diagram.tops
     d, tower_width = diagram.d, diagram.d.bit_length()
     paths, fibers = [], []
     while len(paths) < samples:

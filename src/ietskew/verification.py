@@ -14,6 +14,7 @@ details, so a report is reproducible from (instance file, seed).
 
 from __future__ import annotations
 
+import copy
 import functools
 import random
 import time
@@ -35,7 +36,7 @@ from .cocycles import (
     tail_orbit_witness,
 )
 from .iet import PrecisionAlarm, TowerSystem, compose_loop, float_orbit_frequencies
-from .iet import letter_counts, pf_lengths, simulate_return_times
+from .iet import letter_counts, simulate_return_times
 from .instances import BuiltInstance
 from .maharam import (
     CONTINUITY_LEVEL,
@@ -364,7 +365,7 @@ def orbit_towers(diagram: BratteliDiagram) -> tuple[np.ndarray, ...]:
 @_timed("psi_zero_consistency")
 def check_psi_zero(built: BuiltInstance, seed: int = 0) -> CheckResult:
     vector = perron(level_matrices(built.floor, np.zeros((1, built.m)))).vector[0].tolist()  # M(1) = A
-    lengths = pf_lengths(built.tower.matrix)
+    lengths = built.lengths
     worst = max(abs(a - b) for a, b in zip(vector, lengths.lengths))
     if worst > MEASURE_TOL:
         return CheckResult("", "fail", residual=worst, detail="PF vector mismatch at psi=0")
@@ -413,11 +414,8 @@ def _tower_with_swapped_letters(tower: TowerSystem) -> TowerSystem:
         if words[a][u] != words[b][v]
     )
     words[a][u], words[b][v] = words[b][v], words[a][u]
-    corrupt = object.__new__(TowerSystem)
-    object.__setattr__(corrupt, "d", tower.d)
-    object.__setattr__(corrupt, "matrix", tower.matrix)
+    corrupt = copy.copy(tower)  # a copy runs no __post_init__
     object.__setattr__(corrupt, "words", tuple(tuple(w) for w in words))
-    object.__setattr__(corrupt, "q", tower.q)
     return corrupt
 
 

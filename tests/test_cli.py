@@ -175,7 +175,7 @@ def test_measure_commands_refuse_a_phi_not_of_periodic_type(command, tmp_path, c
     assert captured.err == "error: cocycle is not fixed by the loop (not periodic type)\n"
 
 
-@pytest.mark.parametrize("command", [name for name, _, flags, _ in cli.SUBCOMMANDS if "--out" in flags])
+@pytest.mark.parametrize("command", [name for name, (_, flags, _, _) in cli.SUBCOMMANDS.items() if "--out" in flags])
 def test_an_unwritable_out_exits_1_with_one_line(command, tmp_path, capsys):
     out = tmp_path / "missing" / "x"
     level = ["--level", "2"] if command == "maharam" else []
@@ -685,7 +685,7 @@ def test_running_out_of_memory_is_inconclusive(monkeypatch, capsys):
     def exhaust(built, args):
         raise MemoryError
 
-    monkeypatch.setitem(cli.COMMANDS, "verify", exhaust)
+    monkeypatch.setitem(cli.SUBCOMMANDS, "verify", cli.SUBCOMMANDS["verify"][:3] + (exhaust,))
     assert run_cli("verify", "--instance", "golden_triple") == 3
     err = capsys.readouterr().err
     assert err == "inconclusive: MemoryError()\n"
@@ -810,7 +810,7 @@ def test_verify_fails_on_an_unwritable_out_before_the_first_check(tmp_path, monk
     assert captured.out == "" and captured.err.startswith("error: ") and str(out) in captured.err
 
 
-@pytest.mark.parametrize("command", [name for name, _, flags, _ in cli.SUBCOMMANDS if "--out" in flags])
+@pytest.mark.parametrize("command", [name for name, (_, flags, _, _) in cli.SUBCOMMANDS.items() if "--out" in flags])
 def test_every_command_opens_its_out_before_building_the_instance(command, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_instance", lambda spec: pytest.fail("instance built"))
     assert run_cli(command, "--instance", "golden_triple", "--out", str(tmp_path / "missing" / "x")) == 1

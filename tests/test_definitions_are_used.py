@@ -1,7 +1,8 @@
-"""Every function, class and method of the package has a reader outside the
-tests, so ``src/`` holds no definition that only a test reaches.  Dunders
-are exempt: Python calls them.  Like the import check beside it, this
-parses the sources with ``ast``."""
+"""Every function, class and method of the package, and every name a module
+assigns at its top level, has a reader outside the tests, so ``src/`` holds
+no definition that only a test reaches and no constant that a deletion left
+behind.  Dunders are exempt: Python reads them.  Like the import check
+beside it, this parses the sources with ``ast``."""
 
 import ast
 from pathlib import Path
@@ -12,11 +13,22 @@ READERS = ("src/ietskew/*.py", "demos/*.py", "perfbench/*.py")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree):
-    """(name, first line, last line) of each function, class and method, nested ones too."""
+    """(name, first line, last line) of each function, class and method, nested
+    ones too, and of each name assigned by a top-level statement of the module."""
     for node in ast.walk(tree):
-        if isinstance(node, DEFINITIONS) and not (node.name.startswith("__") and node.name.endswith("__")):
+        if isinstance(node, DEFINITIONS) and not is_dunder(node.name):
             yield node.name, node.lineno, node.end_lineno
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)):
+                if not is_dunder(name):
+                    yield name, node.lineno, node.end_lineno
 
 
 def references(tree):

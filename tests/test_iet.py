@@ -203,6 +203,12 @@ def test_float_orbit_frequencies(golden):
         assert f == pytest.approx(l, abs=5e-3)
 
 
+@pytest.mark.parametrize("steps", [0, -1])
+def test_float_orbit_frequencies_refuse_fewer_than_one_step(golden, steps):
+    with pytest.raises(ValueError, match="steps must be at least 1"):
+        float_orbit_frequencies(golden.loop.start, golden.lengths, steps, orbit_towers(golden.diagram))
+
+
 def dict_orbit(comb, lengths, steps, x0=None):
     """The per-step dict/min/max orbit loop, kept as an oracle: the label
     visited at each step."""

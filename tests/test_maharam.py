@@ -64,6 +64,13 @@ def test_perron_refuses_a_single_matrix():
         perron([[1.0, 1.0], [1.0, 1.0]])
 
 
+def test_perron_of_an_empty_stack_is_empty(monkeypatch):
+    # with one step allowed, a stack that is iterated fails at once instead of after 100,000 steps
+    monkeypatch.setattr(maharam, "PF_MAX_ITER", 1)
+    data = perron(np.zeros((0, 3, 3)))
+    assert data.eigenvalue.shape == data.iterations.shape == (0,) and data.vector.shape == (0, 3)
+
+
 def test_perron_stack_equals_each_matrix_alone(rank2):
     # on a 5x5 psi grid the matrices stop after 9 to 12 steps, so the stack shrinks mid-run
     axis = np.linspace(-1.0, 1.0, 5)

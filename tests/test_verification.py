@@ -471,6 +471,16 @@ def test_psi_zero_builds_no_maharam_measure(golden, monkeypatch):
     assert result.status == "pass", result.detail
 
 
+def test_psi_zero_reads_the_built_perron_lengths(built, monkeypatch):
+    # built.lengths already holds the Perron lengths of the tower matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("Perron lengths solved again in criterion 9")
+
+    monkeypatch.setattr(V, "pf_lengths", refuse, raising=False)
+    result = V.check_psi_zero(built)
+    assert result.status == "pass", result.detail
+
+
 @pytest.mark.parametrize(
     "loop, phi, fault",
     [
