@@ -4,7 +4,9 @@ Everything in this module is exact: matrices and vectors are plain Python
 ints (arbitrary precision, since tower counts grow geometrically), Laurent
 polynomials store integer coefficients keyed by integer exponent vectors.
 They carry one operation, the matrix product behind ``laurent_matrix_pow``,
-which is all the level-counting powers of criteria 7 and 8 need.
+which criterion 8's counting-route recurrence needs.  Criterion 7 holds its
+Laurent matrices as dense int64 count arrays instead, multiplied by
+``laurent_array_mul``; its counts stay exact in int64 (see there).
 A group element of Z^m is a plain tuple of ints in the exact layers
 (cocycle values, Laurent exponents, ``FloorCocycle.path_sum``, the
 certificate), where ``vec_add`` adds two of them; the array layers of
@@ -20,6 +22,8 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +275,23 @@ def laurent_matrix_pow(mat: LaurentMatrix, k: int) -> LaurentMatrix:
     if k < 0:
         raise ValueError("negative matrix power")
     return _power(mat, k, LaurentMatrix.identity(mat.d, mat.m), LaurentMatrix.__mul__)
+
+
+def laurent_array_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two Laurent matrices held as dense (d, d, *box) count
+    arrays, entry [i, j, *n] the coefficient of t^(offset + n) in cell (i, j):
+    the matrix product convolved along the exponent axes, one ``einsum`` per
+    nonzero exponent slot of ``b``.  The product's offset is the sum of the
+    two, which the caller keeps.
+
+    The arrays are int64, and exact for criterion 7's level-counting powers:
+    each coefficient of M(t)^k counts level-k paths, and the check enumerates
+    those paths one by one, so no coefficient (or partial sum of one, all
+    terms being nonnegative) passes int64 before that enumeration becomes
+    impossible."""
+    box = tuple(x + y - 1 for x, y in zip(a.shape[2:], b.shape[2:]))
+    out = np.zeros((*a.shape[:2], *box), dtype=np.int64)
+    for slot in zip(*np.nonzero(b.any(axis=(0, 1)))):
+        window = tuple(slice(s, s + n) for s, n in zip(slot, a.shape[2:]))
+        out[(..., *window)] += np.einsum("ir...,rj->ij...", a, b[(..., *slot)])
+    return out

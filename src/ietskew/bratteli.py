@@ -218,7 +218,8 @@ class BratteliDiagram:
         """All level-k paths as int arrays of edge ids, shape (rows, k), in
         lexicographic order of their ids from edge one, or of the ranks
         ``rank[id]`` when a rank per edge id is given, at most PATH_BLOCK
-        rows per array."""
+        rows per array.  Each level past the first extends the blocks of the
+        one below by ``extensions``, with the out-edge table in rank order."""
         if level < 1:
             raise ValueError("level must be at least 1")
         out, first = self.out, np.arange(self.num_edges)
@@ -227,18 +228,29 @@ class BratteliDiagram:
             key = np.where(out >= 0, rank[out], rank.max() + 1)
             out = np.take_along_axis(out, np.argsort(key, axis=1), axis=1)
             first = np.argsort(rank)
-        yield from self._grow(first[:, None], level, out)
+        blocks = (first[s:s + PATH_BLOCK, None] for s in range(0, len(first), PATH_BLOCK))
+        for _ in range(level - 1):  # each block of the level below, extended by one edge
+            blocks = (np.column_stack((ids[rows], edges))
+                      for ids in blocks for rows, edges in self.extensions(self.target[ids[:, -1]], out))
+        yield from blocks
 
-    def _grow(self, prefixes, level, out):
-        if prefixes.shape[1] == level:
-            yield from (prefixes[s:s + PATH_BLOCK] for s in range(0, len(prefixes), PATH_BLOCK))
-            return
-        step = max(1, PATH_BLOCK // out.shape[1])  # prefixes whose extensions fit a block
-        for start in range(0, len(prefixes), step):
-            chunk = prefixes[start:start + step]
-            following = out[self.target[chunk[:, -1]]]
-            rows, cols = np.nonzero(following >= 0)
-            yield from self._grow(np.column_stack((chunk[rows], following[rows, cols])), level, out)
+    def extensions(self, ends: np.ndarray, out: np.ndarray):
+        """Every one-edge extension of paths ending at the 0-based vertices
+        ``ends``, as (row, edge id) arrays: rows in order, each row's edges in
+        the order of ``out``, a (d, most out-edges) table such as ``self.out``,
+        padded with -1 at the end of each row.  At most PATH_BLOCK pairs per
+        yield, and no array holds more, unless a single vertex has more
+        out-edges."""
+        degree = (out >= 0).sum(axis=1)
+        flat, first = out[out >= 0], np.cumsum(degree) - degree  # each vertex's out-edges, end to end
+        step = max(1, PATH_BLOCK // out.shape[1])  # rows whose extensions fit a block
+        for start in range(0, len(ends), step):
+            chunk = ends[start:start + step]
+            n = degree[chunk]
+            rows = np.repeat(np.arange(start, start + len(chunk)), n)
+            edges = flat[np.arange(len(rows)) + np.repeat(first[chunk] - (np.cumsum(n) - n), n)]
+            for s in range(0, len(rows), PATH_BLOCK):
+                yield rows[s:s + PATH_BLOCK], edges[s:s + PATH_BLOCK]
 
     def adic_successors(self, ids: np.ndarray) -> np.ndarray:
         """``adic_successor`` of each row of a (rows, k) edge-id array."""

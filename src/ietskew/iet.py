@@ -344,21 +344,24 @@ def float_orbit_frequencies(
     floors cover [0, end).  From the floor under x, the rest of its word is
     the predicted block; ``np.add.accumulate`` walks it as the same left fold
     of IEEE additions that a step-by-step loop makes, and the block is kept
-    up to the first step whose interval differs from the prediction or whose
-    point left [0, end).  A floor whose label is not x's own is one plain
-    step, and no block is built.  A block that misses partway caps the next
-    at 1024 floors, about what the fixed numpy cost of a block buys, so a
-    wrong predictor wastes a bounded amount per miss; each block kept whole
-    doubles the cap, so the true towers are walked in whole towers.  The
-    predictor sets only the speed: the frequencies are those of the
-    step-by-step loop, bit for bit, whatever ``towers`` holds.
+    up to the first step whose point lies outside its predicted floor's
+    interval [breaks[seq], breaks[seq + 1]), a test that also ends the block
+    where a point leaves [0, end).  Step 0 is not tested: bisection placed
+    x, clamping an x outside [0, end) to an end interval.  A kept block's
+    visits are the difference of two rows of per-floor prefix counts.  A
+    floor whose label is not x's own is one plain step, and no block is
+    built.  A block that misses partway caps the next at 1024 floors, about
+    what the fixed numpy cost of a block buys, so a wrong predictor wastes a
+    bounded amount per miss; each block kept whole doubles the cap, so the
+    true towers are walked in whole towers.  The predictor sets only the
+    speed: the frequencies are those of the step-by-step loop, bit for bit,
+    whatever ``towers`` holds.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, not {steps}")
     d = comb.d
     start, image, breaks, _, end = _positions(comb, lengths.lengths)
     shift = np.array([image[label] - start[label] for label in comb.top])  # by domain position
-    interior = np.array(breaks[1:-1])
     position = np.argsort(np.array(comb.top) - 1)  # domain position of each 0-based label
 
     # every floor in tower order: its domain position, the end of its tower,
@@ -372,12 +375,16 @@ def float_orbit_frequencies(
     )
     order = np.argsort(left)
     sorted_left, seq_shift = left[order], shift[seq]
+    # each floor's predicted interval, and the visits per position of the floors before it
+    floor_lo, floor_hi = np.array(breaks)[seq], np.array(breaks)[seq + 1]
+    visits = np.zeros((len(seq) + 1, d), dtype=np.int64)
+    np.cumsum(seq[:, None] == np.arange(d), axis=0, out=visits[1:])
 
     # default start: a generic point (1/pi of the interval), kept away from
     # the algebraic breakpoint data of the packaged instances
     x = 0.3183098861837907 * end if x0 is None else x0
     counts = np.zeros(d, dtype=np.int64)  # visits per domain position
-    bounds, lefts, shifts = interior.tolist(), sorted_left.tolist(), shift.tolist()
+    bounds, lefts, shifts = breaks[1:-1], sorted_left.tolist(), shift.tolist()
     done, cap = 0, len(seq)  # most floors of the next block
     while done < steps:
         i = bisect_right(bounds, x)  # x's domain position; points outside [0, end) clamp to an end
@@ -392,10 +399,10 @@ def float_orbit_frequencies(
             xs[0] = x
             xs[1:] = seq_shift[f:f + n]
             np.add.accumulate(xs, out=xs)
-            missed = np.searchsorted(interior, xs[:-1], side="right") != seq[f:f + n]
-            missed[1:] |= (xs[1:-1] < 0.0) | (xs[1:-1] >= end)  # a clamp ends the block
-            kept = int(missed.argmax()) if missed.any() else n  # at least 1: step 0 is x's own
-            counts += np.bincount(seq[f:f + kept], minlength=d)
+            point = xs[1:n]  # steps 1..n-1; step 0 is x's own
+            missed = (point < floor_lo[f + 1:f + n]) | (point >= floor_hi[f + 1:f + n])
+            kept = 1 + int(missed.argmax()) if missed.any() else n
+            counts += visits[f + kept] - visits[f]
             x = float(xs[kept])
             cap = cap * 2 if kept == n else 1024
         if x < 0.0:

@@ -127,6 +127,16 @@ def level_counting_matrix(fl: FloorCocycle) -> LaurentMatrix:
     return LaurentMatrix([[LaurentPolynomial(fl.m, cells[i * d + j]) for j in range(d)] for i in range(d)])
 
 
+def level_counting_array(fl: FloorCocycle) -> tuple[np.ndarray, np.ndarray]:
+    """M(t) as a dense (d, d, *(max f - min f + 1)) int64 count array and its
+    exponent offset min f: entry [i, j, *n] counts the edges from i to j
+    with f(e) = min f + n (``algebra.laurent_array_mul`` multiplies it)."""
+    lo = fl.f.min(axis=0)
+    counts = np.zeros((fl.diagram.d, fl.diagram.d, *(fl.f.max(axis=0) - lo + 1)), dtype=np.int64)
+    np.add.at(counts, (fl.diagram.source, fl.diagram.target, *(fl.f - lo).T), 1)
+    return counts, lo
+
+
 class MaharamMeasure:
     """Cylinder-measure evaluator for one psi, a stack of one for the core:
     ``perron`` holds the Perron data of M(exp psi) in its row 0.

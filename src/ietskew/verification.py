@@ -24,7 +24,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .algebra import laurent_matrix_pow, mat_mul
+from .algebra import laurent_array_mul, laurent_matrix_pow, mat_mul
 from .bratteli import BratteliDiagram
 from .cocycles import (
     amplify_for_common_prefix,
@@ -45,6 +45,7 @@ from .maharam import (
     dyadic_grids,
     invariance_recurrence_check,
     invariance_step_check,
+    level_counting_array,
     level_counting_matrix,
     level_matrices,
     perron,
@@ -287,34 +288,56 @@ def check_certificate(built: BuiltInstance, seed: int = 0) -> CheckResult:
 # -- criterion 7 ---------------------------------------------------------------
 
 
+def path_keys(diagram: BratteliDiagram, k: int, strides: np.ndarray, weight: np.ndarray) -> Iterator[np.ndarray]:
+    """Each level-k path's flat key into criterion 7's count array, in
+    arrays of at most PATH_BLOCK keys: its source's and target's strides
+    plus the sum of its edges' weights.  Level 1 reads the edges from
+    ``path_blocks(1)``; a deeper level keys each block of
+    ``path_blocks(k - 1)`` once, as prefixes, and adds the last edge by
+    ``extensions``, so no level-k id row is ever built."""
+    last = weight + diagram.target * strides[1]  # an edge's part of the key where it ends the path
+    for ids in diagram.path_blocks(max(k - 1, 1)):
+        key = diagram.source[ids[:, 0]] * strides[0]
+        if k == 1:
+            yield key + last[ids[:, 0]]
+            continue
+        key += weight[ids].sum(axis=1)
+        for rows, edges in diagram.extensions(diagram.target[ids[:, -1]], diagram.out):
+            yield key[rows] + last[edges]
+
+
 @_timed("level_counting_cocycle")
 def check_level_counting(built: BuiltInstance, seed: int = 0) -> CheckResult:
+    """M(t)^k against the level-k paths, coefficient by coefficient, k = 1..COUNTING_LEVELS.
+
+    The paths are counted in a dense array over (source, target,
+    S_k f - k min f) by ``np.bincount`` of their ``path_keys``.  The power
+    is ``laurent_array_mul``'s dense M^(k-1) * M, placed in that box by its
+    exponent offset; a coefficient outside the box matches no path.  The two
+    must be equal, and each cell's total the entry of the exact A^k (at k = 1,
+    M(1) = A)."""
     diagram, f = built.diagram, built.floor.f
-    mat = level_counting_matrix(built.floor)
+    mat, offset = level_counting_array(built.floor)
     d, lo, hi = diagram.d, f.min(axis=0), f.max(axis=0)
     mk, ak = mat, diagram.matrix
     n_paths = 0
     for k in range(1, COUNTING_LEVELS + 1):
         if k > 1:
-            mk, ak = mk * mat, mat_mul(ak, diagram.matrix)
-        # dense counts over (source, target, S_k f - k lo); a path's flat key is
-        # the sum of its edges' weights (f(e) - lo) . strides, plus its cell's
+            mk, ak = laurent_array_mul(mk, mat), mat_mul(ak, diagram.matrix)
         shape = (d, d, *(k * (hi - lo) + 1))
         strides = np.cumprod((1, *shape[:0:-1]))[::-1]
-        weight = (f - lo) @ strides[2:]
         counts = np.zeros(np.prod(shape), dtype=np.int64)
-        for ids in diagram.path_blocks(k):
-            key = diagram.source[ids[:, 0]] * strides[0] + diagram.target[ids[:, -1]] * strides[1]
-            counts += np.bincount(key + weight[ids].sum(axis=1), minlength=counts.size)
+        for key in path_keys(diagram, k, strides, (f - lo) @ strides[2:]):
+            counts += np.bincount(key, minlength=counts.size)
+        counts = counts.reshape(shape)
         n_paths += int(counts.sum())
-        # the exact M(t)^k in the same shape; a term outside it matches no path
-        terms = [(i * d + j, a, n) for i in range(d) for j in range(d) for a, n in mk[i, j].terms.items()]
-        cells, at, coefficients = map(np.array, zip(*terms))
-        at -= k * lo
-        inside = ((at >= 0) & (at < shape[2:])).all(axis=1)
+        cells = np.nonzero(mk)
+        at = np.add(cells[2:], (k * (offset - lo))[:, None])  # each coefficient's exponent index in the box
+        inside = ((at >= 0) & (at < np.array(shape[2:])[:, None])).all()
         power = np.zeros_like(counts)
-        power[cells[inside] * strides[1] + at[inside] @ strides[2:]] = coefficients[inside]
-        if not (inside.all() and np.array_equal(power, counts)):
+        if inside:
+            power[(*cells[:2], *at)] = mk[cells]
+        if not (inside and np.array_equal(power, counts)):
             return CheckResult("", "fail", detail=f"coefficients disagree with paths at k={k}")
         if (counts.reshape(d * d, -1).sum(axis=1) != np.ravel(ak)).any():  # M^k's totals, as power == counts
             return CheckResult("", "fail", detail=f"coefficient totals != incidence power at k={k}")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ietskew import maharam
-from ietskew.algebra import laurent_matrix_pow, vec_add, zero_vector
+from ietskew.algebra import laurent_array_mul, laurent_matrix_pow, vec_add, zero_vector
 from ietskew.cocycles import FloorCocycle
 from ietskew.iet import pf_lengths
 from ietskew.maharam import (
@@ -21,6 +21,7 @@ from ietskew.maharam import (
     dyadic_grids,
     invariance_recurrence_check,
     invariance_step_check,
+    level_counting_array,
     level_counting_matrix,
     level_matrices,
     path_sum_bound,
@@ -120,6 +121,22 @@ def test_matrix_power_counts_paths_exhaustively(built):
                 from ietskew.algebra import mat_pow
 
                 assert total == mat_pow(built.tower.matrix, k)[i - 1][j - 1]
+
+
+def test_dense_counting_powers_equal_the_laurent_powers(built):
+    # M(t)^k for k = 0..4 from the dense array (offset k min f), against
+    # the dict form coefficient by coefficient
+    counts, offset = level_counting_array(built.floor)
+    mat = level_counting_matrix(built.floor)
+    d, m = built.diagram.d, built.m
+    power = np.eye(d, dtype=np.int64).reshape(d, d, *[1] * m)  # M^0 = I at offset 0
+    for k in range(5):
+        if k:
+            power = laurent_array_mul(power, counts)
+        assert power.dtype == np.int64
+        dense = {(i, j, tuple((at + k * offset).tolist())): int(power[(i, j, *at)]) for i, j, *at in np.argwhere(power)}
+        laurent = laurent_matrix_pow(mat, k)
+        assert dense == {(i, j, a): c for i in range(d) for j in range(d) for a, c in laurent[i, j].terms.items()}
 
 
 def test_b_counts_edge_weights(built):

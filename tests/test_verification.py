@@ -8,9 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ietskew import cocycles, maharam
+from ietskew import bratteli, cocycles, maharam
 from ietskew import verification as V
-from ietskew.algebra import LaurentMatrix, LaurentPolynomial
 from ietskew.bratteli import BratteliDiagram
 from ietskew.instances import build_instance, load_instance
 
@@ -35,49 +34,57 @@ def test_criteria_1_2_and_11_compose_each_tower_once(built, monkeypatch):
     assert composed == [0, 1, 2, 3, 4]
 
 
-def moved_exponent(mat: LaurentMatrix) -> LaurentMatrix:
-    """Copy of mat with one monomial moved up by one in its first exponent.
+def moved_exponent(counts: np.ndarray) -> np.ndarray:
+    """Copy of a dense (d, d, *box) count array with one count moved up by
+    one in its first exponent, the box grown by one slot at the top of that
+    axis so the exponent offset stays.
 
     The coefficient totals, and so the matrix at t = 1, are unchanged.
     """
-    rows = [list(row) for row in mat.entries]
-    i, j = next((i, j) for i in range(mat.d) for j in range(mat.d) if rows[i][j].terms)
-    terms = dict(rows[i][j].terms)
-    a = next(iter(terms))
-    moved = (a[0] + 1,) + a[1:]
-    terms[a] -= 1
-    terms[moved] = terms.get(moved, 0) + 1
-    rows[i][j] = LaurentPolynomial(mat.m, terms)
-    return LaurentMatrix(rows)
+    out = np.pad(counts, [(0, 0), (0, 0), (0, 1)] + [(0, 0)] * (counts.ndim - 3))
+    at = np.argwhere(out)[0]  # the first nonzero coefficient
+    out[tuple(at)] -= 1
+    at[2] += 1
+    out[tuple(at)] += 1
+    return out
+
+
+def damaged(exact, damage):
+    """``level_counting_array`` with ``damage`` applied to its counts."""
+    def array(fl):
+        counts, offset = exact(fl)
+        return damage(counts, offset)
+
+    return array
 
 
 def test_level_counting_fails_at_k1_on_a_moved_exponent(built, monkeypatch):
-    exact = V.level_counting_matrix
-    monkeypatch.setattr(V, "level_counting_matrix", lambda *a: moved_exponent(exact(*a)))
+    exact = V.level_counting_array
+    monkeypatch.setattr(V, "level_counting_array", damaged(exact, lambda c, o: (moved_exponent(c), o)))
     monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
     result = V.check_level_counting(built)
     assert result.status == "fail"
     assert result.detail == "coefficients disagree with paths at k=1"
 
 
-def moved_cell(mat: LaurentMatrix) -> LaurentMatrix:
-    """Copy of mat with one edge's monomial moved to the next cell of its row.
+def moved_cell(counts: np.ndarray) -> np.ndarray:
+    """Copy of a dense count array with one edge's count moved to the next
+    cell of its row, at the same exponent.
 
     The coefficient total of the matrix is unchanged; those of the two
     cells, and so the matrix at t = 1, are not.
     """
-    cells = [[dict(p.terms) for p in row] for row in mat.entries]
-    i, j = next((i, j) for i in range(mat.d) for j in range(mat.d) if cells[i][j])
-    a = next(iter(cells[i][j]))
-    cells[i][j][a] -= 1
-    k = (j + 1) % mat.d
-    cells[i][k][a] = cells[i][k].get(a, 0) + 1
-    return LaurentMatrix([[LaurentPolynomial(mat.m, terms) for terms in row] for row in cells])
+    out = counts.copy()
+    at = np.argwhere(out)[0]
+    out[tuple(at)] -= 1
+    at[1] = (at[1] + 1) % len(out)
+    out[tuple(at)] += 1
+    return out
 
 
 def test_level_counting_fails_at_k1_on_a_monomial_in_another_cell(built, monkeypatch):
-    exact = V.level_counting_matrix
-    monkeypatch.setattr(V, "level_counting_matrix", lambda *a: moved_cell(exact(*a)))
+    exact = V.level_counting_array
+    monkeypatch.setattr(V, "level_counting_array", damaged(exact, lambda c, o: (moved_cell(c), o)))
     monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
     result = V.check_level_counting(built)
     assert result.status == "fail"
@@ -88,15 +95,14 @@ def test_level_counting_fails_at_k1_on_a_monomial_in_another_cell(built, monkeyp
 def test_level_counting_fails_at_k1_on_a_monomial_outside_the_path_range(built, monkeypatch, shift):
     # one extra monomial below or above every path's f-sum: the dense count
     # array has no cell for it, and it must still count as a mismatch
-    def with_outlier(mat):
-        rows = [list(row) for row in mat.entries]
-        f = built.floor.f
-        far = tuple((f.min(axis=0) - 1 if shift < 0 else f.max(axis=0) + 1).tolist())
-        rows[0][0] = LaurentPolynomial(mat.m, {**rows[0][0].terms, far: 1})
-        return LaurentMatrix(rows)
+    def with_outlier(counts, offset):
+        below, above = (1, 0) if shift < 0 else (0, 1)
+        out = np.pad(counts, [(0, 0), (0, 0)] + [(below, above)] * (counts.ndim - 2))
+        out[(0, 0, *[0 if shift < 0 else -1] * (counts.ndim - 2))] += 1  # at min f - 1 or max f + 1
+        return out, offset - below
 
-    exact = V.level_counting_matrix
-    monkeypatch.setattr(V, "level_counting_matrix", lambda *a: with_outlier(exact(*a)))
+    exact = V.level_counting_array
+    monkeypatch.setattr(V, "level_counting_array", damaged(exact, with_outlier))
     monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
     result = V.check_level_counting(built)
     assert (result.status, result.detail) == ("fail", "coefficients disagree with paths at k=1")
@@ -105,8 +111,8 @@ def test_level_counting_fails_at_k1_on_a_monomial_outside_the_path_range(built, 
 def test_level_counting_fails_at_the_damaged_power(built, monkeypatch):
     # M itself is exact; every product M^(k-1) * M comes out with one
     # exponent moved, so the check must pass k=1 and fail at k=2
-    exact_mul = LaurentMatrix.__mul__
-    monkeypatch.setattr(LaurentMatrix, "__mul__", lambda a, b: moved_exponent(exact_mul(a, b)))
+    exact_mul = V.laurent_array_mul
+    monkeypatch.setattr(V, "laurent_array_mul", lambda a, b: moved_exponent(exact_mul(a, b)))
     monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
     result = V.check_level_counting(built)
     assert result.status == "fail"
@@ -156,6 +162,20 @@ def test_level_counting_counts_every_path(built, monkeypatch):
     assert result.status == "pass"
     n_paths = sum(sum(built.diagram.heights(k)) for k in (1, 2, 3))
     assert result.detail == f"coefficient-exact to k=3 over {n_paths} paths"
+
+
+def test_level_counting_bincounts_at_most_a_path_block_of_keys(built, monkeypatch):
+    # blocks of 7 keys split the prefixes and the out-edges of one vertex
+    # (out-degrees reach 29); the memory per bincount stays flat
+    sizes = []
+    exact = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda keys, **kw: sizes.append(len(keys)) or exact(keys, **kw))
+    monkeypatch.setattr(bratteli, "PATH_BLOCK", 7)
+    monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
+    result = V.check_level_counting(built)
+    assert result.status == "pass"
+    assert result.detail == f"coefficient-exact to k=3 over {sum(sizes)} paths"
+    assert max(sizes) <= 7 and len(sizes) >= sum(built.diagram.heights(3)) / 7
 
 
 def test_maharam_draws_psi_then_seed_from_one_rng(built, monkeypatch):
