@@ -1,17 +1,17 @@
 """Exact integer lattice arithmetic and the product of Laurent-polynomial matrices.
 
-Everything in this module is exact: matrices and vectors are plain Python
-ints (arbitrary precision, since tower counts grow geometrically), Laurent
-polynomials store integer coefficients keyed by integer exponent vectors.
-They carry one operation, the matrix product behind ``laurent_matrix_pow``,
-which criterion 8's counting-route recurrence needs.  Criterion 7 holds its
-Laurent matrices as dense int64 count arrays instead, multiplied by
-``laurent_array_mul``; its counts stay exact in int64 (see there).
+Everything in this module is exact.  Matrices and vectors are plain Python
+ints (arbitrary precision, since tower counts grow geometrically).  A
+matrix of Laurent polynomials, such as the level-counting matrix M(t), is
+a ``LaurentMatrix``: a dense int64 coefficient array and an exponent
+offset.  Its one operation is the product behind ``laurent_matrix_pow``,
+which refuses with OverflowError rather than wrap (see
+``laurent_array_mul``).  Criteria 7 and 8 read M(t)^k in this form.
 A group element of Z^m is a plain tuple of ints in the exact layers
-(cocycle values, Laurent exponents, ``FloorCocycle.path_sum``, the
-certificate), where ``vec_add`` adds two of them; the array layers of
-``cocycles`` and ``maharam`` hold many at once as a (rows, m) int array
-(f-values, fibers, cylinder exponents).
+(cocycle values, ``FloorCocycle.path_sum``, the certificate), where
+``vec_add`` adds two of them; the array layers of ``cocycles`` and
+``maharam`` hold many at once as a (rows, m) int array (f-values, fibers,
+cylinder exponents).
 
 All values are immutable after construction and all operations are pure,
 so concurrent reads are safe.
@@ -19,8 +19,10 @@ so concurrent reads are safe.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd, lcm
 from operator import add
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -201,97 +203,53 @@ def solve_in_row_lattice(h: Sequence[Sequence[int]], target: Sequence[int]) -> l
 
 
 # ---------------------------------------------------------------------------
-# Sparse multivariate Laurent polynomials over Z: only their matrix product
+# Matrices of Laurent polynomials over Z, held dense
 
-class LaurentPolynomial:
-    """Integer Laurent polynomial in m variables, stored sparsely.
-
-    ``terms`` maps exponent tuples (length m, entries may be negative) to
-    nonzero integer coefficients.  Zero coefficients are never stored.
-    """
-
-    __slots__ = ("m", "terms")
-
-    def __init__(self, m: int, terms: dict[tuple[int, ...], int] | None = None):
-        self.m = m
-        clean: dict[tuple[int, ...], int] = {}
-        for expo, coeff in (terms or {}).items():
-            if coeff == 0:
-                continue
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != m:
-                raise ValueError(f"exponent {expo} has dimension != {m}")
-            clean[expo] = clean.get(expo, 0) + int(coeff)
-        self.terms = {e: c for e, c in clean.items() if c != 0}
-
-    def _times(self, other, into: dict) -> dict:
-        """The terms of self * other added into ``into``."""
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                into[e] = into.get(e, 0) + c1 * c2
-        return into
-
-
+@dataclass(frozen=True)
 class LaurentMatrix:
-    """Square matrix of LaurentPolynomial entries sharing one exponent dimension."""
+    """Square matrix of integer Laurent polynomials in m variables, held as a
+    dense (d, d, *box) int64 array: counts[i, j, *n] is the coefficient of
+    t^(offset + n) in cell (i, j)."""
 
-    __slots__ = ("d", "m", "entries")
+    counts: np.ndarray
+    offset: tuple[int, ...]
 
-    def __init__(self, entries: Sequence[Sequence[LaurentPolynomial]]):
-        self.entries = tuple(tuple(row) for row in entries)
-        self.d = len(self.entries)
-        if any(len(row) != self.d for row in self.entries):
-            raise ValueError("LaurentMatrix must be square")
-        dims = {p.m for row in self.entries for p in row}
-        if len(dims) > 1:
-            raise ValueError("mixed exponent dimensions")
-        self.m = dims.pop() if dims else 0
+    @property
+    def entries(self) -> tuple[tuple[SimpleNamespace, ...], ...]:
+        """Rows of cells, each with ``terms``: exponent tuple -> nonzero
+        coefficient, in C order.  A fresh copy on each read; the benchmark's
+        term counter reads it."""
+        d = len(self.counts)
+        cells = [[{} for _ in range(d)] for _ in range(d)]
+        for i, j, *n in np.argwhere(self.counts).tolist():
+            cells[i][j][tuple(map(add, self.offset, n))] = int(self.counts[(i, j, *n)])
+        return tuple(tuple(SimpleNamespace(terms=terms) for terms in row) for row in cells)
 
-    @classmethod
-    def identity(cls, d: int, m: int) -> "LaurentMatrix":
-        return cls([[LaurentPolynomial(m, {zero_vector(m): int(i == j)}) for j in range(d)] for i in range(d)])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
+def laurent_array_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
+    """The matrix product of two Laurent matrices: the count arrays'
+    product convolved along the exponent axes, one ``einsum`` per nonzero
+    exponent slot of ``b``, at the sum of the two offsets.
 
-    def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if self.d != other.d or self.m != other.m:
-            raise ValueError("LaurentMatrix shape/dimension mismatch")
-        rows = []
-        for i in range(self.d):
-            row = []
-            for j in range(self.d):
-                acc: dict[tuple[int, ...], int] = {}
-                for r in range(self.d):
-                    self.entries[i][r]._times(other.entries[r][j], acc)
-                row.append(LaurentPolynomial(self.m, acc))
-            rows.append(row)
-        return LaurentMatrix(rows)
+    The counts are int64.  Every coefficient of the product, and every
+    partial sum of one, is at most the product of the two factors' totals of
+    |coefficient|, so the product refuses with OverflowError when that
+    product, taken as Python ints, reaches 2**63: it never wraps."""
+    if a.counts.shape[:2] != b.counts.shape[:2] or len(a.offset) != len(b.offset):
+        raise ValueError("LaurentMatrix shape/dimension mismatch")
+    if int(np.abs(a.counts).sum()) * int(np.abs(b.counts).sum()) >= 2 ** 63:
+        raise OverflowError("Laurent matrix product may pass int64")
+    box = tuple(x + y - 1 for x, y in zip(a.counts.shape[2:], b.counts.shape[2:]))
+    out = np.zeros((*a.counts.shape[:2], *box), dtype=np.int64)
+    for slot in zip(*np.nonzero(b.counts.any(axis=(0, 1)))):
+        window = tuple(slice(s, s + n) for s, n in zip(slot, a.counts.shape[2:]))
+        out[(..., *window)] += np.einsum("ir...,rj->ij...", a.counts, b.counts[(..., *slot)])
+    return LaurentMatrix(out, tuple(map(add, a.offset, b.offset)))
 
 
 def laurent_matrix_pow(mat: LaurentMatrix, k: int) -> LaurentMatrix:
     if k < 0:
         raise ValueError("negative matrix power")
-    return _power(mat, k, LaurentMatrix.identity(mat.d, mat.m), LaurentMatrix.__mul__)
-
-
-def laurent_array_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two Laurent matrices held as dense (d, d, *box) count
-    arrays, entry [i, j, *n] the coefficient of t^(offset + n) in cell (i, j):
-    the matrix product convolved along the exponent axes, one ``einsum`` per
-    nonzero exponent slot of ``b``.  The product's offset is the sum of the
-    two, which the caller keeps.
-
-    The arrays are int64, and exact for criterion 7's level-counting powers:
-    each coefficient of M(t)^k counts level-k paths, and the check enumerates
-    those paths one by one, so no coefficient (or partial sum of one, all
-    terms being nonnegative) passes int64 before that enumeration becomes
-    impossible."""
-    box = tuple(x + y - 1 for x, y in zip(a.shape[2:], b.shape[2:]))
-    out = np.zeros((*a.shape[:2], *box), dtype=np.int64)
-    for slot in zip(*np.nonzero(b.any(axis=(0, 1)))):
-        window = tuple(slice(s, s + n) for s, n in zip(slot, a.shape[2:]))
-        out[(..., *window)] += np.einsum("ir...,rj->ij...", a, b[(..., *slot)])
-    return out
+    d, m = len(mat.counts), len(mat.offset)
+    one = LaurentMatrix(np.eye(d, dtype=np.int64).reshape(d, d, *[1] * m), zero_vector(m))
+    return _power(mat, k, one, laurent_array_mul)

@@ -28,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import LaurentMatrix, LaurentPolynomial, vec_add, zero_vector
+from .algebra import LaurentMatrix, vec_add, zero_vector
 from .bratteli import BratteliDiagram
 from .cocycles import FloorCocycle, skewed_adic_step
 from .skew import SkewCocycle
@@ -119,22 +119,12 @@ def log_masses(psis, pf: PerronData, exponents, targets, lengths) -> np.ndarray:
 
 
 def level_counting_matrix(fl: FloorCocycle) -> LaurentMatrix:
-    """Matrix of monomial sums t^{f(e)} over edges grouped by source/target."""
-    d = fl.diagram.d
-    cells = [{} for _ in range(d * d)]  # by flat cell source * d + target
-    for c, a in zip(fl.cell.tolist(), map(tuple, fl.f.tolist())):
-        cells[c][a] = cells[c].get(a, 0) + 1
-    return LaurentMatrix([[LaurentPolynomial(fl.m, cells[i * d + j]) for j in range(d)] for i in range(d)])
-
-
-def level_counting_array(fl: FloorCocycle) -> tuple[np.ndarray, np.ndarray]:
-    """M(t) as a dense (d, d, *(max f - min f + 1)) int64 count array and its
-    exponent offset min f: entry [i, j, *n] counts the edges from i to j
-    with f(e) = min f + n (``algebra.laurent_array_mul`` multiplies it)."""
+    """M(t) held dense: counts[i, j, *n] counts the edges from i to j with
+    f(e) = min f + n, at the exponent offset min f."""
     lo = fl.f.min(axis=0)
     counts = np.zeros((fl.diagram.d, fl.diagram.d, *(fl.f.max(axis=0) - lo + 1)), dtype=np.int64)
     np.add.at(counts, (fl.diagram.source, fl.diagram.target, *(fl.f - lo).T), 1)
-    return counts, lo
+    return LaurentMatrix(counts, tuple(lo.tolist()))
 
 
 class MaharamMeasure:
@@ -173,12 +163,13 @@ def invariance_recurrence_check(psis, pf: PerronData, k: int, power: LaurentMatr
     The right side weighs level-k base masses by the coefficients of
     ``power``, the exact (psi-free) k-th power of the level-counting matrix,
     so it exercises the counting route rather than the eigenvector identity.
+    Its terms are the nonzero coefficients in the C order of ``power.counts``:
+    by cell (i, j), then by exponent.
     """
-    d = power.d
-    terms = [(i, j, a, n) for i in range(d) for j in range(d) for a, n in power[i, j].terms.items()]
-    i, j, a, n = zip(*terms)
-    rhs = (np.exp(log_masses(psis, pf, a, list(j), [k] * len(n))) * n) @ np.eye(d)[list(i)]
-    return np.abs(pf.vector - rhs).max(axis=1)
+    i, j, *n = cells = np.nonzero(power.counts)
+    exponents = np.transpose(n) + power.offset
+    masses = np.exp(log_masses(psis, pf, exponents, j, [k] * len(i))) * power.counts[cells]
+    return np.abs(pf.vector - masses @ np.eye(len(power.counts))[i]).max(axis=1)
 
 
 def recurrence_vector_residual(matrices: np.ndarray, pf: PerronData, k: int) -> np.ndarray:
@@ -204,6 +195,8 @@ def step_samples(diagram: BratteliDiagram, level: int, samples: int, m: int, see
     """
     if level < 1:  # the empty path is maximal, so every draw would be drawn again
         raise ValueError("level must be at least 1")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = random.Random(seed)
     bits, rows, tops = rng.getrandbits, diagram.draw_rows, diagram.tops
     d, tower_width = diagram.d, diagram.d.bit_length()
@@ -355,20 +348,24 @@ class MeasureTable:
         return np.array(self.fibers) @ np.array(self.psi)
 
 
-def path_sum_bound(floor: FloorCocycle, level: int) -> int:
-    """Largest |S_k f(p)| over the level-k paths p and the coordinates.
+def tower_maxima(floor: FloorCocycle, weights: np.ndarray, level: int) -> np.ndarray:
+    """Largest sum of ``weights``, one row per edge, over the level-k paths
+    ending at each tower, coordinate by coordinate: (d, columns).
 
-    The extreme sums of the paths ending at each vertex grow one level at a
-    time: edges into a tower have consecutive ids, so one ``reduceat`` per
-    level takes the extremes over each tower's edges.
+    The largest sums grow one level at a time: edges into a tower have
+    consecutive ids, so one ``reduceat`` per level takes the maximum over
+    each tower's edges.
     """
     diagram = floor.diagram
-    source = diagram.source
-    hi = lo = np.zeros((diagram.d, floor.m), dtype=floor.f.dtype)
+    best = np.zeros((diagram.d, weights.shape[1]), dtype=weights.dtype)
     for _ in range(level):
-        hi = np.maximum.reduceat(hi[source] + floor.f, diagram.first_ids)
-        lo = np.minimum.reduceat(lo[source] + floor.f, diagram.first_ids)
-    return int(max(hi.max(), -lo.min()))
+        best = np.maximum.reduceat(best[diagram.source] + weights, diagram.first_ids)
+    return best
+
+
+def path_sum_bound(floor: FloorCocycle, level: int) -> int:
+    """Largest |S_k f(p)| over the level-k paths p and the coordinates."""
+    return int(max(tower_maxima(floor, floor.f, level).max(), tower_maxima(floor, -floor.f, level).max()))
 
 
 def build_measure_table(fl: FloorCocycle, psi, level: int) -> MeasureTable:
@@ -378,11 +375,18 @@ def build_measure_table(fl: FloorCocycle, psi, level: int) -> MeasureTable:
     finite set of fibers a level-k tower can reach from fiber zero.
     A mass is lambda^a times a per-path factor lambda^{S_k f(p)} v_t / r^k;
     the table keeps the two factors apart, as logarithms like every mass.
+    A table whose largest mass passes float range is refused; a mass below
+    the smallest positive float is 0.0.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
     psis = np.array([psi], dtype=float)
     pf = perron(level_matrices(fl, psis))
     bound = path_sum_bound(fl, level)
+    # the largest log mass: each tower's largest <psi, S_k f>, then the box's largest <psi, a>
+    logs = tower_maxima(fl, fl.f @ psis.T, level)[:, 0] + np.log(pf.vector[0]) - level * np.log(pf.eigenvalue[0])
+    if logs.max() + bound * np.abs(psis).sum() > np.log(np.finfo(float).max):
+        bad = tuple(psis[0].tolist())
+        raise ValueError(f"psi {bad} is out of float range: a level-{level} mass overflows a float")
     fibers = tuple(product(range(-bound, bound + 1), repeat=fl.m))
     return MeasureTable(tuple(psi), level, fibers, fl, pf)

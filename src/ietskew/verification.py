@@ -45,7 +45,6 @@ from .maharam import (
     dyadic_grids,
     invariance_recurrence_check,
     invariance_step_check,
-    level_counting_array,
     level_counting_matrix,
     level_matrices,
     perron,
@@ -312,12 +311,12 @@ def check_level_counting(built: BuiltInstance, seed: int = 0) -> CheckResult:
 
     The paths are counted in a dense array over (source, target,
     S_k f - k min f) by ``np.bincount`` of their ``path_keys``.  The power
-    is ``laurent_array_mul``'s dense M^(k-1) * M, placed in that box by its
+    is ``laurent_array_mul``'s M^(k-1) * M, placed in that box by its
     exponent offset; a coefficient outside the box matches no path.  The two
     must be equal, and each cell's total the entry of the exact A^k (at k = 1,
     M(1) = A)."""
     diagram, f = built.diagram, built.floor.f
-    mat, offset = level_counting_array(built.floor)
+    mat = level_counting_matrix(built.floor)
     d, lo, hi = diagram.d, f.min(axis=0), f.max(axis=0)
     mk, ak = mat, diagram.matrix
     n_paths = 0
@@ -331,12 +330,13 @@ def check_level_counting(built: BuiltInstance, seed: int = 0) -> CheckResult:
             counts += np.bincount(key, minlength=counts.size)
         counts = counts.reshape(shape)
         n_paths += int(counts.sum())
-        cells = np.nonzero(mk)
-        at = np.add(cells[2:], (k * (offset - lo))[:, None])  # each coefficient's exponent index in the box
+        cells = np.nonzero(mk.counts)
+        # each coefficient's exponent index in the box
+        at = np.add(cells[2:], np.subtract(mk.offset, k * lo)[:, None])
         inside = ((at >= 0) & (at < np.array(shape[2:])[:, None])).all()
         power = np.zeros_like(counts)
         if inside:
-            power[(*cells[:2], *at)] = mk[cells]
+            power[(*cells[:2], *at)] = mk.counts[cells]
         if not (inside and np.array_equal(power, counts)):
             return CheckResult("", "fail", detail=f"coefficients disagree with paths at k={k}")
         if (counts.reshape(d * d, -1).sum(axis=1) != np.ravel(ak)).any():  # M^k's totals, as power == counts

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import settings
 
@@ -8,16 +10,23 @@ settings.register_profile("derandomized", derandomize=True, database=None, deadl
 settings.load_profile("derandomized")
 
 
+@pytest.fixture(scope="session")
+def packaged():
+    """The packaged instance of a name, built once per session.  A test that
+    changes one works on a ``dataclasses.replace`` copy."""
+    return functools.cache(lambda name: build_instance(load_instance(name)))
+
+
 @pytest.fixture(scope="session", params=packaged_names())
-def built(request):
-    return build_instance(load_instance(request.param))
+def built(request, packaged):
+    return packaged(request.param)
 
 
 @pytest.fixture(scope="session")
-def golden():
-    return build_instance(load_instance("golden_triple"))
+def golden(packaged):
+    return packaged("golden_triple")
 
 
 @pytest.fixture(scope="session")
-def rank2():
-    return build_instance(load_instance("genus2_rank2"))
+def rank2(packaged):
+    return packaged("genus2_rank2")

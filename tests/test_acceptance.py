@@ -7,20 +7,10 @@ The checks read those values from module constants, which
 one-line pass report; run with ``pytest -s`` to see them live.
 """
 
-import pytest
-
-from ietskew.instances import build_instance, load_instance, packaged_names
 from ietskew.algebra import transpose
 from ietskew.skew import SkewCocycle, check_periodic_type, eigencocycles
 from ietskew import maharam
 from ietskew import verification as V
-
-INSTANCES = packaged_names()
-
-
-@pytest.fixture(scope="module", params=INSTANCES)
-def built(request):
-    return build_instance(load_instance(request.param))
 
 
 def report(n, title, built, result):

@@ -2,15 +2,16 @@ import random
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
 from ietskew.algebra import (
     LaurentMatrix,
-    LaurentPolynomial,
     as_matrix,
     identity_matrix,
     integer_kernel,
     invariant_factors,
+    laurent_array_mul,
     laurent_matrix_pow,
     mat_mul,
     mat_pow,
@@ -18,7 +19,25 @@ from ietskew.algebra import (
     row_hnf,
     solve_in_row_lattice,
 )
-from laurent_reference import evaluate
+from laurent_reference import brute_product, evaluate, grid
+
+
+def laurent(m, cells):
+    """The LaurentMatrix of a square grid of {exponent: coefficient} dicts,
+    in the smallest box that holds every exponent given."""
+    exponents = [e for row in cells for cell in row for e in cell] or [(0,) * m]
+    lo, hi = np.min(exponents, axis=0), np.max(exponents, axis=0)
+    counts = np.zeros((len(cells), len(cells), *(hi - lo + 1)), dtype=np.int64)
+    for i, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            for e, c in cell.items():
+                counts[(i, j, *np.subtract(e, lo))] += c
+    return LaurentMatrix(counts, tuple(lo.tolist()))
+
+
+def poly(m, coefficients=None):
+    """A Laurent polynomial, as the one cell of a 1x1 LaurentMatrix."""
+    return laurent(m, [[coefficients or {}]])
 
 
 def random_poly(rng, m, nterms=4, span=3, cmax=5):
@@ -26,46 +45,43 @@ def random_poly(rng, m, nterms=4, span=3, cmax=5):
     for _ in range(nterms):
         e = tuple(rng.randint(-span, span) for _ in range(m))
         terms[e] = rng.randint(-cmax, cmax)
-    return LaurentPolynomial(m, terms)
+    return poly(m, terms)
 
 
-def times(p, q):
-    """p * q, as the entry of the product of the 1x1 matrices [p] and [q]."""
-    return (LaurentMatrix([[p]]) * LaurentMatrix([[q]]))[0, 0]
+def terms(p):
+    """The terms of a 1x1 LaurentMatrix's one cell."""
+    return grid(p)[0][0]
 
 
 def plus(p, q):
-    terms = Counter(p.terms)
-    terms.update(q.terms)
-    return LaurentPolynomial(p.m, terms)
-
-
-def grid(mat):
-    """The terms of every entry of a LaurentMatrix."""
-    return [[p.terms for p in row] for row in mat.entries]
+    total = Counter(terms(p))
+    total.update(terms(q))
+    return poly(len(p.offset), total)
 
 
 # -- Laurent polynomial ring, through 1x1 matrix products --------------------
 
 def test_inverse_monomials_cancel():
-    t1, t1inv = LaurentPolynomial(1, {(1,): 1}), LaurentPolynomial(1, {(-1,): 1})
-    assert times(t1, t1inv).terms == {(0,): 1}
+    t1, t1inv = poly(1, {(1,): 1}), poly(1, {(-1,): 1})
+    assert terms(laurent_array_mul(t1, t1inv)) == {(0,): 1}
 
 
 def test_zero_annihilates():
-    p = LaurentPolynomial(1, {(2,): 3, (-1,): -7})
-    assert times(p, LaurentPolynomial(1)).terms == {}
+    p = poly(1, {(2,): 3, (-1,): -7})
+    assert terms(laurent_array_mul(p, poly(1))) == {}
 
 
 def test_schoolbook_square():
     # (1 + t1)^2 expanded by hand: 1 + 2 t1 + t1^2
-    p = LaurentPolynomial(1, {(0,): 1, (1,): 1})
-    assert times(p, p).terms == {(0,): 1, (1,): 2, (2,): 1}
+    p = poly(1, {(0,): 1, (1,): 1})
+    assert terms(laurent_array_mul(p, p)) == {(0,): 1, (1,): 2, (2,): 1}
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        times(LaurentPolynomial(1, {(0,): 1}), LaurentPolynomial(2, {(0, 0): 1}))
+        laurent_array_mul(poly(1, {(0,): 1}), poly(2, {(0, 0): 1}))
+    with pytest.raises(ValueError):
+        laurent_array_mul(poly(1, {(0,): 1}), laurent(1, [[{}, {}], [{}, {}]]))
 
 
 def test_ring_axioms_randomized():
@@ -73,19 +89,21 @@ def test_ring_axioms_randomized():
     for _ in range(60):
         m = rng.choice([1, 2, 3])
         p, q, r = (random_poly(rng, m) for _ in range(3))
-        assert times(times(p, q), r).terms == times(p, times(q, r)).terms
-        assert times(p, plus(q, r)).terms == plus(times(p, q), times(p, r)).terms
-        assert times(p, q).terms == times(q, p).terms
+        pq, qr = laurent_array_mul(p, q), laurent_array_mul(q, r)
+        assert terms(laurent_array_mul(pq, r)) == terms(laurent_array_mul(p, qr))
+        assert terms(laurent_array_mul(p, plus(q, r))) == terms(plus(pq, laurent_array_mul(p, r)))
+        assert terms(pq) == terms(laurent_array_mul(q, p))
+        assert grid(pq) == brute_product(p, q)
 
 
 def test_eval_simple_points():
-    assert evaluate(LaurentPolynomial(1, {(1,): 1, (-1,): 1}), (1.0,)) == pytest.approx(2.0)
-    assert evaluate(LaurentPolynomial(1, {(0,): 1}), (0.37,)) == 1.0
-    assert evaluate(LaurentPolynomial(2, {(1, -1): 2}), (2.0, 4.0)) == pytest.approx(1.0)
+    assert evaluate(poly(1, {(1,): 1, (-1,): 1}), (1.0,))[0][0] == pytest.approx(2.0)
+    assert evaluate(poly(1, {(0,): 1}), (0.37,))[0][0] == 1.0
+    assert evaluate(poly(2, {(1, -1): 2}), (2.0, 4.0))[0][0] == pytest.approx(1.0)
 
 
 def test_eval_rejects_nonpositive_point():
-    p = LaurentPolynomial(1, {(-2,): 1})
+    p = poly(1, {(-2,): 1})
     with pytest.raises(ValueError):
         evaluate(p, (0.0,))
     with pytest.raises(ValueError):
@@ -99,45 +117,60 @@ def test_eval_is_ring_homomorphism():
         p = random_poly(rng, m)
         q = random_poly(rng, m)
         lam = tuple(rng.uniform(0.4, 2.5) for _ in range(m))
-        lhs = evaluate(times(p, q), lam)
-        rhs = evaluate(p, lam) * evaluate(q, lam)
+        lhs = evaluate(laurent_array_mul(p, q), lam)[0][0]
+        rhs = evaluate(p, lam)[0][0] * evaluate(q, lam)[0][0]
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 # -- Laurent matrices ---------------------------------------------------------
 
 def test_matrix_pow_degenerate_cases():
-    t, one = LaurentPolynomial(1, {(1,): 1}), LaurentPolynomial(1, {(0,): 1})
-    m = LaurentMatrix([[one, t], [t, plus(one, t)]])
+    t, one = {(1,): 1}, {(0,): 1}
+    m = laurent(1, [[one, t], [t, {(0,): 1, (1,): 1}]])
     assert grid(laurent_matrix_pow(m, 1)) == grid(m)
-    ident = LaurentMatrix.identity(2, 1)
+    ident = laurent_matrix_pow(m, 0)
     assert grid(ident) == [[{(0,): 1}, {}], [{}, {(0,): 1}]]
+    assert ident.counts.shape == (2, 2, 1) and ident.offset == (0,)
     assert grid(laurent_matrix_pow(ident, 5)) == grid(ident)
-    assert grid(laurent_matrix_pow(m, 0)) == grid(ident)
 
 
 def test_matrix_square_matches_bilinear_expansion():
     rng = random.Random(5)
-    polys = [[random_poly(rng, 2, nterms=3, span=2) for _ in range(3)] for _ in range(3)]
-    m = LaurentMatrix(polys)
+    cells = [[terms(random_poly(rng, 2, nterms=3, span=2)) for _ in range(3)] for _ in range(3)]
+    m = laurent(2, cells)
     sq = laurent_matrix_pow(m, 2)
+    assert grid(sq) == brute_product(m, m)
     for i in range(3):
         for j in range(3):
-            acc = LaurentPolynomial(2)
+            acc = poly(2)
             for r in range(3):
-                acc = plus(acc, times(polys[i][r], polys[r][j]))
-            assert sq[i, j].terms == acc.terms
+                acc = plus(acc, laurent_array_mul(poly(2, cells[i][r]), poly(2, cells[r][j])))
+            assert grid(sq)[i][j] == terms(acc)
 
 
 def test_powers_equal_repeated_products():
     rng = random.Random(6)
     a = as_matrix([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
-    mat = LaurentMatrix([[random_poly(rng, 2, nterms=2, span=1) for _ in range(2)] for _ in range(2)])
-    a_k, mat_k = identity_matrix(3), LaurentMatrix.identity(2, 2)
+    mat = laurent(2, [[terms(random_poly(rng, 2, nterms=2, span=1)) for _ in range(2)] for _ in range(2)])
+    a_k, mat_k = identity_matrix(3), laurent_matrix_pow(mat, 0)
+    at_one = as_matrix(mat.counts.reshape(2, 2, -1).sum(axis=2))  # M(1, 1)
     for k in range(10):
         assert mat_pow(a, k) == a_k
         assert grid(laurent_matrix_pow(mat, k)) == grid(mat_k)
-        a_k, mat_k = mat_mul(a_k, a), mat_k * mat
+        assert grid(laurent_array_mul(mat_k, mat)) == brute_product(mat_k, mat)
+        assert as_matrix(mat_k.counts.reshape(2, 2, -1).sum(axis=2)) == mat_pow(at_one, k)  # M(1)^k = M^k(1)
+        a_k, mat_k = mat_mul(a_k, a), laurent_array_mul(mat_k, mat)
+
+
+def test_a_product_past_int64_is_refused():
+    # the factors' totals of |coefficient| bound every coefficient of the
+    # product: a product of totals of 2**63 is refused, one just below is exact
+    wide, signed = poly(1, {(0,): 2 ** 31, (1,): 2 ** 31}), poly(1, {(0,): 2 ** 31, (1,): -(2 ** 31)})
+    for p in (wide, signed):
+        with pytest.raises(OverflowError):
+            laurent_array_mul(p, poly(1, {(0,): 2 ** 31}))
+    c = 2 ** 31 * (2 ** 31 - 1)
+    assert terms(laurent_array_mul(wide, poly(1, {(0,): 2 ** 31 - 1}))) == {(0,): c, (1,): c}
 
 
 # -- kernels and invariant factors -------------------------------------------

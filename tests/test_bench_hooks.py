@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from ietskew import cli
-from ietskew.instances import build_instance, load_instance, packaged_names
+from ietskew.instances import packaged_names
 from ietskew.maharam import MaharamMeasure, default_cylinder_family, level_counting_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,9 +73,9 @@ def test_tracing_records_a_command_and_restores_the_targets():
 
 
 @pytest.mark.parametrize("name", packaged_names())
-def test_cylinder_measure_takes_every_default_cylinder(name):
+def test_cylinder_measure_takes_every_default_cylinder(packaged, name):
     workloads = load_bench_module("workloads")
-    built = build_instance(load_instance(name))
+    built = packaged(name)
     measure = MaharamMeasure(built.diagram, built.phi, (0.25,) * built.m)
     cylinders = default_cylinder_family(built.diagram, built.m, level=workloads.SWEEP_LEVEL)
     assert len(cylinders) == 2 * built.diagram.d

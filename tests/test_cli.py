@@ -1,5 +1,4 @@
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 
 from ietskew import bratteli, cli, skew, verification
 from ietskew.cli import main
-from ietskew.instances import build_instance, load_instance
 from ietskew.maharam import (
     MaharamMeasure,
     MeasureTable,
@@ -241,8 +239,8 @@ def csv_cells(values) -> list[str]:
     "name, level, psis",
     [("golden_triple", 3, ["0.3", "-0.7"]), ("genus2_rank2", 2, ["0.4,-0.3", "-0.9,0.6"])],
 )
-def test_maharam_rows_match_path_enumeration_and_cylinder_measures(tmp_path, name, level, psis):
-    built = build_instance(load_instance(name))
+def test_maharam_rows_match_path_enumeration_and_cylinder_measures(tmp_path, packaged, name, level, psis):
+    built = packaged(name)
     diagram, m = built.diagram, built.phi.m
     fl = built.floor
     paths = sorted(("".join(diagram.labels[i] for i in p), p) for p in diagram.enumerate_paths(level))
@@ -282,11 +280,6 @@ def test_maharam_rows_match_path_enumeration_and_cylinder_measures(tmp_path, nam
             for i in picked.tolist()
         )
         assert worst <= 1e-12
-
-
-@functools.cache
-def packaged(name):
-    return build_instance(load_instance(name))
 
 
 def reference_csv(built, psis, level) -> str:
@@ -345,7 +338,7 @@ ORACLE_CASES = [
 
 
 @pytest.mark.parametrize("name, level, psi", ORACLE_CASES)
-def test_maharam_matches_a_row_by_row_reference(name, level, psi, capsys):
+def test_maharam_matches_a_row_by_row_reference(name, level, psi, packaged, capsys):
     built = packaged(name)
     # no --psi: the packaged presets, else the zero vector of ints
     psis = [tuple(map(float, psi.split(",")))] if psi else built.spec.psi or [(0,) * built.phi.m]
@@ -353,14 +346,14 @@ def test_maharam_matches_a_row_by_row_reference(name, level, psi, capsys):
     assert first_difference(capsys.readouterr().out, reference_csv(built, psis, level)) is None
 
 
-def test_maharam_matches_the_reference_when_no_two_paths_share_a_log(monkeypatch, capsys):
+def test_maharam_matches_the_reference_when_no_two_paths_share_a_log(golden, monkeypatch, capsys):
     def distinct_logs(self, ids):
         number = ids @ self.floor.diagram.num_edges ** np.arange(ids.shape[1])  # one per path
         return path_logs(self, ids) + 1e-6 * number
 
     path_logs = MeasureTable.path_logs
     monkeypatch.setattr(MeasureTable, "path_logs", distinct_logs)
-    built = packaged("golden_triple")
+    built = golden
     table = build_measure_table(built.floor, (-0.41,), 3)
     logs = np.concatenate([table.path_logs(ids) for ids in built.diagram.path_blocks(3)])
     assert np.unique(logs).size == logs.size == 577
@@ -371,8 +364,8 @@ def test_maharam_matches_the_reference_when_no_two_paths_share_a_log(monkeypatch
     assert max(sizes) <= cli.CSV_ROWS  # the formatter's scratch arrays stay small
 
 
-def test_maharam_formats_each_distinct_path_log_once_per_fiber(tmp_path, monkeypatch):
-    built = packaged("golden_triple")
+def test_maharam_formats_each_distinct_path_log_once_per_fiber(golden, tmp_path, monkeypatch):
+    built = golden
     table = build_measure_table(built.floor, (0.3127,), 5)
     blocks = list(built.diagram.path_blocks(5))
     distinct = sum(np.unique(table.path_logs(ids)).size for ids in blocks)
@@ -418,9 +411,9 @@ def test_continuity_csv_schema(tmp_path, capsys):
     assert steps == {"0.5"}
 
 
-def test_continuity_rows_are_cylinder_major_and_sorted(tmp_path):
+def test_continuity_rows_are_cylinder_major_and_sorted(rank2, tmp_path):
     # reference: every profile row through csv.writer, sorted by (cylinder, psi)
-    built = build_instance(load_instance("genus2_rank2"))
+    built = rank2
     axes = tuple(tuple(lo + (hi - lo) * i / 3 for i in range(4)) for lo, hi in [(-1.1, 1.15), (-0.6, 1.35)])
     cylinders = default_cylinder_family(built.diagram, 2, level=3)
     (profile,) = continuity_profile(built.floor, cylinders, [axes])
@@ -700,6 +693,27 @@ def test_maharam_names_a_psi_out_of_float_range(psi, capsys):
     assert captured.err == (
         f"error: psi {expected} is out of float range: M(exp psi) overflows a float\n"
     )
+
+
+@pytest.mark.parametrize("name, psi", [("golden_triple", "300"), ("golden_triple", "-178"), ("genus2_rank2", "60,60")])
+def test_maharam_refuses_a_table_whose_masses_overflow(name, psi, tmp_path, capsys):
+    # M(exp psi) is finite, but the table's largest mass is not
+    out = tmp_path / "t.csv"
+    assert run_cli("maharam", "--instance", name, f"--psi={psi}", "--level", "3", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    bad = tuple(map(float, psi.split(",")))
+    assert captured.err == f"error: psi {bad} is out of float range: a level-3 mass overflows a float\n"
+
+
+def test_maharam_writes_a_table_just_inside_float_range(golden, capsys):
+    # golden's largest level-3 log mass is 4 |psi|: 708 at psi = 177, 712 at 178
+    table = build_measure_table(golden.floor, (177.0,), 3)
+    ids = np.concatenate(list(golden.diagram.path_blocks(3)))
+    assert (table.path_logs(ids)[:, None] + table.fiber_logs).max() == pytest.approx(708.0)
+    assert run_cli("maharam", "--instance", "golden_triple", "--psi=177", "--level", "3") == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "inf" not in captured.out
 
 
 @pytest.mark.parametrize("name, prefix", [("golden_triple", "0,1,"), ("genus2_rank2", "0,0,1,")])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ietskew import maharam
-from ietskew.algebra import laurent_array_mul, laurent_matrix_pow, vec_add, zero_vector
+from ietskew.algebra import LaurentMatrix, laurent_array_mul, laurent_matrix_pow, mat_pow, vec_add, zero_vector
 from ietskew.cocycles import FloorCocycle
 from ietskew.iet import pf_lengths
 from ietskew.maharam import (
@@ -21,7 +21,6 @@ from ietskew.maharam import (
     dyadic_grids,
     invariance_recurrence_check,
     invariance_step_check,
-    level_counting_array,
     level_counting_matrix,
     level_matrices,
     path_sum_bound,
@@ -29,7 +28,7 @@ from ietskew.maharam import (
     recurrence_vector_residual,
     step_samples,
 )
-from laurent_reference import evaluate_matrix
+from laurent_reference import brute_product, evaluate, grid
 
 
 def path_count_coefficients(diagram, phi, k):
@@ -99,8 +98,9 @@ def test_perron_stop_is_relative_to_the_eigenvalue(golden):
 def test_level_counting_matrix_at_one_is_incidence(built):
     # M(1, ..., 1) is each cell's coefficient total, exactly
     mat = level_counting_matrix(built.floor)
-    totals = [[sum(p.terms.values()) for p in row] for row in mat.entries]
+    totals = [[sum(cell.terms.values()) for cell in row] for row in mat.entries]
     assert totals == [list(row) for row in built.tower.matrix]
+    assert mat.offset == tuple(built.floor.f.min(axis=0).tolist())
 
 
 def test_matrix_power_counts_paths_exhaustively(built):
@@ -108,35 +108,51 @@ def test_matrix_power_counts_paths_exhaustively(built):
     kmax = 4 if built.name == "golden_triple" else 3
     for k in range(1, kmax + 1):
         oracle = path_count_coefficients(built.diagram, built.phi, k)
-        mk = laurent_matrix_pow(mat, k)
+        entries = laurent_matrix_pow(mat, k).entries
         for i in range(1, built.tower.d + 1):
             for j in range(1, built.tower.d + 1):
-                entry = mk[i - 1, j - 1]
+                entry = entries[i - 1][j - 1]
                 from_oracle = {
                     a: c for (s, t, a), c in oracle.items() if s == i and t == j
                 }
                 assert entry.terms == from_oracle
                 # row sums of coefficients reproduce the incidence power
                 total = sum(entry.terms.values())
-                from ietskew.algebra import mat_pow
-
                 assert total == mat_pow(built.tower.matrix, k)[i - 1][j - 1]
 
 
 def test_dense_counting_powers_equal_the_laurent_powers(built):
-    # M(t)^k for k = 0..4 from the dense array (offset k min f), against
-    # the dict form coefficient by coefficient
-    counts, offset = level_counting_array(built.floor)
+    # M(t)^k for k = 0..4 by repeated products from M^0 = I at offset 0,
+    # against the square-and-multiply power, array for array
     mat = level_counting_matrix(built.floor)
     d, m = built.diagram.d, built.m
-    power = np.eye(d, dtype=np.int64).reshape(d, d, *[1] * m)  # M^0 = I at offset 0
+    power = LaurentMatrix(np.eye(d, dtype=np.int64).reshape(d, d, *[1] * m), (0,) * m)
     for k in range(5):
         if k:
-            power = laurent_array_mul(power, counts)
-        assert power.dtype == np.int64
-        dense = {(i, j, tuple((at + k * offset).tolist())): int(power[(i, j, *at)]) for i, j, *at in np.argwhere(power)}
+            power = laurent_array_mul(power, mat)
+        assert power.counts.dtype == np.int64
+        assert power.offset == tuple((k * built.floor.f.min(axis=0)).tolist())
         laurent = laurent_matrix_pow(mat, k)
-        assert dense == {(i, j, a): c for i in range(d) for j in range(d) for a, c in laurent[i, j].terms.items()}
+        assert laurent.offset == power.offset and np.array_equal(laurent.counts, power.counts)
+
+
+def test_a_counting_power_past_int64_is_refused(golden):
+    # A^25 is the first power whose entry sum passes 2**63.  The refusal
+    # bounds M^8 * M^16 by the product of their totals, which passes 2**63
+    # as well, so k = 24 is refused too; each power up to k = 23 is exact,
+    # each checked against the Python-int product of the one before and M
+    a = golden.tower.matrix
+    assert sum(map(sum, mat_pow(a, 24))) < 2 ** 63 <= sum(map(sum, mat_pow(a, 25)))
+    mat = level_counting_matrix(golden.floor)
+    for k in (24, 25):
+        with pytest.raises(OverflowError):
+            laurent_matrix_pow(mat, k)
+    power = mat
+    for k in range(2, 24):
+        step = laurent_matrix_pow(mat, k)
+        assert grid(step) == brute_product(power, mat)
+        power = step
+    assert power.counts.reshape(3, 3, -1).sum(axis=2).tolist() == [list(row) for row in mat_pow(a, 23)]
 
 
 def test_b_counts_edge_weights(built):
@@ -145,8 +161,9 @@ def test_b_counts_edge_weights(built):
     # (source, target) of each edge id from the return words, with its f-value
     cells = [(w[l], j) for j, w in enumerate(built.diagram.words, 1) for l in range(len(w))]
     edges = [(s, t, tuple(a)) for (s, t), a in zip(cells, fl.f.tolist())]
+    entries = mat.entries
     for s, t, a in edges:
-        assert mat[s - 1, t - 1].terms.get(a, 0) == edges.count((s, t, a))
+        assert entries[s - 1][t - 1].terms.get(a, 0) == edges.count((s, t, a))
 
 
 def test_psi_zero_reduces_to_incidence_pf(built):
@@ -213,6 +230,7 @@ def test_invariance_recurrence(built):
 def test_invariance_recurrence_matches_scalar_masses(built):
     # the counting sum from per-measure base masses, one psi at a time
     power = laurent_matrix_pow(level_counting_matrix(built.floor), 2)
+    entries = power.entries
     psis, matrices, pf = stack(built, [(0.3,) * built.phi.m, (-0.7,) * built.phi.m])
     for t, psi in enumerate(psis):
         measure = MaharamMeasure(built.diagram, built.phi, psi)
@@ -221,7 +239,7 @@ def test_invariance_recurrence_matches_scalar_masses(built):
             rhs = sum(
                 count * base_mass(measure, j + 1, a) / measure.perron.eigenvalue[0] ** 2
                 for j in range(built.diagram.d)
-                for a, count in power[i, j].terms.items()
+                for a, count in entries[i][j].terms.items()
             )
             worst = max(worst, abs(base_mass(measure, i + 1) - rhs))
         assert invariance_recurrence_check(psis, pf, 2, power)[t] == pytest.approx(worst, abs=1e-15)
@@ -270,6 +288,15 @@ def test_step_samples_refuse_level_zero(golden):
     psis = np.zeros((1, 1))
     with pytest.raises(ValueError, match="level must be at least 1"):
         invariance_step_check(golden.floor, psis, perron(level_matrices(golden.floor, psis)), [0], 3, 0)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_step_samples_refuse_fewer_than_one_sample(golden, samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        step_samples(golden.diagram, 3, samples, 1, 0)
+    psis = np.zeros((1, 1))
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        invariance_step_check(golden.floor, psis, perron(level_matrices(golden.floor, psis)), [0], samples, 3)
 
 
 def randrange_step_samples(diagram, level, samples, m, rng):
@@ -353,7 +380,7 @@ def eigen_reference_masses(diagram, phi, level_matrix, cylinders, psi):
     """Masses at one psi from LAPACK's Perron pair of M(lambda) and the
     closed form lambda^(a + S_k f(p)) v_t / r^k, without the batched core."""
     lam = [math.exp(x) for x in psi]
-    values, vectors = np.linalg.eig(np.array(evaluate_matrix(level_matrix, lam)))
+    values, vectors = np.linalg.eig(np.array(evaluate(level_matrix, lam)))
     top = np.argmax(values.real)
     r, v = values[top].real, np.abs(vectors[:, top].real)
     v = v / v.sum()

@@ -10,6 +10,7 @@ import pytest
 
 from ietskew import bratteli, cocycles, maharam
 from ietskew import verification as V
+from ietskew.algebra import LaurentMatrix
 from ietskew.bratteli import BratteliDiagram
 from ietskew.instances import build_instance, load_instance
 
@@ -50,17 +51,18 @@ def moved_exponent(counts: np.ndarray) -> np.ndarray:
 
 
 def damaged(exact, damage):
-    """``level_counting_array`` with ``damage`` applied to its counts."""
-    def array(fl):
-        counts, offset = exact(fl)
-        return damage(counts, offset)
+    """``exact``, the builder or the product of Laurent matrices, with
+    ``damage`` applied to the counts and offset of what it returns."""
+    def matrix(*args):
+        mat = exact(*args)
+        return LaurentMatrix(*damage(mat.counts, mat.offset))
 
-    return array
+    return matrix
 
 
 def test_level_counting_fails_at_k1_on_a_moved_exponent(built, monkeypatch):
-    exact = V.level_counting_array
-    monkeypatch.setattr(V, "level_counting_array", damaged(exact, lambda c, o: (moved_exponent(c), o)))
+    exact = V.level_counting_matrix
+    monkeypatch.setattr(V, "level_counting_matrix", damaged(exact, lambda c, o: (moved_exponent(c), o)))
     monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
     result = V.check_level_counting(built)
     assert result.status == "fail"
@@ -83,8 +85,8 @@ def moved_cell(counts: np.ndarray) -> np.ndarray:
 
 
 def test_level_counting_fails_at_k1_on_a_monomial_in_another_cell(built, monkeypatch):
-    exact = V.level_counting_array
-    monkeypatch.setattr(V, "level_counting_array", damaged(exact, lambda c, o: (moved_cell(c), o)))
+    exact = V.level_counting_matrix
+    monkeypatch.setattr(V, "level_counting_matrix", damaged(exact, lambda c, o: (moved_cell(c), o)))
     monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
     result = V.check_level_counting(built)
     assert result.status == "fail"
@@ -99,10 +101,10 @@ def test_level_counting_fails_at_k1_on_a_monomial_outside_the_path_range(built, 
         below, above = (1, 0) if shift < 0 else (0, 1)
         out = np.pad(counts, [(0, 0), (0, 0)] + [(below, above)] * (counts.ndim - 2))
         out[(0, 0, *[0 if shift < 0 else -1] * (counts.ndim - 2))] += 1  # at min f - 1 or max f + 1
-        return out, offset - below
+        return out, tuple(x - below for x in offset)
 
-    exact = V.level_counting_array
-    monkeypatch.setattr(V, "level_counting_array", damaged(exact, with_outlier))
+    exact = V.level_counting_matrix
+    monkeypatch.setattr(V, "level_counting_matrix", damaged(exact, with_outlier))
     monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
     result = V.check_level_counting(built)
     assert (result.status, result.detail) == ("fail", "coefficients disagree with paths at k=1")
@@ -112,7 +114,7 @@ def test_level_counting_fails_at_the_damaged_power(built, monkeypatch):
     # M itself is exact; every product M^(k-1) * M comes out with one
     # exponent moved, so the check must pass k=1 and fail at k=2
     exact_mul = V.laurent_array_mul
-    monkeypatch.setattr(V, "laurent_array_mul", lambda a, b: moved_exponent(exact_mul(a, b)))
+    monkeypatch.setattr(V, "laurent_array_mul", damaged(exact_mul, lambda c, o: (moved_exponent(c), o)))
     monkeypatch.setattr(V, "COUNTING_LEVELS", 3)
     result = V.check_level_counting(built)
     assert result.status == "fail"
@@ -305,9 +307,9 @@ def test_dictionary_fails_on_a_wrong_offset(built, level, damage, detail):
         ("genus2_rank2", "(3,25)(2,9)(3,2)(3,14)"),
     ],
 )
-def test_tail_cocycle_fails_on_the_injected_phi_fault(name, path):
+def test_tail_cocycle_fails_on_the_injected_phi_fault(packaged, name, path):
     # the first drawn path whose tail cocycle misses the changed phi
-    built = build_instance(load_instance(name))
+    built = packaged(name)
     result = V.check_tail_cocycle(replace(built, phi=V._phi_fault(built)), seed=0)
     assert (result.status, result.detail) == ("fail", f"tail cocycle != phi at {path}")
 
