@@ -19,12 +19,11 @@ hence, by the generation assumption, the whole lattice.
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algebra import column_sums, invariant_factors, mat_mul, row_hnf, solve_in_row_lattice
+from .algebra import column_sums, invariant_factors, mat_mul
 from .bratteli import BratteliDiagram
 from .iet import RauzyLoop, compose_loop
 from .skew import SkewCocycle, require_periodic_type
@@ -224,6 +223,8 @@ def recheck_certificate(
     loop: RauzyLoop, phi: SkewCocycle, cert: AperiodicityCertificate
 ) -> bool:
     """Re-derive every certificate field from the stored witness data."""
+    if cert.exponent != loop.amplification * cert.repetition:
+        return False
     m_len, q_min, letters = _covering_prefix(compose_loop(loop, cert.repetition).words)
     if (m_len, q_min, letters) != (cert.prefix_length, cert.q_min, cert.prefix_letters):
         return False
@@ -235,50 +236,3 @@ def recheck_certificate(
     factors = invariant_factors(cert.generators)
     return factors == cert.factors and cert.verdict == (factors == (1,) * phi.m)
 
-
-CYCLE_MAX_LEN = 12  # edges walked before sample_cycle gives up
-
-
-def sample_cycle(diagram: BratteliDiagram, rng: random.Random) -> tuple[int, ...] | None:
-    """One random shift-periodic block: the edge ids of a cycle in the source graph."""
-    v = rng.randrange(1, diagram.d + 1)
-    ids = []
-    current = v
-    for _ in range(CYCLE_MAX_LEN):
-        out = diagram.out[current - 1]
-        ids.append(int(rng.choice(out[out >= 0])))
-        current = int(diagram.target[ids[-1]]) + 1
-        if current == v:
-            return tuple(ids)
-    return None
-
-
-def delta_closure_probe(fl: FloorCocycle, generators, samples: int, seed: int) -> bool:
-    """Sampled closure check of the Birkhoff-difference subgroup.
-
-    Draws pairs of equal-length shift-periodic blocks and verifies that the
-    difference of their f-sums lies in the lattice spanned by the
-    certificate generators.
-    """
-    rng = random.Random(seed)
-    lattice = row_hnf(generators)
-    by_length: dict[int, list[tuple[int, ...]]] = {}
-    checked = 0
-    attempts = 0
-    while checked < samples and attempts < 200 * samples:
-        attempts += 1
-        cycle = sample_cycle(fl.diagram, rng)
-        if cycle is None:
-            continue
-        bucket = by_length.setdefault(len(cycle), [])
-        cycle_sum = fl.f[list(cycle)].sum(axis=0)
-        for other in bucket:
-            if solve_in_row_lattice(lattice, (cycle_sum - fl.f[list(other)].sum(axis=0)).tolist()) is None:
-                return False
-            checked += 1
-            if checked >= samples:
-                break
-        bucket.append(cycle)
-    if checked < samples:
-        raise RuntimeError("could not draw enough equal-length cycle pairs")
-    return True

@@ -28,7 +28,6 @@ from .algebra import laurent_array_mul, laurent_matrix_pow, mat_mul
 from .bratteli import BratteliDiagram
 from .cocycles import (
     amplify_for_common_prefix,
-    delta_closure_probe,
     recheck_certificate,
     shift_image,
     skewed_adic_step,
@@ -63,7 +62,6 @@ TELESCOPE_STEPS = 20  # 4: each stepped 1..TELESCOPE_STEPS times
 WITNESS_LEVEL = 2  # 5: the skew towers of this level, exhausted
 WITNESS_ALL_PAIRS = 22  # 5: every floor pair of a tower this tall or less,
 WITNESS_SAMPLES = 150  # 5: else this many sampled pairs
-PROBE_SAMPLES = 100  # 6: cycle pairs of the closure probe
 COUNTING_LEVELS = 4  # 7: M(t)^k coefficient-exact up to this k
 MAHARAM_PSIS = 20  # 8: random psi in [-1, 1]^m
 MAHARAM_CYLINDERS = 1000  # 8: sampled cylinders per psi
@@ -274,14 +272,9 @@ def check_certificate(built: BuiltInstance, seed: int = 0) -> CheckResult:
     cert = amplify_for_common_prefix(built.loop, built.phi)  # inconclusive via _timed on a cap
     if not cert.verdict:
         return CheckResult("", "fail", detail=f"lattice test failed: factors {cert.factors}")
-    if set(cert.generators) != set(built.phi.values):
-        return CheckResult("", "fail", detail="generators differ from cocycle values")
     if not recheck_certificate(built.loop, built.phi, cert):
         return CheckResult("", "fail", detail="stored certificate failed re-validation")
-    if not delta_closure_probe(built.floor, cert.generators, PROBE_SAMPLES, seed):
-        return CheckResult("", "fail", detail="sampled Birkhoff difference left the lattice")
-    detail = f"exponent {cert.exponent}, M={cert.prefix_length}, probe {PROBE_SAMPLES} ok"
-    return CheckResult("", "pass", residual=0.0, detail=detail)
+    return CheckResult("", "pass", residual=0.0, detail=f"exponent {cert.exponent}, M={cert.prefix_length}")
 
 
 # -- criterion 7 ---------------------------------------------------------------

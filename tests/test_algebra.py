@@ -227,6 +227,9 @@ def test_invariant_factors_examples():
     # oracle for [[2,1],[0,3]]: d1 = gcd of entries = 1, d1*d2 = |det| = 6
     assert invariant_factors(as_matrix([[2, 1], [0, 3]])) == (1, 6)
     assert invariant_factors(as_matrix([[0, 0], [0, 0]])) == ()
+    # diagonals the HNFs leave alone that are no divisibility chain
+    assert invariant_factors([[2, 0], [0, 3]]) == (1, 6)
+    assert invariant_factors([[6, 0], [0, 4]]) == (2, 12)
     # a zero row among nonzero rows changes nothing
     assert invariant_factors([[2, 0], [0, 0], [0, 4]]) == (2, 4)
     assert invariant_factors([[0, 0, 0], [3, 6, 9], [0, 0, 0]]) == (3,)

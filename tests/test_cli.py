@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ietskew import bratteli, cli, skew, verification
 from ietskew.cli import main
+from ietskew.cocycles import CertificateInconclusive
 from ietskew.maharam import (
     MaharamMeasure,
     MeasureTable,
@@ -528,9 +529,9 @@ def test_verify_fails_first_layer_on_phi_fault(tmp_path, capsys):
 
 def test_verify_reports_a_runtime_error_as_inconclusive(monkeypatch, capsys):
     def give_up(*args, **kwargs):
-        raise RuntimeError("could not draw enough equal-length cycle pairs")
+        raise CertificateInconclusive("repetition cap 2^10 exceeded")
 
-    monkeypatch.setattr(verification, "delta_closure_probe", give_up)
+    monkeypatch.setattr(verification, "amplify_for_common_prefix", give_up)
     assert run_cli("verify", "--instance", "golden_triple") == 3
     out = capsys.readouterr().out
     assert "INCONCLUSIVE aperiodicity_certificate" in out

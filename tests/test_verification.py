@@ -10,7 +10,7 @@ import pytest
 
 from ietskew import bratteli, cocycles, maharam
 from ietskew import verification as V
-from ietskew.algebra import LaurentMatrix
+from ietskew.algebra import LaurentMatrix, invariant_factors
 from ietskew.bratteli import BratteliDiagram
 from ietskew.instances import build_instance, load_instance
 
@@ -482,6 +482,24 @@ def test_certificate_is_inconclusive_at_the_repetition_cap(golden, monkeypatch):
     result = V.check_certificate(golden)
     detail = "repetition cap 2^0 exceeded; last state: rep=1 M=1 q_min=4 covers=False"
     assert (result.status, result.detail) == ("inconclusive", detail)
+
+
+def test_certificate_fails_on_one_changed_generator(built, monkeypatch):
+    # the changed generator keeps the factors (1,)*m and the verdict, so
+    # only the recheck's comparison with phi at the prefix letters sees it
+    exact = V.amplify_for_common_prefix
+
+    def changed(loop, phi):
+        cert = exact(loop, phi)
+        g = cert.generators[0]
+        generators = ((g[0] + 1, *g[1:]), *cert.generators[1:])
+        factors = invariant_factors(generators)
+        assert factors == (1,) * phi.m
+        return replace(cert, generators=generators, factors=factors, verdict=True)
+
+    monkeypatch.setattr(V, "amplify_for_common_prefix", changed)
+    result = V.check_certificate(built)
+    assert (result.status, result.detail) == ("fail", "stored certificate failed re-validation")
 
 
 def test_psi_zero_builds_no_maharam_measure(golden, monkeypatch):
