@@ -185,44 +185,47 @@ def step_samples(diagram: BratteliDiagram, level: int, samples: int, m: int, see
     Each sample is drawn inline on the diagram's ``draw_rows``, whose other
     reader is ``bratteli._draw_chain``: a tower, then ``level`` floors down
     from it, each r of range(n) by ``width`` bits, drawn again while r >= n,
-    as rng.randrange draws; a maximal path is drawn again; a kept path then
-    gets m fiber coordinates, each r of range(5) by 3 bits, less 2, as
-    rng.randint(-2, 2) draws them.  So the values, and the rng state after
-    them, are those of ``random_path_ids`` and ``randint``.  The rejection
-    rule is written here and in ``_draw_chain`` apart: criterion 8 draws
-    about 60 k samples per ``verify``, and a shared loop costs a call per
-    sample, which was most of this function's time.
+    as rng.randrange draws; a path whose every floor is a top, r == n - 1,
+    is maximal and drawn again; a kept path then gets m fiber coordinates,
+    each r of range(5) by 3 bits, less 2, as rng.randint(-2, 2) draws them.
+    So the values, and the rng state after them, are those of
+    ``random_path_ids`` and ``randint``.  The edge ids go target-first into
+    one flat list, a maximal path's ``level`` entries are deleted from its
+    end, and one array is built and reversed by row at the end.  The
+    rejection rule is written here and in ``_draw_chain`` apart: criterion 8
+    draws about 60 k samples per ``verify``, and a shared loop costs a call
+    per sample, which was most of this function's time.
     """
     if level < 1:  # the empty path is maximal, so every draw would be drawn again
         raise ValueError("level must be at least 1")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = random.Random(seed)
-    bits, rows, tops = rng.getrandbits, diagram.draw_rows, diagram.tops
+    bits, rows = rng.getrandbits, diagram.draw_rows
     d, tower_width = diagram.d, diagram.d.bit_length()
-    paths, fibers = [], []
-    while len(paths) < samples:
+    flat, fibers = [], []
+    while len(flat) < samples * level:
         j = bits(tower_width)
         while j >= d:
             j = bits(tower_width)
-        path = []
+        maximal = True
         for _ in range(level):
             n, width, first, under = rows[j]
             r = bits(width)
             while r >= n:
                 r = bits(width)
-            path.append(first + r)
+            flat.append(first + r)
+            maximal = maximal and r == n - 1
             j = under[r]
-        if tops.issuperset(path):
+        if maximal:
+            del flat[-level:]
             continue
-        path.reverse()
-        paths.append(path)
         for _ in range(m):
             r = bits(3)
             while r >= 5:
                 r = bits(3)
             fibers.append(r - 2)
-    return np.array(paths).reshape(samples, level), np.array(fibers).reshape(samples, m)
+    return np.array(flat).reshape(samples, level)[:, ::-1], np.array(fibers).reshape(samples, m)
 
 
 def invariance_step_check(
@@ -242,11 +245,12 @@ def invariance_step_check(
     for t, seed in enumerate(seeds):
         ids, a = step_samples(floor.diagram, level, samples, floor.m, seed)
         succ, moved = skewed_adic_step(floor, ids, a)
-        sums, succ_sums = floor.f[ids].sum(1), floor.f[succ].sum(1)
+        # column gathers summed: cheaper than f[x].sum(1), and exact, as f is int64
+        sums, succ_sums = (sum(floor.f[x[:, c]] for c in range(level)) for x in (ids, succ))
         exponents = np.concatenate((succ_sums + moved, sums + a, sums, succ_sums))
         targets = np.tile(np.concatenate((target[succ[:, -1]], target[ids[:, -1]])), 2)
         one = PerronData(pf.eigenvalue[t:t + 1], pf.vector[t:t + 1], pf.iterations[t:t + 1])
-        masses = np.exp(log_masses(psis[t:t + 1], one, exponents, targets, [level] * len(targets)))
+        masses = np.exp(log_masses(psis[t:t + 1], one, exponents, targets, np.full(len(targets), level)))
         lhs, rhs, before, after = masses.reshape(4, samples)
         expected = np.exp(-(moved - a) @ psis[t])
         worst.append((np.abs(lhs - rhs).max(), (np.abs(after / before - expected) / expected).max()))

@@ -103,16 +103,30 @@ MUTATIONS = [
     (
         "step_samples: the maximal test dropped",
         "src/ietskew/maharam.py",
-        "        if tops.issuperset(path):\n            continue\n",
+        "        if maximal:\n            del flat[-level:]\n            continue\n",
         "",
         "tests/test_maharam.py::test_step_samples_repeat_the_random_path_draws",
     ),
     (
         "step_samples: the path left unreversed",
         "src/ietskew/maharam.py",
-        "        path.reverse()\n",
-        "",
+        "np.array(flat).reshape(samples, level)[:, ::-1]",
+        "np.array(flat).reshape(samples, level)",
         "tests/test_maharam.py::test_step_samples_repeat_the_random_path_draws",
+    ),
+    (
+        "criterion 8's path sums over range(level - 1)",
+        "src/ietskew/maharam.py",
+        "for c in range(level))",
+        "for c in range(level - 1))",
+        "tests/test_maharam.py::test_step_check_matches_per_sample_cylinder_measures",
+    ),
+    (
+        "criterion 8's cylinder lengths one short",
+        "src/ietskew/maharam.py",
+        "np.full(len(targets), level)",
+        "np.full(len(targets), level - 1)",
+        "tests/test_maharam.py::test_step_check_repeats_the_summed_formulation_bit_for_bit",
     ),
     (
         "the orbit's floor check without its lower bound",

@@ -4,10 +4,15 @@ sympy's ``hermite_normal_form`` is column-style: H = A U, with the pivot of
 each column its last nonzero entry and the entries to its right reduced.
 Reversing the coordinates and the row order turns the column form of the
 transpose into the row form that ``row_hnf`` returns, so the two can be
-compared entry for entry.
+compared entry for entry.  The last test checks that a false property
+fails with its falsifying example under the suite's warning filter.
 """
 
+import shutil
+import subprocess
+import sys
 from math import prod
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -89,3 +94,27 @@ def test_in_row_lattice_agrees_with_the_smith_invariants(rows, data):
     assert (coeffs is not None) == inside
     if inside:
         assert [sum(c * row[j] for c, row in zip(coeffs, h)) for j in range(cols)] == list(target)
+
+
+FALSE_PROPERTY = """
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_every_integer_is_negative(x):
+    assert x < 0
+"""
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    # pyproject.toml turns warnings into errors; hypothesis's report of a failed
+    # example must still end in exit 1 with the example, not an INTERNALERROR
+    shutil.copy(Path(__file__).resolve().parents[1] / "pyproject.toml", tmp_path)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_false_property.py").write_text(FALSE_PROPERTY)
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    run = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout

@@ -9,12 +9,13 @@ import pytest
 
 from ietskew import maharam
 from ietskew.algebra import LaurentMatrix, laurent_array_mul, laurent_matrix_pow, mat_pow, vec_add, zero_vector
-from ietskew.cocycles import FloorCocycle
+from ietskew.cocycles import FloorCocycle, skewed_adic_step
 from ietskew.iet import pf_lengths
 from ietskew.maharam import (
     PF_MAX_ITER,
     PF_TOL,
     MaharamMeasure,
+    PerronData,
     build_measure_table,
     continuity_profile,
     default_cylinder_family,
@@ -23,6 +24,7 @@ from ietskew.maharam import (
     invariance_step_check,
     level_counting_matrix,
     level_matrices,
+    log_masses,
     path_sum_bound,
     perron,
     recurrence_vector_residual,
@@ -349,6 +351,39 @@ def test_step_check_matches_per_sample_cylinder_measures(built):
             worst_quasi = max(worst_quasi, abs(ratio - expected) / expected)
         assert abs(invariance[t] - worst_inv) <= 1e-13
         assert abs(quasi[t] - worst_quasi) <= 1e-13
+
+
+def summed_step_check(floor, psis, pf, seeds, samples, level):
+    """invariance_step_check with its path sums as f[ids].sum(1) and its
+    lengths as a list, each psi's log_masses operands formed the plain way."""
+    f, target, worst = floor.f, floor.diagram.target, []
+    for t, seed in enumerate(seeds):
+        ids, a = step_samples(floor.diagram, level, samples, floor.m, seed)
+        succ, moved = skewed_adic_step(floor, ids, a)
+        sums, succ_sums = f[ids].sum(1), f[succ].sum(1)
+        exponents = np.concatenate((succ_sums + moved, sums + a, sums, succ_sums))
+        targets = np.tile(np.concatenate((target[succ[:, -1]], target[ids[:, -1]])), 2)
+        one = PerronData(pf.eigenvalue[t:t + 1], pf.vector[t:t + 1], pf.iterations[t:t + 1])
+        masses = np.exp(log_masses(psis[t:t + 1], one, exponents, targets, [level] * len(targets)))
+        lhs, rhs, before, after = masses.reshape(4, samples)
+        expected = np.exp(-(moved - a) @ psis[t])
+        worst.append((np.abs(lhs - rhs).max(), (np.abs(after / before - expected) / expected).max()))
+    return tuple(np.array(worst).T)
+
+
+@pytest.mark.parametrize("level", [1, 5])
+def test_step_check_repeats_the_summed_formulation_bit_for_bit(built, level):
+    rng = random.Random(level)
+    psis, _, pf = stack(built, [tuple(rng.uniform(-1, 1) for _ in range(built.phi.m)) for _ in range(3)])
+    got = invariance_step_check(built.floor, psis, pf, seeds=[99, 100, 7], samples=1000, level=level)
+    want = summed_step_check(built.floor, psis, pf, [99, 100, 7], 1000, level)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+def test_step_samples_return_int64_arrays_of_one_sample(built):
+    ids, fibers = step_samples(built.diagram, 4, 1, built.phi.m, 5)
+    assert (ids.dtype, ids.shape) == (np.int64, (1, 4))
+    assert (fibers.dtype, fibers.shape) == (np.int64, (1, built.phi.m))
 
 
 def test_level_matrices_name_a_psi_out_of_float_range(rank2):
