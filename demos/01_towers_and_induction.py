@@ -17,7 +17,7 @@ print(f"loop moves   : {''.join(built.loop.steps)}")
 print()
 print("one traversal of the loop gives the tower system:")
 for j, (word, q) in enumerate(zip(tower.words, tower.q), start=1):
-    print(f"  tower {j}: height {q}, word {word}")
+    print(f"  tower {j}: height {q}, word {tuple(word)}")
 print(f"incidence matrix rows: {[list(r) for r in tower.matrix]}")
 print(f"column sums reproduce the heights: {[sum(c) for c in zip(*tower.matrix)]}")
 print()

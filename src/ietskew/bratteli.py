@@ -85,7 +85,7 @@ class BratteliDiagram:
         self.top_ids = tuple(first + n - 1 for first, n in zip(self.first_ids, self.q))
         self.tops = frozenset(self.top_ids)
         # 0-based source and target, and the floor, of each edge id
-        self.source = np.array([letter - 1 for w in self.words for letter in w])
+        self.source = np.frombuffer(b"".join(self.words), dtype=np.uint8).astype(np.int64) - 1
         self.target = np.repeat(np.arange(self.d), self.q)
         self.floor = np.arange(self.num_edges) - np.array(self.first_ids)[self.target]
         self.is_top = np.zeros(self.num_edges, dtype=bool)

@@ -422,7 +422,8 @@ def cmd_maharam(built: BuiltInstance, args) -> int:
 
 def _profile_blocks(profile: GridProfile):
     """Rows of one continuity grid, cylinder-major, points in product(*axes) order."""
-    psi_strs = np.array([",".join(map(str, point)) for point in product(*profile.axes)], dtype=object)
+    axes = [list(map(str, axis)) for axis in profile.axes]  # each coordinate formatted once
+    psi_strs = np.array([",".join(point) for point in product(*axes)], dtype=object)
     n_cyl = profile.masses.shape[1]
     heads = np.array([f"{profile.step},{c}" for c in range(n_cyl)], dtype=object)  # str once per cylinder
     masses, deltas = profile.masses.T.ravel(), profile.deltas.T.ravel()

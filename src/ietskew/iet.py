@@ -17,6 +17,10 @@ convention is not forced by the matrix identities alone, so it is verified
 against the direct simulation oracle ``simulate_return_times`` in the test
 suite.
 
+A return word is held as ``bytes``, one byte per letter, so d is at most
+255: concatenation is a copy of bytes, and ``bytes.count`` reads the letter
+counts.
+
 Lengths making a positive-matrix loop self-similar come from the
 Perron-Frobenius eigenvector of A.  They are carried as integers scaled by
 10**48 so that the simulation oracle can run levels deep while staying far
@@ -69,6 +73,8 @@ class IetCombinatorics:
         d = len(self.top)
         if d < 2:
             raise ValueError("need at least two intervals")
+        if d > 255:
+            raise ValueError(f"{d} intervals: return words hold one byte per letter, so at most 255")
         labels = set(range(1, d + 1))
         if set(self.top) != labels or set(self.bottom) != labels:
             raise ValueError("top/bottom must both be orderings of 1..d")
@@ -152,14 +158,20 @@ class RauzyLoop:
 
 @dataclass(frozen=True)
 class TowerSystem:
-    """Return words, return times and incidence matrix for a composed loop."""
+    """Return words, return times and incidence matrix for a composed loop.
+
+    ``words[j - 1]`` is the return word of label j: the labels its floors
+    visit, bottom to top, one byte each (``word[n]`` is an int label).
+    """
 
     d: int
     matrix: IntMatrix
-    words: tuple[tuple[int, ...], ...]
+    words: tuple[bytes, ...]
     q: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(type(w) is bytes for w in self.words):
+            raise TypeError("return words must be bytes, one byte per letter")
         if self.q != tuple(len(w) for w in self.words):
             raise ValueError("return times disagree with word lengths")
         if letter_counts(self.words) != self.matrix:
@@ -169,16 +181,17 @@ class TowerSystem:
 
 
 def letter_counts(words) -> IntMatrix:
-    """The matrix whose entry (i, j) counts the letter i + 1 in words[j]."""
+    """The matrix whose entry (i, j) counts the letter i + 1 in words[j]
+    (``bytes.count`` of an int letter)."""
     return tuple(tuple(w.count(i) for w in words) for i in range(1, len(words) + 1))
 
 
 def compose_loop(loop: RauzyLoop, repeat: int = 1) -> TowerSystem:
     """Tower system for the (amplified) loop traversed ``repeat`` times.
 
-    ``repeat = 0`` gives the identity system (w_j = (j), A = I).  Each
-    (loser, b, t) of ``loop.period_moves`` sets the loser's word to the
-    concatenation of words b and t, the same rule by which ``RauzyLoop``
+    ``repeat = 0`` gives the identity system (w_j = bytes((j,)), A = I).
+    Each (loser, b, t) of ``loop.period_moves`` sets the loser's word to the
+    concatenation of the byte strings b and t, the same rule by which ``RauzyLoop``
     summed two columns when it walked the steps, so the letter counts must
     equal the ``repeat``-th power of the one-period matrix, which
     ``TowerSystem`` checks.  No combinatorics are built here.
@@ -186,7 +199,7 @@ def compose_loop(loop: RauzyLoop, repeat: int = 1) -> TowerSystem:
     if repeat < 0:
         raise ValueError("repeat must be nonnegative")
     d = loop.d
-    words: list[tuple[int, ...]] = [(j,) for j in range(1, d + 1)]
+    words = [bytes((j,)) for j in range(1, d + 1)]
     for loser, b, t in loop.period_moves * repeat:
         words[loser - 1] = words[b - 1] + words[t - 1]
     return TowerSystem(d, mat_pow(loop.period_matrix, repeat), tuple(words), tuple(map(len, words)))
@@ -258,25 +271,34 @@ def simulate_return_times(
     comb: IetCombinatorics,
     lengths: LengthData,
     level: int,
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[int, ...], tuple[bytes, ...]]:
     """Directly simulate first returns to the level-``level`` induction interval.
 
     The exchanged interval self-reproduces under induction with ratio
     1/alpha, so the level-k bases are the original intervals scaled by
     alpha**-k.  Tracking each base as an exact translated block yields the
-    return time q_j and the sequence of original labels its floors visit.
-    Raises PrecisionAlarm when an orbit endpoint lands within 1e-9 of a
+    return time q_j and its return word: the original labels its floors
+    visit, one byte each, as ``TowerSystem`` holds them.  Raises
+    PrecisionAlarm when an orbit endpoint lands within 1e-9 of a
     discontinuity (other than the structural coincidences of the tower).
+
+    Per step, the floor [u, u + w) lies in the interval of domain position
+    i = bisect_right(breaks, u) - 1, so u - breaks[i] >= 0 and
+    breaks[i + 1] - u > 0.  A left end within SNAP of either endpoint snaps
+    onto it; snapping up to the right end of the last interval keeps i, and
+    the floor then overhangs it.  gap_left and gap_right are the floor's
+    distances to the ends of its interval; gap_right below -SNAP is a
+    discontinuity inside the floor.  The loop records domain positions and
+    maps them to labels once per tower.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
     d = comb.d
-    scaled = lengths.lengths_scaled
-    start, image, breaks, by_position, total = _positions(comb, scaled)
+    start, image, breaks, by_position, total = _positions(comb, lengths.lengths_scaled)
     if level == 0:
-        return (1,) * d, tuple((j,) for j in range(1, d + 1))
-
-    delta = {label: image[label] - start[label] for label in start}
+        return (1,) * d, tuple(bytes((j,)) for j in range(1, d + 1))
+    shift = [image[label] - start[label] for label in by_position]  # by domain position
+    to_label = bytes(by_position).ljust(256, b"\0")  # domain position -> label, a translate table
     shrink_num = SCALE ** level
     shrink_den = lengths.alpha_scaled ** level
 
@@ -287,40 +309,45 @@ def simulate_return_times(
     cuts = [level_pos(start[label]) for label in comb.top] + [base_total]
 
     q_out: list[int] = []
-    words_out: list[tuple[int, ...]] = []
+    words_out: list[bytes] = []
     for idx, label in enumerate(comb.top):
         u = cuts[idx]
         w = cuts[idx + 1] - cuts[idx]
         if w <= 0:
             raise PrecisionAlarm("level interval collapsed; scale exhausted")
-        word: list[int] = []
+        limit = base_total + SNAP - w  # the floor [u, u + w) is back in the base once u <= limit
+        snap_right = SNAP - w  # gap_right <= snap_right: u within SNAP of the interval's right end
+        rights = [b - w for b in breaks[1:]]  # gap_right = rights[i] - u
+        positions = bytearray()
         steps = 0
-        while True:
-            if steps >= 1 and u + w <= base_total + SNAP:
-                break
+        while not (steps and u <= limit):
             if steps > HORIZON:
                 raise RuntimeError(f"horizon exceeded simulating tower {label}")
             i = bisect_right(breaks, u) - 1
-            for t in (i, i + 1):
-                if 0 <= t < len(breaks) and abs(u - breaks[t]) <= SNAP:
-                    u = breaks[t]
-                    i = t if t < len(breaks) - 1 else i
-                    break
-            if i < 0 or i >= d:
+            if i < 0 and -u <= SNAP:  # within SNAP left of 0: onto 0
+                u, i = 0, 0
+            if not 0 <= i < d:
                 raise PrecisionAlarm("orbit left the exchanged interval")
-            right = breaks[i + 1]
-            if u + w > right + SNAP:
+            gap_left, gap_right = u - breaks[i], rights[i] - u
+            if gap_left <= SNAP:
+                u = breaks[i]
+                gap_left, gap_right = 0, rights[i] - u
+            elif gap_right <= snap_right:
+                u = breaks[i + 1]
+                if i + 1 < d:
+                    i += 1
+                    gap_left, gap_right = 0, rights[i] - u
+                else:
+                    gap_left, gap_right = u - breaks[i], -w
+            if gap_right < -SNAP:
                 raise PrecisionAlarm("discontinuity inside a simulated floor")
-            gap_left = u - breaks[i]
-            gap_right = right - (u + w)
             if SNAP < gap_left < KEANE_TOL or SNAP < gap_right < KEANE_TOL:
                 raise PrecisionAlarm("orbit within 1e-9 of a discontinuity")
-            visited = by_position[i]
-            word.append(visited)
-            u += delta[visited]
+            positions.append(i)
+            u += shift[i]
             steps += 1
         q_out.append(steps)
-        words_out.append(tuple(word))
+        words_out.append(bytes(positions.translate(to_label)))
     # towers are reported in label order, not domain-position order
     order = {label: k for k, label in enumerate(comb.top)}
     q_by_label = tuple(q_out[order[j]] for j in range(1, d + 1))

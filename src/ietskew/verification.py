@@ -431,7 +431,7 @@ def _tower_with_swapped_letters(tower: TowerSystem) -> TowerSystem:
     )
     words[a][u], words[b][v] = words[b][v], words[a][u]
     corrupt = copy.copy(tower)  # a copy runs no __post_init__
-    object.__setattr__(corrupt, "words", tuple(tuple(w) for w in words))
+    object.__setattr__(corrupt, "words", tuple(map(bytes, words)))
     return corrupt
 
 

@@ -170,6 +170,34 @@ MUTATIONS = [
         "g = tuple((fl.f[fixed[n]] - fl.f[fixed[n - 1]]).tolist())",
         "tests/test_acceptance.py::test_criterion_06_aperiodicity_certificate",
     ),
+    (
+        "the oracle's right-end snap dropped",
+        "src/ietskew/iet.py",
+        """            elif gap_right <= snap_right:
+                u = breaks[i + 1]
+                if i + 1 < d:
+                    i += 1
+                    gap_left, gap_right = 0, rights[i] - u
+                else:
+                    gap_left, gap_right = u - breaks[i], -w
+""",
+        "",
+        "tests/test_iet.py::test_the_oracle_repeats_the_per_step_reference",
+    ),
+    (
+        "the oracle's discontinuity test at gap_right < 0",
+        "src/ietskew/iet.py",
+        "if gap_right < -SNAP:",
+        "if gap_right < 0:",
+        "tests/test_iet.py::test_the_oracle_repeats_the_per_step_reference",
+    ),
+    (
+        "letter_counts counting letter i - 1",
+        "src/ietskew/iet.py",
+        "tuple(w.count(i) for w in words)",
+        "tuple(w.count(i - 1) for w in words)",
+        "tests/test_iet.py::test_identity_composition",
+    ),
 ]
 
 

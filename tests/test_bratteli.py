@@ -12,7 +12,7 @@ from ietskew.iet import TowerSystem, compose_loop
 @pytest.fixture(scope="module")
 def odometer():
     # one vertex, two ordered edges per level: binary odometer
-    return BratteliDiagram(TowerSystem(1, ((2,),), ((1, 1),), (2,)))
+    return BratteliDiagram(TowerSystem(1, ((2,),), (b"\x01\x01",), (2,)))
 
 
 def bits_to_path(diagram, bits):
@@ -97,7 +97,7 @@ def test_odometer_addition(odometer):
 
 
 def test_identity_diagram_is_self_loops():
-    tower = TowerSystem(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1,), (2,), (3,)), (1, 1, 1))
+    tower = TowerSystem(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (b"\x01", b"\x02", b"\x03"), (1, 1, 1))
     diagram = BratteliDiagram(tower)
     assert diagram.num_edges == 3
     assert (diagram.source == diagram.target).all() and (diagram.floor == 0).all()
@@ -456,7 +456,7 @@ def test_floor_sources_are_the_return_words_and_the_first_edges(built):
     for level in (0, 1, 2, 3):
         sources = diagram.floor_sources(level)
         words = compose_loop(built.loop, level).words
-        assert [tuple((s + 1).tolist()) for s in sources] == list(words)
+        assert [bytes((s + 1).tolist()) for s in sources] == list(words)
     for j in range(1, diagram.d + 1):
         assert diagram.floor_sources(2)[j - 1].tolist() == [
             source(diagram, diagram.floor_to_path(2, j, h)) - 1 for h in range(diagram.heights(2)[j - 1])

@@ -184,6 +184,18 @@ def test_an_unwritable_out_exits_1_with_one_line(command, tmp_path, capsys):
     assert str(out) in err
 
 
+def test_more_intervals_than_a_byte_holds_exits_1_with_one_line(tmp_path, capsys):
+    labels = list(range(1, 257))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"d": 256, "top": labels, "bottom": labels[::-1], "loop": ["t", "b"]}))
+    assert run_cli("inspect", "--instance", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: instance 'wide': 256 intervals: return words hold one byte per letter, so at most 255\n"
+    )
+
+
 def test_certify_is_inconclusive_before_the_words_blow_up(tmp_path, capsys):
     # repetition 8 of this loop would build words of 1,037,504,259 letters;
     # its shortest return word begins every return word, so it stops at 1

@@ -1,4 +1,5 @@
 from bisect import bisect_right
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import pytest
 from ietskew import iet
 from ietskew.algebra import column_sums, mat_pow
 from ietskew.iet import (
+    SCALE,
     IetCombinatorics,
     LengthData,
     PrecisionAlarm,
     RauzyLoop,
+    TowerSystem,
     compose_loop,
     float_orbit_frequencies,
     pf_lengths,
@@ -17,6 +20,9 @@ from ietskew.iet import (
     simulate_return_times,
 )
 from ietskew.verification import orbit_towers
+
+import oracle_reference
+from oracle_reference import reference_return_times
 
 
 def test_combinatorics_validation():
@@ -28,6 +34,14 @@ def test_combinatorics_validation():
         IetCombinatorics((1, 2), (1, 2))
     with pytest.raises(ValueError):
         IetCombinatorics((1, 2, 2), (2, 2, 1))
+
+
+def test_combinatorics_refuse_more_letters_than_a_byte_holds():
+    labels = tuple(range(1, 256))
+    assert IetCombinatorics(labels, labels[::-1]).d == 255
+    labels = tuple(range(1, 257))
+    with pytest.raises(ValueError, match="256 intervals: return words hold one byte per letter, so at most 255"):
+        IetCombinatorics(labels, labels[::-1])
 
 
 def after_step(words, loser, pair):
@@ -84,7 +98,7 @@ def test_identity_composition():
     loop = RauzyLoop(IetCombinatorics((1, 2), (2, 1)), ("t", "b"))
     tw = compose_loop(loop, 0)
     assert tw.q == (1, 1)
-    assert tw.words == ((1,), (2,))
+    assert tw.words == (b"\x01", b"\x02")
     assert tw.matrix == ((1, 0), (0, 1))
 
 
@@ -125,6 +139,16 @@ def test_compose_loop_replays_the_moves_without_stepping(built, monkeypatch):
 
     monkeypatch.setattr(iet, "rauzy_step", refuse)
     assert compose_loop(loop, 2) == expected
+
+
+def test_return_words_are_bytes(built):
+    for k in (0, 1, 2):
+        for words in (compose_loop(built.loop, k).words, simulate_return_times(built.loop.start, built.lengths, k)[1]):
+            assert type(words) is tuple and all(type(w) is bytes for w in words)
+    tw = built.tower
+    assert set(b"".join(tw.words)) == set(range(1, tw.d + 1))  # each byte is a label 1..d
+    with pytest.raises(TypeError, match="return words must be bytes"):
+        TowerSystem(tw.d, tw.matrix, tuple(map(tuple, tw.words)), tw.q)
 
 
 def test_word_occurrence_counts(built):
@@ -168,7 +192,7 @@ def test_golden_rotation_fibonacci_return_times():
 def test_simulation_level_zero(built):
     q, words = simulate_return_times(built.loop.start, built.lengths, 0)
     assert q == (1,) * built.tower.d
-    assert words == tuple((j,) for j in range(1, built.tower.d + 1))
+    assert words == tuple(bytes((j,)) for j in range(1, built.tower.d + 1))
 
 
 def test_simulation_matches_substitution(built):
@@ -179,11 +203,50 @@ def test_simulation_matches_substitution(built):
         assert words == tw.words
 
 
+def oracle_outcome(simulate, comb, lengths, level):
+    """(q, words as tuples), or (exception type, message) of a simulation."""
+    try:
+        q, words = simulate(comb, lengths, level)
+    except RuntimeError as exc:  # PrecisionAlarm too
+        return type(exc), str(exc)
+    return q, tuple(map(tuple, words))
+
+
+def test_the_oracle_repeats_the_per_step_reference(built):
+    for level in range(5):
+        expected = oracle_outcome(reference_return_times, built.loop.start, built.lengths, level)
+        assert expected[0] == compose_loop(built.loop, level).q
+        assert oracle_outcome(simulate_return_times, built.loop.start, built.lengths, level) == expected
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_the_oracle_repeats_the_reference_on_perturbed_lengths(built, sign):
+    base = built.lengths
+    for j, e in product(range(built.tower.d), range(6, 15)):
+        scaled = list(base.lengths_scaled)
+        scaled[j] += sign * (SCALE // 10 ** e)
+        lengths = LengthData(tuple(x / SCALE for x in scaled), base.alpha, tuple(scaled), base.alpha_scaled)
+        for level in (1, 2, 3):
+            expected = oracle_outcome(reference_return_times, built.loop.start, lengths, level)
+            assert oracle_outcome(simulate_return_times, built.loop.start, lengths, level) == expected
+
+
+def test_the_oracle_stops_where_the_reference_does(built, monkeypatch):
+    # the interval collapses at level 100; a horizon of 50 steps cuts level 3
+    comb, lengths = built.loop.start, built.lengths
+    collapsed = (PrecisionAlarm, "level interval collapsed; scale exhausted")
+    assert oracle_outcome(reference_return_times, comb, lengths, 100) == collapsed
+    assert oracle_outcome(simulate_return_times, comb, lengths, 100) == collapsed
+    monkeypatch.setattr(iet, "HORIZON", 50)
+    monkeypatch.setattr(oracle_reference, "HORIZON", 50)
+    cut = (RuntimeError, "horizon exceeded simulating tower 1")
+    assert oracle_outcome(reference_return_times, comb, lengths, 3) == cut
+    assert oracle_outcome(simulate_return_times, comb, lengths, 3) == cut
+
+
 def test_simulation_alarm_on_perturbed_lengths(golden):
     # shifting one length by 1e-10 breaks self-similarity: the orbit must
     # land within the 1e-9 guard band of a discontinuity and trip the alarm
-    from ietskew.iet import LengthData, SCALE
-
     pert = list(golden.lengths.lengths_scaled)
     pert[0] += SCALE // 10 ** 10
     bad = LengthData(

@@ -71,7 +71,7 @@ def test_birkhoff_sum_periodic_type_returns_phi(built):
 def test_single_floor_tower():
     from ietskew.iet import TowerSystem
 
-    tower = TowerSystem(2, ((1, 0), (0, 1)), ((1,), (2,)), (1, 1))
+    tower = TowerSystem(2, ((1, 0), (0, 1)), (b"\x01", b"\x02"), (1, 1))
     phi = SkewCocycle(((3,), (5,)))
     assert word_sum(tower, phi.values, 1) == (3,)
 
