@@ -268,10 +268,8 @@ class BratteliDiagram:
     def draw_rows(self) -> tuple:
         """The draw table: per 0-based tower j, (q_j, its bit width, the edge
         id of floor 0, the 0-based label under each floor); then a last row
-        that draws the tower.  Two loops read it: ``_draw_chain``, for
-        ``random_path_ids``, and ``maharam.step_samples``, which walks it inline
-        into one flat list, a top being the draw q_j - 1: a call per sample was
-        most of its time on criterion 8's 60 k samples per ``verify``."""
+        that draws the tower.  Its one reader is ``_draw_chain``, for
+        ``random_path_ids``."""
         rows = [(n, n.bit_length(), first, tuple(c - 1 for c in w))
                 for n, first, w in zip(self.q, self.first_ids, self.words)]
         return (*rows, (self.d, self.d.bit_length(), 0, tuple(range(self.d))))

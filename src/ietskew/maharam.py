@@ -14,9 +14,13 @@ unit L1 mass) the measure of the cylinder "path p_k, fiber a" is
 normalised so the whole fiber-0 slice has mass one.  The numerical core
 takes a stack of psi: one M(lambda) stack, one Perron call, and masses from
 their logarithm <psi, a + S_k f(p)> + log v_t - k log r.  Everything here
-verifies numerically: the base recurrence, invariance under the skewed
-exchange, quasi-invariance of the base marginal, and the continuity of the
-measures in psi, reported as an observed grid modulus (never as a proof).
+verifies numerically: the base recurrence, by the Perron vector and by the
+exact counting route (criterion 8), and the continuity of the measures in
+psi, reported as an observed grid modulus (never as a proof).  Invariance
+under the skewed exchange and quasi-invariance of the base marginal are
+sampled too, but no criterion runs them: a mass depends on (t(p),
+a + S_k f(p)) alone, which the step keeps by criterion 4's exact identity,
+so their residuals read rounding only.
 """
 
 from __future__ import annotations
@@ -178,79 +182,42 @@ def recurrence_vector_residual(matrices: np.ndarray, pf: PerronData, k: int) -> 
     return np.abs(pf.vector - (np.linalg.matrix_power(matrices, k) @ wk[:, :, None])[:, :, 0]).max(axis=1)
 
 
-def step_samples(diagram: BratteliDiagram, level: int, samples: int, m: int, seed: int):
-    """(samples, k) edge ids of ``random_path_ids`` draws, again while maximal, each
-    then given a fiber offset in [-2, 2]^m, (samples, m), by random.Random(seed).
-
-    Each sample is drawn inline on the diagram's ``draw_rows``, whose other
-    reader is ``bratteli._draw_chain``: a tower, then ``level`` floors down
-    from it, each r of range(n) by ``width`` bits, drawn again while r >= n,
-    as rng.randrange draws; a path whose every floor is a top, r == n - 1,
-    is maximal and drawn again; a kept path then gets m fiber coordinates,
-    each r of range(5) by 3 bits, less 2, as rng.randint(-2, 2) draws them.
-    So the values, and the rng state after them, are those of
-    ``random_path_ids`` and ``randint``.  The edge ids go target-first into
-    one flat list, a maximal path's ``level`` entries are deleted from its
-    end, and one array is built and reversed by row at the end.  The
-    rejection rule is written here and in ``_draw_chain`` apart: criterion 8
-    draws about 60 k samples per ``verify``, and a shared loop costs a call
-    per sample, which was most of this function's time.
-    """
-    if level < 1:  # the empty path is maximal, so every draw would be drawn again
-        raise ValueError("level must be at least 1")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    rng = random.Random(seed)
-    bits, rows = rng.getrandbits, diagram.draw_rows
-    d, tower_width = diagram.d, diagram.d.bit_length()
-    flat, fibers = [], []
-    while len(flat) < samples * level:
-        j = bits(tower_width)
-        while j >= d:
-            j = bits(tower_width)
-        maximal = True
-        for _ in range(level):
-            n, width, first, under = rows[j]
-            r = bits(width)
-            while r >= n:
-                r = bits(width)
-            flat.append(first + r)
-            maximal = maximal and r == n - 1
-            j = under[r]
-        if maximal:
-            del flat[-level:]
-            continue
-        for _ in range(m):
-            r = bits(3)
-            while r >= 5:
-                r = bits(3)
-            fibers.append(r - 2)
-    return np.array(flat).reshape(samples, level)[:, ::-1], np.array(fibers).reshape(samples, m)
-
-
 def invariance_step_check(
     floor: FloorCocycle, psis, pf: PerronData, seeds, samples: int, level: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sampled invariance of cylinder masses under the skewed exchange.
 
-    For each psi of the stack that ``pf`` solved and the ``step_samples``
-    (p, a) drawn from its seed, stepped by ``skewed_adic_step`` to (p', a'):
+    For each psi of the stack that ``pf`` solved, ``samples`` cylinders
+    (p, a) are drawn by random.Random(seed): p by ``random_path_ids``, again
+    while maximal, then a in [-2, 2]^m by randint.  Each is stepped by
+    ``skewed_adic_step`` to (p', a'):
       - mu(p' floor, a') must equal mu(p's floor, a);
       - the base marginal must scale by exp(-<psi, a' - a>) across the step.
     Returns (invariance, quasi_invariance): the worst absolute and relative
-    residuals, one per psi.
+    residuals, one per psi: rounding only, as the module docstring says.
     """
-    target = floor.diagram.target
+    if level < 1:  # the empty path is maximal, so every draw would be drawn again
+        raise ValueError("level must be at least 1")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    diagram = floor.diagram
     worst = []
     for t, seed in enumerate(seeds):
-        ids, a = step_samples(floor.diagram, level, samples, floor.m, seed)
+        rng = random.Random(seed)
+        ids, a = [], []
+        for _ in range(samples):
+            p = diagram.random_path_ids(level, rng)
+            while diagram.is_maximal(p):
+                p = diagram.random_path_ids(level, rng)
+            ids.append(p)
+            a.append([rng.randint(-2, 2) for _ in range(floor.m)])
+        ids, a = np.array(ids), np.array(a)
         succ, moved = skewed_adic_step(floor, ids, a)
-        # column gathers summed: cheaper than f[x].sum(1), and exact, as f is int64
-        sums, succ_sums = (sum(floor.f[x[:, c]] for c in range(level)) for x in (ids, succ))
+        sums, succ_sums = floor.f[ids].sum(1), floor.f[succ].sum(1)
         exponents = np.concatenate((succ_sums + moved, sums + a, sums, succ_sums))
-        targets = np.tile(np.concatenate((target[succ[:, -1]], target[ids[:, -1]])), 2)
+        targets = np.tile(np.concatenate((diagram.target[succ[:, -1]], diagram.target[ids[:, -1]])), 2)
         one = PerronData(pf.eigenvalue[t:t + 1], pf.vector[t:t + 1], pf.iterations[t:t + 1])
-        masses = np.exp(log_masses(psis[t:t + 1], one, exponents, targets, np.full(len(targets), level)))
+        masses = np.exp(log_masses(psis[t:t + 1], one, exponents, targets, [level] * len(targets)))
         lhs, rhs, before, after = masses.reshape(4, samples)
         expected = np.exp(-(moved - a) @ psis[t])
         worst.append((np.abs(lhs - rhs).max(), (np.abs(after / before - expected) / expected).max()))

@@ -87,48 +87,6 @@ MUTATIONS = [
         "tests/test_cli.py::test_csv_bytes_match_their_golden_digest",
     ),
     (
-        "step_samples: r > n in the floor loop",
-        "src/ietskew/maharam.py",
-        "while r >= n:",
-        "while r > n:",
-        "tests/test_maharam.py::test_step_samples_repeat_the_random_path_draws",
-    ),
-    (
-        "step_samples: r > 5 in the fiber loop",
-        "src/ietskew/maharam.py",
-        "while r >= 5:",
-        "while r > 5:",
-        "tests/test_maharam.py::test_step_samples_repeat_the_random_path_draws",
-    ),
-    (
-        "step_samples: the maximal test dropped",
-        "src/ietskew/maharam.py",
-        "        if maximal:\n            del flat[-level:]\n            continue\n",
-        "",
-        "tests/test_maharam.py::test_step_samples_repeat_the_random_path_draws",
-    ),
-    (
-        "step_samples: the path left unreversed",
-        "src/ietskew/maharam.py",
-        "np.array(flat).reshape(samples, level)[:, ::-1]",
-        "np.array(flat).reshape(samples, level)",
-        "tests/test_maharam.py::test_step_samples_repeat_the_random_path_draws",
-    ),
-    (
-        "criterion 8's path sums over range(level - 1)",
-        "src/ietskew/maharam.py",
-        "for c in range(level))",
-        "for c in range(level - 1))",
-        "tests/test_maharam.py::test_step_check_matches_per_sample_cylinder_measures",
-    ),
-    (
-        "criterion 8's cylinder lengths one short",
-        "src/ietskew/maharam.py",
-        "np.full(len(targets), level)",
-        "np.full(len(targets), level - 1)",
-        "tests/test_maharam.py::test_step_check_repeats_the_summed_formulation_bit_for_bit",
-    ),
-    (
         "the orbit's floor check without its lower bound",
         "src/ietskew/iet.py",
         "missed = (point < floor_lo[f + 1:f + n]) | (point >= floor_hi[f + 1:f + n])",
@@ -190,6 +148,34 @@ MUTATIONS = [
         "if gap_right < -SNAP:",
         "if gap_right < 0:",
         "tests/test_iet.py::test_the_oracle_repeats_the_per_step_reference",
+    ),
+    (
+        "criterion 8 without the discarded seed draw after each psi",
+        "src/ietskew/verification.py",
+        "        rng.randrange(2 ** 30)  # a retired sampler's seed, drawn still so that the next psi stays the same\n",
+        "",
+        "tests/test_verification.py::test_maharam_draws_psi_then_seed_from_one_rng",
+    ),
+    (
+        "criterion 8 without the counting-route recurrence",
+        "src/ietskew/verification.py",
+        "    recurrence.append(invariance_recurrence_check(psis, pf, RECURRENCE_POWER, power))\n",
+        "",
+        "tests/test_verification.py::test_maharam_fails_on_a_moved_exponent_in_the_counting_power",
+    ),
+    (
+        "invariance_step_check without its maximal redraw",
+        "src/ietskew/maharam.py",
+        "            while diagram.is_maximal(p):\n                p = diagram.random_path_ids(level, rng)\n",
+        "",
+        "tests/test_maharam.py::test_step_check_steps_the_per_sample_draws",
+    ),
+    (
+        "invariance_step_check drawing its fibers from [-2, 1]",
+        "src/ietskew/maharam.py",
+        "rng.randint(-2, 2)",
+        "rng.randint(-2, 1)",
+        "tests/test_maharam.py::test_step_check_steps_the_per_sample_draws",
     ),
     (
         "letter_counts counting letter i - 1",

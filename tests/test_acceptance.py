@@ -35,8 +35,7 @@ STATED = {
         "WITNESS_SAMPLES": 150,  # 5: else sampled pairs
         "COUNTING_LEVELS": 4,  # 7: k <= 4
         "MAHARAM_PSIS": 20,  # 8
-        "MAHARAM_CYLINDERS": 1000,  # 8
-        "MAHARAM_LEVEL": 5,  # 8: levels <= 5
+        "MAHARAM_LEVEL": 5,  # 8: recurrence k <= 5
         "RECURRENCE_POWER": 3,  # 8: the counting-route recurrence
         "ORBIT_STEPS": 1_000_000,  # 9
         "ORBIT_FLOORS": 2 ** 16,  # 9: the towers that predict the orbit

@@ -2,7 +2,6 @@ import math
 import random
 from collections import Counter
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from ietskew.maharam import (
     PF_MAX_ITER,
     PF_TOL,
     MaharamMeasure,
-    PerronData,
     build_measure_table,
     continuity_profile,
     default_cylinder_family,
@@ -24,11 +22,9 @@ from ietskew.maharam import (
     invariance_step_check,
     level_counting_matrix,
     level_matrices,
-    log_masses,
     path_sum_bound,
     perron,
     recurrence_vector_residual,
-    step_samples,
 )
 from laurent_reference import brute_product, evaluate, grid
 
@@ -273,20 +269,26 @@ def reference_samples(diagram, level, samples, m, seed):
     return out
 
 
-def test_step_samples_repeat_the_random_path_draws(built):
-    diagram, m = built.diagram, built.phi.m
-    for level, seed in ((1, 3), (5, 12345)):
-        ids, fibers = step_samples(diagram, level, 700, m, seed)
-        assert ids.shape == (700, level) and fibers.shape == (700, m)
-        reference = reference_samples(diagram, level, 700, m, seed)
-        assert ids.tolist() == [list(p) for p, _ in reference]
-        assert [tuple(a) for a in fibers.tolist()] == [a for _, a in reference]
+@pytest.mark.parametrize("level", [1, 5])
+def test_step_check_steps_the_per_sample_draws(built, monkeypatch, level):
+    # at level 1 a maximal path is drawn often, so a missed redraw shows
+    stepped = []
+
+    def spy(floor, ids, fiber):
+        stepped.append((ids.tolist(), fiber.tolist()))
+        return skewed_adic_step(floor, ids, fiber)
+
+    monkeypatch.setattr(maharam, "skewed_adic_step", spy)
+    psis, _, pf = stack(built, [(0.2,) * built.phi.m, (-0.4,) * built.phi.m])
+    invariance_step_check(built.floor, psis, pf, seeds=[3, 12345], samples=300, level=level)
+    for (ids, fibers), seed in zip(stepped, (3, 12345), strict=True):
+        reference = reference_samples(built.diagram, level, 300, built.phi.m, seed)
+        assert ids == [list(p) for p, _ in reference]
+        assert fibers == [list(a) for _, a in reference]
 
 
 def test_step_samples_refuse_level_zero(golden):
     # the empty path is maximal, so a level-0 draw would be drawn again forever
-    with pytest.raises(ValueError, match="level must be at least 1"):
-        step_samples(golden.diagram, 0, 3, 1, 0)
     psis = np.zeros((1, 1))
     with pytest.raises(ValueError, match="level must be at least 1"):
         invariance_step_check(golden.floor, psis, perron(level_matrices(golden.floor, psis)), [0], 3, 0)
@@ -294,42 +296,9 @@ def test_step_samples_refuse_level_zero(golden):
 
 @pytest.mark.parametrize("samples", [0, -1])
 def test_step_samples_refuse_fewer_than_one_sample(golden, samples):
-    with pytest.raises(ValueError, match="samples must be at least 1"):
-        step_samples(golden.diagram, 3, samples, 1, 0)
     psis = np.zeros((1, 1))
     with pytest.raises(ValueError, match="samples must be at least 1"):
         invariance_step_check(golden.floor, psis, perron(level_matrices(golden.floor, psis)), [0], samples, 3)
-
-
-def randrange_step_samples(diagram, level, samples, m, rng):
-    """step_samples' rows and fibers drawn by rng.randrange and rng.randint."""
-    rows, fibers = [], []
-    while len(rows) < samples:
-        j, ids = rng.randrange(1, diagram.d + 1), []
-        for _ in range(level):
-            l = rng.randrange(diagram.q[j - 1])
-            ids.append(diagram.first_ids[j - 1] + l)
-            j = diagram.words[j - 1][l]
-        if not set(diagram.top_ids).issuperset(ids):
-            rows.append(ids[::-1])
-            fibers.append([rng.randint(-2, 2) for _ in range(m)])
-    return rows, fibers
-
-
-def test_step_samples_leave_the_rng_as_randrange_does(built, monkeypatch):
-    made = []  # the rng of each step_samples call
-
-    def recorded(seed):
-        made.append(random.Random(seed))
-        return made[-1]
-
-    monkeypatch.setattr(maharam, "random", SimpleNamespace(Random=recorded))
-    diagram, m = built.diagram, built.phi.m
-    for level, seed in ((1, 3), (5, 77)):
-        ids, fibers = step_samples(diagram, level, 500, m, seed)
-        reference = random.Random(seed)
-        assert (ids.tolist(), fibers.tolist()) == randrange_step_samples(diagram, level, 500, m, reference)
-        assert made[-1].getstate() == reference.getstate()
 
 
 def test_step_check_matches_per_sample_cylinder_measures(built):
@@ -351,39 +320,6 @@ def test_step_check_matches_per_sample_cylinder_measures(built):
             worst_quasi = max(worst_quasi, abs(ratio - expected) / expected)
         assert abs(invariance[t] - worst_inv) <= 1e-13
         assert abs(quasi[t] - worst_quasi) <= 1e-13
-
-
-def summed_step_check(floor, psis, pf, seeds, samples, level):
-    """invariance_step_check with its path sums as f[ids].sum(1) and its
-    lengths as a list, each psi's log_masses operands formed the plain way."""
-    f, target, worst = floor.f, floor.diagram.target, []
-    for t, seed in enumerate(seeds):
-        ids, a = step_samples(floor.diagram, level, samples, floor.m, seed)
-        succ, moved = skewed_adic_step(floor, ids, a)
-        sums, succ_sums = f[ids].sum(1), f[succ].sum(1)
-        exponents = np.concatenate((succ_sums + moved, sums + a, sums, succ_sums))
-        targets = np.tile(np.concatenate((target[succ[:, -1]], target[ids[:, -1]])), 2)
-        one = PerronData(pf.eigenvalue[t:t + 1], pf.vector[t:t + 1], pf.iterations[t:t + 1])
-        masses = np.exp(log_masses(psis[t:t + 1], one, exponents, targets, [level] * len(targets)))
-        lhs, rhs, before, after = masses.reshape(4, samples)
-        expected = np.exp(-(moved - a) @ psis[t])
-        worst.append((np.abs(lhs - rhs).max(), (np.abs(after / before - expected) / expected).max()))
-    return tuple(np.array(worst).T)
-
-
-@pytest.mark.parametrize("level", [1, 5])
-def test_step_check_repeats_the_summed_formulation_bit_for_bit(built, level):
-    rng = random.Random(level)
-    psis, _, pf = stack(built, [tuple(rng.uniform(-1, 1) for _ in range(built.phi.m)) for _ in range(3)])
-    got = invariance_step_check(built.floor, psis, pf, seeds=[99, 100, 7], samples=1000, level=level)
-    want = summed_step_check(built.floor, psis, pf, [99, 100, 7], 1000, level)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
-
-
-def test_step_samples_return_int64_arrays_of_one_sample(built):
-    ids, fibers = step_samples(built.diagram, 4, 1, built.phi.m, 5)
-    assert (ids.dtype, ids.shape) == (np.int64, (1, 4))
-    assert (fibers.dtype, fibers.shape) == (np.int64, (1, built.phi.m))
 
 
 def test_level_matrices_name_a_psi_out_of_float_range(rank2):

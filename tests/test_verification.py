@@ -181,41 +181,34 @@ def test_level_counting_bincounts_at_most_a_path_block_of_keys(built, monkeypatc
 
 
 def test_maharam_draws_psi_then_seed_from_one_rng(built, monkeypatch):
-    seen = {}
-    real = V.invariance_step_check
-
-    def spy(floor, psis, pf, seeds, **kwargs):
-        seen.update(psis=psis.tolist(), seeds=list(seeds), kwargs=kwargs)
-        return real(floor, psis, pf, seeds, **kwargs)
-
-    monkeypatch.setattr(V, "invariance_step_check", spy)
+    # each psi is followed by the draw of a seed that nothing reads: the psi stack stays as it was
+    seen = []
+    real = V.level_matrices
+    monkeypatch.setattr(V, "level_matrices", lambda fl, psis: seen.append(psis.tolist()) or real(fl, psis))
     monkeypatch.setattr(V, "MAHARAM_PSIS", 6)
-    monkeypatch.setattr(V, "MAHARAM_CYLINDERS", 50)
     assert V.check_maharam(built, seed=31).status == "pass"
     rng = random.Random(31)
-    psis, seeds = [], []
+    psis = []
     for _ in range(6):
         psis.append([rng.uniform(-1.0, 1.0) for _ in range(built.phi.m)])
-        seeds.append(rng.randrange(2 ** 30))
-    assert seen == {"psis": psis, "seeds": seeds, "kwargs": {"samples": 50, "level": 5}}
+        rng.randrange(2 ** 30)
+    assert seen == [psis]
 
 
 def test_maharam_fails_when_the_skewed_step_moves_each_fiber_one_step_too_far(built, monkeypatch):
-    # criterion 8 steps its samples through skewed_adic_step; a step that
-    # adds phi twice breaks both invariance and quasi-invariance
-    exact = maharam.skewed_adic_step
+    # a step that adds phi twice breaks criterion 4's telescoped identity,
+    # so the layered run stops there and criterion 8 is skipped
+    exact = V.skewed_adic_step
 
     def too_far(fl, ids, fiber):
         succ, moved = exact(fl, ids, fiber)
         return succ, moved + (moved - fiber)
 
-    monkeypatch.setattr(maharam, "skewed_adic_step", too_far)
-    monkeypatch.setattr(V, "MAHARAM_PSIS", 2)
-    result = V.check_maharam(built, seed=0)
-    assert result.status == "fail"
-    assert result.detail.startswith("residual above 1e-10 at psi #0; step ")
-    step, quasi = re.search(r"step (\S+), quasi (\S+),", result.detail).groups()
-    assert float(step) > 1e-10 and float(quasi) > 1e-10
+    monkeypatch.setattr(V, "skewed_adic_step", too_far)
+    results = {r.name: r for r in V.run_verification(built, seed=0)}
+    assert results["tail_cocycle_identity"].status == "fail"
+    assert results["tail_cocycle_identity"].detail.startswith("telescoped sum identity broken (n=")
+    assert results["maharam_invariance"].status == "skipped"
 
 
 def test_maharam_is_one_perron_call_and_no_scalar_masses(built, monkeypatch):
@@ -229,29 +222,34 @@ def test_maharam_is_one_perron_call_and_no_scalar_masses(built, monkeypatch):
     monkeypatch.setattr(maharam.MaharamMeasure, "cylinder_measure", refuse)
     monkeypatch.setattr(built.diagram, "adic_successor", refuse)
     monkeypatch.setattr(V, "MAHARAM_PSIS", 7)
-    monkeypatch.setattr(V, "MAHARAM_CYLINDERS", 40)
     result = V.check_maharam(built, seed=2)
     assert result.status == "pass", result.detail
     assert calls == [(7, built.diagram.d, built.diagram.d)]
-    assert re.fullmatch(
-        r"7 psi x 40 cylinders, seed 2; step \S+, quasi \S+, recurrence \S+, "
-        r"Perron <= \d+ iterations",
-        result.detail,
-    )
+    assert re.fullmatch(r"7 psi, seed 2; recurrence \S+, Perron <= \d+ iterations", result.detail)
 
 
-def test_maharam_fails_on_a_shifted_f_value(built, monkeypatch):
+def test_maharam_fails_on_a_shifted_f_value(built):
+    # a shifted f-value breaks the tail cocycle = phi identity of criterion 4,
+    # so the layered run stops there and criterion 8 is skipped
     damaged = copy.copy(built.floor)
     damaged.f = damaged.f.copy()
     damaged.f[1, 0] += 1
     injured = replace(built)  # its own cached floor, the damaged copy
     injured.__dict__["floor"] = damaged
-    monkeypatch.setattr(V, "MAHARAM_PSIS", 5)
-    monkeypatch.setattr(V, "MAHARAM_CYLINDERS", 200)
-    result = V.check_maharam(injured, seed=4)
+    results = {r.name: r for r in V.run_verification(injured, seed=4)}
+    assert results["tail_cocycle_identity"].status == "fail"
+    assert results["tail_cocycle_identity"].detail.startswith("tail cocycle != phi at ")
+    assert results["maharam_invariance"].status == "skipped"
+
+
+def test_maharam_fails_on_a_moved_exponent_in_the_counting_power(built, monkeypatch):
+    # the Perron data are exact, so only the counting-route recurrence sees it
+    exact = V.level_counting_matrix
+    monkeypatch.setattr(V, "level_counting_matrix", damaged(exact, lambda c, o: (moved_exponent(c), o)))
+    monkeypatch.setattr(V, "MAHARAM_PSIS", 3)
+    result = V.check_maharam(built, seed=1)
     assert result.status == "fail"
-    assert result.residual > 1e-10
-    assert result.detail.startswith("residual above 1e-10 at psi #0; step ")
+    assert result.detail.startswith("residual above 1e-10 at psi #0; recurrence ")
 
 
 def test_maharam_names_the_first_psi_with_a_scaled_perron_component(built, monkeypatch):
@@ -263,7 +261,6 @@ def test_maharam_names_the_first_psi_with_a_scaled_perron_component(built, monke
 
     monkeypatch.setattr(V, "perron", scaled)
     monkeypatch.setattr(V, "MAHARAM_PSIS", 8)
-    monkeypatch.setattr(V, "MAHARAM_CYLINDERS", 100)
     result = V.check_maharam(built, seed=4)
     assert result.status == "fail"
     assert result.residual > 1e-10
