@@ -15,7 +15,11 @@ word of the loser is (bottom-last, top-last) read on the combinatorics
 before the step, and every other label keeps its singleton word.  This
 convention is not forced by the matrix identities alone, so it is verified
 against the direct simulation oracle ``simulate_return_times`` in the test
-suite.
+suite.  The composed words are the return words of the induced map, so
+they predict the oracle step for step: it confirms a predicted word in
+bulk, with a float screen under a stated error bound and exact steps where
+the screen cannot decide, and steps one floor at a time through any tower
+whose word it cannot confirm, so the predictor sets only the speed.
 
 A return word is held as ``bytes``, one byte per letter, so d is at most
 255: concatenation is a copy of bytes, and ``bytes.count`` reads the letter
@@ -267,10 +271,105 @@ def _positions(comb: IetCombinatorics, lengths: tuple[int, ...] | tuple[float, .
     return start, image, breaks, by_position, total
 
 
+def _floor_step(u: int, w: int, breaks: list[int]) -> tuple[int, int]:
+    """One step of the exact orbit: the floor [u, u + w) lies in the
+    interval of domain position i = bisect_right(breaks, u) - 1, so
+    u - breaks[i] >= 0 and breaks[i + 1] - u > 0.  A left end within SNAP
+    of either endpoint snaps onto it; snapping up to the right end of the
+    last interval keeps i, and the floor then overhangs it.  gap_left and
+    gap_right are the floor's distances to the ends of its interval;
+    gap_right below -SNAP is a discontinuity inside the floor, and a gap
+    between SNAP and KEANE_TOL is too close to one.  Returns the snapped u
+    and i, or raises PrecisionAlarm."""
+    d = len(breaks) - 1
+    i = bisect_right(breaks, u) - 1
+    if i < 0 and -u <= SNAP:  # within SNAP left of 0: onto 0
+        u, i = 0, 0
+    if not 0 <= i < d:
+        raise PrecisionAlarm("orbit left the exchanged interval")
+    gap_left, gap_right = u - breaks[i], breaks[i + 1] - w - u
+    if gap_left <= SNAP:
+        u = breaks[i]
+        gap_left, gap_right = 0, breaks[i + 1] - w - u
+    elif gap_right <= SNAP - w:
+        u = breaks[i + 1]
+        if i + 1 < d:
+            i += 1
+            gap_left, gap_right = 0, breaks[i + 1] - w - u
+        else:
+            gap_left, gap_right = u - breaks[i], -w
+    if gap_right < -SNAP:
+        raise PrecisionAlarm("discontinuity inside a simulated floor")
+    if SNAP < gap_left < KEANE_TOL or SNAP < gap_right < KEANE_TOL:
+        raise PrecisionAlarm("orbit within 1e-9 of a discontinuity")
+    return u, i
+
+
+def _step_loop(u: int, w: int, limit: int, breaks: list[int], shift: list[int], label: int) -> bytearray:
+    """The domain positions the floor [u, u + w) visits until it is back in
+    the base (u <= limit), one ``_floor_step`` each; raises RuntimeError
+    past HORIZON steps."""
+    positions = bytearray()
+    steps = 0
+    while not (steps and u <= limit):
+        if steps > HORIZON:
+            raise RuntimeError(f"horizon exceeded simulating tower {label}")
+        u, i = _floor_step(u, w, breaks)
+        positions.append(i)
+        u += shift[i]
+        steps += 1
+    return positions
+
+
+def _confirmed(seq: bytes, u: int, w: int, limit: int, breaks: list[int], shift: list[int], label: int) -> bool:
+    """Whether ``_step_loop`` from u would visit the domain positions
+    ``seq``, all of them in [0, d), and return after the last; raises the
+    step loop's RuntimeError where the first HORIZON + 1 of them are its
+    first steps and it is not back after them.  See
+    ``simulate_return_times`` for the float screen and its bound."""
+    d = len(shift)
+    p = np.frombuffer(seq, dtype=np.uint8)
+    if not len(p) or p.max() >= d:  # an empty word, or a letter outside 1..d
+        return False
+    cut = HORIZON + 1  # the most steps the step loop takes
+    long = len(p) > cut
+    if long:
+        seq, p = seq[:cut], p[:cut]
+    n, total = len(p), breaks[-1]
+    x = np.empty(n)
+    x[0] = float(u)
+    x[1:] = np.array(shift, dtype=float)[p[:-1]]
+    np.add.accumulate(x, out=x)
+    bound = (2 * n + 8) * 2.0 ** -53 * float(total) + (n + 1) * SNAP
+    lo = np.array(breaks[:-1], dtype=float)[p]
+    hi = np.array([b - w for b in breaks[1:]], dtype=float)[p]
+    sure = (x - lo >= KEANE_TOL + bound) & (hi - x >= KEANE_TOL + bound)
+    sure[1:] &= x[1:] > float(limit) + bound
+    v, done = u, 0  # the exact position before step ``done``
+    for j in np.flatnonzero(~sure).tolist():
+        v += sum(c * s for c, s in zip(np.bincount(p[done:j], minlength=d).tolist(), shift))
+        if j and v <= limit:
+            return False
+        try:
+            v, i = _floor_step(v, w, breaks)
+        except PrecisionAlarm:
+            return False
+        if i != seq[j]:
+            return False
+        done = j
+    end = v + sum(c * s for c, s in zip(np.bincount(p[done:], minlength=d).tolist(), shift))
+    if not long:
+        return end <= limit
+    if end <= limit:
+        return False
+    raise RuntimeError(f"horizon exceeded simulating tower {label}")
+
+
 def simulate_return_times(
     comb: IetCombinatorics,
     lengths: LengthData,
     level: int,
+    predicted: tuple[bytes, ...] | None = None,
 ) -> tuple[tuple[int, ...], tuple[bytes, ...]]:
     """Directly simulate first returns to the level-``level`` induction interval.
 
@@ -282,14 +381,46 @@ def simulate_return_times(
     PrecisionAlarm when an orbit endpoint lands within 1e-9 of a
     discontinuity (other than the structural coincidences of the tower).
 
-    Per step, the floor [u, u + w) lies in the interval of domain position
-    i = bisect_right(breaks, u) - 1, so u - breaks[i] >= 0 and
-    breaks[i + 1] - u > 0.  A left end within SNAP of either endpoint snaps
-    onto it; snapping up to the right end of the last interval keeps i, and
-    the floor then overhangs it.  gap_left and gap_right are the floor's
-    distances to the ends of its interval; gap_right below -SNAP is a
-    discontinuity inside the floor.  The loop records domain positions and
-    maps them to labels once per tower.
+    The step loop (``_step_loop``) walks a tower one ``_floor_step`` at a
+    time: bisect, snap, the three alarms.  ``predicted`` holds one word per
+    label, as ``TowerSystem.words`` holds them, and sets only the speed:
+    each tower first tries to confirm its predicted word in bulk, and a
+    tower not confirmed runs the step loop from its start, so every word,
+    q, exception and message is the step loop's, in the same order.  With
+    ``predicted=None``, a wrong number of words, an empty word or a letter
+    outside 1..d, the tower takes the step loop.
+
+    Confirming a word of n steps from the base's left end u_0.  Let T be
+    ``total`` and eps = 2**-53.  The float position x_j before step j is a
+    sequential left fold of float64 shifts from float(u_0).  Write y_j for
+    the exact sum u_0 + the shifts of the steps before j, and u_j for the
+    step loop's position, which also carries the snaps: each moves it by at
+    most SNAP, so |u_j - y_j| <= j SNAP.  While the predicted steps are the
+    step loop's, every exact position lies in [0, T), so float(u_0) and
+    each float shift err by at most eps T and each addition rounds by at
+    most eps T (to first order): |x_j - y_j| <= (2j + 1) eps T.  A float gap
+    to an end of the predicted interval adds one conversion of that end and
+    one subtraction, so it is within (2j + 3) eps T + j SNAP of the exact
+    gap at u_j; the float comparison with ``limit`` adds one conversion and
+    one addition.  With j < n, all of these lie within
+
+        E = (2n + 8) eps T + (n + 1) SNAP,
+
+    the slack covering the rounding of E itself and the second-order
+    terms.  A step is confirmed in float when its float gaps to both ends
+    of the predicted interval are at least KEANE_TOL + E and, for
+    1 <= j < n, x_j > limit + E: its exact gaps are then at least KEANE_TOL,
+    so it snaps nothing, raises nothing, bisects to the predicted interval
+    and is not yet back.  Every other step runs ``_floor_step`` on its exact
+    position, u_0 plus the per-letter counts before it times the exact
+    shifts plus the snap drift so far, and must not be back (j >= 1), must
+    raise nothing and must land in the predicted interval.  The word is
+    confirmed when every step is and the exact position after it is
+    <= limit.  By induction on the first step the float screen would get
+    wrong, none is wrong in a confirmed word.  A word longer than
+    HORIZON + 1 steps has its first HORIZON + 1 confirmed the same way and
+    the position after them above ``limit``; it then raises the step
+    loop's ``horizon exceeded``.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
@@ -299,6 +430,11 @@ def simulate_return_times(
         return (1,) * d, tuple(bytes((j,)) for j in range(1, d + 1))
     shift = [image[label] - start[label] for label in by_position]  # by domain position
     to_label = bytes(by_position).ljust(256, b"\0")  # domain position -> label, a translate table
+    to_position = bytearray(b"\xff" * 256)  # label -> domain position, 255 for no label
+    for i, label in enumerate(by_position):
+        to_position[label] = i
+    if predicted is not None and len(predicted) != d:
+        predicted = None
     shrink_num = SCALE ** level
     shrink_den = lengths.alpha_scaled ** level
 
@@ -316,38 +452,11 @@ def simulate_return_times(
         if w <= 0:
             raise PrecisionAlarm("level interval collapsed; scale exhausted")
         limit = base_total + SNAP - w  # the floor [u, u + w) is back in the base once u <= limit
-        snap_right = SNAP - w  # gap_right <= snap_right: u within SNAP of the interval's right end
-        rights = [b - w for b in breaks[1:]]  # gap_right = rights[i] - u
-        positions = bytearray()
-        steps = 0
-        while not (steps and u <= limit):
-            if steps > HORIZON:
-                raise RuntimeError(f"horizon exceeded simulating tower {label}")
-            i = bisect_right(breaks, u) - 1
-            if i < 0 and -u <= SNAP:  # within SNAP left of 0: onto 0
-                u, i = 0, 0
-            if not 0 <= i < d:
-                raise PrecisionAlarm("orbit left the exchanged interval")
-            gap_left, gap_right = u - breaks[i], rights[i] - u
-            if gap_left <= SNAP:
-                u = breaks[i]
-                gap_left, gap_right = 0, rights[i] - u
-            elif gap_right <= snap_right:
-                u = breaks[i + 1]
-                if i + 1 < d:
-                    i += 1
-                    gap_left, gap_right = 0, rights[i] - u
-                else:
-                    gap_left, gap_right = u - breaks[i], -w
-            if gap_right < -SNAP:
-                raise PrecisionAlarm("discontinuity inside a simulated floor")
-            if SNAP < gap_left < KEANE_TOL or SNAP < gap_right < KEANE_TOL:
-                raise PrecisionAlarm("orbit within 1e-9 of a discontinuity")
-            positions.append(i)
-            u += shift[i]
-            steps += 1
-        q_out.append(steps)
-        words_out.append(bytes(positions.translate(to_label)))
+        word = None if predicted is None else predicted[label - 1]
+        if word is None or not _confirmed(word.translate(to_position), u, w, limit, breaks, shift, label):
+            word = bytes(_step_loop(u, w, limit, breaks, shift, label).translate(to_label))
+        q_out.append(len(word))
+        words_out.append(word)
     # towers are reported in label order, not domain-position order
     order = {label: k for k, label in enumerate(comb.top)}
     q_by_label = tuple(q_out[order[j]] for j in range(1, d + 1))

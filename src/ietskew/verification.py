@@ -108,10 +108,14 @@ def _timed(name):
 
 @_timed("tower_oracle_equivalence")
 def check_tower_oracle(built: BuiltInstance, seed: int = 0) -> CheckResult:
-    """Word system from loop substitution equals direct float simulation."""
+    """Word system from loop substitution equals direct exact simulation.
+
+    The composed words are the simulation's predictor: it confirms them in
+    bulk and steps through any tower whose word it cannot confirm, so a
+    wrong word still disagrees."""
     for k in range(ORACLE_LEVELS + 1):
         tower = compose_loop(built.loop, k)
-        q, words = simulate_return_times(built.loop.start, built.lengths, k)
+        q, words = simulate_return_times(built.loop.start, built.lengths, k, tower.words)
         if q != tower.q or words != tower.words:
             return CheckResult(
                 "", "fail", detail=f"simulation disagrees at level {k}"

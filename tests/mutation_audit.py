@@ -131,13 +131,13 @@ MUTATIONS = [
     (
         "the oracle's right-end snap dropped",
         "src/ietskew/iet.py",
-        """            elif gap_right <= snap_right:
-                u = breaks[i + 1]
-                if i + 1 < d:
-                    i += 1
-                    gap_left, gap_right = 0, rights[i] - u
-                else:
-                    gap_left, gap_right = u - breaks[i], -w
+        """    elif gap_right <= SNAP - w:
+        u = breaks[i + 1]
+        if i + 1 < d:
+            i += 1
+            gap_left, gap_right = 0, breaks[i + 1] - w - u
+        else:
+            gap_left, gap_right = u - breaks[i], -w
 """,
         "",
         "tests/test_iet.py::test_the_oracle_repeats_the_per_step_reference",
@@ -148,6 +148,48 @@ MUTATIONS = [
         "if gap_right < -SNAP:",
         "if gap_right < 0:",
         "tests/test_iet.py::test_the_oracle_repeats_the_per_step_reference",
+    ),
+    (
+        "the float screen's bound without its float term",
+        "src/ietskew/iet.py",
+        "bound = (2 * n + 8) * 2.0 ** -53 * float(total) + (n + 1) * SNAP",
+        "bound = (n + 1) * SNAP",
+        "tests/test_iet.py::test_the_float_screen_confirms_no_step_inside_the_alarm_band",
+    ),
+    (
+        "the oracle's candidate steps taken as confirmed",
+        "src/ietskew/iet.py",
+        "for j in np.flatnonzero(~sure).tolist():",
+        "for j in []:",
+        "tests/test_iet.py::test_the_oracle_repeats_the_per_step_reference",
+    ),
+    (
+        "the float screen without its early-return test",
+        "src/ietskew/iet.py",
+        "    sure[1:] &= x[1:] > float(limit) + bound\n",
+        "",
+        "tests/test_iet.py::test_the_oracle_repeats_the_per_step_reference",
+    ),
+    (
+        "the oracle's exact steps without their early-return test",
+        "src/ietskew/iet.py",
+        "        if j and v <= limit:\n            return False\n",
+        "",
+        "tests/test_iet.py::test_the_oracle_repeats_the_per_step_reference",
+    ),
+    (
+        "the predicted bytes returned without the letter check",
+        "src/ietskew/iet.py",
+        "        if i != seq[j]:\n            return False\n",
+        "",
+        "tests/test_iet.py::test_the_oracle_repeats_the_per_step_reference",
+    ),
+    (
+        "the horizon prefix one step short",
+        "src/ietskew/iet.py",
+        "cut = HORIZON + 1  # the most steps the step loop takes",
+        "cut = HORIZON  # the most steps the step loop takes",
+        "tests/test_iet.py::test_a_confirmed_prefix_stops_at_the_horizon_as_the_step_loop_does",
     ),
     (
         "criterion 8 without the discarded seed draw after each psi",

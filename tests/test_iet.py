@@ -203,20 +203,79 @@ def test_simulation_matches_substitution(built):
         assert words == tw.words
 
 
-def oracle_outcome(simulate, comb, lengths, level):
+def oracle_outcome(simulate, comb, lengths, level, *predicted):
     """(q, words as tuples), or (exception type, message) of a simulation."""
     try:
-        q, words = simulate(comb, lengths, level)
+        q, words = simulate(comb, lengths, level, *predicted)
     except RuntimeError as exc:  # PrecisionAlarm too
         return type(exc), str(exc)
     return q, tuple(map(tuple, words))
 
 
+def predictors(comb, words):
+    """Predicted words that the oracle must confirm or step past, by name."""
+    d = comb.d
+    return {
+        "composed": words,
+        "rotated": tuple(w[1:] + w[:1] for w in words),
+        "one letter short": tuple(w[:-1] for w in words),
+        "one letter long": tuple(w + w[:1] for w in words),
+        "followed by the next label's word": tuple(w + v for w, v in zip(words, words[1:] + words[:1])),
+        "handed to the wrong labels": words[1:] + words[:1],
+        "every letter the first label": tuple(bytes([comb.top[0]]) * len(w) for w in words),
+        "a letter 0": tuple(w[:-1] + bytes([0]) for w in words),
+        "a letter d + 1": tuple(w[:-1] + bytes([d + 1]) for w in words),
+        "too few words": words[:-1],
+    }
+
+
 def test_the_oracle_repeats_the_per_step_reference(built):
+    # whatever the predictor, the outcome is the step loop's
+    comb, lengths = built.loop.start, built.lengths
     for level in range(5):
-        expected = oracle_outcome(reference_return_times, built.loop.start, built.lengths, level)
+        expected = oracle_outcome(reference_return_times, comb, lengths, level)
         assert expected[0] == compose_loop(built.loop, level).q
-        assert oracle_outcome(simulate_return_times, built.loop.start, built.lengths, level) == expected
+        assert oracle_outcome(simulate_return_times, comb, lengths, level) == expected
+        for name, words in predictors(comb, compose_loop(built.loop, level).words).items():
+            outcome = oracle_outcome(simulate_return_times, comb, lengths, level, words)
+            assert outcome == expected, (level, name)
+
+
+def test_the_composed_words_are_confirmed_without_stepping(built, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the step loop ran")
+
+    monkeypatch.setattr(iet, "_step_loop", refuse)
+    for level in (1, 2, 3, 4):
+        tower = compose_loop(built.loop, level)
+        assert simulate_return_times(built.loop.start, built.lengths, level, tower.words) == (tower.q, tower.words)
+
+
+def test_the_float_screen_confirms_no_step_inside_the_alarm_band(built, monkeypatch):
+    # KEANE_TOL one above the smallest gap past SNAP at a level: exactly one
+    # step alarms, and its float gap may round to KEANE_TOL or above, which
+    # only the float term of the screen's bound keeps from confirming it
+    comb, lengths = built.loop.start, built.lengths
+    gaps = []
+    exact = iet._floor_step
+
+    def recorded(u, w, breaks):
+        u, i = exact(u, w, breaks)
+        gaps.extend(g for g in (u - breaks[i], breaks[i + 1] - w - u) if g > iet.SNAP)
+        return u, i
+
+    for level in (1, 2, 3):
+        gaps.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(iet, "_floor_step", recorded)
+            simulate_return_times(comb, lengths, level)
+        with monkeypatch.context() as patch:
+            for module in (iet, oracle_reference):
+                patch.setattr(module, "KEANE_TOL", min(gaps) + 1)
+            expected = oracle_outcome(reference_return_times, comb, lengths, level)
+            assert expected == (PrecisionAlarm, "orbit within 1e-9 of a discontinuity")
+            words = compose_loop(built.loop, level).words
+            assert oracle_outcome(simulate_return_times, comb, lengths, level, words) == expected
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -224,6 +283,7 @@ def test_the_oracle_repeats_the_reference_on_perturbed_lengths(built, sign):
     # shifts of 1e-6..1e-14 all raise an alarm; shifts of 1e-41..1e-44, below
     # SNAP, let some or all of the simulations complete
     base, completed, alarms = built.lengths, 0, 0
+    composed = [compose_loop(built.loop, level).words for level in range(4)]
     for j, e in product(range(built.tower.d), [*range(6, 15), *range(41, 45)]):
         scaled = list(base.lengths_scaled)
         scaled[j] += sign * (SCALE // 10 ** e)
@@ -231,6 +291,8 @@ def test_the_oracle_repeats_the_reference_on_perturbed_lengths(built, sign):
         for level in (1, 2, 3):
             expected = oracle_outcome(reference_return_times, built.loop.start, lengths, level)
             assert oracle_outcome(simulate_return_times, built.loop.start, lengths, level) == expected
+            predicted = oracle_outcome(simulate_return_times, built.loop.start, lengths, level, composed[level])
+            assert predicted == expected
             completed += isinstance(expected[0], tuple)  # q, not an exception type
             alarms += expected[0] is PrecisionAlarm
     assert completed and alarms
@@ -239,14 +301,30 @@ def test_the_oracle_repeats_the_reference_on_perturbed_lengths(built, sign):
 def test_the_oracle_stops_where_the_reference_does(built, monkeypatch):
     # the interval collapses at level 100; a horizon of 50 steps cuts level 3
     comb, lengths = built.loop.start, built.lengths
+    words = compose_loop(built.loop, 3).words
     collapsed = (PrecisionAlarm, "level interval collapsed; scale exhausted")
     assert oracle_outcome(reference_return_times, comb, lengths, 100) == collapsed
     assert oracle_outcome(simulate_return_times, comb, lengths, 100) == collapsed
+    assert oracle_outcome(simulate_return_times, comb, lengths, 100, words) == collapsed
     monkeypatch.setattr(iet, "HORIZON", 50)
     monkeypatch.setattr(oracle_reference, "HORIZON", 50)
     cut = (RuntimeError, "horizon exceeded simulating tower 1")
     assert oracle_outcome(reference_return_times, comb, lengths, 3) == cut
     assert oracle_outcome(simulate_return_times, comb, lengths, 3) == cut
+    assert oracle_outcome(simulate_return_times, comb, lengths, 3, words) == cut
+
+
+def test_a_confirmed_prefix_stops_at_the_horizon_as_the_step_loop_does(built, monkeypatch):
+    # at q - 2 the tower's word is one step longer than the horizon allows,
+    # at q - 1 it returns in exactly HORIZON + 1 steps
+    comb, lengths = built.loop.start, built.lengths
+    tower = compose_loop(built.loop, 2)
+    for horizon in sorted({h for q in tower.q for h in (q - 2, q - 1, q)}):
+        monkeypatch.setattr(iet, "HORIZON", horizon)
+        monkeypatch.setattr(oracle_reference, "HORIZON", horizon)
+        expected = oracle_outcome(reference_return_times, comb, lengths, 2)
+        assert oracle_outcome(simulate_return_times, comb, lengths, 2) == expected
+        assert oracle_outcome(simulate_return_times, comb, lengths, 2, tower.words) == expected
 
 
 def test_simulation_alarm_on_perturbed_lengths(golden):

@@ -35,6 +35,16 @@ def test_criteria_1_2_and_11_compose_each_tower_once(built, monkeypatch):
     assert composed == [0, 1, 2, 3, 4]
 
 
+def test_tower_oracle_fails_on_two_swapped_letters_at_level_2(built, monkeypatch):
+    # the swapped words bypass TowerSystem's validation and predict the oracle
+    real = V.compose_loop
+    monkeypatch.setattr(
+        V, "compose_loop", lambda loop, k: V._tower_with_swapped_letters(real(loop, k)) if k == 2 else real(loop, k)
+    )
+    result = V.check_tower_oracle(built)
+    assert (result.status, result.detail) == ("fail", "simulation disagrees at level 2")
+
+
 def moved_exponent(counts: np.ndarray) -> np.ndarray:
     """Copy of a dense (d, d, *box) count array with one count moved up by
     one in its first exponent, the box grown by one slot at the top of that
