@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -464,6 +465,75 @@ def simulate_return_times(
     return q_by_label, words_by_label
 
 
+class _Walk(NamedTuple):
+    """One predicted tower of the float orbit: its floors' domain positions,
+    its fold buffer (a free slot for the start, then its floors' shifts),
+    its floors' float left ends, its visits per domain position, and its
+    screened start range [lo, hi], empty when lo > hi."""
+
+    positions: np.ndarray
+    fold: np.ndarray
+    left: np.ndarray
+    row: np.ndarray
+    lo: float
+    hi: float
+
+
+def _walks(comb: IetCombinatorics, lengths: LengthData, towers: tuple[np.ndarray, ...]):
+    """The breaks, the shifts by domain position and the ``_Walk`` of each
+    nonempty tower of ``towers``; see ``float_orbit_frequencies`` for the
+    screen and its bound."""
+    start, image, breaks, _, end = _positions(comb, lengths.lengths)
+    shift = np.array([image[label] - start[label] for label in comb.top])  # by domain position
+    position = np.argsort(np.array(comb.top) - 1)  # domain position of each 0-based label
+    ends = np.array(breaks)
+    scale = end / float(np.dot([len(w) for w in towers], lengths.lengths))
+    reach = end + float(np.abs(shift).max())  # end + s_max
+    walks = []
+    for b, w in zip(ends[position] * scale, towers):
+        p = position[w]
+        h = len(p)
+        if not h:
+            continue
+        fold = np.empty(h + 1)
+        fold[0] = 0.0
+        fold[1:] = shift[p]
+        offsets = np.add.accumulate(fold)[:h]  # O_k, the fold of the shifts below floor k from 0
+        e = (h + 4) * 2.0 ** -53 * (reach + float(np.abs(offsets).max()))
+        lo = float((ends[p] - offsets).max() + e)
+        hi = float((ends[p + 1] - offsets).min() - e)
+        walks.append(_Walk(p, fold, b + offsets, np.bincount(p, minlength=comb.d), lo, hi))
+    return breaks, shift, walks
+
+
+def _floor(x: float, walks: list[_Walk]) -> tuple[_Walk | None, int]:
+    """The walk and the index of the floor whose left end is the last at or
+    below x, or (None, 0) where there is none (x below every floor, or NaN)."""
+    found, best = (None, 0), -np.inf
+    for walk in walks:
+        f = int(np.where(walk.left <= x, walk.left, -np.inf).argmax())
+        if best < walk.left[f] <= x:
+            found, best = (walk, f), walk.left[f]
+    return found
+
+
+def _checked_block(x: float, walk: _Walk, f: int, budget: int, lo: np.ndarray, hi: np.ndarray) -> tuple[int, float]:
+    """The steps kept, and the point after them, of the fold from x along
+    at most ``budget`` floors of ``walk`` from floor f: up to the first point
+    after x that is not confirmed inside its floor's interval [lo[i], hi[i])
+    (a NaN is not), or the top of the tower."""
+    p = walk.positions[f:f + budget]
+    n = len(p)
+    xs = np.empty(n + 1)
+    xs[0] = x
+    xs[1:] = walk.fold[f + 1:f + n + 1]
+    np.add.accumulate(xs, out=xs)
+    point, q = xs[1:n], p[1:]
+    inside = (point >= lo[q]) & (point < hi[q])
+    kept = n if inside.all() else 1 + int(inside.argmin())
+    return kept, float(xs[kept])
+
+
 def float_orbit_frequencies(
     comb: IetCombinatorics,
     lengths: LengthData,
@@ -475,75 +545,94 @@ def float_orbit_frequencies(
 
     The orbit is x <- x + shift(interval of x), clamped back into [0, end)
     after each step.  ``towers`` predicts it: per label, the 0-based labels its
-    floors visit bottom to top (``BratteliDiagram.floor_sources``).  Each
-    floor gets a float left endpoint, its tower's base scaled so that the
-    floors cover [0, end).  From the floor under x, the rest of its word is
-    the predicted block; ``np.add.accumulate`` walks it as the same left fold
-    of IEEE additions that a step-by-step loop makes, and the block is kept
-    up to the first step whose point lies outside its predicted floor's
-    interval [breaks[seq], breaks[seq + 1]), a test that also ends the block
-    where a point leaves [0, end).  Step 0 is not tested: bisection placed
-    x, clamping an x outside [0, end) to an end interval.  A kept block's
-    visits are the difference of two rows of per-floor prefix counts.  A
-    floor whose label is not x's own is one plain step, and no block is
-    built.  A block that misses partway caps the next at 1024 floors, about
-    what the fixed numpy cost of a block buys, so a wrong predictor wastes a
-    bounded amount per miss; each block kept whole doubles the cap, so the
-    true towers are walked in whole towers.  The predictor sets only the
-    speed: the frequencies are those of the step-by-step loop, bit for bit,
-    whatever ``towers`` holds.
+    floors visit bottom to top (``BratteliDiagram.floor_sources``).  The
+    predictor sets only the speed: the frequencies are those of the
+    step-by-step loop, bit for bit, whatever ``towers`` holds.
+
+    A start x inside a tower's screened range [lo, hi] folds the whole
+    tower: one ``np.add.accumulate`` of its shifts from x, the same left
+    fold of IEEE additions the loop makes, and the tower's visit row is
+    added once.  Every other start looks up its floor, the one whose float
+    left end (the base's, scaled so that the floors cover [0, end), plus
+    the shifts below it) is the last at or below x.  If that floor's
+    interval is x's own, the rest of its tower is a checked block
+    (``_checked_block``), kept up to the first point outside its predicted
+    interval, a test that also ends the block where a point leaves
+    [0, end) or is NaN; step 0 is not tested, as bisection placed x,
+    clamping an x outside [0, end) to an end interval.  Otherwise x takes
+    one plain step.  A lookup whose block kept fewer than 32 steps is
+    followed by plain steps, 1, 2, 4, ... of them after successive such
+    lookups and 1 again once a block keeps more, so a wrong predictor
+    pays numpy's fixed cost per block a logarithmic number of times.
+
+    The screen.  Let u = 2**-53, let the tower's floors lie in the domain
+    positions p_0..p_{h-1} with shifts s_k, let S_k be the exact sum of
+    s_0..s_{k-1} and b_i the breaks.  The fold from x gives x_0 = x and
+    x_{k+1} = fl(x_k + s_k); the loop takes the same steps, and clamps
+    nothing, as long as b_{p_k} <= x_k < b_{p_k + 1} for every k < h.  While
+    that holds up to k - 1, each x_j lies in [0, end), so each addition errs
+    by at most u |x_j + s_j| <= u (end + s_max) (the standard model and
+    the bound for recursive summation: Higham, Accuracy and Stability of
+    Numerical Algorithms, sections 2.2 and 4.2) and
+    |x_k - (x + S_k)| <= k u (end + s_max).  The set-up folds the same
+    shifts from 0 into O_k; each addition errs by at most u times its
+    result, so |O_k - S_k| <= k u M with M = max |O_k|.  The float edges
+    c_k = fl(b_{p_k} - O_k) and fl(b_{p_k + 1} - O_k) err by at most
+    u (end + M), and lo = fl(max c_k + e) by at most u (end + M + e), and
+    hi likewise.  So x >= lo gives x_k >= b_{p_k} and x <= hi gives
+    x_k < b_{p_k + 1} for every k < h once
+
+        e (1 - u) > (h + 1 + u) u (end + s_max + M),
+
+    which e = (h + 4) u (end + s_max + M) meets with room to spare for the
+    rounding of e itself.  A screen holds for every prefix of its tower, so
+    the orbit's last tower may stop partway.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, not {steps}")
     d = comb.d
-    start, image, breaks, _, end = _positions(comb, lengths.lengths)
-    shift = np.array([image[label] - start[label] for label in comb.top])  # by domain position
-    position = np.argsort(np.array(comb.top) - 1)  # domain position of each 0-based label
-
-    # every floor in tower order: its domain position, the end of its tower,
-    # and its float left endpoint, the base's plus the shifts below it
-    heights = [len(w) for w in towers]
-    seq = position[np.concatenate(towers)]
-    stop = np.repeat(np.cumsum(heights), heights)
-    base = np.array(breaks)[position] * (end / float(np.dot(heights, lengths.lengths)))
-    left = np.concatenate(
-        [np.add.accumulate(np.append(b, shift[position[w[:-1]]])) for b, w in zip(base, towers)]
-    )
-    order = np.argsort(left)
-    sorted_left, seq_shift = left[order], shift[seq]
-    # each floor's predicted interval, and the visits per position of the floors before it
-    floor_lo, floor_hi = np.array(breaks)[seq], np.array(breaks)[seq + 1]
-    visits = np.zeros((len(seq) + 1, d), dtype=np.int64)
-    np.cumsum(seq[:, None] == np.arange(d), axis=0, out=visits[1:])
+    breaks, shift, walks = _walks(comb, lengths, towers)
+    end = breaks[-1]
+    screened = sorted((w for w in walks if w.lo <= w.hi), key=lambda w: w.lo)
+    los, his = [w.lo for w in screened], [w.hi for w in screened]
+    buf = np.empty(max((len(w.positions) for w in walks), default=0) + 1)
+    lo_ends, hi_ends = np.array(breaks[:-1]), np.array(breaks[1:])
 
     # default start: a generic point (1/pi of the interval), kept away from
     # the algebraic breakpoint data of the packaged instances
     x = 0.3183098861837907 * end if x0 is None else x0
-    counts = np.zeros(d, dtype=np.int64)  # visits per domain position
-    bounds, lefts, shifts = breaks[1:-1], sorted_left.tolist(), shift.tolist()
-    done, cap = 0, len(seq)  # most floors of the next block
+    counts = np.zeros(d, dtype=np.int64)  # visits per domain position, by folds and blocks
+    plain = [0] * d  # and by plain steps
+    bounds, shifts = breaks[1:-1], shift.tolist()
+    done, wait, backoff = 0, 0, 1
     while done < steps:
-        i = bisect_right(bounds, x)  # x's domain position; points outside [0, end) clamp to an end
-        f = order[max(bisect_right(lefts, x) - 1, 0)]
-        if seq[f] != i:  # a miss at once: one plain step
-            counts[i] += 1
-            x += shifts[i]
-            kept = 1
+        k = bisect_right(los, x) - 1
+        if k >= 0 and x <= his[k]:  # a screened start: fold the tower
+            walk = screened[k]
+            kept = min(len(walk.positions), steps - done)
+            walk.fold[0] = x
+            np.add.accumulate(walk.fold[:kept + 1], out=buf[:kept + 1])
+            counts += walk.row if kept == len(walk.positions) else np.bincount(walk.positions[:kept], minlength=d)
+            x = float(buf[kept])
         else:
-            n = min(stop[f] - f, steps - done, cap)
-            xs = np.empty(n + 1)
-            xs[0] = x
-            xs[1:] = seq_shift[f:f + n]
-            np.add.accumulate(xs, out=xs)
-            point = xs[1:n]  # steps 1..n-1; step 0 is x's own
-            missed = (point < floor_lo[f + 1:f + n]) | (point >= floor_hi[f + 1:f + n])
-            kept = 1 + int(missed.argmax()) if missed.any() else n
-            counts += visits[f + kept] - visits[f]
-            x = float(xs[kept])
-            cap = cap * 2 if kept == n else 1024
+            i = bisect_right(bounds, x)  # x's domain position; points outside [0, end) clamp to an end
+            kept = 0
+            if wait:
+                wait -= 1
+            else:
+                walk, f = _floor(x, walks)
+                if walk is not None and walk.positions[f] == i:
+                    kept, x = _checked_block(x, walk, f, steps - done, lo_ends, hi_ends)
+                    counts += np.bincount(walk.positions[f:f + kept], minlength=d)
+                wait, backoff = (backoff, 2 * backoff) if kept < 32 else (0, 1)
+            if not kept:  # a plain step
+                plain[i] += 1
+                x += shifts[i]
+                kept = 1
         if x < 0.0:
             x = 0.0
         elif x >= end:
             x = end * (1.0 - 1e-16)
         done += kept
+    counts += plain
     return tuple(c / steps for _, c in sorted(zip(comb.top, counts.tolist())))

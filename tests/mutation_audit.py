@@ -89,9 +89,51 @@ MUTATIONS = [
     (
         "the orbit's floor check without its lower bound",
         "src/ietskew/iet.py",
-        "missed = (point < floor_lo[f + 1:f + n]) | (point >= floor_hi[f + 1:f + n])",
-        "missed = point >= floor_hi[f + 1:f + n]",
+        "inside = (point >= lo[q]) & (point < hi[q])",
+        "inside = point < hi[q]",
         "tests/test_iet.py::test_a_wrong_predictor_changes_no_frequency",
+    ),
+    (
+        "the orbit's floor check read as a miss test, which keeps a NaN",
+        "src/ietskew/iet.py",
+        "inside = (point >= lo[q]) & (point < hi[q])",
+        "inside = ~((point < lo[q]) | (point >= hi[q]))",
+        "tests/test_iet.py::test_a_checked_block_from_nan_keeps_one_step",
+    ),
+    (
+        "the orbit's screen without its error term",
+        "src/ietskew/iet.py",
+        "e = (h + 4) * 2.0 ** -53 * (reach + float(np.abs(offsets).max()))",
+        "e = 0.0",
+        "tests/test_iet.py::test_starts_at_the_screen_edges_and_floor_ends_walk_as_the_loop_does",
+    ),
+    (
+        "the orbit's screen not shrunk at its lower edge",
+        "src/ietskew/iet.py",
+        "lo = float((ends[p] - offsets).max() + e)",
+        "lo = float((ends[p] - offsets).max())",
+        "tests/test_iet.py::test_starts_at_the_screen_edges_and_floor_ends_walk_as_the_loop_does",
+    ),
+    (
+        "the orbit's screen not shrunk at its upper edge",
+        "src/ietskew/iet.py",
+        "hi = float((ends[p + 1] - offsets).min() - e)",
+        "hi = float((ends[p + 1] - offsets).min())",
+        "tests/test_iet.py::test_starts_at_the_screen_edges_and_floor_ends_walk_as_the_loop_does",
+    ),
+    (
+        "a folded tower's visits read from the tower screened below it",
+        "src/ietskew/iet.py",
+        "counts += walk.row if",
+        "counts += screened[k - 1].row if",
+        "tests/test_iet.py::test_float_orbit_frequencies_equal_the_dict_loop",
+    ),
+    (
+        "a folded tower that ignores the steps left",
+        "src/ietskew/iet.py",
+        "kept = min(len(walk.positions), steps - done)",
+        "kept = len(walk.positions)",
+        "tests/test_iet.py::test_float_orbit_frequencies_equal_the_dict_loop",
     ),
     (
         "the int64 refusal at 2**64",

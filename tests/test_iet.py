@@ -19,7 +19,7 @@ from ietskew.iet import (
     rauzy_step,
     simulate_return_times,
 )
-from ietskew.verification import orbit_towers
+from ietskew.verification import ORBIT_FLOORS, orbit_towers
 
 import oracle_reference
 from oracle_reference import reference_return_times
@@ -402,12 +402,71 @@ def test_float_orbit_frequencies_equal_the_dict_loop(built):
     assert float_orbit_frequencies(comb, lengths, 200_000, towers) == dict_orbit_frequencies(
         comb, lengths, 200_000
     )
-    # points within 1e-12 of a breakpoint, one left of the interval and one right of it
-    starts = [breaks[1] - 1e-12, breaks[-2] + 5e-13, -1.0, 1.5 * breaks[-1]]
+    # points within 1e-12 of a breakpoint, one left of the interval, one right
+    # of it, NaN (the loop's last interval at every step) and the infinities
+    starts = [breaks[1] - 1e-12, breaks[-2] + 5e-13, -1.0, 1.5 * breaks[-1], np.nan, np.inf, -np.inf]
     for x0 in starts:
         assert float_orbit_frequencies(comb, lengths, 50_000, towers, x0) == dict_orbit_frequencies(
             comb, lengths, 50_000, x0
         )
+
+
+# criterion 9's 1 M-step visit counts, by label, before the towers were folded
+ORBIT_COUNTS = {
+    "golden_triple": (414215, 414210, 171575),
+    "genus2_rank1": (241498, 241494, 439620, 77388),
+    "genus2_rank2": (236068, 236068, 472136, 55728),
+}
+
+
+def test_the_true_towers_take_one_checked_block(built, monkeypatch):
+    # the first start is mid-tower and takes the one checked block; every
+    # later start is screened and folds its tower
+    blocks = []
+    checked = iet._checked_block
+    monkeypatch.setattr(iet, "_checked_block", lambda *args: blocks.append(args[2]) or checked(*args))
+    freqs = float_orbit_frequencies(built.loop.start, built.lengths, 1_000_000, orbit_towers(built.diagram))
+    assert len(blocks) == 1
+    assert freqs == tuple(c / 1_000_000 for c in ORBIT_COUNTS[built.name])
+
+
+def test_starts_at_the_screen_edges_and_floor_ends_walk_as_the_loop_does(built):
+    # each screen's edges, the unscreened edges it was shrunk from (the
+    # floor endpoints less the offsets below them), one ulp either side of
+    # each, and floor left ends: folds, checked blocks and plain steps, over
+    # the first tower and more
+    comb, lengths = built.loop.start, built.lengths
+    towers = orbit_towers(built.diagram)
+    breaks, _, walks = iet._walks(comb, lengths, towers)
+    assert len(walks) == comb.d and all(w.lo < w.hi for w in walks)
+    ends = np.array(breaks)
+    steps = max(map(len, towers)) + 100
+    for w in walks:
+        offsets = np.add.accumulate(w.fold)[:-1]
+        assert ((ends[w.positions] - offsets).max() < w.lo) and (w.hi < (ends[w.positions + 1] - offsets).min())
+        starts = [w.left[0], w.left[1], w.left[-1]]
+        for edge, out in (
+            (w.lo, -np.inf),
+            (w.hi, np.inf),
+            ((ends[w.positions] - offsets).max(), -np.inf),
+            ((ends[w.positions + 1] - offsets).min(), np.inf),
+        ):
+            starts += [edge, np.nextafter(edge, out), np.nextafter(edge, -out)]
+        for x0 in map(float, starts):
+            assert float_orbit_frequencies(comb, lengths, steps, towers, x0) == dict_orbit_frequencies(
+                comb, lengths, steps, x0
+            ), x0
+
+
+def test_a_checked_block_from_nan_keeps_one_step(golden):
+    # the floor lookup finds no floor for a NaN, so only the block's own
+    # test keeps a NaN from being counted along a whole tower
+    comb, lengths = golden.loop.start, golden.lengths
+    breaks, _, walks = iet._walks(comb, lengths, orbit_towers(golden.diagram))
+    lo, hi = np.array(breaks[:-1]), np.array(breaks[1:])
+    for walk in walks:
+        kept, x = iet._checked_block(np.nan, walk, 0, len(walk.positions), lo, hi)
+        assert kept == 1 and np.isnan(x)
 
 
 def test_orbit_steps_may_end_inside_the_first_block(built):
@@ -461,3 +520,17 @@ def test_the_walk_rounds_as_the_loop_does_on_a_periodic_exchange(lengths):
     for height in (7, 100):
         towers = tuple(path[k:k + height] for k in range(3))
         assert float_orbit_frequencies(comb, data, 5_000, towers, 0.0) == expected
+
+
+def test_a_tower_with_an_empty_screen_is_walked_as_the_loop_does():
+    # ORBIT_FLOORS floors of a rational exchange's itinerary from 0: the
+    # float orbit runs through the breakpoints, so no start range of the
+    # first tower survives the screen, and it is walked in checked blocks
+    comb = IetCombinatorics((1, 2, 3), (3, 2, 1))
+    data = LengthData((0.1, 0.7, 0.2), 1.0, (0, 0, 0), 0)
+    steps = 2 * ORBIT_FLOORS
+    path = np.array(dict_orbit(comb, data, steps, 0.0)) - 1
+    towers = tuple(path[k:k + ORBIT_FLOORS] for k in range(3))
+    first = iet._walks(comb, data, towers)[2][0]
+    assert first.lo > first.hi
+    assert float_orbit_frequencies(comb, data, steps, towers, 0.0) == dict_orbit_frequencies(comb, data, steps, 0.0)
