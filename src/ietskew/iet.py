@@ -468,8 +468,9 @@ def simulate_return_times(
 class _Walk(NamedTuple):
     """One predicted tower of the float orbit: its floors' domain positions,
     its fold buffer (a free slot for the start, then its floors' shifts),
-    its floors' float left ends, its visits per domain position, and its
-    screened start range [lo, hi], empty when lo > hi."""
+    its floors' float left ends, its visits per domain position, its
+    screened start range [lo, hi], empty when lo > hi, its total offset
+    O_h, and the growth of a chain's error bound per pass through it."""
 
     positions: np.ndarray
     fold: np.ndarray
@@ -477,6 +478,8 @@ class _Walk(NamedTuple):
     row: np.ndarray
     lo: float
     hi: float
+    total: float
+    slack: float
 
 
 def _walks(comb: IetCombinatorics, lengths: LengthData, towers: tuple[np.ndarray, ...]):
@@ -498,11 +501,13 @@ def _walks(comb: IetCombinatorics, lengths: LengthData, towers: tuple[np.ndarray
         fold = np.empty(h + 1)
         fold[0] = 0.0
         fold[1:] = shift[p]
-        offsets = np.add.accumulate(fold)[:h]  # O_k, the fold of the shifts below floor k from 0
+        folded = np.add.accumulate(fold)  # O_0..O_h, the fold of the shifts below each floor from 0
+        offsets = folded[:h]
         e = (h + 4) * 2.0 ** -53 * (reach + float(np.abs(offsets).max()))
         lo = float((ends[p] - offsets).max() + e)
         hi = float((ends[p + 1] - offsets).min() - e)
-        walks.append(_Walk(p, fold, b + offsets, np.bincount(p, minlength=comb.d), lo, hi))
+        slack = (h + 8) * 2.0 ** -53 * (reach + float(np.abs(folded).max()))
+        walks.append(_Walk(p, fold, b + offsets, np.bincount(p, minlength=comb.d), lo, hi, float(folded[h]), slack))
     return breaks, shift, walks
 
 
@@ -549,10 +554,11 @@ def float_orbit_frequencies(
     predictor sets only the speed: the frequencies are those of the
     step-by-step loop, bit for bit, whatever ``towers`` holds.
 
-    A start x inside a tower's screened range [lo, hi] folds the whole
-    tower: one ``np.add.accumulate`` of its shifts from x, the same left
-    fold of IEEE additions the loop makes, and the tower's visit row is
-    added once.  Every other start looks up its floor, the one whose float
+    A start x inside a tower's screened range [lo, hi] takes the whole
+    tower, a pass: the loop's steps are the left fold of IEEE additions of
+    its shifts from x, one ``np.add.accumulate``, and the tower's visit row
+    is added once.  Passes are chained (below), so most are never folded.
+    Every other start looks up its floor, the one whose float
     left end (the base's, scaled so that the floors cover [0, end), plus
     the shifts below it) is the last at or below x.  If that floor's
     interval is x's own, the rest of its tower is a checked block
@@ -586,7 +592,35 @@ def float_orbit_frequencies(
 
     which e = (h + 4) u (end + s_max + M) meets with room to spare for the
     rounding of e itself.  A screen holds for every prefix of its tower, so
-    the orbit's last tower may stop partway.
+    the orbit's last tower may stop partway.  As lo >= fl(b_{p_0} + e) > 0
+    and hi <= fl(b_{p_0 + 1} - e) < end, a screened start is never clamped.
+
+    The chain.  Only the point after a pass decides what comes next, so the
+    loop keeps x, the loop's exact point before the passes not yet folded,
+    an approximate point x~ after them, and a bound E on |x~ - x'|, where x'
+    is the loop's point after them.  While the float ends of
+    [x~ - E, x~ + E] lie in one screened range, the one that bisection picks
+    for both, x' lies there too and bisects to the same tower: the pass is
+    taken as x~ <- fl(x~ + O_h), with no fold, and counted; each tower's
+    visit row is added once at the end, times its passes.  A pass that the
+    steps left cut short is the last, and adds the bincount of its floors.
+    Where the bound cannot place x~, the chained passes are replayed from
+    x, one fold each, as the loop takes them (none is clamped: each starts
+    in a screened range); then x = x~ = x' and E = 0, where the test is the
+    screen's own.  Each pass is folded at most once.
+
+    The bound.  Either E = 0 and x~ = x', or |x~ - x'| + u (|x~| + E) <= E,
+    so that fl(x~ - E) <= x' <= fl(x~ + E).  A pass of h floors from x' and
+    from x~ adds, by the screen's argument with M now the largest |O_k| for
+    k <= h, and R = end + s_max + M,
+
+        |fl(x~ + O_h) - x'_h| <= (1 + u) E + u (end + M) + h u R
+                              <= E + (h + 2) u R,
+
+    as E < end while a placement holds; the new point lies within
+    end + s_max + E of 0.  So E <- fl(E + (h + 8) u R), the walk's ``slack``,
+    keeps the invariant, with room to spare for the rounding of the slack,
+    of the sum and of the two ends.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, not {steps}")
@@ -601,19 +635,31 @@ def float_orbit_frequencies(
     # default start: a generic point (1/pi of the interval), kept away from
     # the algebraic breakpoint data of the packaged instances
     x = 0.3183098861837907 * end if x0 is None else x0
-    counts = np.zeros(d, dtype=np.int64)  # visits per domain position, by folds and blocks
+    counts = np.zeros(d, dtype=np.int64)  # visits per domain position, by the last pass and blocks
     plain = [0] * d  # and by plain steps
+    passes = [0] * len(screened)  # and by chained passes, per screened tower
+    chain, approx, error = [], x, 0.0  # the passes since x, x~ after them, and E
     bounds, shifts = breaks[1:-1], shift.tolist()
     done, wait, backoff = 0, 0, 1
     while done < steps:
-        k = bisect_right(los, x) - 1
-        if k >= 0 and x <= his[k]:  # a screened start: fold the tower
+        k = bisect_right(los, approx + error) - 1
+        if k >= 0 and los[k] <= approx - error and approx + error <= his[k]:  # x' is screened by tower k
             walk = screened[k]
-            kept = min(len(walk.positions), steps - done)
-            walk.fold[0] = x
-            np.add.accumulate(walk.fold[:kept + 1], out=buf[:kept + 1])
-            counts += walk.row if kept == len(walk.positions) else np.bincount(walk.positions[:kept], minlength=d)
-            x = float(buf[kept])
+            h = len(walk.positions)
+            if steps - done < h:  # the last pass stops partway
+                counts += np.bincount(walk.positions[:steps - done], minlength=d)
+                break
+            passes[k] += 1
+            chain.append(walk)
+            approx, error = approx + walk.total, error + walk.slack
+            done += h
+            continue
+        if chain:  # the bound cannot place x~: replay the chain from x
+            for walk in chain:
+                walk.fold[0] = x
+                np.add.accumulate(walk.fold, out=buf[:len(walk.fold)])
+                x = float(buf[len(walk.positions)])
+            chain.clear()
         else:
             i = bisect_right(bounds, x)  # x's domain position; points outside [0, end) clamp to an end
             kept = 0
@@ -629,10 +675,13 @@ def float_orbit_frequencies(
                 plain[i] += 1
                 x += shifts[i]
                 kept = 1
+            done += kept
         if x < 0.0:
             x = 0.0
         elif x >= end:
             x = end * (1.0 - 1e-16)
-        done += kept
+        approx, error = x, 0.0
+    for n, walk in zip(passes, screened):
+        counts += n * walk.row
     counts += plain
     return tuple(c / steps for _, c in sorted(zip(comb.top, counts.tolist())))

@@ -24,6 +24,7 @@ from itertools import permutations, product
 
 import numpy as np
 
+from . import bratteli
 from .algebra import laurent_array_mul, laurent_matrix_pow, mat_mul
 from .bratteli import BratteliDiagram
 from .cocycles import (
@@ -140,6 +141,15 @@ def check_cocycle_identities(built: BuiltInstance, seed: int = 0) -> CheckResult
 # -- criterion 3 ---------------------------------------------------------------
 
 
+def _all_columns(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Per row of an edge-id array, whether ``table`` holds at every edge:
+    ``table[ids].all(axis=1)``, as one AND per column."""
+    out = table[ids[:, 0]]
+    for column in ids.T[1:]:
+        out &= table[column]
+    return out
+
+
 @_timed("bratteli_dictionary")
 def check_bratteli_dictionary(built: BuiltInstance, seed: int = 0) -> CheckResult:
     diagram = built.diagram
@@ -161,12 +171,12 @@ def check_bratteli_dictionary(built: BuiltInstance, seed: int = 0) -> CheckResul
                 return CheckResult("", "fail", detail=f"floor bijection broken at level {level}")
             if (diagram.floors_to_paths(level, towers, floor) != ids).any():
                 return CheckResult("", "fail", detail=f"floor inversion broken at level {level}")
-            maximal = diagram.is_top[ids].all(axis=1)
+            maximal = _all_columns(diagram.is_top, ids)
             above = diagram.paths_to_floors(diagram.adic_successors(ids[~maximal]))
             if (above[0] != towers[~maximal]).any() or (above[1] != floor[~maximal] + 1).any():
                 return CheckResult("", "fail", detail=f"coding identity broken at level {level}")
             n_max += int(maximal.sum())
-            n_min += int((diagram.floor[ids] == 0).all(axis=1).sum())
+            n_min += int(_all_columns(diagram.floor == 0, ids).sum())
             n_paths += len(ids)
         if not hits.all():
             return CheckResult("", "fail", detail=f"path count != floor count at level {level}")
@@ -284,20 +294,29 @@ def check_certificate(built: BuiltInstance, seed: int = 0) -> CheckResult:
 
 def path_keys(diagram: BratteliDiagram, k: int, strides: np.ndarray, weight: np.ndarray) -> Iterator[np.ndarray]:
     """Each level-k path's flat key into criterion 7's count array, in
-    arrays of at most PATH_BLOCK keys: its source's and target's strides
-    plus the sum of its edges' weights.  Level 1 reads the edges from
+    arrays of at most ``bratteli.PATH_BLOCK`` keys: its source's and target's
+    strides plus the sum of its edges' weights.  Level 1 reads the edges from
     ``path_blocks(1)``; a deeper level keys each block of
-    ``path_blocks(k - 1)`` once, as prefixes, and adds the last edge by
-    ``extensions``, so no level-k id row is ever built."""
+    ``path_blocks(k - 1)`` once, as prefixes, and adds the last edge per end
+    vertex v as an outer sum of v's prefix keys and its out-edges' parts,
+    split by rows, and by out-edges where v has more than a block of them,
+    so no level-k id row is ever built."""
+    block = bratteli.PATH_BLOCK
     last = weight + diagram.target * strides[1]  # an edge's part of the key where it ends the path
+    tails = [last[out[out >= 0]] for out in diagram.out]  # per vertex, its out-edges' parts
     for ids in diagram.path_blocks(max(k - 1, 1)):
         key = diagram.source[ids[:, 0]] * strides[0]
         if k == 1:
             yield key + last[ids[:, 0]]
             continue
         key += weight[ids].sum(axis=1)
-        for rows, edges in diagram.extensions(diagram.target[ids[:, -1]], diagram.out):
-            yield key[rows] + last[edges]
+        ends = diagram.target[ids[:, -1]]
+        for v, tail in enumerate(tails):
+            heads = key[ends == v]
+            rows = max(1, block // len(tail))
+            for r in range(0, len(heads), rows):
+                for s in range(0, len(tail), block):
+                    yield (heads[r:r + rows, None] + tail[s:s + block]).ravel()
 
 
 @_timed("level_counting_cocycle")

@@ -124,16 +124,44 @@ MUTATIONS = [
     (
         "a folded tower's visits read from the tower screened below it",
         "src/ietskew/iet.py",
-        "counts += walk.row if",
-        "counts += screened[k - 1].row if",
+        "passes[k] += 1",
+        "passes[k - 1] += 1",
         "tests/test_iet.py::test_float_orbit_frequencies_equal_the_dict_loop",
     ),
     (
         "a folded tower that ignores the steps left",
         "src/ietskew/iet.py",
-        "kept = min(len(walk.positions), steps - done)",
-        "kept = len(walk.positions)",
+        "np.bincount(walk.positions[:steps - done], minlength=d)",
+        "np.bincount(walk.positions, minlength=d)",
         "tests/test_iet.py::test_float_orbit_frequencies_equal_the_dict_loop",
+    ),
+    (
+        "the partial last pass counted as a full pass",
+        "src/ietskew/iet.py",
+        "if steps - done < h:  # the last pass stops partway",
+        "if steps - done < 0:  # the last pass stops partway",
+        "tests/test_iet.py::test_orbits_may_stop_partway_through_a_chained_pass",
+    ),
+    (
+        "a chain bound that does not grow per pass",
+        "src/ietskew/iet.py",
+        "approx, error = approx + walk.total, error + walk.slack",
+        "approx, error = approx + walk.total, error",
+        "tests/test_iet.py::test_chains_whose_totals_err_by_their_slack_walk_as_the_loop_does",
+    ),
+    (
+        "a chain placement without its margin",
+        "src/ietskew/iet.py",
+        "if k >= 0 and los[k] <= approx - error and approx + error <= his[k]:",
+        "if k >= 0 and los[k] <= approx <= his[k]:",
+        "tests/test_iet.py::test_chains_whose_totals_err_by_their_slack_walk_as_the_loop_does",
+    ),
+    (
+        "a replay folded from the approximate point, not the exact one",
+        "src/ietskew/iet.py",
+        "walk.fold[0] = x\n",
+        "walk.fold[0] = approx\n",
+        "tests/test_iet.py::test_chains_that_all_replay_walk_as_the_loop_does",
     ),
     (
         "the int64 refusal at 2**64",
@@ -260,6 +288,13 @@ MUTATIONS = [
         "rng.randint(-2, 2)",
         "rng.randint(-2, 1)",
         "tests/test_maharam.py::test_step_check_steps_the_per_sample_draws",
+    ),
+    (
+        "criterion 7's per-vertex keys missing the last vertex",
+        "src/ietskew/verification.py",
+        "for v, tail in enumerate(tails):",
+        "for v, tail in enumerate(tails[:-1]):",
+        "tests/test_verification.py::test_path_keys_are_the_extension_keys",
     ),
     (
         "letter_counts counting letter i - 1",

@@ -1,3 +1,5 @@
+import random
+import types
 from bisect import bisect_right
 from itertools import product
 
@@ -419,15 +421,83 @@ ORBIT_COUNTS = {
 }
 
 
+def count_folds(monkeypatch) -> list:
+    """A list that grows by one at each ``np.add.accumulate`` call in ``iet``."""
+    calls = []
+
+    class Add:
+        def __getattr__(self, name):
+            return getattr(np.add, name)
+
+        def accumulate(self, *args, **kwargs):
+            calls.append(None)
+            return np.add.accumulate(*args, **kwargs)
+
+    monkeypatch.setattr(iet, "np", types.SimpleNamespace(**{**vars(np), "add": Add()}))
+    return calls
+
+
 def test_the_true_towers_take_one_checked_block(built, monkeypatch):
     # the first start is mid-tower and takes the one checked block; every
-    # later start is screened and folds its tower
+    # later start is screened and its pass chained, and none is replayed, so
+    # the only other folds are the set-up's, one per tower
     blocks = []
     checked = iet._checked_block
     monkeypatch.setattr(iet, "_checked_block", lambda *args: blocks.append(args[2]) or checked(*args))
-    freqs = float_orbit_frequencies(built.loop.start, built.lengths, 1_000_000, orbit_towers(built.diagram))
+    folds = count_folds(monkeypatch)
+    towers = orbit_towers(built.diagram)
+    freqs = float_orbit_frequencies(built.loop.start, built.lengths, 1_000_000, towers)
     assert len(blocks) == 1
+    assert len(folds) == len(towers) + 1
     assert freqs == tuple(c / 1_000_000 for c in ORBIT_COUNTS[built.name])
+
+
+# np.add.accumulate calls at 200k steps from the default start before the
+# passes were chained: one per tower to set up, per block and per pass
+UNCHAINED_FOLDS = {"golden_triple": 36, "genus2_rank1": 100, "genus2_rank2": 39}
+
+
+def test_chains_that_all_replay_walk_as_the_loop_does(built, monkeypatch):
+    # a per-pass slack of inf leaves no chained pass placeable, so each one
+    # is replayed, a fold per pass as before the chain
+    comb, lengths = built.loop.start, built.lengths
+    walks = iet._walks
+
+    def unplaceable(*args):
+        breaks, shift, ws = walks(*args)
+        return breaks, shift, [w._replace(slack=np.inf) for w in ws]
+
+    monkeypatch.setattr(iet, "_walks", unplaceable)
+    folds = count_folds(monkeypatch)
+    freqs = float_orbit_frequencies(comb, lengths, 200_000, orbit_towers(built.diagram))
+    assert freqs == dict_orbit_frequencies(comb, lengths, 200_000)
+    assert len(folds) <= UNCHAINED_FOLDS[built.name]
+
+
+def test_chains_whose_totals_err_by_their_slack_walk_as_the_loop_does(built, monkeypatch):
+    # each total off by a quarter of the narrowest screen, and each slack
+    # grown by as much: the bound alone keeps the chain on the loop's orbit,
+    # replaying it every pass or two
+    comb, lengths = built.loop.start, built.lengths
+    towers = orbit_towers(built.diagram)
+    walks = iet._walks(comb, lengths, towers)
+    off = min(w.hi - w.lo for w in walks[2]) / 4
+    wrong = [w._replace(total=w.total + (-1) ** n * off, slack=w.slack + off) for n, w in enumerate(walks[2])]
+    monkeypatch.setattr(iet, "_walks", lambda *args: (*walks[:2], wrong))
+    freqs = float_orbit_frequencies(comb, lengths, 1_000_000, towers)
+    assert freqs == tuple(c / 1_000_000 for c in ORBIT_COUNTS[built.name])
+
+
+def test_orbits_may_stop_partway_through_a_chained_pass(built):
+    # random starts and random step counts: the last pass is cut short
+    comb, lengths = built.loop.start, built.lengths
+    towers = orbit_towers(built.diagram)
+    rng = random.Random(7)
+    for x0 in (None, rng.uniform(0.0, sum(lengths.lengths))):
+        labels = np.array(dict_orbit(comb, lengths, 100_000, x0))
+        for steps in sorted(rng.randrange(1, 100_001) for _ in range(10)):
+            expected = tuple((labels[:steps] == j).sum() / steps for j in range(1, comb.d + 1))
+            assert float_orbit_frequencies(comb, lengths, steps, towers, x0) == expected, (x0, steps)
 
 
 def test_starts_at_the_screen_edges_and_floor_ends_walk_as_the_loop_does(built):

@@ -190,6 +190,33 @@ def test_level_counting_bincounts_at_most_a_path_block_of_keys(built, monkeypatc
     assert max(sizes) <= 7 and len(sizes) >= sum(built.diagram.heights(3)) / 7
 
 
+def extension_keys(diagram, k, strides, weight):
+    """Criterion 7's path keys as built before they were grouped by end
+    vertex: each prefix row gathered once per out-edge by ``extensions``."""
+    last = weight + diagram.target * strides[1]
+    for ids in diagram.path_blocks(max(k - 1, 1)):
+        key = diagram.source[ids[:, 0]] * strides[0]
+        if k == 1:
+            yield key + last[ids[:, 0]]
+            continue
+        key += weight[ids].sum(axis=1)
+        for rows, edges in diagram.extensions(diagram.target[ids[:, -1]], diagram.out):
+            yield key[rows] + last[edges]
+
+
+def test_path_keys_are_the_extension_keys(built):
+    diagram, f = built.diagram, built.floor.f
+    lo, hi = f.min(axis=0), f.max(axis=0)
+    for k in range(1, 5):
+        shape = (diagram.d, diagram.d, *(k * (hi - lo) + 1))
+        strides = np.cumprod((1, *shape[:0:-1]))[::-1]
+        weight = (f - lo) @ strides[2:]
+        blocks = list(V.path_keys(diagram, k, strides, weight))
+        assert max(map(len, blocks)) <= bratteli.PATH_BLOCK
+        keys = np.sort(np.concatenate(blocks))
+        assert np.array_equal(keys, np.sort(np.concatenate(list(extension_keys(diagram, k, strides, weight)))))
+
+
 def test_maharam_draws_psi_then_seed_from_one_rng(built, monkeypatch):
     # each psi is followed by the draw of a seed that nothing reads: the psi stack stays as it was
     seen = []
